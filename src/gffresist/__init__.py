@@ -12,6 +12,7 @@ from .electric import (
     laplacian,
     min_energy_flow_oracle,
     node_voltages,
+    ohm_flow,
     thomson_flow,
 )
 from .gaussian import (

@@ -7,7 +7,7 @@ text with 10 significant digits, or as JSON under ``--format json``.
 
 Exit codes: 0 all checks pass, 1 a verified inequality failed beyond
 tolerance, 2 usage error or malformed input, 3 semantically invalid input
-(self-loop, nonpositive resistance, disconnected graph).
+(self-loop, nonpositive or non-finite resistance, disconnected graph).
 """
 
 import argparse
@@ -120,7 +120,8 @@ def parse_network(path: str) -> ResistiveNetwork:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            # Integers parse as floats: one too large for a double is inf, like 1e400.
+            doc = json.load(fh, parse_int=float)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -153,12 +154,14 @@ def parse_network(path: str) -> ResistiveNetwork:
                 raise ParseError(f"{where} is missing field {key!r}")
         if not isinstance(rec["u"], str) or not isinstance(rec["v"], str):
             raise ParseError(f"{where}: 'u' and 'v' must be strings")
-        if isinstance(rec["r"], bool) or not isinstance(rec["r"], (int, float)):
+        if not isinstance(rec["r"], float):
             raise ParseError(f"{where}: 'r' must be a number")
         if rec["r"] <= 0:
             raise ValidationError(f"{where}: resistance must be positive")
+        if not math.isfinite(rec["r"]):
+            raise ValidationError(f"{where}: resistance must be finite")
         specs.append((rec["u"], rec["v"]))
-        resistances.append(float(rec["r"]))
+        resistances.append(rec["r"])
 
     try:
         graph = build_multigraph(vertices, specs)

@@ -93,13 +93,13 @@ def _check_flow(n: ResistiveNetwork, f: FlowVector):
 def laplacian(n: ResistiveNetwork) -> np.ndarray:
     """Weighted graph Laplacian with edge conductances 1/R_e."""
     g = n.graph
+    t, h, c = g.tails, g.heads, 1.0 / n.resistances
     lap = np.zeros((g.n_vertices, g.n_vertices))
-    for e, rec in enumerate(g.edges):
-        c = 1.0 / n.resistances[e]
-        lap[rec.tail, rec.head] -= c
-        lap[rec.head, rec.tail] -= c
-        lap[rec.tail, rec.tail] += c
-        lap[rec.head, rec.head] += c
+    # Per edge, in edge order: (t,h), (h,t) lose c and (t,t), (h,h) gain it.
+    # np.add.at sums repeated entries in this order, as an edge loop would.
+    rows = np.column_stack([t, h, t, h]).ravel()
+    cols = np.column_stack([h, t, t, h]).ravel()
+    np.add.at(lap, (rows, cols), np.column_stack([-c, -c, c, c]).ravel())
     return lap
 
 
@@ -126,12 +126,15 @@ def effective_resistance(n: ResistiveNetwork, a: int, b: int) -> float:
     return float(node_voltages(n, a, b).potentials[a])
 
 
+def ohm_flow(n: ResistiveNetwork, volts: VoltageVector) -> FlowVector:
+    """Edge currents that the given vertex potentials drive, by Ohm's law."""
+    v = volts.potentials
+    return FlowVector((v[n.graph.tails] - v[n.graph.heads]) / n.resistances)
+
+
 def thomson_flow(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     """The unique unit a-to-b flow satisfying both Kirchhoff laws (Ohm route)."""
-    volts = node_voltages(n, a, b).potentials
-    tails = np.array([rec.tail for rec in n.graph.edges])
-    heads = np.array([rec.head for rec in n.graph.edges])
-    return FlowVector((volts[tails] - volts[heads]) / n.resistances)
+    return ohm_flow(n, node_voltages(n, a, b))
 
 
 def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:

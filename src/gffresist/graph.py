@@ -8,6 +8,7 @@ legal and distinguished by a per-endpoint-pair parallel index.
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,25 @@ class Multigraph:
     vertices: tuple
     edges: tuple
 
+    # Derived views, computed once per graph. They are cached attributes, not
+    # fields, so equality and hashing still see only vertices and edges.
+    @cached_property
+    def tails(self) -> np.ndarray:
+        return _frozen_ints([rec.tail for rec in self.edges])
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        return _frozen_ints([rec.head for rec in self.edges])
+
+    @cached_property
+    def adjacency(self) -> tuple:
+        """Per vertex, its (edge id, other endpoint) pairs in increasing edge id."""
+        adj = [[] for _ in self.vertices]
+        for e, rec in enumerate(self.edges):
+            adj[rec.tail].append((e, rec.head))
+            adj[rec.head].append((e, rec.tail))
+        return tuple(map(tuple, adj))
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -65,30 +85,19 @@ class Multigraph:
         except ValueError:
             raise UnknownEndpointError(f"unknown vertex {name!r}") from None
 
-    def endpoints(self, edge_id: int) -> tuple:
-        rec = self.edges[edge_id]
-        return rec.tail, rec.head
-
-    def opposite(self, edge_id: int, vertex: int) -> int:
-        rec = self.edges[edge_id]
-        if vertex == rec.tail:
-            return rec.head
-        if vertex == rec.head:
-            return rec.tail
-        raise EdgeNotInGraphError(f"edge {edge_id} is not incident to vertex {vertex}")
-
-    def incident_edges(self, vertex: int) -> list:
-        """Edge ids incident to ``vertex``, in increasing id order."""
-        return [e for e, rec in enumerate(self.edges)
-                if vertex in (rec.tail, rec.head)]
-
     def incidence_matrix(self) -> np.ndarray:
         """Signed vertex-edge incidence: +1 at the tail, -1 at the head."""
         b = np.zeros((self.n_vertices, self.n_edges))
-        for e, rec in enumerate(self.edges):
-            b[rec.tail, e] = 1.0
-            b[rec.head, e] = -1.0
+        ids = np.arange(self.n_edges)
+        b[self.tails, ids] = 1.0
+        b[self.heads, ids] = -1.0
         return b
+
+
+def _frozen_ints(values) -> np.ndarray:
+    arr = np.array(values, dtype=int)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -196,118 +205,93 @@ def build_multigraph(vertex_names, edge_specs) -> Multigraph:
         records.append(EdgeRecord(tail, head, k))
 
     g = Multigraph(tuple(names), tuple(records))
-    _check_connected(g)
+    parent, _ = _bfs(g)
+    if len(parent) != g.n_vertices:
+        missing = sorted(set(range(g.n_vertices)) - parent.keys())
+        raise DisconnectedError(
+            f"vertices {missing} unreachable from vertex 0")
     return g
 
 
-def _check_connected(g: Multigraph):
-    reached = {0}
+def _bfs(g: Multigraph, edges=None) -> tuple:
+    """Breadth-first search from vertex 0 scanning incident edges in increasing id.
+
+    Only edges in ``edges`` are followed when it is given. Returns
+    ``(parent, depth)`` over the reached vertices: ``parent[v]`` is the
+    (vertex, edge id) pair v was reached through, None at the root. The
+    search order fixes the spanning tree, hence every circuit orientation.
+    """
+    parent, depth = {0: None}, {0: 0}
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        for e in g.incident_edges(v):
-            w = g.opposite(e, v)
-            if w not in reached:
-                reached.add(w)
+        for e, w in g.adjacency[v]:
+            if w not in parent and (edges is None or e in edges):
+                parent[w] = (v, e)
+                depth[w] = depth[v] + 1
                 queue.append(w)
-    if len(reached) != g.n_vertices:
-        missing = sorted(set(range(g.n_vertices)) - reached)
-        raise DisconnectedError(
-            f"vertices {missing} unreachable from vertex 0")
+    return parent, depth
+
+
+def _tree_edges(parent) -> frozenset:
+    return frozenset(link[1] for link in parent.values() if link is not None)
 
 
 def spanning_tree(g: Multigraph) -> frozenset:
     """Deterministic BFS spanning tree from vertex 0, edge-id tie-break."""
-    tree = set()
-    reached = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for e in g.incident_edges(v):
-            w = g.opposite(e, v)
-            if w not in reached:
-                reached.add(w)
-                tree.add(e)
-                queue.append(w)
-    return frozenset(tree)
+    return _tree_edges(_bfs(g)[0])
 
 
-def _tree_adjacency(g: Multigraph, tree) -> dict:
-    adj = {v: [] for v in range(g.n_vertices)}
-    for e in sorted(tree):
-        rec = g.edges[e]
-        adj[rec.tail].append((rec.head, e))
-        adj[rec.head].append((rec.tail, e))
-    return adj
+def _tree_path(parent, depth, a: int, b: int):
+    """Unique a-to-b path in the BFS tree, as (vertex_seq, edge_seq).
 
-
-def _tree_path(g: Multigraph, tree, a: int, b: int):
-    """Unique a-to-b path inside the tree, as (vertex_seq, edge_seq)."""
-    adj = _tree_adjacency(g, tree)
-    prev = {a: None}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            break
-        for w, e in adj[v]:
-            if w not in prev:
-                prev[w] = (v, e)
-                queue.append(w)
-    if b not in prev:
+    Walks up from the deeper end until both ends meet at their lowest
+    common ancestor.
+    """
+    if a not in depth or b not in depth:
         raise NotASpanningTreeError(f"no tree path from {a} to {b}")
-    vertex_seq, edge_seq = [b], []
-    v = b
-    while prev[v] is not None:
-        u, e = prev[v]
-        vertex_seq.append(u)
-        edge_seq.append(e)
-        v = u
-    return vertex_seq[::-1], edge_seq[::-1]
+    up_vs, up_es, down_vs, down_es = [a], [], [b], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            a, e = parent[a]
+            up_vs.append(a)
+            up_es.append(e)
+        else:
+            b, e = parent[b]
+            down_vs.append(b)
+            down_es.append(e)
+    return up_vs + down_vs[-2::-1], up_es + down_es[::-1]
 
 
 def walk_between(g: Multigraph, a: int, b: int) -> Walk:
     """The unique spanning-tree walk from a to b."""
     if a == b:
         raise SameVertexError(f"walk endpoints must differ, got vertex {a} twice")
-    vs, es = _tree_path(g, spanning_tree(g), a, b)
+    vs, es = _tree_path(*_bfs(g), a, b)
     return make_walk(g, vs, es)
-
-
-def _check_spanning_tree(g: Multigraph, tree):
-    tree = frozenset(tree)
-    if len(tree) != g.n_vertices - 1:
-        raise NotASpanningTreeError(
-            f"expected {g.n_vertices - 1} tree edges, got {len(tree)}")
-    for e in tree:
-        if not 0 <= e < g.n_edges:
-            raise NotASpanningTreeError(f"edge id {e} out of range")
-    adj = _tree_adjacency(g, tree)
-    reached = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w, _ in adj[v]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    if len(reached) != g.n_vertices:
-        raise NotASpanningTreeError("tree edges do not span the graph")
-    return tree
 
 
 def fundamental_circuits(g: Multigraph, tree=None) -> list:
     """One circuit per non-tree edge: the edge plus the tree path closing it.
 
     The list is ordered by non-tree edge id and has length equal to the
-    cycle rank |E| - |V| + 1.
+    cycle rank |E| - |V| + 1. ``tree`` defaults to the BFS spanning tree.
     """
-    tree = spanning_tree(g) if tree is None else _check_spanning_tree(g, tree)
+    # The BFS never follows an edge id outside the graph, so it cannot span.
+    if tree is not None:
+        tree = frozenset(tree)
+        if len(tree) != g.n_vertices - 1:
+            raise NotASpanningTreeError(
+                f"expected {g.n_vertices - 1} tree edges, got {len(tree)}")
+    parent, depth = _bfs(g, tree)
+    if len(parent) != g.n_vertices:
+        raise NotASpanningTreeError("tree edges do not span the graph")
+    tree = _tree_edges(parent)
     circuits = []
     for e, rec in enumerate(g.edges):
         if e in tree:
             continue
-        path_vs, path_es = _tree_path(g, tree, rec.head, rec.tail)
+        path_vs, path_es = _tree_path(parent, depth, rec.head, rec.tail)
         circuits.append(make_circuit(g, [rec.tail] + path_vs, [e] + path_es))
     return circuits
 
@@ -323,44 +307,54 @@ def _canonical_edge_key(edge_seq) -> tuple:
     return best
 
 
+def _simple_paths(g: Multigraph, start: int, stop: int, floor: int):
+    """Every path from start to stop, by depth-first search without recursion.
+
+    Interior vertices are distinct, differ from both ends and exceed floor;
+    start == stop gives closed paths. Incident edges are scanned in
+    increasing id, so paths come in the order a recursive search finds
+    them. Yields fresh (vertex list, edge list) pairs.
+    """
+    path_vs, path_es = [start], []
+    on_path = {start}
+    frames = [iter(g.adjacency[start])]
+    while frames:
+        for e, w in frames[-1]:
+            # The only path edge incident to the tip is the one that entered it.
+            if path_es and e == path_es[-1]:
+                continue
+            if w == stop:
+                yield path_vs + [w], path_es + [e]
+            elif w > floor and w not in on_path:
+                path_vs.append(w)
+                path_es.append(e)
+                on_path.add(w)
+                frames.append(iter(g.adjacency[w]))
+                break
+        else:
+            frames.pop()
+            if path_es:
+                path_es.pop()
+                on_path.discard(path_vs.pop())
+
+
 def enumerate_circuits(g: Multigraph, limit: int = DEFAULT_CIRCUIT_LIMIT) -> list:
     """Every circuit of g, once up to starting point and direction.
 
-    Deduplication is by canonical edge-id sequence (smallest rotation or
-    reflection). Intended for desk-scale graphs; raises
-    SizeLimitExceededError once more than ``limit`` distinct circuits are
-    found.
+    Each circuit is found from its smallest vertex. Deduplication is by
+    canonical edge-id sequence (smallest rotation or reflection). Intended
+    for desk-scale graphs; raises SizeLimitExceededError once more than
+    ``limit`` distinct circuits are found.
     """
     found = {}
-
-    def extend(start, v, path_vs, path_es, visited):
-        for e in g.incident_edges(v):
-            if e in path_es:
-                continue
-            w = g.opposite(e, v)
-            if w == start:
-                key = _canonical_edge_key(path_es + [e])
-                if key not in found:
-                    found[key] = make_circuit(
-                        g, path_vs + [w], path_es + [e])
-                    if len(found) > limit:
-                        raise SizeLimitExceededError(
-                            f"more than {limit} circuits")
-            elif w > start and w not in visited:
-                extend(start, w, path_vs + [w], path_es + [e], visited | {w})
-
     for s in range(g.n_vertices):
-        extend(s, s, [s], [], {s})
+        for path_vs, path_es in _simple_paths(g, s, s, s):
+            key = _canonical_edge_key(path_es)
+            if key not in found:
+                found[key] = make_circuit(g, path_vs, path_es)
+                if len(found) > limit:
+                    raise SizeLimitExceededError(f"more than {limit} circuits")
     return list(found.values())
-
-
-def circuit_sign_vector(g: Multigraph, c: Circuit) -> np.ndarray:
-    """Signed edge-incidence vector of a circuit, indexed by edge id."""
-    _check_steps(g, c.vertices, c.edges)
-    vec = np.zeros(g.n_edges)
-    for e, s in zip(c.edges, c.signs):
-        vec[e] += s
-    return vec
 
 
 def walk_sign_vector(g: Multigraph, w: Walk) -> np.ndarray:
@@ -372,11 +366,15 @@ def walk_sign_vector(g: Multigraph, w: Walk) -> np.ndarray:
     return vec
 
 
+# A circuit is a walk; its sign vector is the walk's.
+circuit_sign_vector = walk_sign_vector
+
+
 def circuit_matrix(g: Multigraph, circuits) -> np.ndarray:
     """Stack of circuit sign vectors, one row per circuit."""
     if not circuits:
         return np.zeros((0, g.n_edges))
-    return np.stack([circuit_sign_vector(g, c) for c in circuits])
+    return np.stack([walk_sign_vector(g, c) for c in circuits])
 
 
 def enumerate_simple_walks(g: Multigraph, a: int, b: int,
@@ -385,17 +383,9 @@ def enumerate_simple_walks(g: Multigraph, a: int, b: int,
     if a == b:
         raise SameVertexError(f"walk endpoints must differ, got vertex {a} twice")
     walks = []
-
-    def extend(v, path_vs, path_es, visited):
-        for e in g.incident_edges(v):
-            w = g.opposite(e, v)
-            if w == b:
-                walks.append(make_walk(g, path_vs + [w], path_es + [e]))
-                if len(walks) > limit:
-                    raise SizeLimitExceededError(
-                        f"more than {limit} simple walks from {a} to {b}")
-            elif w not in visited:
-                extend(w, path_vs + [w], path_es + [e], visited | {w})
-
-    extend(a, [a], [], {a, b})
+    for path_vs, path_es in _simple_paths(g, a, b, -1):
+        walks.append(make_walk(g, path_vs, path_es))
+        if len(walks) > limit:
+            raise SizeLimitExceededError(
+                f"more than {limit} simple walks from {a} to {b}")
     return walks

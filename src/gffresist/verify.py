@@ -18,7 +18,8 @@ from .electric import (
     ResistiveNetwork,
     dissipated_power,
     effective_resistance,
-    thomson_flow,
+    node_voltages,
+    ohm_flow,
 )
 from .errors import DegenerateEntropyError, DimensionMismatchError, ValidationError
 from .gaussian import (
@@ -37,7 +38,7 @@ from .gff import (
     potential_difference_functional,
     potential_difference_variance,
 )
-from .graph import Multigraph, build_multigraph, circuit_matrix, fundamental_circuits
+from .graph import Multigraph, build_multigraph
 
 DEFAULT_TOL = 1e-8
 Z_LIMIT = 4.0
@@ -217,17 +218,17 @@ def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     net_bar = ResistiveNetwork(graph, r_bar)
     net_hat = ResistiveNetwork(graph, r + r_bar)
 
-    flow_hat = thomson_flow(net_hat, a, b)
-    flow = thomson_flow(net, a, b)
-    flow_bar = thomson_flow(net_bar, a, b)
+    # One solve per network gives both its Thomson flow and its Reff.
+    volts_hat, volts, volts_bar = (node_voltages(m, a, b)
+                                   for m in (net_hat, net, net_bar))
+    flow_hat = ohm_flow(net_hat, volts_hat)
 
-    reff_hat = effective_resistance(net_hat, a, b)
+    reff_hat = float(volts_hat.potentials[a])
     hat_flow_power = (dissipated_power(net, flow_hat)
                       + dissipated_power(net_bar, flow_hat))
-    own_flow_power = (dissipated_power(net, flow)
-                      + dissipated_power(net_bar, flow_bar))
-    reff_sum = (effective_resistance(net, a, b)
-                + effective_resistance(net_bar, a, b))
+    own_flow_power = (dissipated_power(net, ohm_flow(net, volts))
+                      + dissipated_power(net_bar, ohm_flow(net_bar, volts_bar)))
+    reff_sum = float(volts.potentials[a]) + float(volts_bar.potentials[a])
 
     quantities = (
         ("reff_hat", reff_hat),
@@ -270,7 +271,7 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     var_sum = (potential_difference_variance(field, a, b)
                + potential_difference_variance(field_bar, a, b))
 
-    cycles = circuit_matrix(graph, fundamental_circuits(graph))
+    cycles = field_hat.constraint_basis.rows
     walk_vec = potential_difference_functional(field_hat, a, b)
     k, n_e = cycles.shape
     joint = independent_gaussian(np.concatenate([r, r_bar]))

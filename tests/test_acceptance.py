@@ -232,6 +232,17 @@ def test_criterion_9_cli_golden_files():
             "--network", str(DATA / "parallel_pair_base.json"),
             "--bar-network", str(DATA / "parallel_pair.json"),
             "--pair", "a,b"],
+        # 4x4 grid, edges shuffled and half reversed: 9 independent cycles
+        # pin the spanning-tree tie-break, the circuit orientation and the
+        # Melvin chain's bits.
+        "thomson_grid4.txt": [
+            "thomson", "--network", str(DATA / "grid4.json"),
+            "--pair", "v0,v15"],
+        "melvin_grid4.txt": [
+            "verify", "melvin",
+            "--network", str(DATA / "grid4.json"),
+            "--bar-network", str(DATA / "grid4_bar.json"),
+            "--pair", "v0,v15"],
     }
     for name, argv in commands.items():
         outputs = []

@@ -30,6 +30,21 @@ def write_network(tmp_path, doc, name="net.json") -> str:
     return str(path)
 
 
+def write_single_edge(tmp_path, r_literal: str) -> str:
+    """One a-b edge whose resistance is written verbatim into the JSON."""
+    path = tmp_path / "edge.json"
+    path.write_text('{"vertices": ["a", "b"], "edges": '
+                    f'[{{"u": "a", "v": "b", "r": {r_literal}}}]}}', "utf-8")
+    return str(path)
+
+
+# 1e400 parses as inf; a 401-digit integer overflows float(); a 5000-digit
+# one exceeds Python's integer-parsing limit. All three are one error.
+HUGE_RESISTANCES = pytest.mark.parametrize(
+    "literal", ["1e400", "1" + "0" * 400, "9" * 5000],
+    ids=["float-1e400", "int-401-digits", "int-5000-digits"])
+
+
 class TestParseNetwork:
     def test_single_edge(self, tmp_path):
         path = write_network(tmp_path, {
@@ -89,6 +104,11 @@ class TestParseNetwork:
             "edges": [{"u": "a", "v": "b", "r": 1, "ohms": 2}]})
         with pytest.raises(ParseError, match="ohms"):
             parse_network(path)
+
+    @HUGE_RESISTANCES
+    def test_huge_resistance_is_validation_error(self, tmp_path, literal):
+        with pytest.raises(ValidationError, match=r"edges\[0\].*finite"):
+            parse_network(write_single_edge(tmp_path, literal))
 
     def test_boolean_resistance_rejected(self, tmp_path):
         path = write_network(tmp_path, {
@@ -306,6 +326,14 @@ class TestExitCodes:
         assert run_command(["reff", "--network", path,
                             "--pair", "a,b"]) == EXIT_INVALID_NETWORK
         assert "error:" in capsys.readouterr().err
+
+    @HUGE_RESISTANCES
+    def test_huge_resistance_exit(self, tmp_path, capsys, literal):
+        path = write_single_edge(tmp_path, literal)
+        assert run_command(["reff", "--network", path,
+                            "--pair", "a,b"]) == EXIT_INVALID_NETWORK
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_topology_mismatch(self, capsys):
         code = run_command([

@@ -55,6 +55,20 @@ class TestLaplacian:
     def test_nullspace_is_constant_vector(self, bridge):
         np.testing.assert_allclose(laplacian(bridge) @ np.ones(4), 0, atol=1e-12)
 
+    def test_matches_edge_loop_bit_for_bit(self):
+        # parallel edges repeat entries; they must add up in edge order
+        for i in range(30):
+            net = random_network(instance_rng(71, i))
+            g = net.graph
+            ref = np.zeros((g.n_vertices, g.n_vertices))
+            for e, rec in enumerate(g.edges):
+                c = 1.0 / net.resistances[e]
+                ref[rec.tail, rec.head] -= c
+                ref[rec.head, rec.tail] -= c
+                ref[rec.tail, rec.tail] += c
+                ref[rec.head, rec.head] += c
+            np.testing.assert_array_equal(laplacian(net), ref)
+
 
 class TestNodeVoltages:
     def test_single_edge_ohm(self, single_edge):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gffresist import (
+    Circuit,
     Multigraph,
     build_multigraph,
     circuit_matrix,
@@ -59,6 +60,15 @@ def count_circuits_brute(multiplicity) -> int:
     return int(sum(cycles.values())) + int(two_edge)
 
 
+def grid_graph(side):
+    """side x side grid: row edges first, then column edges."""
+    specs = [(i * side + j, i * side + j + 1)
+             for i in range(side) for j in range(side - 1)]
+    specs += [(i * side + j, (i + 1) * side + j)
+              for i in range(side - 1) for j in range(side)]
+    return build_multigraph(list(range(side * side)), specs)
+
+
 class TestBuild:
     def test_single_edge(self):
         g = build_multigraph(["a", "b"], [("a", "b")])
@@ -87,6 +97,16 @@ class TestBuild:
     def test_extra_spec_entries_ignored(self):
         g = build_multigraph(["a", "b"], [("a", "b", 2.5)])
         assert g.n_edges == 1
+
+    def test_derived_views(self, triangle):
+        g = triangle.graph
+        assert g.tails.tolist() == [0, 1, 0]
+        assert g.heads.tolist() == [1, 2, 2]
+        assert g.adjacency == (((0, 1), (2, 2)), ((0, 0), (1, 2)),
+                               ((1, 1), (2, 0)))
+        # cached views are not fields: equality and hashing ignore them
+        fresh = Multigraph(g.vertices, g.edges)
+        assert fresh == g and hash(fresh) == hash(g)
 
 
 class TestSpanningTree:
@@ -119,6 +139,32 @@ class TestFundamentalCircuits:
             fundamental_circuits(triangle.graph, tree={0, 1, 2})
         with pytest.raises(NotASpanningTreeError):
             fundamental_circuits(triangle.graph, tree={0})
+
+    def test_user_tree_triangle(self, triangle):
+        (c,) = fundamental_circuits(triangle.graph, tree={0, 1})
+        assert c.vertices == (0, 2, 1, 0)
+        assert c.edges == (2, 1, 0)
+
+    def test_bfs_tree_passed_explicitly(self):
+        g = grid_graph(5)
+        assert fundamental_circuits(g, tree=spanning_tree(g)) == \
+            fundamental_circuits(g)
+
+    def test_user_tree_on_grid(self):
+        # comb: every row edge plus the first column, unlike the BFS tree
+        side = 5
+        g = grid_graph(side)
+        tree = {e for e, rec in enumerate(g.edges)
+                if rec.head == rec.tail + 1 or rec.tail % side == 0}
+        assert len(tree) == g.n_vertices - 1 and tree != spanning_tree(g)
+        circuits = fundamental_circuits(g, tree=tree)
+        assert [c.edges[0] for c in circuits] == \
+            [e for e in range(g.n_edges) if e not in tree]
+        for c in circuits:
+            assert isinstance(c, Circuit) and set(c.edges[1:]) <= tree
+        rows = circuit_matrix(g, circuits)
+        assert np.linalg.matrix_rank(rows) == g.cycle_rank
+        assert np.max(np.abs(g.incidence_matrix() @ rows.T)) == 0.0
 
     def test_count_equals_cycle_rank(self):
         for i in range(30):
@@ -174,6 +220,14 @@ class TestEnumerateCircuits:
         g = build_multigraph(names, specs)
         with pytest.raises(SizeLimitExceededError):
             enumerate_circuits(g, limit=3)
+
+
+    def test_long_cycle_needs_no_recursion(self):
+        n = 1100
+        g = build_multigraph(list(range(n)),
+                             [(v, (v + 1) % n) for v in range(n)])
+        (c,) = enumerate_circuits(g)
+        assert c.length == n
 
 
 class TestSignVectors:
@@ -266,6 +320,12 @@ class TestSimpleWalks:
     def test_limit_guard(self, triangle):
         with pytest.raises(SizeLimitExceededError):
             enumerate_simple_walks(triangle.graph, 0, 1, limit=1)
+
+    def test_long_path_needs_no_recursion(self):
+        n = 1100
+        g = build_multigraph(list(range(n)), [(v, v + 1) for v in range(n - 1)])
+        (w,) = enumerate_simple_walks(g, 0, n - 1)
+        assert w.vertices == tuple(range(n))
 
 
 def test_disconnected_bypass_is_caught_later():
