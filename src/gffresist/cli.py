@@ -352,14 +352,11 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_suite(args, parser) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SUITE_SEED))
-    summary = verify.run_suite(seed, args.instances, args.tol)
+    summary = verify.run_suite(args.seed, args.instances, args.tol)
     if args.format == "json":
         print(json.dumps(summary, indent=2))
     else:
-        print(f"suite seed={seed} instances={args.instances} "
+        print(f"suite seed={args.seed} instances={args.instances} "
               f"tol={fmt(args.tol)}")
         for name, entry in summary["checks"].items():
             status = "pass" if entry["failures"] == 0 else \
@@ -367,6 +364,17 @@ def _cmd_suite(args, parser) -> int:
             print(f"  {name}: {status}  worst_margin={fmt(entry['worst_margin'])}")
         print(f"  overall: {'pass' if summary['pass'] else 'FAIL'}")
     return EXIT_PASS if summary["pass"] else EXIT_CHECK_FAILED
+
+
+def _int_at_least(low: int):
+    """Argument type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,21 +413,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
     p_verify.add_argument("--grid", type=int, default=21,
                           help="concavity grid points")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
     p_verify.add_argument("--samples", type=int, default=1_000_000)
     p_verify.add_argument("--scale", type=float, default=2.0)
     p_verify.add_argument("--edge", type=int, default=0)
     p_verify.add_argument("--delta", type=float, default=1.0)
-    p_verify.add_argument("--dim", type=int, default=4)
+    p_verify.add_argument("--dim", type=_int_at_least(1), default=4)
     p_verify.add_argument("--bits", action="store_true",
                           help="report entropies in bits instead of nats")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_suite = sub.add_parser("suite", help="randomized property battery")
-    p_suite.add_argument("--seed", type=int, default=None,
-                         help=f"suite seed (default {DEFAULT_SUITE_SEED}, "
-                              f"or ${SEED_ENV_VAR})")
-    p_suite.add_argument("--instances", type=int, default=200)
+    # A string default goes through ``type`` too, so a bad $GFFRESIST_SEED
+    # is a usage error like a bad --seed.
+    p_suite.add_argument("--seed", type=_int_at_least(0),
+                         default=os.environ.get(SEED_ENV_VAR,
+                                                str(DEFAULT_SUITE_SEED)),
+                         help=f"suite seed (default ${SEED_ENV_VAR}, "
+                              f"else {DEFAULT_SUITE_SEED})")
+    p_suite.add_argument("--instances", type=_int_at_least(1), default=200)
     p_suite.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
     p_suite.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -18,13 +18,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .graph import (
-    Multigraph,
-    circuit_matrix,
-    fundamental_circuits,
-    walk_between,
-    walk_sign_vector,
-)
+from .graph import Multigraph, walk_between, walk_sign_vector
 
 MIN_RESISTANCE = 1e-12
 
@@ -147,9 +141,7 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     if a == b:
         raise SameVertexError("source and sink must differ")
     base = walk_sign_vector(n.graph, walk_between(n.graph, a, b))
-    cycles = circuit_matrix(n.graph, fundamental_circuits(n.graph))
-    if cycles.shape[0] == 0:
-        return FlowVector(base)
+    cycles = n.graph.cycle_matrix
     weighted = cycles * n.resistances
     gram = weighted @ cycles.T
     try:
@@ -178,8 +170,5 @@ def kcl_residual(n: ResistiveNetwork, f: FlowVector, a: int, b: int) -> float:
 def kvl_residual(n: ResistiveNetwork, f: FlowVector) -> float:
     """Worst fundamental-circuit violation of the voltage-drop sum law."""
     _check_flow(n, f)
-    cycles = circuit_matrix(n.graph, fundamental_circuits(n.graph))
-    if cycles.shape[0] == 0:
-        return 0.0
-    drops = cycles @ (f.currents * n.resistances)
-    return float(np.max(np.abs(drops)))
+    drops = n.graph.cycle_matrix @ (f.currents * n.resistances)
+    return float(np.max(np.abs(drops), initial=0.0))

@@ -8,6 +8,7 @@ symmetric PSD by construction and absorbs linearly dependent constraint
 rows through the singular-value cutoff.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ VARIANCE_CLAMP = 1e-12
 INCONSISTENCY_TOL = 1e-8
 
 
+@functools.total_ordering
 class DegenerateEntropy:
     """Entropy of a point mass: a distinguished signal, not a numeric -inf.
 
@@ -53,23 +55,6 @@ class DegenerateEntropy:
             return False
         if isinstance(other, (int, float)):
             return True
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (DegenerateEntropy, int, float)):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (DegenerateEntropy, int, float)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, DegenerateEntropy):
-            return True
-        if isinstance(other, (int, float)):
-            return False
         return NotImplemented
 
 

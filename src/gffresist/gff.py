@@ -19,13 +19,7 @@ from .gaussian import (
     independent_gaussian,
     linear_functional_variance,
 )
-from .graph import (
-    circuit_matrix,
-    enumerate_simple_walks,
-    fundamental_circuits,
-    walk_between,
-    walk_sign_vector,
-)
+from .graph import enumerate_simple_walks, walk_between, walk_sign_vector
 
 
 @dataclass(frozen=True)
@@ -40,7 +34,7 @@ class FreeField:
 
 def build_free_field(n: ResistiveNetwork, v_star: int = 0) -> FreeField:
     """Condition the independent edge Gaussian on the fundamental cycle basis."""
-    basis = ConstraintSet(circuit_matrix(n.graph, fundamental_circuits(n.graph)))
+    basis = ConstraintSet(n.graph.cycle_matrix)
     field = condition_on_zero(independent_gaussian(n.resistances), basis)
     return FreeField(n, field, v_star, basis)
 

@@ -67,6 +67,18 @@ class Multigraph:
             adj[rec.head].append((e, rec.tail))
         return tuple(map(tuple, adj))
 
+    @cached_property
+    def tree(self) -> tuple:
+        """The BFS spanning tree's ``(parent, depth)`` maps; shared, never mutated."""
+        return _bfs(self)
+
+    @cached_property
+    def cycle_matrix(self) -> np.ndarray:
+        """Read-only fundamental circuit sign vectors of ``tree``, one per row."""
+        cycles = circuit_matrix(self, fundamental_circuits(self))
+        cycles.setflags(write=False)
+        return cycles
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -205,7 +217,7 @@ def build_multigraph(vertex_names, edge_specs) -> Multigraph:
         records.append(EdgeRecord(tail, head, k))
 
     g = Multigraph(tuple(names), tuple(records))
-    parent, _ = _bfs(g)
+    parent, _ = g.tree
     if len(parent) != g.n_vertices:
         missing = sorted(set(range(g.n_vertices)) - parent.keys())
         raise DisconnectedError(
@@ -239,7 +251,7 @@ def _tree_edges(parent) -> frozenset:
 
 def spanning_tree(g: Multigraph) -> frozenset:
     """Deterministic BFS spanning tree from vertex 0, edge-id tie-break."""
-    return _tree_edges(_bfs(g)[0])
+    return _tree_edges(g.tree[0])
 
 
 def _tree_path(parent, depth, a: int, b: int):
@@ -267,7 +279,7 @@ def walk_between(g: Multigraph, a: int, b: int) -> Walk:
     """The unique spanning-tree walk from a to b."""
     if a == b:
         raise SameVertexError(f"walk endpoints must differ, got vertex {a} twice")
-    vs, es = _tree_path(*_bfs(g), a, b)
+    vs, es = _tree_path(*g.tree, a, b)
     return make_walk(g, vs, es)
 
 
@@ -283,7 +295,7 @@ def fundamental_circuits(g: Multigraph, tree=None) -> list:
         if len(tree) != g.n_vertices - 1:
             raise NotASpanningTreeError(
                 f"expected {g.n_vertices - 1} tree edges, got {len(tree)}")
-    parent, depth = _bfs(g, tree)
+    parent, depth = g.tree if tree is None else _bfs(g, tree)
     if len(parent) != g.n_vertices:
         raise NotASpanningTreeError("tree edges do not span the graph")
     tree = _tree_edges(parent)

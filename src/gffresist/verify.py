@@ -247,6 +247,19 @@ def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     return VerificationReport("melvin_chain", quantities, ineqs, tol)
 
 
+def _coarse_and_fine_variances(joint: GaussianVector, phi: np.ndarray,
+                               functional: np.ndarray) -> tuple:
+    """Variance of a functional of the pair (w, w_bar) after conditioning.
+
+    Coarse: each row of phi pins phi . (w + w_bar) to 0. Fine: it pins
+    phi . w and phi . w_bar to 0 separately. Returns (coarse, fine).
+    """
+    return tuple(
+        linear_functional_variance(
+            condition_on_zero(joint, ConstraintSet(rows)), functional)
+        for rows in (np.hstack([phi, phi]), scipy.linalg.block_diag(phi, phi)))
+
+
 def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
                   tol: float = DEFAULT_TOL) -> VerificationReport:
     """Conditional-entropy route to superadditivity.
@@ -271,19 +284,11 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     var_sum = (potential_difference_variance(field, a, b)
                + potential_difference_variance(field_bar, a, b))
 
-    cycles = field_hat.constraint_basis.rows
+    # The appendix lemma, applied to the fundamental cycle basis.
     walk_vec = potential_difference_functional(field_hat, a, b)
-    k, n_e = cycles.shape
-    joint = independent_gaussian(np.concatenate([r, r_bar]))
-    functional = np.concatenate([walk_vec, walk_vec])
-
-    hat_rows = np.hstack([cycles, cycles])
-    split_rows = scipy.linalg.block_diag(cycles, cycles) if k else \
-        np.zeros((0, 2 * n_e))
-    var_joint_hat = linear_functional_variance(
-        condition_on_zero(joint, ConstraintSet(hat_rows)), functional)
-    var_joint_split = linear_functional_variance(
-        condition_on_zero(joint, ConstraintSet(split_rows)), functional)
+    var_joint_hat, var_joint_split = _coarse_and_fine_variances(
+        independent_gaussian(np.concatenate([r, r_bar])), graph.cycle_matrix,
+        np.concatenate([walk_vec, walk_vec]))
 
     entropies = {
         "h_hat": entropy_scalar(var_hat),
@@ -422,18 +427,14 @@ def appendix_check(instance: AppendixInstance,
     joint = GaussianVector(
         np.zeros(2 * n),
         scipy.linalg.block_diag(instance.cov_w, instance.cov_w_bar))
-    hat_rows = ConstraintSet(np.hstack([phi, phi]))
-    split_rows = ConstraintSet(scipy.linalg.block_diag(phi, phi))
-
-    cond_hat = condition_on_zero(joint, hat_rows)
-    cond_split = condition_on_zero(joint, split_rows)
-    var_hat = linear_functional_variance(cond_hat, instance.functional)
-    var_split = linear_functional_variance(cond_split, instance.functional)
+    var_hat, var_split = _coarse_and_fine_variances(
+        joint, phi, instance.functional)
     h_hat = entropy_scalar(var_hat)
     h_split = entropy_scalar(var_split)
 
     # The conditional covariance formula has no dependence on the pinned
     # value; witness it at a second, reachable value.
+    hat_rows = ConstraintSet(np.hstack([phi, phi]))
     gram = hat_rows.rows @ joint.covariance @ hat_rows.rows.T
     alt_value = gram @ np.ones(phi.shape[0])
     cond_alt = condition_on_value(joint, hat_rows, alt_value)

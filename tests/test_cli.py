@@ -335,6 +335,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, env_seed", [
+        (["verify", "appendix", "--seed", "-1"], None),
+        (["verify", "mc", "--network", str(DATA / "triangle.json"),
+          "--pair", "a,b", "--seed", "-1"], None),
+        (["suite", "--seed", "-1", "--instances", "1"], None),
+        (["verify", "appendix", "--dim", "0"], None),
+        (["verify", "appendix", "--dim", "-2"], None),
+        (["suite", "--instances", "1"], "abc"),
+        (["suite", "--instances", "1"], "-1"),
+        (["suite", "--instances", "0"], None),
+        (["suite", "--instances", "-3"], None),
+    ], ids=["appendix-seed-neg", "mc-seed-neg", "suite-seed-neg", "dim-0",
+            "dim-neg", "env-seed-abc", "env-seed-neg", "instances-0",
+            "instances-neg"])
+    def test_bad_numeric_option_exits_two(self, capsys, monkeypatch, argv,
+                                          env_seed):
+        if env_seed is None:
+            monkeypatch.delenv("GFFRESIST_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GFFRESIST_SEED", env_seed)
+        assert run_command(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_topology_mismatch(self, capsys):
         code = run_command([
             "verify", "superadd",

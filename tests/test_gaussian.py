@@ -1,6 +1,7 @@
 """Gaussian construction, conditioning, entropy, and seeded sampling."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -218,6 +219,30 @@ class TestEntropy:
         assert -100.0 > DEGENERATE_ENTROPY
         assert not DEGENERATE_ENTROPY >= 0.0
         assert DEGENERATE_ENTROPY >= DegenerateEntropy()
+
+    @pytest.mark.parametrize(
+        "other", [DEGENERATE_ENTROPY, -1e300, 0, 3.5, np.float64(2.0)],
+        ids=["degenerate", "-1e300", "int-0", "3.5", "np.float64"])
+    def test_degenerate_truth_table(self, other):
+        d = DegenerateEntropy()
+        same = isinstance(other, DegenerateEntropy)
+        # degenerate vs other: equal to itself, strictly below every real
+        assert [bool(d < other), bool(d <= other), bool(d == other),
+                bool(d != other), bool(d > other), bool(d >= other)] == \
+            [not same, True, same, not same, False, same]
+        # other vs degenerate: the mirror image
+        assert [bool(other < d), bool(other <= d), bool(other == d),
+                bool(other != d), bool(other > d), bool(other >= d)] == \
+            [False, same, same, not same, not same, True]
+
+    def test_degenerate_unordered_against_str(self):
+        d = DegenerateEntropy()
+        assert d != "x" and not d == "x"
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(d, "x")
+            with pytest.raises(TypeError):
+                compare("x", d)
 
 
 class TestSampling:

@@ -1,6 +1,7 @@
 """Multigraph construction, spanning trees, circuits, and sign vectors."""
 
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ from gffresist import (
     walk_between,
     walk_sign_vector,
 )
+from gffresist import electric, gff
+from gffresist import graph as graph_module
+from gffresist.cli import parse_network
+from gffresist.electric import kvl_residual, min_energy_flow_oracle
 from gffresist.errors import (
     DisconnectedError,
     DuplicateVertexNameError,
@@ -28,8 +33,11 @@ from gffresist.errors import (
     SizeLimitExceededError,
     UnknownEndpointError,
 )
+from gffresist.gff import build_free_field
 from gffresist.graph import EdgeRecord, make_circuit
-from gffresist.verify import instance_rng, random_network
+from gffresist.verify import entropy_chain, instance_rng, random_network
+
+DATA = Path(__file__).parent / "data"
 
 
 def count_circuits_brute(multiplicity) -> int:
@@ -104,9 +112,46 @@ class TestBuild:
         assert g.heads.tolist() == [1, 2, 2]
         assert g.adjacency == (((0, 1), (2, 2)), ((0, 0), (1, 2)),
                                ((1, 1), (2, 0)))
+        assert g.tree == ({0: None, 1: (0, 0), 2: (0, 2)}, {0: 0, 1: 1, 2: 1})
         # cached views are not fields: equality and hashing ignore them
         fresh = Multigraph(g.vertices, g.edges)
         assert fresh == g and hash(fresh) == hash(g)
+
+    @pytest.mark.parametrize("name", ["triangle.json", "grid4.json"])
+    def test_cycle_matrix_view(self, name):
+        g = parse_network(str(DATA / name)).graph
+        m = g.cycle_matrix
+        assert m is g.cycle_matrix
+        assert not m.flags.writeable
+        for expected in (circuit_matrix(g, fundamental_circuits(g)),
+                         circuit_matrix(g, fundamental_circuits(
+                             g, spanning_tree(g)))):
+            assert m.shape == expected.shape
+            assert m.tobytes() == expected.tobytes()
+
+    def test_cycle_matrix_of_a_tree_is_empty(self, series_path):
+        assert series_path.graph.cycle_matrix.shape == (0, 2)
+
+    def test_one_circuit_build_per_graph(self, monkeypatch, bridge):
+        # Patch every module binding, so a module that rebuilds the
+        # circuits through its own imported name is counted too.
+        calls = []
+        for module in (graph_module, electric, gff):
+            original = getattr(module, "fundamental_circuits", None)
+            if original is None:
+                continue
+
+            def counting(g, *args, _original=original, **kwargs):
+                calls.append(g)
+                return _original(g, *args, **kwargs)
+
+            monkeypatch.setattr(module, "fundamental_circuits", counting)
+        flow = min_energy_flow_oracle(bridge, 0, 3)
+        kvl_residual(bridge, flow)
+        build_free_field(bridge)
+        entropy_chain(bridge.graph, bridge.resistances,
+                      2.0 * bridge.resistances, 0, 3)
+        assert len(calls) == 1
 
 
 class TestSpanningTree:
