@@ -1,9 +1,8 @@
 """Command-line surface: network file ingestion, dispatch, report emission.
 
-Network files are UTF-8 JSON documents with fields ``vertices`` (ordered
-name list) and ``edges`` (records with ``u``, ``v``, ``r``). Vertex order is
-array order; parallel indices follow order of appearance. Reports print as
-text with 10 significant digits, or as JSON under ``--format json``.
+Network files are UTF-8 JSON documents shaped as NETWORK_SCHEMA says; vertex
+order is array order, parallel indices follow order of appearance. Reports
+print as text with 10 significant digits, or as JSON under ``--format json``.
 
 Exit codes: 0 all checks pass, 1 a verified inequality failed beyond
 tolerance, 2 usage error or malformed input, 3 semantically invalid input
@@ -27,16 +26,7 @@ from .electric import (
     kvl_residual,
     thomson_flow,
 )
-from .errors import (
-    DimensionMismatchError,
-    DisconnectedError,
-    DuplicateVertexNameError,
-    GffResistError,
-    ParseError,
-    SelfLoopError,
-    UnknownEndpointError,
-    ValidationError,
-)
+from .errors import GffResistError, ParseError, ValidationError
 from .gaussian import DegenerateEntropy
 from .gff import build_free_field, potential_difference_variance
 from .graph import build_multigraph
@@ -51,7 +41,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INVALID_NETWORK = 3
 
-# Shape of a network document; kept in sync with parse_network.
+# Shape of a network document; parse_network enforces it through _check_shape.
 NETWORK_SCHEMA = {
     "type": "object",
     "required": ["vertices", "edges"],
@@ -111,12 +101,41 @@ REPORT_SCHEMA = {
 }
 
 
+# JSON types as json.load(..., parse_int=float) returns them; a boolean is
+# not a float, so ``"r": true`` is no number.
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": float}
+
+
+def _check_shape(value, schema, where: str) -> None:
+    """Raise ParseError, located at ``where``, unless ``value`` matches ``schema``.
+
+    Reads only the keywords NETWORK_SCHEMA uses: type, required, properties,
+    items and minItems; every object is closed (additionalProperties: false).
+    """
+    kind = schema["type"]
+    if not isinstance(value, _JSON_TYPES[kind]):
+        raise ParseError(f"{where} must be a JSON {kind}")
+    if kind == "array":
+        if len(value) < schema.get("minItems", 0):
+            raise ParseError(f"{where} needs at least {schema['minItems']} items")
+        for i, item in enumerate(value):
+            _check_shape(item, schema["items"], f"{where}[{i}]")
+    elif kind == "object":
+        for key in schema["required"]:
+            if key not in value:
+                raise ParseError(f"{where} is missing field {key!r}")
+        for key, item in value.items():
+            if key not in schema["properties"]:
+                raise ParseError(f"{where} has unknown field {key!r}")
+            _check_shape(item, schema["properties"][key], f"{where}: {key}")
+
+
 def parse_network(path: str) -> ResistiveNetwork:
     """Load and validate a network document.
 
-    Raises ParseError for malformed documents (with position information
-    where available) and ValidationError for well-formed documents that
-    violate a network invariant.
+    Raises ParseError, located in the file, for a document that is not JSON
+    or does not match NETWORK_SCHEMA, and ValidationError for a well-formed
+    document that violates a network invariant.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -129,33 +148,11 @@ def parse_network(path: str) -> ResistiveNetwork:
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
 
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    extra = set(doc) - {"vertices", "edges"}
-    if extra:
-        raise ParseError(f"{path}: unknown top-level field {sorted(extra)[0]!r}")
-    vertices = doc.get("vertices")
-    edges = doc.get("edges")
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise ParseError(f"{path}: 'vertices' must be an array of strings")
-    if not isinstance(edges, list):
-        raise ParseError(f"{path}: 'edges' must be an array")
+    _check_shape(doc, NETWORK_SCHEMA, path)
 
     specs, resistances = [], []
-    for i, rec in enumerate(edges):
+    for i, rec in enumerate(doc["edges"]):
         where = f"{path}: edges[{i}]"
-        if not isinstance(rec, dict):
-            raise ParseError(f"{where} must be an object")
-        extra = set(rec) - {"u", "v", "r"}
-        if extra:
-            raise ParseError(f"{where} has unknown field {sorted(extra)[0]!r}")
-        for key in ("u", "v", "r"):
-            if key not in rec:
-                raise ParseError(f"{where} is missing field {key!r}")
-        if not isinstance(rec["u"], str) or not isinstance(rec["v"], str):
-            raise ParseError(f"{where}: 'u' and 'v' must be strings")
-        if not isinstance(rec["r"], float):
-            raise ParseError(f"{where}: 'r' must be a number")
         if rec["r"] <= 0:
             raise ValidationError(f"{where}: resistance must be positive")
         if not math.isfinite(rec["r"]):
@@ -164,10 +161,9 @@ def parse_network(path: str) -> ResistiveNetwork:
         resistances.append(rec["r"])
 
     try:
-        graph = build_multigraph(vertices, specs)
+        graph = build_multigraph(doc["vertices"], specs)
         return ResistiveNetwork(graph, np.array(resistances))
-    except (SelfLoopError, DisconnectedError, DuplicateVertexNameError,
-            UnknownEndpointError, DimensionMismatchError) as exc:
+    except GffResistError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
@@ -340,6 +336,8 @@ def _cmd_verify(args, parser) -> int:
         report = verify.check_scaling(
             net.graph, net.resistances, args.scale, a, b, args.tol)
     elif args.check == "monotone":
+        if args.edge >= net.graph.n_edges:
+            parser.error(f"--edge must be below the edge count {net.graph.n_edges}")
         report = verify.check_monotonicity(
             net.graph, net.resistances, args.edge, args.delta, a, b, args.tol)
     elif args.check == "appendix":
@@ -366,14 +364,16 @@ def _cmd_suite(args, parser) -> int:
     return EXIT_PASS if summary["pass"] else EXIT_CHECK_FAILED
 
 
-def _int_at_least(low: int):
-    """Argument type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+def _at_least(kind, low, strict=False):
+    """Argument type: a finite ``kind`` (int or float) >= ``low``, or > ``low``
+    when ``strict``. NaN fails both comparisons."""
+    def parse(text: str):
+        value = kind(text)
+        if not (low < value if strict else low <= value) or value == math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low}, got {text}")
         return value
-    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names it: "invalid int value"
     return parse
 
 
@@ -384,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "checked concavity, power-chain, and entropy-chain "
                     "verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    tolerance = _at_least(float, 0)
+    positive = _at_least(float, 0, strict=True)
 
     def add_common(p, network=True):
         if network:
@@ -410,15 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--pair", help="vertex pair NAME,NAME")
     p_verify.add_argument("--bar-network", dest="bar_network",
                           help="second resistance assignment, same topology")
-    p_verify.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
-    p_verify.add_argument("--grid", type=int, default=21,
+    p_verify.add_argument("--tol", type=tolerance, default=verify.DEFAULT_TOL)
+    p_verify.add_argument("--grid", type=_at_least(int, 3), default=21,
                           help="concavity grid points")
-    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_verify.add_argument("--samples", type=int, default=1_000_000)
-    p_verify.add_argument("--scale", type=float, default=2.0)
-    p_verify.add_argument("--edge", type=int, default=0)
-    p_verify.add_argument("--delta", type=float, default=1.0)
-    p_verify.add_argument("--dim", type=_int_at_least(1), default=4)
+    p_verify.add_argument("--seed", type=_at_least(int, 0), default=0)
+    p_verify.add_argument("--samples", type=_at_least(int, 1), default=1_000_000)
+    p_verify.add_argument("--scale", type=positive, default=2.0)
+    p_verify.add_argument("--edge", type=_at_least(int, 0), default=0)
+    p_verify.add_argument("--delta", type=positive, default=1.0)
+    p_verify.add_argument("--dim", type=_at_least(int, 1), default=4)
     p_verify.add_argument("--bits", action="store_true",
                           help="report entropies in bits instead of nats")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -426,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="randomized property battery")
     # A string default goes through ``type`` too, so a bad $GFFRESIST_SEED
     # is a usage error like a bad --seed.
-    p_suite.add_argument("--seed", type=_int_at_least(0),
+    p_suite.add_argument("--seed", type=_at_least(int, 0),
                          default=os.environ.get(SEED_ENV_VAR,
                                                 str(DEFAULT_SUITE_SEED)),
                          help=f"suite seed (default ${SEED_ENV_VAR}, "
                               f"else {DEFAULT_SUITE_SEED})")
-    p_suite.add_argument("--instances", type=_int_at_least(1), default=200)
-    p_suite.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
+    p_suite.add_argument("--instances", type=_at_least(int, 1), default=200)
+    p_suite.add_argument("--tol", type=tolerance, default=verify.DEFAULT_TOL)
     p_suite.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -457,13 +459,10 @@ def run_command(argv) -> int:
         return handlers[args.command](args, parser)
     except SystemExit as exc:  # parser.error inside a handler
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_NETWORK
-    except GffResistError as exc:
+    except GffResistError as exc:  # ParseError and other usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -38,6 +38,13 @@ def write_single_edge(tmp_path, r_literal: str) -> str:
     return str(path)
 
 
+def triangle_check(check, bar=False):
+    """argv of ``verify check`` on the triangle, pair a,b."""
+    net = str(DATA / "triangle.json")
+    return (["verify", check, "--network", net, "--pair", "a,b"]
+            + (["--bar-network", net] if bar else []))
+
+
 # 1e400 parses as inf; a 401-digit integer overflows float(); a 5000-digit
 # one exceeds Python's integer-parsing limit. All three are one error.
 HUGE_RESISTANCES = pytest.mark.parametrize(
@@ -120,6 +127,55 @@ class TestParseNetwork:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_network(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("doc", [
+        {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": 1}]},
+        {"vertices": ["a", "b", "c"], "edges": [
+            {"u": "a", "v": "b", "r": 1}, {"u": "b", "v": "c", "r": 2.5}]},
+        {"vertices": ["a", "b"], "edges": []},
+        {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": 0}]},
+        {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "z", "r": 1}]},
+        {"vertices": ["a", "a"], "edges": [{"u": "a", "v": "a", "r": 1}]},
+        {"vertices": ["a", "b"],
+         "edges": [{"u": "a", "v": "b", "r": float("nan")}]},
+        [], "net", 1, None, {},
+        {"vertices": ["a", "b"]},
+        {"edges": []},
+        {"vertices": ["a", "b"], "edges": [], "name": "x"},
+        {"vertices": "ab", "edges": []},
+        {"vertices": None, "edges": []},
+        {"vertices": ["a", 1], "edges": []},
+        {"vertices": [], "edges": []},
+        {"vertices": ["a"], "edges": []},
+        {"vertices": ["a", "b"], "edges": {}},
+        {"vertices": ["a", "b"], "edges": [1]},
+        {"vertices": ["a", "b"], "edges": [{"v": "b", "r": 1}]},
+        {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}]},
+        {"vertices": ["a", "b"],
+         "edges": [{"u": "a", "v": "b", "r": 1, "ohms": 2}]},
+        {"vertices": ["a", "b"], "edges": [{"u": 0, "v": "b", "r": 1}]},
+        {"vertices": ["a", "b"], "edges": [{"u": "a", "v": None, "r": 1}]},
+        {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": None}]},
+        {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": True}]},
+        {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": "1"}]},
+        {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": [1]}]},
+        {"vertices": ["a", "b"], "edges": [
+            {"u": "a", "v": "b", "r": -1}, {"u": "a", "v": "b"}]},
+    ])
+    def test_parse_error_exactly_when_schema_rejects(self, tmp_path, doc):
+        try:
+            jsonschema.validate(doc, NETWORK_SCHEMA)
+            malformed = False
+        except jsonschema.ValidationError:
+            malformed = True
+        try:
+            parse_network(write_network(tmp_path, doc))
+            raised_parse_error = False
+        except ParseError:
+            raised_parse_error = True
+        except ValidationError:
+            raised_parse_error = False
+        assert raised_parse_error == malformed
 
     def test_data_files_validate_against_schema(self):
         for path in DATA.glob("*.json"):
@@ -335,6 +391,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_one_vertex_file_exits_two(self, tmp_path, capsys):
+        path = write_network(tmp_path, {"vertices": ["a"], "edges": []})
+        assert run_command(["reff", "--network", path,
+                            "--pair", "a,b"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: vertices needs at least 2 items\n"
+
     @pytest.mark.parametrize("argv, env_seed", [
         (["verify", "appendix", "--seed", "-1"], None),
         (["verify", "mc", "--network", str(DATA / "triangle.json"),
@@ -346,9 +409,28 @@ class TestExitCodes:
         (["suite", "--instances", "1"], "-1"),
         (["suite", "--instances", "0"], None),
         (["suite", "--instances", "-3"], None),
+        (triangle_check("mc") + ["--samples", "0"], None),
+        (triangle_check("mc") + ["--samples", "-5"], None),
+        (triangle_check("concavity", bar=True) + ["--grid", "2"], None),
+        (triangle_check("monotone") + ["--edge", "9"], None),
+        (triangle_check("monotone") + ["--edge", "-1"], None),
+        (triangle_check("monotone") + ["--delta", "0"], None),
+        (triangle_check("monotone") + ["--delta", "nan"], None),
+        (triangle_check("scaling") + ["--scale", "-1"], None),
+        (triangle_check("scaling") + ["--scale", "0"], None),
+        (triangle_check("scaling") + ["--scale", "nan"], None),
+        (triangle_check("superadd", bar=True) + ["--tol", "inf"], None),
+        (triangle_check("superadd", bar=True) + ["--tol", "nan"], None),
+        (triangle_check("superadd", bar=True) + ["--tol", "-1"], None),
+        (["suite", "--instances", "1", "--tol", "inf"], None),
+        (["suite", "--instances", "1", "--tol", "nan"], None),
+        (["suite", "--instances", "1", "--tol", "-1"], None),
     ], ids=["appendix-seed-neg", "mc-seed-neg", "suite-seed-neg", "dim-0",
             "dim-neg", "env-seed-abc", "env-seed-neg", "instances-0",
-            "instances-neg"])
+            "instances-neg", "samples-0", "samples-neg", "grid-2", "edge-9",
+            "edge-neg", "delta-0", "delta-nan", "scale-neg", "scale-0",
+            "scale-nan", "verify-tol-inf", "verify-tol-nan", "verify-tol-neg",
+            "suite-tol-inf", "suite-tol-nan", "suite-tol-neg"])
     def test_bad_numeric_option_exits_two(self, capsys, monkeypatch, argv,
                                           env_seed):
         if env_seed is None:
@@ -377,16 +459,18 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
-    def test_failed_inequality_exits_one(self, capsys):
-        # proportional assignments make the margin exactly 0; a negative
-        # tolerance then forces the >= relation to fail deterministically
+    def test_failed_inequality_exits_one(self, tmp_path, capsys):
+        # Two draws (seed 755) across one 1-ohm edge have an empirical
+        # variance of 6.6, so z_score = 5.6 exceeds z_limit = 4. With one
+        # edge each draw is the generator's normal times +-1, so the
+        # variance does not hang on an eigenvector sign.
         code = run_command([
-            "verify", "superadd",
-            "--network", str(DATA / "parallel_pair.json"),
-            "--bar-network", str(DATA / "parallel_pair.json"),
-            "--pair", "a,b", "--tol", "-0.5"])
+            "verify", "mc", "--network", write_single_edge(tmp_path, "1"),
+            "--pair", "a,b", "--samples", "2", "--seed", "755"])
         assert code == EXIT_CHECK_FAILED
-        assert "result: FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "z_score <= z_limit  margin=-1.6" in out
+        assert "result: FAIL" in out
 
 
 class TestDeterminism:
