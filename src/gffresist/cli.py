@@ -168,14 +168,15 @@ def parse_network(path: str) -> ResistiveNetwork:
 
 
 def serialize_network(n: ResistiveNetwork) -> dict:
-    """Document form of a network, edges in canonical id order."""
-    g = n.graph
+    """Document form of a network, edges in canonical id order; vertex
+    names are written as strings, as NETWORK_SCHEMA requires."""
+    names = [str(v) for v in n.graph.vertices]
     return {
-        "vertices": list(g.vertices),
+        "vertices": names,
         "edges": [
-            {"u": g.vertices[rec.tail], "v": g.vertices[rec.head],
+            {"u": names[rec.tail], "v": names[rec.head],
              "r": float(n.resistances[e])}
-            for e, rec in enumerate(g.edges)
+            for e, rec in enumerate(n.graph.edges)
         ],
     }
 

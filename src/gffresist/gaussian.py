@@ -5,7 +5,8 @@ covariance: with S = cov^(1/2) and B = M S, the conditional covariance is
 S (I - P) S where P projects onto the row space of B. This equals the
 textbook pseudo-inverse form cov - cov M' (M cov M')^+ M cov but stays
 symmetric PSD by construction and absorbs linearly dependent constraint
-rows through the singular-value cutoff.
+rows through the singular-value cutoff. condition_diagonal keeps only the
+factor, for an independent Gaussian whose square root is diagonal.
 """
 
 import functools
@@ -75,13 +76,15 @@ class GaussianVector:
             raise DimensionMismatchError(
                 f"mean shape {mean.shape} and covariance shape {cov.shape} "
                 "do not describe one Gaussian vector")
-        scale = max(1.0, float(np.max(np.abs(cov))) if cov.size else 1.0)
-        if cov.size and np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * scale:
+        # Both tolerances scale with the covariance itself, so a Gaussian is
+        # accepted or rejected whatever its units.
+        scale = float(np.max(np.abs(cov), initial=0.0))
+        if np.max(np.abs(cov - cov.T), initial=0.0) > SYMMETRY_TOL * scale:
             raise ValidationError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)
         if cov.size:
             eigs = np.linalg.eigvalsh(cov)
-            if eigs[0] < -PSD_TOL * max(eigs[-1], 1.0):
+            if eigs[0] < -PSD_TOL * max(-eigs[0], eigs[-1]):
                 raise ValidationError(
                     f"covariance has eigenvalue {eigs[0]:.3e}, not PSD")
         mean.setflags(write=False)
@@ -127,10 +130,18 @@ def sum_independent(g1: GaussianVector, g2: GaussianVector) -> GaussianVector:
     return GaussianVector(g1.mean + g2.mean, g1.covariance + g2.covariance)
 
 
-def _sqrt_psd(cov: np.ndarray) -> tuple:
-    eigs, q = np.linalg.eigh(cov)
-    eigs = np.clip(eigs, 0.0, None)
-    return (q * np.sqrt(eigs)) @ q.T, float(eigs[-1]) if eigs.size else 0.0
+def _kept_svd(b: np.ndarray, rows: np.ndarray, lam_max: float) -> tuple:
+    """Thin SVD of b = rows cov^(1/2), truncated to the rank the cutoff keeps."""
+    u, s, vt = np.linalg.svd(b, full_matrices=False)
+    # Constraint directions whose variance is negligible relative to the
+    # ambient covariance count as already satisfied; anchoring the cutoff
+    # to the ambient scale (not just to max(s)) makes re-conditioning on
+    # satisfied constraints a no-op instead of a noise amplifier.
+    row_scale = float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
+    cutoff = math.sqrt(EIG_CUTOFF) * max(s[0] if s.size else 0.0,
+                                         math.sqrt(lam_max) * row_scale)
+    r = int(np.sum(s > cutoff))
+    return u[:, :r], s[:r], vt[:r]
 
 
 def condition_on_value(g: GaussianVector, m: ConstraintSet,
@@ -156,18 +167,10 @@ def condition_on_value(g: GaussianVector, m: ConstraintSet,
         raise DimensionMismatchError(
             f"expected {rows.shape[0]} conditioning values") from None
 
-    sqrt_cov, lam_max = _sqrt_psd(g.covariance)
-    b = rows @ sqrt_cov
-    u, s, vt = np.linalg.svd(b, full_matrices=False)
-    # Constraint directions whose variance is negligible relative to the
-    # ambient covariance count as already satisfied; anchoring the cutoff
-    # to the ambient scale (not just to max(s)) makes re-conditioning on
-    # satisfied constraints a no-op instead of a noise amplifier.
-    row_scale = float(np.max(np.linalg.norm(rows, axis=1)))
-    cutoff = math.sqrt(EIG_CUTOFF) * max(s[0] if s.size else 0.0,
-                                         math.sqrt(lam_max) * row_scale)
-    r = int(np.sum(s > cutoff))
-    u_r, s_r, vt_r = u[:, :r], s[:r], vt[:r]
+    eigs, q = np.linalg.eigh(g.covariance)
+    eigs = np.clip(eigs, 0.0, None)
+    sqrt_cov = (q * np.sqrt(eigs)) @ q.T
+    u_r, s_r, vt_r = _kept_svd(rows @ sqrt_cov, rows, eigs.max(initial=0.0))
 
     offset = values - rows @ g.mean
     residual = offset - u_r @ (u_r.T @ offset)
@@ -179,11 +182,12 @@ def condition_on_value(g: GaussianVector, m: ConstraintSet,
             "variance but a nonzero offset under this Gaussian")
 
     mean = g.mean
-    if r:
+    if s_r.size:
         mean = mean + sqrt_cov @ (vt_r.T @ ((u_r.T @ offset) / s_r))
+    # The Gram form keeps c' cov c within rounding of trace(cov) |c|^2 of a
+    # nonnegative value, the scale linear_functional_variance clamps at.
     projected = sqrt_cov - (sqrt_cov @ vt_r.T) @ vt_r
-    cov = projected @ sqrt_cov
-    return GaussianVector(mean, 0.5 * (cov + cov.T))
+    return GaussianVector(mean, projected @ projected.T)
 
 
 def condition_on_zero(g: GaussianVector, m: ConstraintSet) -> GaussianVector:
@@ -199,10 +203,34 @@ def linear_functional_variance(g: GaussianVector, c) -> float:
             f"functional has shape {c.shape}, Gaussian has dimension {g.dim}")
     var = float(c @ g.covariance @ c)
     if var < 0:
-        if var < -VARIANCE_CLAMP * max(1.0, float(np.trace(g.covariance))):
+        if var < -VARIANCE_CLAMP * float(np.trace(g.covariance) * (c @ c)):
             raise NegativeVarianceError(f"functional variance {var:.3e} < 0")
         var = 0.0
     return var
+
+
+def condition_diagonal(variances, rows) -> tuple:
+    """Factor (s, q) of the independent Gaussian with these variances given
+    rows . x = 0: s = sqrt(variances) and q, an orthonormal basis of
+    col(diag(s) rows') cut as in condition_on_value. O(E k^2) for k rows.
+
+    Not the normal equations c'Dc - y'(C D C')^-1 y: that is the cycle-Gram
+    solve of min_energy_flow_oracle, and the free-field route would then
+    share its arithmetic with the flow route it cross-checks.
+    """
+    s = np.sqrt(np.asarray(variances, dtype=float))
+    _, _, vt = _kept_svd(rows * s, rows, float(np.max(variances)))
+    return s, vt.T
+
+
+def conditioned_variance(factor: tuple, c) -> float:
+    """Variance |u|^2, u = w - q q' w and w = s c, of c . x under
+    condition_diagonal. Its rounding error is about eps |w| |u|, where
+    w . u would lose eps |w|^2 on a wide resistance span."""
+    s, q = factor
+    w = s * np.asarray(c, dtype=float)
+    u = w - q @ (q.T @ w)
+    return float(u @ u)
 
 
 def entropy_scalar(variance: float, tol: float = 1e-12):

@@ -6,6 +6,7 @@ derived through tree-path functionals, and the variance of any a-to-b
 potential difference reproduces the effective resistance.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,28 +16,42 @@ from .errors import SameVertexError
 from .gaussian import (
     ConstraintSet,
     GaussianVector,
-    condition_on_zero,
-    independent_gaussian,
-    linear_functional_variance,
+    condition_diagonal,
+    conditioned_variance,
 )
 from .graph import enumerate_simple_walks, walk_between, walk_sign_vector
 
 
 @dataclass(frozen=True)
 class FreeField:
-    """Conditioned edge field of a network, with its conditioning basis."""
+    """Conditioned edge field of a network, with its conditioning basis;
+    ``factor`` is the (s, q) of gaussian.condition_diagonal."""
 
     network: ResistiveNetwork
-    edge_field: GaussianVector
+    factor: tuple
     reference_vertex: int
     constraint_basis: ConstraintSet
+
+    @property
+    def _edge_root(self) -> np.ndarray:
+        """M = diag(s) (I - q q'), so that the edge covariance is M M'."""
+        s, q = self.factor
+        return np.diag(s) - (s[:, None] * q) @ q.T
+
+    @functools.cached_property
+    def edge_field(self) -> GaussianVector:
+        """The E x E edge Gaussian, formed on first use as the Gram matrix
+        M M'; diag(R) - (s q)(s q)' can come out indefinite on wide
+        resistance spans."""
+        m = self._edge_root
+        return GaussianVector(np.zeros(m.shape[0]), m @ m.T)
 
 
 def build_free_field(n: ResistiveNetwork, v_star: int = 0) -> FreeField:
     """Condition the independent edge Gaussian on the fundamental cycle basis."""
     basis = ConstraintSet(n.graph.cycle_matrix)
-    field = condition_on_zero(independent_gaussian(n.resistances), basis)
-    return FreeField(n, field, v_star, basis)
+    return FreeField(n, condition_diagonal(n.resistances, basis.rows),
+                     v_star, basis)
 
 
 def potential_difference_functional(f: FreeField, a: int, b: int) -> np.ndarray:
@@ -53,8 +68,8 @@ def potential_difference_functional(f: FreeField, a: int, b: int) -> np.ndarray:
 
 def potential_difference_variance(f: FreeField, a: int, b: int) -> float:
     """Variance of the a-to-b potential difference; equals the effective resistance."""
-    return linear_functional_variance(
-        f.edge_field, potential_difference_functional(f, a, b))
+    return conditioned_variance(f.factor,
+                                potential_difference_functional(f, a, b))
 
 
 def eta_field(f: FreeField) -> GaussianVector:
@@ -69,8 +84,8 @@ def eta_field(f: FreeField) -> GaussianVector:
         if v == f.reference_vertex:
             continue
         rows[v] = walk_sign_vector(g, walk_between(g, f.reference_vertex, v))
-    cov = rows @ f.edge_field.covariance @ rows.T
-    return GaussianVector(np.zeros(g.n_vertices), 0.5 * (cov + cov.T))
+    b = rows @ f._edge_root
+    return GaussianVector(np.zeros(g.n_vertices), b @ b.T)
 
 
 def path_independence_check(f: FreeField, a: int, b: int,
@@ -87,7 +102,6 @@ def path_independence_check(f: FreeField, a: int, b: int,
     worst = 0.0
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            var = linear_functional_variance(f.edge_field,
-                                             vectors[i] - vectors[j])
+            var = conditioned_variance(f.factor, vectors[i] - vectors[j])
             worst = max(worst, var)
     return worst

@@ -26,10 +26,11 @@ from .gaussian import (
     ConstraintSet,
     DegenerateEntropy,
     GaussianVector,
+    condition_diagonal,
     condition_on_value,
     condition_on_zero,
+    conditioned_variance,
     entropy_scalar,
-    independent_gaussian,
     linear_functional_variance,
     sample,
 )
@@ -247,17 +248,13 @@ def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     return VerificationReport("melvin_chain", quantities, ineqs, tol)
 
 
-def _coarse_and_fine_variances(joint: GaussianVector, phi: np.ndarray,
-                               functional: np.ndarray) -> tuple:
-    """Variance of a functional of the pair (w, w_bar) after conditioning.
+def _coarse_and_fine_rows(phi: np.ndarray) -> tuple:
+    """Conditioning rows on the pair (w, w_bar), coarse then fine.
 
     Coarse: each row of phi pins phi . (w + w_bar) to 0. Fine: it pins
-    phi . w and phi . w_bar to 0 separately. Returns (coarse, fine).
+    phi . w and phi . w_bar to 0 separately.
     """
-    return tuple(
-        linear_functional_variance(
-            condition_on_zero(joint, ConstraintSet(rows)), functional)
-        for rows in (np.hstack([phi, phi]), scipy.linalg.block_diag(phi, phi)))
+    return np.hstack([phi, phi]), scipy.linalg.block_diag(phi, phi)
 
 
 def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
@@ -272,45 +269,31 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     """
     r = np.asarray(r, dtype=float)
     r_bar = np.asarray(r_bar, dtype=float)
-    net = ResistiveNetwork(graph, r)
-    net_bar = ResistiveNetwork(graph, r_bar)
-    net_hat = ResistiveNetwork(graph, r + r_bar)
+    fields = [build_free_field(ResistiveNetwork(graph, x))
+              for x in (r, r_bar, r + r_bar)]
+    var, var_bar, var_hat = (potential_difference_variance(f, a, b)
+                             for f in fields)
 
-    field = build_free_field(net)
-    field_bar = build_free_field(net_bar)
-    field_hat = build_free_field(net_hat)
+    # The appendix lemma, applied to the fundamental cycle basis. The fine
+    # side stays one doubled projection, so that h_joint_split == h_sum
+    # compares it with the two separate free fields.
+    walk_vec = potential_difference_functional(fields[2], a, b)
+    var_joint_hat, var_joint_split = (
+        conditioned_variance(
+            condition_diagonal(np.concatenate([r, r_bar]), rows),
+            np.concatenate([walk_vec, walk_vec]))
+        for rows in _coarse_and_fine_rows(graph.cycle_matrix))
 
-    var_hat = potential_difference_variance(field_hat, a, b)
-    var_sum = (potential_difference_variance(field, a, b)
-               + potential_difference_variance(field_bar, a, b))
-
-    # The appendix lemma, applied to the fundamental cycle basis.
-    walk_vec = potential_difference_functional(field_hat, a, b)
-    var_joint_hat, var_joint_split = _coarse_and_fine_variances(
-        independent_gaussian(np.concatenate([r, r_bar])), graph.cycle_matrix,
-        np.concatenate([walk_vec, walk_vec]))
-
-    entropies = {
-        "h_hat": entropy_scalar(var_hat),
-        "h_joint_hat": entropy_scalar(var_joint_hat),
-        "h_joint_split": entropy_scalar(var_joint_split),
-        "h_sum": entropy_scalar(var_sum),
-    }
+    variances = {"hat": var_hat, "joint_hat": var_joint_hat,
+                 "joint_split": var_joint_split, "sum": var + var_bar}
+    entropies = {f"h_{k}": entropy_scalar(v) for k, v in variances.items()}
     for label, h in entropies.items():
         if isinstance(h, DegenerateEntropy):
             raise DegenerateEntropyError(
                 f"{label} collapsed to a point mass; malformed topology?")
 
-    quantities = (
-        ("h_hat", entropies["h_hat"]),
-        ("h_joint_hat", entropies["h_joint_hat"]),
-        ("h_joint_split", entropies["h_joint_split"]),
-        ("h_sum", entropies["h_sum"]),
-        ("var_hat", var_hat),
-        ("var_joint_hat", var_joint_hat),
-        ("var_joint_split", var_joint_split),
-        ("var_sum", var_sum),
-    )
+    quantities = (*entropies.items(),
+                  *((f"var_{k}", v) for k, v in variances.items()))
     scale = tol * _rel_scale(*entropies.values())
     ineqs = (
         _eq("h_hat", entropies["h_hat"],
@@ -427,8 +410,10 @@ def appendix_check(instance: AppendixInstance,
     joint = GaussianVector(
         np.zeros(2 * n),
         scipy.linalg.block_diag(instance.cov_w, instance.cov_w_bar))
-    var_hat, var_split = _coarse_and_fine_variances(
-        joint, phi, instance.functional)
+    var_hat, var_split = (
+        linear_functional_variance(
+            condition_on_zero(joint, ConstraintSet(rows)), instance.functional)
+        for rows in _coarse_and_fine_rows(phi))
     h_hat = entropy_scalar(var_hat)
     h_split = entropy_scalar(var_split)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gffresist import (
     appendix_check,
@@ -31,12 +32,18 @@ from gffresist import (
     melvin_chain,
     min_energy_flow_oracle,
     monte_carlo_variance_check,
+    potential_difference_functional,
     potential_difference_variance,
     random_appendix_instance,
     thomson_flow,
 )
 from gffresist.cli import run_command
-from gffresist.gaussian import ConstraintSet
+from gffresist.gaussian import (
+    ConstraintSet,
+    condition_diagonal,
+    conditioned_variance,
+    linear_functional_variance,
+)
 from gffresist.graph import build_multigraph
 from gffresist.verify import (
     instance_rng,
@@ -47,22 +54,28 @@ from gffresist.verify import (
 
 ACCEPTANCE_SEED = 20240
 N_INSTANCES = 200
+SUITE_SEED = 12345
 TOL = 1e-8
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.fixture(scope="module")
-def instances():
-    """200 seeded desk-scale instances: (network, r_bar, a, b)."""
+def draw_instances(seed):
+    """200 seeded desk-scale instances: (network, r_bar, a, b), drawn in
+    the order of run_suite's loop."""
     out = []
     for i in range(N_INSTANCES):
-        rng = instance_rng(ACCEPTANCE_SEED, i)
+        rng = instance_rng(seed, i)
         net = random_network(rng)
         r_bar = random_resistances(rng, net.graph.n_edges)
         a, b = random_pair(rng, net.graph.n_vertices)
         out.append((net, r_bar, a, b))
     return out
+
+
+@pytest.fixture(scope="module")
+def instances():
+    return draw_instances(ACCEPTANCE_SEED)
 
 
 def report_line(number, name, passed=True):
@@ -256,3 +269,26 @@ def test_criterion_9_cli_golden_files():
         golden = (GOLDEN / name).read_text(encoding="utf-8")
         assert outputs[0] == golden, f"{name}: output diverged from golden"
     report_line(9, "cli golden files")
+
+
+def test_criterion_10_projection_matches_general_conditioning(instances):
+    # Every diagonal conditioning of the free field and the entropy chain
+    # agrees with condition_on_value, on this battery and run_suite's.
+    worst = 0.0
+    for net, r_bar, a, b in instances + draw_instances(SUITE_SEED):
+        phi = net.graph.cycle_matrix
+        c = potential_difference_functional(build_free_field(net), a, b)
+        cases = [(x, phi, c) for x in
+                 (net.resistances, r_bar, net.resistances + r_bar)]
+        doubled = np.concatenate([net.resistances, r_bar])
+        cases += [(doubled, rows, np.concatenate([c, c])) for rows in
+                  (np.hstack([phi, phi]), scipy.linalg.block_diag(phi, phi))]
+        for variances, rows, functional in cases:
+            fast = conditioned_variance(
+                condition_diagonal(variances, rows), functional)
+            reference = linear_functional_variance(
+                condition_on_zero(independent_gaussian(variances),
+                                  ConstraintSet(rows)), functional)
+            worst = max(worst, abs(fast - reference) / reference)
+    assert worst <= 1e-12, f"worst relative gap {worst:.3e}"
+    report_line(10, "projection form matches general conditioning")

@@ -20,6 +20,7 @@ from gffresist.cli import (
     serialize_network,
 )
 from gffresist.errors import ParseError, ValidationError
+from gffresist.verify import instance_rng, random_network
 
 DATA = Path(__file__).parent / "data"
 
@@ -192,6 +193,20 @@ class TestRoundTrip:
         np.testing.assert_array_equal(first.resistances, second.resistances)
         assert serialize_network(second) == doc
 
+    def test_random_networks_round_trip(self, tmp_path):
+        # Integer vertex names are written as strings the schema accepts.
+        for i in range(25):
+            first = random_network(instance_rng(401, i))
+            doc = serialize_network(first)
+            jsonschema.validate(doc, NETWORK_SCHEMA)
+            second = parse_network(write_network(tmp_path, doc))
+            assert second.graph.vertices == tuple(
+                str(v) for v in first.graph.vertices)
+            assert second.graph.edges == first.graph.edges
+            np.testing.assert_array_equal(first.resistances,
+                                          second.resistances)
+            assert serialize_network(second) == doc
+
 
 class TestFmt:
     def test_ten_significant_digits(self):
@@ -271,6 +286,18 @@ class TestCommands:
                             "--samples", "50000", "--seed", "3"])
         assert code == EXIT_PASS
         assert "z_score" in capsys.readouterr().out
+
+    def test_wide_span_network_is_valid(self, capsys):
+        # Resistances over [1e-6, 1e6]: the free field's own covariance used
+        # to fail the PSD check, reporting a valid network as invalid.
+        net = str(DATA / "wide_span.json")
+        base = ["--network", net, "--pair", "3,2"]
+        assert run_command(["gff", *base]) == EXIT_PASS
+        assert run_command(["verify", "mc", *base, "--samples", "1000"]) \
+            == EXIT_PASS
+        assert run_command(["verify", "entropy", *base, "--bar-network", net]) \
+            == EXIT_PASS
+        assert capsys.readouterr().err == ""
 
     def test_verify_scaling_and_monotone(self, capsys):
         assert run_command(["verify", "scaling",

@@ -65,6 +65,42 @@ class TestConstruction:
         assert g.dim == 2
 
 
+# Covariances with the verdict GaussianVector must reach at every scale:
+# (name, matrix, accepted).
+SCALED_COVARIANCES = [
+    ("diagonal", [[1.0, 0.0], [0.0, 2.0]], True),
+    ("singular", [[1.0, 1.0], [1.0, 1.0]], True),
+    ("point-mass", [[0.0, 0.0], [0.0, 0.0]], True),
+    ("rounding-negative", [[1.0, 0.0], [0.0, -1e-13]], True),
+    ("asymmetric", [[1.0, 0.5], [0.2, 1.0]], False),
+    ("indefinite", [[1.0, 2.0], [2.0, 1.0]], False),
+    ("slightly-negative", [[1.0, 0.0], [0.0, -1e-9]], False),
+]
+
+
+class TestUnitFreeTolerances:
+    @pytest.mark.parametrize("t", [10.0 ** k for k in range(-12, 13, 3)])
+    @pytest.mark.parametrize("name,cov,accepted", SCALED_COVARIANCES,
+                             ids=[case[0] for case in SCALED_COVARIANCES])
+    def test_verdict_does_not_depend_on_scale(self, t, name, cov, accepted):
+        scaled = t * np.array(cov)
+        if accepted:
+            GaussianVector(np.zeros(2), scaled)
+        else:
+            with pytest.raises(ValidationError):
+                GaussianVector(np.zeros(2), scaled)
+
+    @pytest.mark.parametrize("t", [10.0 ** k for k in range(-12, 13, 3)])
+    def test_negative_variance_verdict_does_not_depend_on_scale(self, t):
+        # Both covariances pass the PSD check; a variance of -1e-11 of the
+        # trace is an error, one of -1e-14 is rounding and clamps to 0.
+        wrong = GaussianVector(np.zeros(2), t * np.diag([1.0, -1e-11]))
+        with pytest.raises(NegativeVarianceError):
+            linear_functional_variance(wrong, [0.0, 1.0])
+        rounding = GaussianVector(np.zeros(2), t * np.diag([1.0, -1e-14]))
+        assert linear_functional_variance(rounding, [0.0, 1.0]) == 0.0
+
+
 class TestSumIndependent:
     def test_variances_add(self):
         g = sum_independent(independent_gaussian([1.0, 1.0]),

@@ -1,25 +1,43 @@
 """Free-field construction and the variance = effective resistance identity."""
 
+from pathlib import Path
+
+import networkx as nx
 import numpy as np
 import pytest
 
+import gffresist
 from gffresist import (
     ConstraintSet,
+    ResistiveNetwork,
     build_free_field,
+    build_multigraph,
     circuit_matrix,
     condition_on_zero,
     effective_resistance,
+    entropy_chain,
     enumerate_circuits,
     eta_field,
+    gaussian,
+    gff,
     independent_gaussian,
     linear_functional_variance,
     path_independence_check,
     potential_difference_functional,
     potential_difference_variance,
     sample,
+    verify,
 )
+from gffresist.cli import parse_network
 from gffresist.errors import SameVertexError
-from gffresist.verify import instance_rng, random_network, random_pair
+from gffresist.verify import (
+    instance_rng,
+    random_network,
+    random_pair,
+    random_resistances,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def pinv_conditioned_covariance(cov, rows):
@@ -181,3 +199,60 @@ class TestMonteCarlo:
         reff = 2.0 / 3.0
         z = abs(float(np.var(draws)) - reff) / (reff * np.sqrt(2.0 / 200_000))
         assert z <= 4.0
+
+
+class TestProjectionForm:
+    def test_networkx_resistance_distance_oracle(self):
+        # A third-party Laplacian route, on grids up to 12 x 12.
+        for side in (2, 3, 5, 8, 12):
+            rng = np.random.default_rng(side)
+            n_v = side * side
+            specs = [(i * side + j, i * side + j + 1)
+                     for i in range(side) for j in range(side - 1)]
+            specs += [(i * side + j, (i + 1) * side + j)
+                      for i in range(side - 1) for j in range(side)]
+            r = random_resistances(rng, len(specs))
+            field = build_free_field(ResistiveNetwork(
+                build_multigraph(list(range(n_v)), specs), r))
+            oracle = nx.Graph()
+            oracle.add_weighted_edges_from(
+                ((u, v, x) for (u, v), x in zip(specs, r)), weight="r")
+            for _ in range(3):
+                a, b = random_pair(rng, n_v)
+                expected = nx.resistance_distance(oracle, a, b, weight="r")
+                assert potential_difference_variance(field, a, b) == \
+                    pytest.approx(expected, rel=1e-9)
+
+    def test_no_dense_edge_conditioning(self, monkeypatch):
+        # The free field and the entropy chain need no eigendecomposition
+        # and no E x E conditioning; patch every module binding.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense conditioning path used")
+
+        for module in (gffresist, gaussian, gff, verify):
+            if hasattr(module, "condition_on_value"):
+                monkeypatch.setattr(module, "condition_on_value", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        net = parse_network(str(DATA / "grid4.json"))
+        field = build_free_field(net)
+        assert potential_difference_variance(field, 0, 15) > 0.0
+        assert entropy_chain(net.graph, net.resistances,
+                             2.0 * net.resistances, 0, 15).passed
+
+    def test_edge_field_is_lazy_and_cached(self, triangle):
+        field = build_free_field(triangle)
+        assert "edge_field" not in vars(field)
+        assert field.edge_field is field.edge_field
+
+    def test_edge_covariance_passes_psd_check_on_wide_spans(self):
+        # Resistances over [1e-6, 1e6]: the Gram forms of the edge and
+        # vertex covariances pass the public checks on every network.
+        for i in range(300):
+            rng = instance_rng(99, i)
+            graph = random_network(rng).graph
+            net = ResistiveNetwork(
+                graph, random_resistances(rng, graph.n_edges, 1e-6, 1e6))
+            field = build_free_field(net)
+            assert field.edge_field.dim == graph.n_edges
+            assert eta_field(field).dim == graph.n_vertices
