@@ -10,6 +10,7 @@ tolerance, 2 usage error or malformed input, 3 semantically invalid input
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from .errors import GffResistError, ParseError, ValidationError
 from .gaussian import DegenerateEntropy
 from .gff import build_free_field, potential_difference_variance
 from .graph import build_multigraph
-from .verify import Inequality, VerificationReport
+from .verify import VerificationReport
 
 DEFAULT_SUITE_SEED = 12345
 SEED_ENV_VAR = "GFFRESIST_SEED"
@@ -196,21 +197,16 @@ def _fmt_value(value) -> str:
 
 def to_bits(report: VerificationReport) -> VerificationReport:
     """Rescale entropy-valued quantities (h_* labels) from nats to bits."""
-    def scale_value(label, value):
-        if label.startswith("h_") and isinstance(value, float):
-            return value / LN2
-        return value
-
-    def scale_ineq(iq: Inequality) -> Inequality:
-        if iq.lhs.startswith("h_") and iq.rhs.startswith("h_") \
-                and isinstance(iq.margin, float) and math.isfinite(iq.margin):
-            return Inequality(iq.lhs, iq.rel, iq.rhs, iq.margin / LN2, iq.holds)
-        return iq
+    def bits(label, value):
+        entropy = label.startswith("h_") and isinstance(value, float)
+        return value / LN2 if entropy else value
 
     return VerificationReport(
         report.name,
-        tuple((label, scale_value(label, v)) for label, v in report.quantities),
-        tuple(scale_ineq(iq) for iq in report.inequalities),
+        tuple((label, bits(label, v)) for label, v in report.quantities),
+        # A relation compares like with like: an entropy margin is in nats.
+        tuple(dataclasses.replace(iq, margin=bits(iq.lhs, iq.margin))
+              for iq in report.inequalities),
         report.tolerance,
     )
 
@@ -385,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "checked concavity, power-chain, and entropy-chain "
                     "verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-    tolerance = _at_least(float, 0)
+    tol_args = dict(type=_at_least(float, 0), default=verify.DEFAULT_TOL,
+                    help="relative to the larger operand; entropy relations "
+                         "absolute, in nats; concavity relative to max|f|")
     positive = _at_least(float, 0, strict=True)
 
     def add_common(p, network=True):
@@ -413,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--pair", help="vertex pair NAME,NAME")
     p_verify.add_argument("--bar-network", dest="bar_network",
                           help="second resistance assignment, same topology")
-    p_verify.add_argument("--tol", type=tolerance, default=verify.DEFAULT_TOL)
+    p_verify.add_argument("--tol", **tol_args)
     p_verify.add_argument("--grid", type=_at_least(int, 3), default=21,
                           help="concavity grid points")
     p_verify.add_argument("--seed", type=_at_least(int, 0), default=0)
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"suite seed (default ${SEED_ENV_VAR}, "
                               f"else {DEFAULT_SUITE_SEED})")
     p_suite.add_argument("--instances", type=_at_least(int, 1), default=200)
-    p_suite.add_argument("--tol", type=tolerance, default=verify.DEFAULT_TOL)
+    p_suite.add_argument("--tol", **tol_args)
     p_suite.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser

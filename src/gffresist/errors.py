@@ -61,10 +61,6 @@ class InconsistentConstraintError(GffResistError):
     """Conditioning on a constraint that holds with probability zero."""
 
 
-class DegenerateEntropyError(GffResistError):
-    """A chain quantity collapsed to a point mass where it must not."""
-
-
 # --- file ingestion ---
 
 class ParseError(GffResistError):

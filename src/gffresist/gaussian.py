@@ -30,6 +30,7 @@ PSD_TOL = 1e-10
 EIG_CUTOFF = 1e-12
 VARIANCE_CLAMP = 1e-12
 INCONSISTENCY_TOL = 1e-8
+DRAW_BLOCK = 1 << 20  # normals functional_draws draws at once (8 MB)
 
 
 @functools.total_ordering
@@ -131,17 +132,18 @@ def sum_independent(g1: GaussianVector, g2: GaussianVector) -> GaussianVector:
 
 
 def _kept_svd(b: np.ndarray, rows: np.ndarray, lam_max: float) -> tuple:
-    """Thin SVD of b = rows cov^(1/2), truncated to the rank the cutoff keeps."""
+    """Thin SVD of b = rows cov^(1/2), truncated to the rank the cutoff keeps,
+    and the spread sqrt(lam_max) max|row| of the constraint values."""
     u, s, vt = np.linalg.svd(b, full_matrices=False)
     # Constraint directions whose variance is negligible relative to the
     # ambient covariance count as already satisfied; anchoring the cutoff
     # to the ambient scale (not just to max(s)) makes re-conditioning on
     # satisfied constraints a no-op instead of a noise amplifier.
-    row_scale = float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
-    cutoff = math.sqrt(EIG_CUTOFF) * max(s[0] if s.size else 0.0,
-                                         math.sqrt(lam_max) * row_scale)
+    spread = math.sqrt(lam_max) * float(
+        np.max(np.linalg.norm(rows, axis=1), initial=0.0))
+    cutoff = math.sqrt(EIG_CUTOFF) * max(s[0] if s.size else 0.0, spread)
     r = int(np.sum(s > cutoff))
-    return u[:, :r], s[:r], vt[:r]
+    return u[:, :r], s[:r], vt[:r], spread
 
 
 def condition_on_value(g: GaussianVector, m: ConstraintSet,
@@ -170,11 +172,13 @@ def condition_on_value(g: GaussianVector, m: ConstraintSet,
     eigs, q = np.linalg.eigh(g.covariance)
     eigs = np.clip(eigs, 0.0, None)
     sqrt_cov = (q * np.sqrt(eigs)) @ q.T
-    u_r, s_r, vt_r = _kept_svd(rows @ sqrt_cov, rows, eigs.max(initial=0.0))
+    u_r, s_r, vt_r, spread = _kept_svd(rows @ sqrt_cov, rows,
+                                       eigs.max(initial=0.0))
 
     offset = values - rows @ g.mean
     residual = offset - u_r @ (u_r.T @ offset)
-    tol = INCONSISTENCY_TOL * max(1.0, float(np.max(np.abs(values))),
+    # Relative to the constraint's own spread, so the verdict has no units.
+    tol = INCONSISTENCY_TOL * max(spread, float(np.max(np.abs(values))),
                                   float(np.max(np.abs(rows @ g.mean))))
     if np.max(np.abs(residual), initial=0.0) > tol:
         raise InconsistentConstraintError(
@@ -219,18 +223,35 @@ def condition_diagonal(variances, rows) -> tuple:
     share its arithmetic with the flow route it cross-checks.
     """
     s = np.sqrt(np.asarray(variances, dtype=float))
-    _, _, vt = _kept_svd(rows * s, rows, float(np.max(variances)))
+    _, _, vt, _ = _kept_svd(rows * s, rows, float(np.max(variances)))
     return s, vt.T
 
 
-def conditioned_variance(factor: tuple, c) -> float:
-    """Variance |u|^2, u = w - q q' w and w = s c, of c . x under
-    condition_diagonal. Its rounding error is about eps |w| |u|, where
-    w . u would lose eps |w|^2 on a wide resistance span."""
+def _functional_root(factor: tuple, c) -> np.ndarray:
+    """u = w - q q' w, w = s c: under condition_diagonal, c . x = u . z."""
     s, q = factor
     w = s * np.asarray(c, dtype=float)
-    u = w - q @ (q.T @ w)
+    return w - q @ (q.T @ w)
+
+
+def conditioned_variance(factor: tuple, c) -> float:
+    """Variance |u|^2 of c . x under condition_diagonal: its rounding error
+    is about eps |w| |u|, where w . u would lose eps |w|^2 on a wide span."""
+    u = _functional_root(factor, c)
     return float(u @ u)
+
+
+def functional_draws(factor: tuple, c, count: int, seed: int):
+    """Yield ``count`` draws u . z of c . x under condition_diagonal in
+    blocks of at most DRAW_BLOCK normals z: one ``default_rng(seed)`` stream
+    whatever the blocks, in O(DRAW_BLOCK) memory."""
+    if count < 1:
+        raise ValidationError("need at least one sample")
+    u = _functional_root(factor, c)
+    rng = np.random.default_rng(seed)
+    block = max(1, DRAW_BLOCK // u.size)  # rows of z
+    for start in range(0, count, block):
+        yield rng.standard_normal((min(block, count - start), u.size)) @ u
 
 
 def entropy_scalar(variance: float, tol: float = 1e-12):

@@ -21,8 +21,9 @@ from .electric import (
     node_voltages,
     ohm_flow,
 )
-from .errors import DegenerateEntropyError, DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .gaussian import (
+    VARIANCE_CLAMP,
     ConstraintSet,
     DegenerateEntropy,
     GaussianVector,
@@ -31,8 +32,8 @@ from .gaussian import (
     condition_on_zero,
     conditioned_variance,
     entropy_scalar,
+    functional_draws,
     linear_functional_variance,
-    sample,
 )
 from .gff import (
     build_free_field,
@@ -50,10 +51,13 @@ LOW_POWER_COUNT = 100
 class Inequality:
     """One verified relation between two labeled quantities.
 
-    For ">=" and "<=" the margin is the slack (nonnegative when satisfied
-    exactly) and holds means margin >= -tolerance; for "==" the margin is
-    the signed difference lhs - rhs. Comparisons against a degenerate
-    (point-mass) entropy carry a non-finite margin, serialized as null.
+    The margin is lhs - rhs (rhs - lhs for "<="). An inequality holds when
+    its margin is at least -tolerance * scale, an equality when it is at
+    most tolerance * scale in magnitude. scale is the larger operand
+    magnitude, so verdicts have no units, except 1 for entropies (margins
+    in nats), max|f| for a concavity second difference and c' cov c for the
+    appendix lemma's variances. A comparison with a degenerate (point-mass)
+    entropy has a non-finite margin, serialized as null.
     """
 
     lhs: str
@@ -84,16 +88,10 @@ class VerificationReport:
         return all(ineq.holds for ineq in self.inequalities)
 
     def quantity(self, label: str):
-        for lab, value in self.quantities:
-            if lab == label:
-                return value
-        raise KeyError(label)
+        return dict(self.quantities)[label]
 
     def margin(self, lhs: str, rhs: str) -> float:
-        for ineq in self.inequalities:
-            if ineq.lhs == lhs and ineq.rhs == rhs:
-                return ineq.margin
-        raise KeyError((lhs, rhs))
+        return {(iq.lhs, iq.rhs): iq.margin for iq in self.inequalities}[lhs, rhs]
 
     def to_dict(self) -> dict:
         def jsonable(value):
@@ -116,37 +114,28 @@ class VerificationReport:
         }
 
 
-def _geq(label_l, val_l, label_r, val_r, tol) -> Inequality:
-    """val_l >= val_r within tol; degenerate entropies sit below all floats."""
-    deg_l = isinstance(val_l, DegenerateEntropy)
-    deg_r = isinstance(val_r, DegenerateEntropy)
-    if deg_l and deg_r:
-        return Inequality(label_l, ">=", label_r, 0.0, True)
-    if deg_l or deg_r:
-        margin = math.inf if deg_r else -math.inf
-        return Inequality(label_l, ">=", label_r, margin, deg_r)
-    margin = val_l - val_r
-    return Inequality(label_l, ">=", label_r, margin, margin >= -tol)
-
-
-def _leq(label_l, val_l, label_r, val_r, tol) -> Inequality:
-    flipped = _geq(label_r, val_r, label_l, val_l, tol)
-    return Inequality(label_l, "<=", label_r, flipped.margin, flipped.holds)
-
-
-def _eq(label_l, val_l, label_r, val_r, abs_tol) -> Inequality:
-    deg_l = isinstance(val_l, DegenerateEntropy)
-    deg_r = isinstance(val_r, DegenerateEntropy)
-    if deg_l and deg_r:
-        return Inequality(label_l, "==", label_r, 0.0, True)
-    if deg_l or deg_r:
-        return Inequality(label_l, "==", label_r, math.nan, False)
-    margin = val_l - val_r
-    return Inequality(label_l, "==", label_r, margin, abs(margin) <= abs_tol)
-
-
-def _rel_scale(*values) -> float:
-    return max(1.0, *(abs(v) for v in values))
+def _judged(name: str, quantities, relations, tol: float) -> VerificationReport:
+    """Report ``quantities`` with each (lhs, rel, rhs[, scale]) relation over
+    their labels judged by the one rule Inequality states; scale defaults to
+    the larger operand magnitude. A degenerate entropy sits below all floats.
+    """
+    values = dict(quantities)
+    ineqs = []
+    for lhs, rel, rhs, *scale in relations:
+        x, y = values[lhs], values[rhs]
+        if rel == "<=":
+            x, y = y, x
+        deg_x, deg_y = (isinstance(v, DegenerateEntropy) for v in (x, y))
+        if deg_x or deg_y:
+            margin = (0.0 if deg_x and deg_y else math.nan if rel == "=="
+                      else math.inf if deg_y else -math.inf)
+            holds = margin >= 0
+        else:
+            margin = x - y
+            bound = tol * (scale[0] if scale else max(abs(x), abs(y)))
+            holds = abs(margin) <= bound if rel == "==" else margin >= -bound
+        ineqs.append(Inequality(lhs, rel, rhs, margin, bool(holds)))
+    return VerificationReport(name, tuple(quantities), tuple(ineqs), tol)
 
 
 def check_superadditivity(graph: Multigraph, r, r_bar, a: int, b: int,
@@ -163,8 +152,8 @@ def check_superadditivity(graph: Multigraph, r, r_bar, a: int, b: int,
         ("reff_bar", reff_bar),
         ("reff_sum", reff + reff_bar),
     )
-    ineqs = (_geq("reff_hat", reff_hat, "reff_sum", reff + reff_bar, tol),)
-    return VerificationReport("superadditivity", quantities, ineqs, tol)
+    return _judged("superadditivity", quantities,
+                   [("reff_hat", ">=", "reff_sum")], tol)
 
 
 def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
@@ -173,8 +162,8 @@ def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
     """Concavity of the effective resistance along a resistance segment.
 
     Evaluates lambda -> Reff((1-lambda) r0 + lambda r1) on a uniform grid
-    and requires every second difference to be at most tol; also checks the
-    midpoint inequality directly.
+    and requires every second difference to be at most tol * max|f|; also
+    checks the midpoint inequality directly.
     """
     if grid_points < 3:
         raise ValidationError("concavity grid needs at least 3 points")
@@ -198,11 +187,11 @@ def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
         ("endpoint_mean", endpoint_mean),
         ("zero", 0.0),
     )
-    ineqs = (
-        _leq("second_diff_max", float(np.max(second)), "zero", 0.0, tol),
-        _geq("reff_midpoint", mid, "endpoint_mean", endpoint_mean, tol),
-    )
-    return VerificationReport("concavity_segment", quantities, ineqs, tol)
+    # A second difference is judged against the function it differences.
+    return _judged("concavity_segment", quantities, [
+        ("second_diff_max", "<=", "zero", float(np.max(np.abs(f)))),
+        ("reff_midpoint", ">=", "endpoint_mean"),
+    ], tol)
 
 
 def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
@@ -237,15 +226,11 @@ def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
         ("own_flow_power", own_flow_power),
         ("reff_sum", reff_sum),
     )
-    ineqs = (
-        _eq("reff_hat", reff_hat, "hat_flow_power", hat_flow_power,
-            tol * _rel_scale(reff_hat, hat_flow_power)),
-        _geq("hat_flow_power", hat_flow_power,
-             "own_flow_power", own_flow_power, tol),
-        _eq("own_flow_power", own_flow_power, "reff_sum", reff_sum,
-            tol * _rel_scale(own_flow_power, reff_sum)),
-    )
-    return VerificationReport("melvin_chain", quantities, ineqs, tol)
+    return _judged("melvin_chain", quantities, [
+        ("reff_hat", "==", "hat_flow_power"),
+        ("hat_flow_power", ">=", "own_flow_power"),
+        ("own_flow_power", "==", "reff_sum"),
+    ], tol)
 
 
 def _coarse_and_fine_rows(phi: np.ndarray) -> tuple:
@@ -286,24 +271,17 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
 
     variances = {"hat": var_hat, "joint_hat": var_joint_hat,
                  "joint_split": var_joint_split, "sum": var + var_bar}
-    entropies = {f"h_{k}": entropy_scalar(v) for k, v in variances.items()}
-    for label, h in entropies.items():
-        if isinstance(h, DegenerateEntropy):
-            raise DegenerateEntropyError(
-                f"{label} collapsed to a point mass; malformed topology?")
+    # Positive by theorem on a valid network, however small its resistances.
+    entropies = {f"h_{k}": entropy_scalar(v, 0.0) for k, v in variances.items()}
 
     quantities = (*entropies.items(),
                   *((f"var_{k}", v) for k, v in variances.items()))
-    scale = tol * _rel_scale(*entropies.values())
-    ineqs = (
-        _eq("h_hat", entropies["h_hat"],
-            "h_joint_hat", entropies["h_joint_hat"], scale),
-        _geq("h_joint_hat", entropies["h_joint_hat"],
-             "h_joint_split", entropies["h_joint_split"], tol),
-        _eq("h_joint_split", entropies["h_joint_split"],
-            "h_sum", entropies["h_sum"], scale),
-    )
-    return VerificationReport("entropy_chain", quantities, ineqs, tol)
+    # An entropy difference is a log variance ratio: it has no units.
+    return _judged("entropy_chain", quantities, [
+        ("h_hat", "==", "h_joint_hat", 1.0),
+        ("h_joint_hat", ">=", "h_joint_split", 1.0),
+        ("h_joint_split", "==", "h_sum", 1.0),
+    ], tol)
 
 
 def check_scaling(graph: Multigraph, r, t: float, a: int, b: int,
@@ -320,9 +298,8 @@ def check_scaling(graph: Multigraph, r, t: float, a: int, b: int,
         ("reff_scaled", reff_scaled),
         ("reff_times_t", t * reff),
     )
-    ineqs = (_eq("reff_scaled", reff_scaled, "reff_times_t", t * reff,
-                 tol * abs(t * reff)),)
-    return VerificationReport("scaling", quantities, ineqs, tol)
+    return _judged("scaling", quantities,
+                   [("reff_scaled", "==", "reff_times_t")], tol)
 
 
 def check_monotonicity(graph: Multigraph, r, edge: int, delta: float,
@@ -344,8 +321,8 @@ def check_monotonicity(graph: Multigraph, r, edge: int, delta: float,
         ("edge", float(edge)),
         ("delta", float(delta)),
     )
-    ineqs = (_geq("reff_bumped", reff_bumped, "reff", reff, tol),)
-    return VerificationReport("monotonicity", quantities, ineqs, tol)
+    return _judged("monotonicity", quantities,
+                   [("reff_bumped", ">=", "reff")], tol)
 
 
 @dataclass(frozen=True)
@@ -405,23 +382,26 @@ def appendix_check(instance: AppendixInstance,
                    tol: float = DEFAULT_TOL) -> VerificationReport:
     """Conditioning on the sum leaves at least the variance of conditioning
     on the parts, and the conditional variance ignores the pinned value."""
-    n = instance.dim
-    phi = instance.conditioning
     joint = GaussianVector(
-        np.zeros(2 * n),
+        np.zeros(2 * instance.dim),
         scipy.linalg.block_diag(instance.cov_w, instance.cov_w_bar))
+    hat_rows, split_rows = map(ConstraintSet,
+                               _coarse_and_fine_rows(instance.conditioning))
     var_hat, var_split = (
-        linear_functional_variance(
-            condition_on_zero(joint, ConstraintSet(rows)), instance.functional)
-        for rows in _coarse_and_fine_rows(phi))
-    h_hat = entropy_scalar(var_hat)
-    h_split = entropy_scalar(var_split)
+        linear_functional_variance(condition_on_zero(joint, rows),
+                                   instance.functional)
+        for rows in (hat_rows, split_rows))
+    # Conditioned variances are judged against the unconditioned c' cov c:
+    # within its rounding they are point masses, and zero by the lemma when
+    # the functional is pinned.
+    prior = linear_functional_variance(joint, instance.functional)
+    h_hat = entropy_scalar(var_hat, VARIANCE_CLAMP * prior)
+    h_split = entropy_scalar(var_split, VARIANCE_CLAMP * prior)
 
     # The conditional covariance formula has no dependence on the pinned
     # value; witness it at a second, reachable value.
-    hat_rows = ConstraintSet(np.hstack([phi, phi]))
     gram = hat_rows.rows @ joint.covariance @ hat_rows.rows.T
-    alt_value = gram @ np.ones(phi.shape[0])
+    alt_value = gram @ np.ones(hat_rows.n_constraints)
     cond_alt = condition_on_value(joint, hat_rows, alt_value)
     var_hat_alt = linear_functional_variance(cond_alt, instance.functional)
 
@@ -432,13 +412,11 @@ def appendix_check(instance: AppendixInstance,
         ("h_given_split", h_split),
         ("var_given_hat_alt", var_hat_alt),
     )
-    ineqs = (
-        _geq("var_given_hat", var_hat, "var_given_split", var_split, tol),
-        _geq("h_given_hat", h_hat, "h_given_split", h_split, tol),
-        _eq("var_given_hat", var_hat, "var_given_hat_alt", var_hat_alt,
-            tol * _rel_scale(var_hat)),
-    )
-    return VerificationReport("appendix_lemma", quantities, ineqs, tol)
+    return _judged("appendix_lemma", quantities, [
+        ("var_given_hat", ">=", "var_given_split", prior),
+        ("h_given_hat", ">=", "h_given_split", 1.0),
+        ("var_given_hat", "==", "var_given_hat_alt", prior),
+    ], tol)
 
 
 def monte_carlo_variance_check(graph: Multigraph, r, a: int, b: int,
@@ -447,8 +425,10 @@ def monte_carlo_variance_check(graph: Multigraph, r, a: int, b: int,
     net = ResistiveNetwork(graph, np.asarray(r, dtype=float))
     field = build_free_field(net)
     functional = potential_difference_functional(field, a, b)
-    draws = sample(field.edge_field, count, seed) @ functional
-    empirical = float(np.var(draws))
+    # Sum and sum of squares, block by block: memory does not grow with count.
+    sums = sum(np.array([np.sum(d), d @ d]) for d in
+               functional_draws(field.factor, functional, count, seed))
+    empirical = float(sums[1] / count - (sums[0] / count) ** 2)
     reff = effective_resistance(net, a, b)
     z = abs(empirical - reff) / (reff * math.sqrt(2.0 / count))
     quantities = [
@@ -460,9 +440,8 @@ def monte_carlo_variance_check(graph: Multigraph, r, a: int, b: int,
     ]
     if count < LOW_POWER_COUNT:
         quantities.append(("low_power", 1.0))
-    ineqs = (_leq("z_score", z, "z_limit", Z_LIMIT, 0.0),)
-    return VerificationReport("monte_carlo_variance", tuple(quantities),
-                              ineqs, 0.0)
+    return _judged("monte_carlo_variance", quantities,
+                   [("z_score", "<=", "z_limit")], 0.0)
 
 
 # --- randomized desk-scale instance generation -----------------------------
@@ -510,6 +489,27 @@ SUITE_CHECKS = ("superadditivity", "melvin_chain", "entropy_chain",
                 "scaling", "monotonicity", "concavity")
 
 
+def _suite_reports(seed: int, index: int, tol: float, grid_points: int,
+                   unit: float = 1.0):
+    """(check name, report) of every suite check on instance ``index``, its
+    resistances and resistance bump given in ``unit`` ohms."""
+    rng = instance_rng(seed, index)
+    net = random_network(rng)
+    graph, r = net.graph, unit * net.resistances
+    r_bar = unit * random_resistances(rng, graph.n_edges)
+    a, b = random_pair(rng, graph.n_vertices)
+    edge = int(rng.integers(0, graph.n_edges))
+    delta = unit * float(rng.uniform(0.1, 2.0))
+    yield "superadditivity", check_superadditivity(graph, r, r_bar, a, b, tol)
+    yield "melvin_chain", melvin_chain(graph, r, r_bar, a, b, tol)
+    yield "entropy_chain", entropy_chain(graph, r, r_bar, a, b, tol)
+    for t in (0.5, 2.0, 10.0):
+        yield "scaling", check_scaling(graph, r, t, a, b, tol)
+    yield "monotonicity", check_monotonicity(graph, r, edge, delta, a, b, tol)
+    yield "concavity", check_concavity_segment(graph, r, r_bar, grid_points,
+                                               a, b, tol)
+
+
 def run_suite(seed: int, instances: int, tol: float = DEFAULT_TOL,
               grid_points: int = 11) -> dict:
     """Randomized property battery over desk-scale networks.
@@ -533,24 +533,8 @@ def run_suite(seed: int, instances: int, tol: float = DEFAULT_TOL,
             entry["worst_margin"] = min(entry["worst_margin"], margin)
 
     for i in range(instances):
-        rng = instance_rng(seed, i)
-        net = random_network(rng)
-        graph, r = net.graph, net.resistances
-        r_bar = random_resistances(rng, graph.n_edges)
-        a, b = random_pair(rng, graph.n_vertices)
-        edge = int(rng.integers(0, graph.n_edges))
-        delta = float(rng.uniform(0.1, 2.0))
-
-        absorb("superadditivity",
-               check_superadditivity(graph, r, r_bar, a, b, tol))
-        absorb("melvin_chain", melvin_chain(graph, r, r_bar, a, b, tol))
-        absorb("entropy_chain", entropy_chain(graph, r, r_bar, a, b, tol))
-        for t in (0.5, 2.0, 10.0):
-            absorb("scaling", check_scaling(graph, r, t, a, b, tol))
-        absorb("monotonicity",
-               check_monotonicity(graph, r, edge, delta, a, b, tol))
-        absorb("concavity",
-               check_concavity_segment(graph, r, r_bar, grid_points, a, b, tol))
+        for name, report in _suite_reports(seed, i, tol, grid_points):
+            absorb(name, report)
 
     overall = all(entry["failures"] == 0 for entry in summary.values())
     return {

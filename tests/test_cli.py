@@ -299,6 +299,18 @@ class TestCommands:
             == EXIT_PASS
         assert capsys.readouterr().err == ""
 
+    def test_picohm_network_is_valid(self, tmp_path, capsys):
+        # Four parallel 1e-12 ohm edges: the entropy chain's variances of
+        # 5e-13 used to count as point masses (exit 2) on a valid network.
+        net = write_network(tmp_path, {
+            "vertices": ["a", "b"],
+            "edges": [{"u": "a", "v": "b", "r": 1e-12}] * 4})
+        base = ["--network", net, "--pair", "a,b"]
+        assert run_command(["reff", *base]) == EXIT_PASS
+        assert run_command(["verify", "entropy", *base, "--bar-network", net]) \
+            == EXIT_PASS
+        assert "result: pass" in capsys.readouterr().out
+
     def test_verify_scaling_and_monotone(self, capsys):
         assert run_command(["verify", "scaling",
                             "--network", str(DATA / "triangle.json"),

@@ -21,12 +21,19 @@ from gffresist import (
     sample,
     sum_independent,
 )
+from gffresist import gaussian
 from gffresist.errors import (
     DimensionMismatchError,
     InconsistentConstraintError,
     NegativeVarianceError,
     NonpositiveVarianceError,
     ValidationError,
+)
+
+from gffresist.gaussian import (
+    condition_diagonal,
+    conditioned_variance,
+    functional_draws,
 )
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -99,6 +106,16 @@ class TestUnitFreeTolerances:
             linear_functional_variance(wrong, [0.0, 1.0])
         rounding = GaussianVector(np.zeros(2), t * np.diag([1.0, -1e-14]))
         assert linear_functional_variance(rounding, [0.0, 1.0]) == 0.0
+
+    @pytest.mark.parametrize("t", [10.0 ** k for k in range(-12, 13, 3)])
+    def test_inconsistency_verdict_does_not_depend_on_scale(self, t):
+        # x1 = x2 surely: x1 - x2 pinned 1e-3 standard deviations away from 0
+        # is unreachable, pinned to 0 it is satisfied.
+        g = GaussianVector(np.zeros(2), t * np.ones((2, 2)))
+        rows = ConstraintSet([[1.0, -1.0]])
+        with pytest.raises(InconsistentConstraintError):
+            condition_on_value(g, rows, 1e-3 * math.sqrt(t))
+        condition_on_value(g, rows, 0.0)
 
 
 class TestSumIndependent:
@@ -317,6 +334,54 @@ class TestSampling:
     def test_count_validated(self):
         with pytest.raises(ValidationError):
             sample(independent_gaussian([1.0]), 0, seed=1)
+
+
+def all_draws(factor, c, count, seed):
+    return np.concatenate(list(functional_draws(factor, c, count, seed)))
+
+
+class TestFunctionalSampling:
+    """c . x drawn as u . z under the projection-form factor, in blocks."""
+
+    def test_chunked_stream_is_the_unchunked_stream(self):
+        whole = np.random.default_rng(5).standard_normal((1000, 7))
+        rng = np.random.default_rng(5)
+        blocks = [rng.standard_normal((rows, 7)) for rows in (1, 333, 600, 66)]
+        assert np.array_equal(np.vstack(blocks), whole)
+
+    def test_block_size_does_not_change_draws(self, monkeypatch):
+        # Same normals whatever the blocks; u . z per row may differ in the
+        # last bit where BLAS sums a one-row block in another order.
+        factor = condition_diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
+        c = np.array([1.0, -1.0, 0.0])
+        whole = all_draws(factor, c, 1000, seed=9)
+        for block in (3 * 64, 1):
+            monkeypatch.setattr(gaussian, "DRAW_BLOCK", block)
+            np.testing.assert_allclose(
+                all_draws(factor, c, 1000, seed=9), whole,
+                rtol=0, atol=1e-14)
+
+    def test_variance_within_five_standard_errors(self):
+        factor = condition_diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
+        c = np.array([1.0, -1.0, 0.0])
+        count = 100_000
+        draws = all_draws(factor, c, count, seed=4)
+        var = conditioned_variance(factor, c)
+        # Schur complement: c'Dc - (c'D1)^2 / 1'D1 = 3 - 1/6.
+        assert var == pytest.approx(17.0 / 6.0, rel=1e-12)
+        assert abs(np.var(draws) - var) <= 5 * var * math.sqrt(2.0 / count)
+
+    def test_unconstrained_draws_are_scaled_normals(self):
+        # One coordinate, no rows: c . x = z sqrt(r) c exactly.
+        draws = all_draws(condition_diagonal([4.0], np.zeros((0, 1))),
+                                  [-1.0], 50, seed=3)
+        z = np.random.default_rng(3).standard_normal((50, 1))
+        assert np.array_equal(draws, z[:, 0] * -2.0)
+
+    def test_count_validated(self):
+        with pytest.raises(ValidationError):
+            all_draws(condition_diagonal([1.0], np.zeros((0, 1))),
+                              [1.0], 0, seed=1)
 
 
 class TestLinearFunctionalVariance:

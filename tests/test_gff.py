@@ -200,6 +200,27 @@ class TestMonteCarlo:
         z = abs(float(np.var(draws)) - reff) / (reff * np.sqrt(2.0 / 200_000))
         assert z <= 4.0
 
+    def test_check_draws_the_functional_in_blocks(self, monkeypatch):
+        # No E x E edge covariance, no eigendecomposition and no count x E
+        # normals: the block size changes the empirical variance by rounding.
+        net = parse_network(str(DATA / "grid4.json"))
+
+        def run(block):
+            monkeypatch.setattr(gaussian, "DRAW_BLOCK", block)
+            return verify.monte_carlo_variance_check(
+                net.graph, net.resistances, 0, 15, 20_000, seed=1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense sampling path used")
+
+        monkeypatch.setattr(gff.FreeField, "edge_field", property(forbidden))
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        whole, blocked = run(24 * 20_000), run(24 * 7)
+        assert whole.passed and blocked.passed
+        assert blocked.quantity("empirical_variance") == pytest.approx(
+            whole.quantity("empirical_variance"), rel=1e-12)
+
 
 class TestProjectionForm:
     def test_networkx_resistance_distance_oracle(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gffresist import (
     AppendixInstance,
@@ -19,9 +21,17 @@ from gffresist import (
     random_appendix_instance,
     run_suite,
 )
-from gffresist.errors import DegenerateEntropyError, ValidationError
+from gffresist.errors import ValidationError
 from gffresist.graph import build_multigraph
-from gffresist.verify import Inequality, instance_rng, random_network, random_pair
+from gffresist.verify import (
+    DEFAULT_TOL,
+    Inequality,
+    _judged,
+    _suite_reports,
+    instance_rng,
+    random_network,
+    random_pair,
+)
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -187,11 +197,17 @@ class TestEntropyChain:
             assert report.quantity(q) == pytest.approx(expected, abs=1e-9)
         assert report.passed
 
-    def test_degenerate_topology_raises(self):
+    def test_tiny_resistances_are_not_degenerate(self):
+        # A valid network in picohms: the same verdict and the same
+        # (unit-free) entropy margins as the copy in ohms.
         g = build_multigraph(["a", "b"], [("a", "b"), ("a", "b")])
-        tiny = [1e-12, 1e-12]
-        with pytest.raises(DegenerateEntropyError):
-            entropy_chain(g, tiny, tiny, 0, 1)
+        tiny = np.array([1e-12, 1e-12])
+        report = entropy_chain(g, tiny, tiny, 0, 1)
+        ohms = entropy_chain(g, 1e12 * tiny, 1e12 * tiny, 0, 1)
+        assert report.passed and ohms.passed
+        for small, big in zip(report.inequalities, ohms.inequalities):
+            assert small.holds == big.holds
+            assert small.margin == pytest.approx(big.margin, abs=1e-12)
 
     def test_random_instances(self):
         for i in range(25):
@@ -339,6 +355,98 @@ class TestMonteCarlo:
                                             triangle.resistances,
                                             0, 1, 2, seed=7)
         assert report.quantity("low_power") == 1.0
+
+
+def unit_free(report: VerificationReport) -> list:
+    """(holds, margin / scale) per relation, with a scale proportional to the
+    resistance unit: 1 for entropies, which have no units; the endpoint
+    resistances for a second difference; else the larger operand."""
+    values = dict(report.quantities)
+    out = []
+    for iq in report.inequalities:
+        if iq.lhs.startswith("h_"):
+            scale = 1.0
+        elif iq.lhs == "second_diff_max":
+            scale = max(values["reff_at_r0"], values["reff_at_r1"])
+        else:
+            scale = max(abs(values[iq.lhs]), abs(values[iq.rhs]))
+        out.append((iq.holds, iq.margin / scale))
+    return out
+
+
+def suite_unit_free(seed: int, index: int, unit: float) -> list:
+    return [(name, unit_free(report)) for name, report in
+            _suite_reports(seed, index, DEFAULT_TOL, 11, unit)]
+
+
+def assert_same_verdicts(scaled: list, reference: list):
+    for (name, relations), (ref_name, ref_relations) in zip(scaled, reference):
+        assert name == ref_name
+        for (holds, margin), (ref_holds, ref_margin) in zip(relations,
+                                                            ref_relations):
+            assert holds == ref_holds, name
+            assert margin == pytest.approx(ref_margin, abs=1e-9), name
+
+
+class TestUnitFreeVerdicts:
+    """r -> t r (and delta -> t delta) changes no verdict and no unit-free
+    margin: the theorems hold in any units, and so must their checks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(index=st.integers(0, 10_000), log_t=st.floats(-6.0, 6.0))
+    @example(index=7, log_t=6.0)  # failed with an absolute tolerance
+    @example(index=27, log_t=6.0)
+    def test_suite_checks_are_unit_free(self, index, log_t):
+        assert_same_verdicts(suite_unit_free(12345, index, 10.0 ** log_t),
+                             suite_unit_free(12345, index, 1.0))
+
+    @pytest.fixture(scope="class")
+    def battery_in_ohms(self):
+        return [suite_unit_free(12345, i, 1.0) for i in range(200)]
+
+    @pytest.mark.parametrize("unit", [1e-6, 1e6])
+    def test_suite_battery_in_other_units(self, battery_in_ohms, unit):
+        for i, reference in enumerate(battery_in_ohms):
+            scaled = suite_unit_free(12345, i, unit)
+            assert all(holds for _, relations in scaled
+                       for holds, _ in relations), i
+            assert_same_verdicts(scaled, reference)
+
+    @pytest.mark.parametrize("t", [10.0 ** k for k in range(-12, 13, 3)])
+    def test_rule_detects_a_violation_in_any_units(self, t):
+        # 1 % apart fails every relation; 1e-10 apart (within tol = 1e-8
+        # of the operands) passes every one, whatever the unit t.
+        for gap, expected in ((1e-2, False), (1e-10, True)):
+            quantities = (("x", t), ("y", t * (1.0 + gap)))
+            report = _judged("rule", quantities, [
+                ("x", ">=", "y"), ("y", "<=", "x"), ("x", "==", "y")],
+                DEFAULT_TOL)
+            assert [iq.holds for iq in report.inequalities] == [expected] * 3
+
+    def test_entropy_margins_are_absolute(self):
+        # An entropy difference has no units: 1e-8 nats is the bound
+        # whatever the entropies' size.
+        quantities = (("h_a", 50.0), ("h_b", 50.0 + 2e-8))
+        report = _judged("rule", quantities, [("h_a", ">=", "h_b", 1.0)],
+                         DEFAULT_TOL)
+        assert not report.passed
+
+    @pytest.mark.parametrize("t", [1e-12, 1.0, 1e12])
+    def test_pinned_functional_in_any_units(self, t):
+        # The functional lies in the span of the coarse rows, so both
+        # conditioned variances are 0 by the lemma and rounding otherwise;
+        # they are judged against the unconditioned variance.
+        failures = 0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 6))
+            phi = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+            a, a_bar = rng.standard_normal((2, n, n))
+            pinned = phi.T @ rng.standard_normal(phi.shape[0])
+            inst = AppendixInstance(t * a @ a.T, t * a_bar @ a_bar.T,
+                                    np.concatenate([pinned, pinned]), phi)
+            failures += not appendix_check(inst).passed
+        assert failures == 0
 
 
 class TestSuite:
