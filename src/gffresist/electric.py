@@ -1,16 +1,22 @@
 """Deterministic circuit theory for resistive multigraphs.
 
-Node voltages come from a dense symmetric solve of the reduced Laplacian
-under a unit current source. The Thomson flow follows by Ohm's law; an
-independent minimum-energy route re-derives the same flow by unconstrained
-quadratic minimization in cycle coordinates, so the two can cross-check
-each other.
+Node voltages come from a dense Cholesky solve of the ground-reduced
+Laplacian under a unit current source; the reduced matrix is assembled
+directly, without the ground vertex's row and column. The Thomson flow
+follows by Ohm's law; an independent minimum-energy route re-derives the
+same flow by unconstrained quadratic minimization in cycle coordinates, so
+the two can cross-check each other. Both routes solve through one kernel,
+``_spd_solve``: LAPACK ``dposv`` on the upper triangle, then ``dpocon`` for
+the reciprocal condition number, with a ``LinAlgWarning`` below machine
+epsilon.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dpocon, dposv
 
 from .errors import (
     DimensionMismatchError,
@@ -84,35 +90,70 @@ def _check_flow(n: ResistiveNetwork, f: FlowVector):
             f"{n.graph.n_edges} edges")
 
 
-def laplacian(n: ResistiveNetwork) -> np.ndarray:
-    """Weighted graph Laplacian with edge conductances 1/R_e."""
+def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` for a symmetric positive definite matrix.
+
+    LAPACK ``dposv`` factors the upper triangle, so only that triangle is
+    read. A matrix that is not positive definite raises SingularSystemError
+    with ``message``. When the ``dpocon`` estimate of the reciprocal
+    1-norm condition number is below machine epsilon, a ``LinAlgWarning``
+    says the result may be inaccurate. A 1x1 system is one division and a
+    0x0 system has the empty solution.
+    """
+    if matrix.shape == (1, 1):
+        if not matrix[0, 0] > 0.0:
+            raise SingularSystemError(message)
+        return rhs / matrix[0, 0]
+    if matrix.size == 0:
+        return np.zeros(0)
+    factor, x, info = dposv(matrix, rhs)
+    if info > 0:
+        raise SingularSystemError(message)
+    rcond, _ = dpocon(factor, np.linalg.norm(matrix, 1))
+    if not rcond >= np.finfo(float).eps:
+        warnings.warn(f"ill-conditioned matrix (rcond={rcond:.6g}): "
+                      "result may not be accurate", LinAlgWarning, stacklevel=3)
+    return x.ravel()
+
+
+def _laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
+    """Weighted Laplacian with edge conductances 1/R_e; without the ground
+    vertex's row and column when ``ground`` is given, the other vertices
+    keeping their order."""
     g = n.graph
     t, h, c = g.tails, g.heads, 1.0 / n.resistances
-    lap = np.zeros((g.n_vertices, g.n_vertices))
     # Per edge, in edge order: (t,h), (h,t) lose c and (t,t), (h,h) gain it.
     # np.add.at sums repeated entries in this order, as an edge loop would.
     rows = np.column_stack([t, h, t, h]).ravel()
     cols = np.column_stack([h, t, t, h]).ravel()
-    np.add.at(lap, (rows, cols), np.column_stack([-c, -c, c, c]).ravel())
+    values = np.column_stack([-c, -c, c, c]).ravel()
+    size = g.n_vertices
+    if ground is not None:
+        kept = (rows != ground) & (cols != ground)
+        rows, cols, values = rows[kept], cols[kept], values[kept]
+        rows = rows - (rows > ground)
+        cols = cols - (cols > ground)
+        size -= 1
+    lap = np.zeros((size, size))
+    np.add.at(lap, (rows, cols), values)
     return lap
+
+
+def laplacian(n: ResistiveNetwork) -> np.ndarray:
+    """Weighted graph Laplacian with edge conductances 1/R_e."""
+    return _laplacian(n)
 
 
 def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:
     """Vertex potentials for a unit current injected at a, extracted at grounded b."""
     if a == b:
         raise SameVertexError("source and sink must differ")
-    keep = [v for v in range(n.graph.n_vertices) if v != b]
-    reduced = laplacian(n)[np.ix_(keep, keep)]
-    rhs = np.zeros(len(keep))
-    rhs[keep.index(a)] = 1.0
-    try:
-        sol = scipy.linalg.solve(reduced, rhs, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "reduced Laplacian is singular; is the network connected?") from exc
-    potentials = np.zeros(n.graph.n_vertices)
-    potentials[keep] = sol
-    return VoltageVector(potentials, ground=b)
+    reduced = _laplacian(n, ground=b)
+    rhs = np.zeros(len(reduced))
+    rhs[a - (a > b)] = 1.0
+    sol = _spd_solve(reduced, rhs,
+                     "reduced Laplacian is singular; is the network connected?")
+    return VoltageVector(np.insert(sol, b, 0.0), ground=b)
 
 
 def effective_resistance(n: ResistiveNetwork, a: int, b: int) -> float:
@@ -143,11 +184,8 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     base = walk_sign_vector(n.graph, walk_between(n.graph, a, b))
     cycles = n.graph.cycle_matrix
     weighted = cycles * n.resistances
-    gram = weighted @ cycles.T
-    try:
-        t = scipy.linalg.solve(gram, -weighted @ base, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("cycle Gram matrix is singular") from exc
+    t = _spd_solve(weighted @ cycles.T, -weighted @ base,
+                   "cycle Gram matrix is singular")
     return FlowVector(base + cycles.T @ t)
 
 

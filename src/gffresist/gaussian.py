@@ -254,11 +254,13 @@ def functional_draws(factor: tuple, c, count: int, seed: int):
         yield rng.standard_normal((min(block, count - start), u.size)) @ u
 
 
-def entropy_scalar(variance: float, tol: float = 1e-12):
+def entropy_scalar(variance: float, tol: float = 0.0):
     """Differential entropy (nats) of a scalar Gaussian with this variance.
 
     Returns 0.5 * ln(2*pi*e*variance) for variance > tol, the
-    DEGENERATE_ENTROPY signal at or below tol.
+    DEGENERATE_ENTROPY signal at or below tol. The default threshold 0.0
+    makes only a zero variance a point mass, in any units; a caller whose
+    variances carry rounding error passes a threshold on their scale.
     """
     if variance < 0:
         raise NegativeVarianceError(f"variance {variance:.3e} is negative")

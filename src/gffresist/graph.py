@@ -74,8 +74,13 @@ class Multigraph:
 
     @cached_property
     def cycle_matrix(self) -> np.ndarray:
-        """Read-only fundamental circuit sign vectors of ``tree``, one per row."""
-        cycles = circuit_matrix(self, fundamental_circuits(self))
+        """Read-only fundamental circuit sign vectors of ``tree``, one per row.
+
+        Row i is the sign vector of the i-th circuit of
+        ``fundamental_circuits``, built from arrays without making the
+        circuits (see ``_cycle_basis``).
+        """
+        cycles = _cycle_basis(self)
         cycles.setflags(write=False)
         return cycles
 
@@ -252,6 +257,33 @@ def _tree_edges(parent) -> frozenset:
 def spanning_tree(g: Multigraph) -> frozenset:
     """Deterministic BFS spanning tree from vertex 0, edge-id tie-break."""
     return _tree_edges(g.tree[0])
+
+
+def _cycle_basis(g: Multigraph) -> np.ndarray:
+    """Fundamental circuit sign vectors of the BFS tree, one row per chord.
+
+    Row v of ``paths`` is the sign vector of the tree walk from the root to
+    v; the BFS order fills a parent's row before its children's. The
+    circuit of chord e runs tail to head along e, then back along the tree,
+    so its row is ``e_e + paths[tail] - paths[head]``: the shared part of
+    the two root paths cancels and every entry is exactly -1, 0 or 1.
+    """
+    parent, _ = g.tree
+    if len(parent) != g.n_vertices:
+        raise NotASpanningTreeError("tree edges do not span the graph")
+    paths = np.zeros((g.n_vertices, g.n_edges), dtype=np.int8)
+    chord = np.ones(g.n_edges, dtype=bool)
+    for v, link in parent.items():
+        if link is not None:
+            p, e = link
+            paths[v] = paths[p]
+            paths[v, e] = 1 if v > p else -1
+            chord[e] = False
+    chords = np.flatnonzero(chord)
+    cycles = np.zeros((len(chords), g.n_edges))
+    cycles[np.arange(len(chords)), chords] = 1.0
+    cycles += paths[g.tails[chords]] - paths[g.heads[chords]]
+    return cycles
 
 
 def _tree_path(parent, depth, a: int, b: int):

@@ -489,10 +489,9 @@ SUITE_CHECKS = ("superadditivity", "melvin_chain", "entropy_chain",
                 "scaling", "monotonicity", "concavity")
 
 
-def _suite_reports(seed: int, index: int, tol: float, grid_points: int,
-                   unit: float = 1.0):
-    """(check name, report) of every suite check on instance ``index``, its
-    resistances and resistance bump given in ``unit`` ohms."""
+def _suite_instance(seed: int, index: int, unit: float = 1.0) -> tuple:
+    """``(graph, r, r_bar, a, b, edge, delta)`` of suite instance ``index``,
+    its resistances and resistance bump given in ``unit`` ohms."""
     rng = instance_rng(seed, index)
     net = random_network(rng)
     graph, r = net.graph, unit * net.resistances
@@ -500,6 +499,12 @@ def _suite_reports(seed: int, index: int, tol: float, grid_points: int,
     a, b = random_pair(rng, graph.n_vertices)
     edge = int(rng.integers(0, graph.n_edges))
     delta = unit * float(rng.uniform(0.1, 2.0))
+    return graph, r, r_bar, a, b, edge, delta
+
+
+def _suite_reports(graph: Multigraph, r, r_bar, a: int, b: int, edge: int,
+                   delta: float, tol: float, grid_points: int):
+    """(check name, report) of every suite check on one instance."""
     yield "superadditivity", check_superadditivity(graph, r, r_bar, a, b, tol)
     yield "melvin_chain", melvin_chain(graph, r, r_bar, a, b, tol)
     yield "entropy_chain", entropy_chain(graph, r, r_bar, a, b, tol)
@@ -533,7 +538,8 @@ def run_suite(seed: int, instances: int, tol: float = DEFAULT_TOL,
             entry["worst_margin"] = min(entry["worst_margin"], margin)
 
     for i in range(instances):
-        for name, report in _suite_reports(seed, i, tol, grid_points):
+        for name, report in _suite_reports(*_suite_instance(seed, i), tol,
+                                           grid_points):
             absorb(name, report)
 
     overall = all(entry["failures"] == 0 for entry in summary.values())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import LinAlgWarning
 
 from gffresist import (
     FlowVector,
@@ -17,13 +19,20 @@ from gffresist import (
     node_voltages,
     thomson_flow,
 )
+from gffresist.electric import _laplacian, _spd_solve
 from gffresist.errors import (
     DimensionMismatchError,
     SameVertexError,
     SingularSystemError,
     ValidationError,
 )
-from gffresist.graph import EdgeRecord, Multigraph, build_multigraph
+from gffresist.graph import (
+    EdgeRecord,
+    Multigraph,
+    build_multigraph,
+    walk_between,
+    walk_sign_vector,
+)
 from gffresist.verify import instance_rng, random_network, random_pair
 
 
@@ -68,6 +77,97 @@ class TestLaplacian:
                 ref[rec.tail, rec.tail] += c
                 ref[rec.head, rec.head] += c
             np.testing.assert_array_equal(laplacian(net), ref)
+
+
+    def test_ground_reduced_assembly_drops_one_row_and_column(self):
+        for i in range(30):
+            net = random_network(instance_rng(73, i))
+            full = laplacian(net)
+            for ground in range(net.graph.n_vertices):
+                expected = np.delete(np.delete(full, ground, 0), ground, 1)
+                np.testing.assert_array_equal(_laplacian(net, ground), expected)
+
+
+def grid_network(side: int, rng) -> ResistiveNetwork:
+    """side x side grid with log-uniform resistances in [0.1, 10]."""
+    specs = [(i * side + j, i * side + j + 1)
+             for i in range(side) for j in range(side - 1)]
+    specs += [(i * side + j, (i + 1) * side + j)
+              for i in range(side - 1) for j in range(side)]
+    g = build_multigraph(list(range(side * side)), specs)
+    return ResistiveNetwork(g, np.exp(rng.uniform(np.log(0.1), np.log(10.0),
+                                                  g.n_edges)))
+
+
+def scipy_voltages(net: ResistiveNetwork, a: int, b: int) -> np.ndarray:
+    """Reference: slice the full Laplacian, solve with scipy.linalg.solve."""
+    keep = [v for v in range(net.graph.n_vertices) if v != b]
+    rhs = np.zeros(len(keep))
+    rhs[keep.index(a)] = 1.0
+    potentials = np.zeros(net.graph.n_vertices)
+    potentials[keep] = scipy.linalg.solve(
+        laplacian(net)[np.ix_(keep, keep)], rhs, assume_a="pos")
+    return potentials
+
+
+def scipy_oracle_flow(net: ResistiveNetwork, a: int, b: int) -> np.ndarray:
+    """Reference: the cycle-coordinate normal equations through scipy."""
+    g = net.graph
+    base = walk_sign_vector(g, walk_between(g, a, b))
+    weighted = g.cycle_matrix * net.resistances
+    t = scipy.linalg.solve(weighted @ g.cycle_matrix.T, -weighted @ base,
+                           assume_a="pos")
+    return base + g.cycle_matrix.T @ t
+
+
+class TestSpdSolve:
+    def test_matches_scipy_on_grids(self):
+        rng = np.random.default_rng(2024)
+        for side in (4, 8, 12, 16):
+            net = grid_network(side, rng)
+            n_v = net.graph.n_vertices
+            pairs = [(0, n_v - 1), (n_v - 1, 0)] + [
+                random_pair(rng, n_v) for _ in range(3)]
+            for a, b in pairs:
+                assert np.array_equal(node_voltages(net, a, b).potentials,
+                                      scipy_voltages(net, a, b))
+                assert np.array_equal(min_energy_flow_oracle(net, a, b).currents,
+                                      scipy_oracle_flow(net, a, b))
+
+    def test_matches_scipy_on_small_systems(self):
+        # 1x1 and 2x2 systems: parallel pairs, paths and triangles
+        for i in range(100):
+            rng = instance_rng(79, i)
+            net = random_network(rng, max_vertices=3, max_edges=4)
+            a, b = random_pair(rng, net.graph.n_vertices)
+            assert np.array_equal(node_voltages(net, a, b).potentials,
+                                  scipy_voltages(net, a, b))
+            assert np.array_equal(min_energy_flow_oracle(net, a, b).currents,
+                                  scipy_oracle_flow(net, a, b))
+
+    @pytest.mark.parametrize("matrix", [[[1.0, 2.0], [2.0, 1.0]],
+                                        [[0.0, 0.0], [0.0, 1.0]],
+                                        [[0.0]], [[-1.0]]])
+    def test_not_positive_definite_raises(self, matrix):
+        with pytest.raises(SingularSystemError, match="^no factor$"):
+            _spd_solve(np.array(matrix), np.ones(len(matrix)), "no factor")
+
+    def test_ill_conditioned_warns(self):
+        matrix = np.diag([1.0, 1e-17])
+        with pytest.warns(LinAlgWarning, match="ill-conditioned"):
+            x = _spd_solve(matrix, np.ones(2), "unused")
+        np.testing.assert_allclose(x, [1.0, 1e17])
+
+    def test_empty_system(self):
+        x = _spd_solve(np.zeros((0, 0)), np.zeros(0), "unused")
+        assert x.shape == (0,)
+
+    def test_reads_the_upper_triangle(self):
+        matrix = np.array([[4.0, 1.0], [-7.0, 3.0]])
+        symmetric = np.array([[4.0, 1.0], [1.0, 3.0]])
+        rhs = np.array([1.0, 2.0])
+        np.testing.assert_array_equal(_spd_solve(matrix, rhs, "unused"),
+                                      _spd_solve(symmetric, rhs, "unused"))
 
 
 class TestNodeVoltages:

@@ -256,7 +256,16 @@ class TestEntropy:
 
     def test_degenerate(self):
         assert entropy_scalar(0.0) == DEGENERATE_ENTROPY
-        assert isinstance(entropy_scalar(1e-13), DegenerateEntropy)
+        assert isinstance(entropy_scalar(1e-13, tol=1e-12), DegenerateEntropy)
+
+    @pytest.mark.parametrize("v", [0.0, 5e-13, 1e-300, 1.0, 3.7e5])
+    def test_default_verdict_is_unit_free(self, v):
+        degenerate = isinstance(entropy_scalar(v), DegenerateEntropy)
+        assert degenerate == (v == 0.0)
+        for k in range(-12, 13):
+            t = 10.0 ** k
+            assert isinstance(entropy_scalar(t * v), DegenerateEntropy) \
+                == degenerate, f"variance {v} times {t}"
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeVarianceError):

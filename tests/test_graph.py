@@ -19,7 +19,6 @@ from gffresist import (
     walk_between,
     walk_sign_vector,
 )
-from gffresist import electric, gff
 from gffresist import graph as graph_module
 from gffresist.cli import parse_network
 from gffresist.electric import kvl_residual, min_energy_flow_oracle
@@ -133,25 +132,40 @@ class TestBuild:
         assert series_path.graph.cycle_matrix.shape == (0, 2)
 
     def test_one_circuit_build_per_graph(self, monkeypatch, bridge):
-        # Patch every module binding, so a module that rebuilds the
-        # circuits through its own imported name is counted too.
+        # Every route reads the cycle basis through the cached cycle_matrix,
+        # so the basis is built once per graph.
         calls = []
-        for module in (graph_module, electric, gff):
-            original = getattr(module, "fundamental_circuits", None)
-            if original is None:
-                continue
+        original = graph_module._cycle_basis
 
-            def counting(g, *args, _original=original, **kwargs):
-                calls.append(g)
-                return _original(g, *args, **kwargs)
+        def counting(g):
+            calls.append(g)
+            return original(g)
 
-            monkeypatch.setattr(module, "fundamental_circuits", counting)
+        monkeypatch.setattr(graph_module, "_cycle_basis", counting)
         flow = min_energy_flow_oracle(bridge, 0, 3)
         kvl_residual(bridge, flow)
         build_free_field(bridge)
         entropy_chain(bridge.graph, bridge.resistances,
                       2.0 * bridge.resistances, 0, 3)
-        assert len(calls) == 1
+        assert calls == [bridge.graph]
+
+    def test_cycle_matrix_equals_the_circuit_oracle(self):
+        # Random multigraphs with parallel edges: the array-built basis
+        # equals the stacked sign vectors of the built circuits, byte for
+        # byte.
+        parallel = 0
+        for i in range(300):
+            g = random_network(instance_rng(83, i)).graph
+            expected = circuit_matrix(g, fundamental_circuits(g))
+            assert g.cycle_matrix.shape == expected.shape
+            assert g.cycle_matrix.tobytes() == expected.tobytes()
+            parallel += any(rec.parallel_index for rec in g.edges)
+        assert parallel > 100
+
+    def test_cycle_matrix_needs_a_spanning_tree(self):
+        g = Multigraph(("a", "b", "c"), (EdgeRecord(0, 1, 0),))
+        with pytest.raises(NotASpanningTreeError):
+            g.cycle_matrix
 
 
 class TestSpanningTree:

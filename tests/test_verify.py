@@ -27,6 +27,7 @@ from gffresist.verify import (
     DEFAULT_TOL,
     Inequality,
     _judged,
+    _suite_instance,
     _suite_reports,
     instance_rng,
     random_network,
@@ -375,8 +376,9 @@ def unit_free(report: VerificationReport) -> list:
 
 
 def suite_unit_free(seed: int, index: int, unit: float) -> list:
+    instance = _suite_instance(seed, index, unit)
     return [(name, unit_free(report)) for name, report in
-            _suite_reports(seed, index, DEFAULT_TOL, 11, unit)]
+            _suite_reports(*instance, DEFAULT_TOL, 11)]
 
 
 def assert_same_verdicts(scaled: list, reference: list):
