@@ -48,6 +48,7 @@ from .graph import (
     enumerate_simple_walks,
     fundamental_circuits,
     spanning_tree,
+    tree_walk_vector,
     walk_between,
     walk_sign_vector,
 )

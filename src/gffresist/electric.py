@@ -24,7 +24,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .graph import Multigraph, walk_between, walk_sign_vector
+from .graph import Multigraph, tree_walk_vector
 
 MIN_RESISTANCE = 1e-12
 
@@ -179,9 +179,7 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     circuit sign vectors; the power quadratic is minimized by solving its
     normal equations in cycle coordinates.
     """
-    if a == b:
-        raise SameVertexError("source and sink must differ")
-    base = walk_sign_vector(n.graph, walk_between(n.graph, a, b))
+    base = tree_walk_vector(n.graph, a, b)
     cycles = n.graph.cycle_matrix
     weighted = cycles * n.resistances
     t = _spd_solve(weighted @ cycles.T, -weighted @ base,

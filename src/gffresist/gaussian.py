@@ -30,7 +30,7 @@ PSD_TOL = 1e-10
 EIG_CUTOFF = 1e-12
 VARIANCE_CLAMP = 1e-12
 INCONSISTENCY_TOL = 1e-8
-DRAW_BLOCK = 1 << 20  # normals functional_draws draws at once (8 MB)
+DRAW_BLOCK = 1 << 19  # normals functional_draws draws at once (4 MB)
 
 
 @functools.total_ordering
@@ -227,17 +227,18 @@ def condition_diagonal(variances, rows) -> tuple:
     return s, vt.T
 
 
-def _functional_root(factor: tuple, c) -> np.ndarray:
-    """u = w - q q' w, w = s c: under condition_diagonal, c . x = u . z."""
+def functional_root(factor: tuple, c) -> np.ndarray:
+    """u = w - q q' w, w = s c: under condition_diagonal, c . x = u . z; a
+    stack of rows c gets one root per row, and u u' is their covariance."""
     s, q = factor
     w = s * np.asarray(c, dtype=float)
-    return w - q @ (q.T @ w)
+    return w - (q @ (q.T @ w.T)).T
 
 
 def conditioned_variance(factor: tuple, c) -> float:
     """Variance |u|^2 of c . x under condition_diagonal: its rounding error
     is about eps |w| |u|, where w . u would lose eps |w|^2 on a wide span."""
-    u = _functional_root(factor, c)
+    u = functional_root(factor, c)
     return float(u @ u)
 
 
@@ -247,7 +248,7 @@ def functional_draws(factor: tuple, c, count: int, seed: int):
     whatever the blocks, in O(DRAW_BLOCK) memory."""
     if count < 1:
         raise ValidationError("need at least one sample")
-    u = _functional_root(factor, c)
+    u = functional_root(factor, c)
     rng = np.random.default_rng(seed)
     block = max(1, DRAW_BLOCK // u.size)  # rows of z
     for start in range(0, count, block):

@@ -12,14 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electric import ResistiveNetwork
-from .errors import SameVertexError
+from .errors import NotASpanningTreeError
 from .gaussian import (
     ConstraintSet,
     GaussianVector,
     condition_diagonal,
     conditioned_variance,
+    functional_root,
 )
-from .graph import enumerate_simple_walks, walk_between, walk_sign_vector
+from .graph import enumerate_simple_walks, tree_walk_vector, walk_sign_vector
 
 
 @dataclass(frozen=True)
@@ -32,18 +33,12 @@ class FreeField:
     reference_vertex: int
     constraint_basis: ConstraintSet
 
-    @property
-    def _edge_root(self) -> np.ndarray:
-        """M = diag(s) (I - q q'), so that the edge covariance is M M'."""
-        s, q = self.factor
-        return np.diag(s) - (s[:, None] * q) @ q.T
-
     @functools.cached_property
     def edge_field(self) -> GaussianVector:
         """The E x E edge Gaussian, formed on first use as the Gram matrix
-        M M'; diag(R) - (s q)(s q)' can come out indefinite on wide
-        resistance spans."""
-        m = self._edge_root
+        M M' of the identity rows' roots M = diag(s) (I - q q'); diag(R) -
+        (s q)(s q)' can come out indefinite on wide resistance spans."""
+        m = functional_root(self.factor, np.eye(self.network.graph.n_edges))
         return GaussianVector(np.zeros(m.shape[0]), m @ m.T)
 
 
@@ -60,10 +55,7 @@ def potential_difference_functional(f: FreeField, a: int, b: int) -> np.ndarray:
     Any a-to-b walk gives the same value almost surely; the spanning-tree
     walk is used as the representative.
     """
-    if a == b:
-        raise SameVertexError("potential difference needs two distinct vertices")
-    g = f.network.graph
-    return walk_sign_vector(g, walk_between(g, a, b))
+    return tree_walk_vector(f.network.graph, a, b)
 
 
 def potential_difference_variance(f: FreeField, a: int, b: int) -> float:
@@ -78,14 +70,12 @@ def eta_field(f: FreeField) -> GaussianVector:
     Coordinate v applies the tree-path functional from the reference vertex
     to v; the reference coordinate is identically zero.
     """
-    g = f.network.graph
-    rows = np.zeros((g.n_vertices, g.n_edges))
-    for v in range(g.n_vertices):
-        if v == f.reference_vertex:
-            continue
-        rows[v] = walk_sign_vector(g, walk_between(g, f.reference_vertex, v))
-    b = rows @ f._edge_root
-    return GaussianVector(np.zeros(g.n_vertices), b @ b.T)
+    paths = f.network.graph.tree_paths
+    # A negative index would wrap to another vertex's row.
+    if not 0 <= f.reference_vertex < len(paths):
+        raise NotASpanningTreeError(f"no tree path from {f.reference_vertex}")
+    b = functional_root(f.factor, paths - paths[f.reference_vertex])
+    return GaussianVector(np.zeros(len(b)), b @ b.T)
 
 
 def path_independence_check(f: FreeField, a: int, b: int,

@@ -73,6 +73,23 @@ class Multigraph:
         return _bfs(self)
 
     @cached_property
+    def tree_paths(self) -> np.ndarray:
+        """Read-only int8 sign vectors of the tree walks from vertex 0, one
+        row per vertex; row v is its parent's row plus v's tree edge, and the
+        BFS order fills a parent's row before its children's."""
+        parent, _ = self.tree
+        if len(parent) != self.n_vertices:
+            raise NotASpanningTreeError("tree edges do not span the graph")
+        paths = np.zeros((self.n_vertices, self.n_edges), dtype=np.int8)
+        for v, link in parent.items():
+            if link is not None:
+                p, e = link
+                paths[v] = paths[p]
+                paths[v, e] = 1 if v > p else -1
+        paths.setflags(write=False)
+        return paths
+
+    @cached_property
     def cycle_matrix(self) -> np.ndarray:
         """Read-only fundamental circuit sign vectors of ``tree``, one per row.
 
@@ -262,28 +279,27 @@ def spanning_tree(g: Multigraph) -> frozenset:
 def _cycle_basis(g: Multigraph) -> np.ndarray:
     """Fundamental circuit sign vectors of the BFS tree, one row per chord.
 
-    Row v of ``paths`` is the sign vector of the tree walk from the root to
-    v; the BFS order fills a parent's row before its children's. The
-    circuit of chord e runs tail to head along e, then back along the tree,
-    so its row is ``e_e + paths[tail] - paths[head]``: the shared part of
+    The chords are the edges no root path uses. The circuit of chord e runs
+    tail to head along e, then back along the tree, so its row is
+    ``e_e + P[tail] - P[head]`` with ``P = g.tree_paths``: the shared part of
     the two root paths cancels and every entry is exactly -1, 0 or 1.
     """
-    parent, _ = g.tree
-    if len(parent) != g.n_vertices:
-        raise NotASpanningTreeError("tree edges do not span the graph")
-    paths = np.zeros((g.n_vertices, g.n_edges), dtype=np.int8)
-    chord = np.ones(g.n_edges, dtype=bool)
-    for v, link in parent.items():
-        if link is not None:
-            p, e = link
-            paths[v] = paths[p]
-            paths[v, e] = 1 if v > p else -1
-            chord[e] = False
-    chords = np.flatnonzero(chord)
-    cycles = np.zeros((len(chords), g.n_edges))
+    paths = g.tree_paths
+    chords = np.flatnonzero(~paths.any(axis=0))
+    cycles = (paths[g.tails[chords]] - paths[g.heads[chords]]).astype(float)
     cycles[np.arange(len(chords)), chords] = 1.0
-    cycles += paths[g.tails[chords]] - paths[g.heads[chords]]
     return cycles
+
+
+def tree_walk_vector(g: Multigraph, a: int, b: int) -> np.ndarray:
+    """Sign vector ``P[b] - P[a]``, ``P = g.tree_paths``, of the tree walk
+    from a to b: ``walk_sign_vector(g, walk_between(g, a, b))`` without the
+    walk, with its checks on a and b (a negative index must not wrap)."""
+    if a == b:
+        raise SameVertexError(f"walk endpoints must differ, got vertex {a} twice")
+    if not (0 <= a < g.n_vertices and 0 <= b < g.n_vertices):
+        raise NotASpanningTreeError(f"no tree path from {a} to {b}")
+    return (g.tree_paths[b] - g.tree_paths[a]).astype(float)
 
 
 def _tree_path(parent, depth, a: int, b: int):
@@ -340,17 +356,6 @@ def fundamental_circuits(g: Multigraph, tree=None) -> list:
     return circuits
 
 
-def _canonical_edge_key(edge_seq) -> tuple:
-    """Lexicographically smallest rotation/reflection of the edge sequence."""
-    best = None
-    for seq in (list(edge_seq), list(edge_seq)[::-1]):
-        for r in range(len(seq)):
-            cand = tuple(seq[r:] + seq[:r])
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 def _simple_paths(g: Multigraph, start: int, stop: int, floor: int):
     """Every path from start to stop, by depth-first search without recursion.
 
@@ -385,15 +390,15 @@ def _simple_paths(g: Multigraph, start: int, stop: int, floor: int):
 def enumerate_circuits(g: Multigraph, limit: int = DEFAULT_CIRCUIT_LIMIT) -> list:
     """Every circuit of g, once up to starting point and direction.
 
-    Each circuit is found from its smallest vertex. Deduplication is by
-    canonical edge-id sequence (smallest rotation or reflection). Intended
-    for desk-scale graphs; raises SizeLimitExceededError once more than
-    ``limit`` distinct circuits are found.
+    Each circuit is found from its smallest vertex in both directions and
+    kept as first found; its edge set, which determines it, is the key.
+    Intended for desk-scale graphs; raises SizeLimitExceededError once more
+    than ``limit`` distinct circuits are found.
     """
     found = {}
     for s in range(g.n_vertices):
         for path_vs, path_es in _simple_paths(g, s, s, s):
-            key = _canonical_edge_key(path_es)
+            key = frozenset(path_es)
             if key not in found:
                 found[key] = make_circuit(g, path_vs, path_es)
                 if len(found) > limit:

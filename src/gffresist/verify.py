@@ -43,8 +43,8 @@ from .gff import (
 from .graph import Multigraph, build_multigraph
 
 DEFAULT_TOL = 1e-8
-Z_LIMIT = 4.0
-LOW_POWER_COUNT = 100
+# Two-sided tail of the Monte Carlo check: that of a normal 4-sigma test.
+MC_ALPHA = math.erfc(4.0 / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -169,14 +169,17 @@ def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
         raise ValidationError("concavity grid needs at least 3 points")
     r0 = np.asarray(r0, dtype=float)
     r1 = np.asarray(r1, dtype=float)
-    lams = np.linspace(0.0, 1.0, grid_points)
-    f = np.array([
-        effective_resistance(
+
+    def reff_at(lam):
+        return effective_resistance(
             ResistiveNetwork(graph, (1.0 - lam) * r0 + lam * r1), a, b)
-        for lam in lams
-    ])
+
+    lams = np.linspace(0.0, 1.0, grid_points)
+    f = np.array([reff_at(lam) for lam in lams])
     second = f[:-2] - 2.0 * f[1:-1] + f[2:]
-    mid = effective_resistance(ResistiveNetwork(graph, 0.5 * (r0 + r1)), a, b)
+    # Most odd grids hold lambda = 0.5 exactly at their centre (99 does not).
+    centre = grid_points // 2
+    mid = float(f[centre]) if lams[centre] == 0.5 else reff_at(0.5)
     endpoint_mean = 0.5 * (f[0] + f[-1])
     quantities = (
         ("reff_at_r0", float(f[0])),
@@ -421,27 +424,28 @@ def appendix_check(instance: AppendixInstance,
 
 def monte_carlo_variance_check(graph: Multigraph, r, a: int, b: int,
                                count: int, seed: int) -> VerificationReport:
-    """Statistical route: sampled potential-difference variance vs Reff."""
+    """Statistical route: a potential difference d has mean 0, so sum(d^2) /
+    reff is chi-square(count), exactly; test it at two-sided level MC_ALPHA."""
     net = ResistiveNetwork(graph, np.asarray(r, dtype=float))
     field = build_free_field(net)
     functional = potential_difference_functional(field, a, b)
-    # Sum and sum of squares, block by block: memory does not grow with count.
-    sums = sum(np.array([np.sum(d), d @ d]) for d in
-               functional_draws(field.factor, functional, count, seed))
-    empirical = float(sums[1] / count - (sums[0] / count) ** 2)
+    # Block by block: memory does not grow with count.
+    squares = sum(d @ d for d in
+                  functional_draws(field.factor, functional, count, seed))
+    # Late: at import it slows CLI start, before the draws it adds peak RSS.
+    from scipy.special import chdtri
     reff = effective_resistance(net, a, b)
-    z = abs(empirical - reff) / (reff * math.sqrt(2.0 / count))
-    quantities = [
+    quantities = (
         ("reff", reff),
-        ("empirical_variance", empirical),
-        ("z_score", z),
-        ("z_limit", Z_LIMIT),
+        ("empirical_variance", float(squares / count)),
+        ("variance_low", float(reff * chdtri(count, 1 - MC_ALPHA / 2) / count)),
+        ("variance_high", float(reff * chdtri(count, MC_ALPHA / 2) / count)),
         ("sample_count", float(count)),
-    ]
-    if count < LOW_POWER_COUNT:
-        quantities.append(("low_power", 1.0))
-    return _judged("monte_carlo_variance", quantities,
-                   [("z_score", "<=", "z_limit")], 0.0)
+    )
+    return _judged("monte_carlo_variance", quantities, [
+        ("empirical_variance", ">=", "variance_low"),
+        ("empirical_variance", "<=", "variance_high"),
+    ], 0.0)
 
 
 # --- randomized desk-scale instance generation -----------------------------

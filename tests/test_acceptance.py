@@ -163,7 +163,7 @@ def test_criterion_5_gff_identity_and_monte_carlo(instances):
     for i, (net, _, a, b) in enumerate(instances[:10]):
         report = monte_carlo_variance_check(
             net.graph, net.resistances, a, b, 1_000_000, seed=1000 + i)
-        assert report.passed, f"mc instance {i}: z={report.quantity('z_score')}"
+        assert report.passed, f"mc instance {i}: {report.to_dict()}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"monte carlo sweep took {elapsed:.1f}s"
     report_line(5, "gff identity + monte carlo")

@@ -285,7 +285,7 @@ class TestCommands:
                             "--pair", "a,b",
                             "--samples", "50000", "--seed", "3"])
         assert code == EXIT_PASS
-        assert "z_score" in capsys.readouterr().out
+        assert "empirical_variance <= variance_high" in capsys.readouterr().out
 
     def test_wide_span_network_is_valid(self, capsys):
         # Resistances over [1e-6, 1e6]: the free field's own covariance used
@@ -499,16 +499,17 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_failed_inequality_exits_one(self, tmp_path, capsys):
-        # Two draws (seed 755) across one 1-ohm edge have an empirical
-        # variance of 6.6, so z_score = 5.6 exceeds z_limit = 4. With one
-        # edge each draw is the generator's normal times +-1, so the
-        # variance does not hang on an eigenvector sign.
+        # Two draws (seed 36924) across one 1-ohm edge have an empirical
+        # variance of 12.2, above the chi-square(2) bound 10.36 of the
+        # check's two-sided 6.3e-5 tail. With one edge each draw is the
+        # generator's normal times +-1, so the variance does not hang on a
+        # sign.
         code = run_command([
             "verify", "mc", "--network", write_single_edge(tmp_path, "1"),
-            "--pair", "a,b", "--samples", "2", "--seed", "755"])
+            "--pair", "a,b", "--samples", "2", "--seed", "36924"])
         assert code == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
-        assert "z_score <= z_limit  margin=-1.6" in out
+        assert "empirical_variance <= variance_high  margin=-1.86" in out
         assert "result: FAIL" in out
 
 

@@ -34,6 +34,7 @@ from gffresist.gaussian import (
     condition_diagonal,
     conditioned_variance,
     functional_draws,
+    functional_root,
 )
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -391,6 +392,20 @@ class TestFunctionalSampling:
         with pytest.raises(ValidationError):
             all_draws(condition_diagonal([1.0], np.zeros((0, 1))),
                               [1.0], 0, seed=1)
+
+    def test_row_stack_matches_row_by_row_roots(self):
+        rng = np.random.default_rng(12)
+        # Relative to w = s c, the scale of the roots' rounding: with as many
+        # rows as coordinates every root is 0 up to that rounding.
+        for k, dim in ((0, 3), (2, 5), (6, 9), (9, 9)):
+            rows = rng.standard_normal((k, dim))
+            factor = condition_diagonal(rng.uniform(0.1, 10.0, dim), rows)
+            c = rng.standard_normal((7, dim))
+            stacked = functional_root(factor, c)
+            single = np.array([functional_root(factor, row) for row in c])
+            assert stacked.shape == single.shape
+            assert (np.max(np.abs(stacked - single))
+                    <= 1e-14 * np.max(np.abs(factor[0] * c)))
 
 
 class TestLinearFunctionalVariance:

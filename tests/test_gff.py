@@ -29,7 +29,7 @@ from gffresist import (
     verify,
 )
 from gffresist.cli import parse_network
-from gffresist.errors import SameVertexError
+from gffresist.errors import NotASpanningTreeError, SameVertexError
 from gffresist.verify import (
     instance_rng,
     random_network,
@@ -140,6 +140,11 @@ class TestEtaField:
         eta = eta_field(build_free_field(triangle, v_star=0))
         assert eta.covariance[1, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert eta.covariance[2, 2] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("v_star", [-1, 3])
+    def test_reference_out_of_range(self, triangle, v_star):
+        with pytest.raises(NotASpanningTreeError):
+            eta_field(build_free_field(triangle, v_star=v_star))
 
     def test_differences_ignore_reference_choice(self):
         for i in range(10):

@@ -1,11 +1,14 @@
 """Multigraph construction, spanning trees, circuits, and sign vectors."""
 
+import importlib
+import pkgutil
 from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gffresist
 from gffresist import (
     Circuit,
     Multigraph,
@@ -16,6 +19,7 @@ from gffresist import (
     enumerate_simple_walks,
     fundamental_circuits,
     spanning_tree,
+    tree_walk_vector,
     walk_between,
     walk_sign_vector,
 )
@@ -32,9 +36,14 @@ from gffresist.errors import (
     SizeLimitExceededError,
     UnknownEndpointError,
 )
-from gffresist.gff import build_free_field
+from gffresist.gff import build_free_field, eta_field, potential_difference_variance
 from gffresist.graph import EdgeRecord, make_circuit
-from gffresist.verify import entropy_chain, instance_rng, random_network
+from gffresist.verify import (
+    entropy_chain,
+    instance_rng,
+    monte_carlo_variance_check,
+    random_network,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -166,6 +175,8 @@ class TestBuild:
         g = Multigraph(("a", "b", "c"), (EdgeRecord(0, 1, 0),))
         with pytest.raises(NotASpanningTreeError):
             g.cycle_matrix
+        with pytest.raises(NotASpanningTreeError):
+            g.tree_paths
 
 
 class TestSpanningTree:
@@ -273,6 +284,25 @@ class TestEnumerateCircuits:
             assert len(enumerate_circuits(g)) == \
                 count_circuits_brute(multiplicity)
 
+    def test_edge_set_key_keeps_the_sequence_key_circuits(self):
+        # The earlier key, the smallest rotation or reflection of the edge-id
+        # sequence, is the oracle: same circuits, order and orientation.
+        def by_sequence_key(g):
+            found = {}
+            for s in range(g.n_vertices):
+                for vs, es in graph_module._simple_paths(g, s, s, s):
+                    key = min(tuple(seq[k:] + seq[:k])
+                              for seq in (es, es[::-1]) for k in range(len(es)))
+                    found.setdefault(key, make_circuit(g, vs, es))
+            return list(found.values())
+
+        parallel = 0
+        for i in range(300):
+            g = random_network(instance_rng(61, i)).graph
+            assert enumerate_circuits(g) == by_sequence_key(g)
+            parallel += any(rec.parallel_index for rec in g.edges)
+        assert parallel > 100
+
     def test_limit_guard(self):
         names = ["a", "b", "c", "d"]
         specs = [(names[i], names[j]) for i in range(4) for j in range(i + 1, 4)]
@@ -347,6 +377,60 @@ class TestWalkBetween:
             fwd = walk_sign_vector(g, walk_between(g, a, b))
             rev = walk_sign_vector(g, walk_between(g, b, a))
             np.testing.assert_array_equal(fwd, -rev)
+
+
+class TestTreePaths:
+    def test_view(self, triangle):
+        g = triangle.graph
+        paths = g.tree_paths
+        assert paths is g.tree_paths
+        assert paths.dtype == np.int8 and not paths.flags.writeable
+        # tree edges 0 (0-1) and 2 (0-2); chord 1 is on no root path
+        assert paths.tolist() == [[0, 0, 0], [1, 0, 0], [0, 0, 1]]
+
+    def test_same_vertex_rejected(self, triangle):
+        with pytest.raises(SameVertexError):
+            tree_walk_vector(triangle.graph, 2, 2)
+
+    @pytest.mark.parametrize("a, b", [(-1, 1), (1, -1), (0, 3), (3, 0)])
+    def test_vertex_out_of_range(self, triangle, a, b):
+        # As the walk oracle: no row of another vertex stands in.
+        for walk in (walk_between, tree_walk_vector):
+            with pytest.raises(NotASpanningTreeError):
+                walk(triangle.graph, a, b)
+
+    def test_equals_the_walk_oracle(self):
+        # Every ordered pair on random multigraphs with parallel edges: the
+        # row difference is the built walk's sign vector, byte for byte.
+        parallel = 0
+        for i in range(300):
+            g = random_network(instance_rng(99, i)).graph
+            for a in range(g.n_vertices):
+                for b in range(g.n_vertices):
+                    if a != b:
+                        expected = walk_sign_vector(g, walk_between(g, a, b))
+                        assert (tree_walk_vector(g, a, b).tobytes()
+                                == expected.tobytes())
+            parallel += any(rec.parallel_index for rec in g.edges)
+        assert parallel > 100
+
+    def test_no_route_builds_a_walk(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a route built a Walk")
+
+        for info in pkgutil.iter_modules(gffresist.__path__):
+            module = importlib.import_module(f"gffresist.{info.name}")
+            for name in ("walk_between", "make_walk"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        net = parse_network(str(DATA / "grid4.json"))
+        g, r = net.graph, net.resistances
+        min_energy_flow_oracle(net, 0, 15)
+        field = build_free_field(net)
+        potential_difference_variance(field, 0, 15)
+        eta_field(field)
+        entropy_chain(g, r, 2.0 * r, 0, 15)
+        monte_carlo_variance_check(g, r, 0, 15, 1000, seed=1)
 
 
 class TestSpanEquivalence:
