@@ -386,10 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "absolute, in nats; concavity relative to max|f|")
     positive = _at_least(float, 0, strict=True)
 
-    def add_common(p, network=True):
-        if network:
-            p.add_argument("--network", required=True, help="network JSON file")
-            p.add_argument("--pair", required=True, help="vertex pair NAME,NAME")
+    def add_common(p):
+        p.add_argument("--network", required=True, help="network JSON file")
+        p.add_argument("--pair", required=True, help="vertex pair NAME,NAME")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_reff = sub.add_parser("reff", help="effective resistance (Laplacian route)")

@@ -20,7 +20,6 @@ from scipy.linalg.lapack import dpocon, dposv
 
 from .errors import (
     DimensionMismatchError,
-    SameVertexError,
     SingularSystemError,
     ValidationError,
 )
@@ -146,8 +145,7 @@ def laplacian(n: ResistiveNetwork) -> np.ndarray:
 
 def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:
     """Vertex potentials for a unit current injected at a, extracted at grounded b."""
-    if a == b:
-        raise SameVertexError("source and sink must differ")
+    n.graph.check_vertices(a, b)
     reduced = _laplacian(n, ground=b)
     rhs = np.zeros(len(reduced))
     rhs[a - (a > b)] = 1.0
@@ -196,6 +194,7 @@ def dissipated_power(n: ResistiveNetwork, f: FlowVector) -> float:
 def kcl_residual(n: ResistiveNetwork, f: FlowVector, a: int, b: int) -> float:
     """Worst-vertex violation of current conservation for a unit a-to-b source."""
     _check_flow(n, f)
+    n.graph.check_vertices(a, b)
     source = np.zeros(n.graph.n_vertices)
     source[a] += 1.0
     source[b] -= 1.0

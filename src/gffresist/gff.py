@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electric import ResistiveNetwork
-from .errors import NotASpanningTreeError
 from .gaussian import (
     ConstraintSet,
     GaussianVector,
@@ -70,16 +69,14 @@ def eta_field(f: FreeField) -> GaussianVector:
     Coordinate v applies the tree-path functional from the reference vertex
     to v; the reference coordinate is identically zero.
     """
+    # Here, not in build_free_field: a FreeField can be built directly.
+    f.network.graph.check_vertices(f.reference_vertex)
     paths = f.network.graph.tree_paths
-    # A negative index would wrap to another vertex's row.
-    if not 0 <= f.reference_vertex < len(paths):
-        raise NotASpanningTreeError(f"no tree path from {f.reference_vertex}")
     b = functional_root(f.factor, paths - paths[f.reference_vertex])
     return GaussianVector(np.zeros(len(b)), b @ b.T)
 
 
-def path_independence_check(f: FreeField, a: int, b: int,
-                            limit: int = 10_000) -> float:
+def path_independence_check(f: FreeField, a: int, b: int) -> float:
     """Worst variance of the difference between two a-to-b walk functionals.
 
     Enumerates simple walks only; any other walk differs from a simple one
@@ -87,7 +84,7 @@ def path_independence_check(f: FreeField, a: int, b: int,
     contract is a value at most 1e-10.
     """
     g = f.network.graph
-    walks = enumerate_simple_walks(g, a, b, limit=limit)
+    walks = enumerate_simple_walks(g, a, b)
     vectors = [walk_sign_vector(g, w) for w in walks]
     worst = 0.0
     for i in range(len(vectors)):

@@ -119,6 +119,17 @@ class Multigraph:
         except ValueError:
             raise UnknownEndpointError(f"unknown vertex {name!r}") from None
 
+    def check_vertices(self, *vertices):
+        """Raise SameVertexError if a vertex repeats, else NotASpanningTreeError
+        for one outside 0 <= v < n_vertices: a negative index never wraps."""
+        if len(set(vertices)) < len(vertices):
+            raise SameVertexError(
+                f"vertices must differ, got {', '.join(map(str, vertices))}")
+        for v in vertices:
+            if not 0 <= v < self.n_vertices:
+                raise NotASpanningTreeError(
+                    f"vertex {v} out of range for {self.n_vertices} vertices")
+
     def incidence_matrix(self) -> np.ndarray:
         """Signed vertex-edge incidence: +1 at the tail, -1 at the head."""
         b = np.zeros((self.n_vertices, self.n_edges))
@@ -294,11 +305,8 @@ def _cycle_basis(g: Multigraph) -> np.ndarray:
 def tree_walk_vector(g: Multigraph, a: int, b: int) -> np.ndarray:
     """Sign vector ``P[b] - P[a]``, ``P = g.tree_paths``, of the tree walk
     from a to b: ``walk_sign_vector(g, walk_between(g, a, b))`` without the
-    walk, with its checks on a and b (a negative index must not wrap)."""
-    if a == b:
-        raise SameVertexError(f"walk endpoints must differ, got vertex {a} twice")
-    if not (0 <= a < g.n_vertices and 0 <= b < g.n_vertices):
-        raise NotASpanningTreeError(f"no tree path from {a} to {b}")
+    walk."""
+    g.check_vertices(a, b)
     return (g.tree_paths[b] - g.tree_paths[a]).astype(float)
 
 
@@ -308,8 +316,6 @@ def _tree_path(parent, depth, a: int, b: int):
     Walks up from the deeper end until both ends meet at their lowest
     common ancestor.
     """
-    if a not in depth or b not in depth:
-        raise NotASpanningTreeError(f"no tree path from {a} to {b}")
     up_vs, up_es, down_vs, down_es = [a], [], [b], []
     while a != b:
         if depth[a] >= depth[b]:
@@ -325,8 +331,7 @@ def _tree_path(parent, depth, a: int, b: int):
 
 def walk_between(g: Multigraph, a: int, b: int) -> Walk:
     """The unique spanning-tree walk from a to b."""
-    if a == b:
-        raise SameVertexError(f"walk endpoints must differ, got vertex {a} twice")
+    g.check_vertices(a, b)
     vs, es = _tree_path(*g.tree, a, b)
     return make_walk(g, vs, es)
 
@@ -429,8 +434,7 @@ def circuit_matrix(g: Multigraph, circuits) -> np.ndarray:
 def enumerate_simple_walks(g: Multigraph, a: int, b: int,
                            limit: int = 10_000) -> list:
     """All walks from a to b visiting no vertex twice, parallel edges distinct."""
-    if a == b:
-        raise SameVertexError(f"walk endpoints must differ, got vertex {a} twice")
+    g.check_vertices(a, b)
     walks = []
     for path_vs, path_es in _simple_paths(g, a, b, -1):
         walks.append(make_walk(g, path_vs, path_es))

@@ -491,6 +491,7 @@ def instance_rng(suite_seed: int, index: int):
 
 SUITE_CHECKS = ("superadditivity", "melvin_chain", "entropy_chain",
                 "scaling", "monotonicity", "concavity")
+SUITE_GRID_POINTS = 11
 
 
 def _suite_instance(seed: int, index: int, unit: float = 1.0) -> tuple:
@@ -519,8 +520,7 @@ def _suite_reports(graph: Multigraph, r, r_bar, a: int, b: int, edge: int,
                                                a, b, tol)
 
 
-def run_suite(seed: int, instances: int, tol: float = DEFAULT_TOL,
-              grid_points: int = 11) -> dict:
+def run_suite(seed: int, instances: int, tol: float = DEFAULT_TOL) -> dict:
     """Randomized property battery over desk-scale networks.
 
     Returns a summary mapping each check name to its failure count and the
@@ -543,7 +543,7 @@ def run_suite(seed: int, instances: int, tol: float = DEFAULT_TOL,
 
     for i in range(instances):
         for name, report in _suite_reports(*_suite_instance(seed, i), tol,
-                                           grid_points):
+                                           SUITE_GRID_POINTS):
             absorb(name, report)
 
     overall = all(entry["failures"] == 0 for entry in summary.values())

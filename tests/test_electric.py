@@ -294,6 +294,11 @@ class TestPowerAndResiduals:
     def test_tree_kvl_is_zero(self, series_path):
         assert kvl_residual(series_path, FlowVector(np.array([2.0, -1.0]))) == 0.0
 
+    def test_kcl_same_vertex(self, triangle):
+        # A zero source is no a-to-b source: no residual is returned for it.
+        with pytest.raises(SameVertexError):
+            kcl_residual(triangle, FlowVector(np.zeros(3)), 1, 1)
+
     def test_dimension_mismatch(self, triangle):
         with pytest.raises(DimensionMismatchError):
             dissipated_power(triangle, FlowVector(np.zeros(2)))

@@ -23,6 +23,7 @@ from gffresist import (
     walk_between,
     walk_sign_vector,
 )
+from gffresist import electric, gff, verify
 from gffresist import graph as graph_module
 from gffresist.cli import parse_network
 from gffresist.electric import kvl_residual, min_energy_flow_oracle
@@ -395,7 +396,7 @@ class TestTreePaths:
     @pytest.mark.parametrize("a, b", [(-1, 1), (1, -1), (0, 3), (3, 0)])
     def test_vertex_out_of_range(self, triangle, a, b):
         # As the walk oracle: no row of another vertex stands in.
-        for walk in (walk_between, tree_walk_vector):
+        for walk in (walk_between, tree_walk_vector, enumerate_simple_walks):
             with pytest.raises(NotASpanningTreeError):
                 walk(triangle.graph, a, b)
 
@@ -431,6 +432,60 @@ class TestTreePaths:
         eta_field(field)
         entropy_chain(g, r, 2.0 * r, 0, 15)
         monte_carlo_variance_check(g, r, 0, 15, 1000, seed=1)
+
+
+# Every public function that takes a vertex pair, called as f(network, a, b).
+PAIR_ROUTES = {
+    "tree_walk_vector": lambda n, a, b: tree_walk_vector(n.graph, a, b),
+    "walk_between": lambda n, a, b: walk_between(n.graph, a, b),
+    "enumerate_simple_walks": lambda n, a, b: enumerate_simple_walks(n.graph, a, b),
+    "node_voltages": electric.node_voltages,
+    "effective_resistance": electric.effective_resistance,
+    "thomson_flow": electric.thomson_flow,
+    "min_energy_flow_oracle": electric.min_energy_flow_oracle,
+    "kcl_residual": lambda n, a, b: electric.kcl_residual(
+        n, electric.FlowVector(np.zeros(n.graph.n_edges)), a, b),
+    "potential_difference_functional": lambda n, a, b:
+        gff.potential_difference_functional(build_free_field(n), a, b),
+    "potential_difference_variance": lambda n, a, b:
+        potential_difference_variance(build_free_field(n), a, b),
+    "path_independence_check": lambda n, a, b:
+        gff.path_independence_check(build_free_field(n), a, b),
+    "check_superadditivity": lambda n, a, b: verify.check_superadditivity(
+        n.graph, n.resistances, 2.0 * n.resistances, a, b),
+    "melvin_chain": lambda n, a, b: verify.melvin_chain(
+        n.graph, n.resistances, 2.0 * n.resistances, a, b),
+    "entropy_chain": lambda n, a, b: entropy_chain(
+        n.graph, n.resistances, 2.0 * n.resistances, a, b),
+    "check_concavity_segment": lambda n, a, b: verify.check_concavity_segment(
+        n.graph, n.resistances, 2.0 * n.resistances, 5, a, b),
+    "check_scaling": lambda n, a, b: verify.check_scaling(
+        n.graph, n.resistances, 2.0, a, b),
+    "check_monotonicity": lambda n, a, b: verify.check_monotonicity(
+        n.graph, n.resistances, 0, 1.0, a, b),
+    "monte_carlo_variance_check": lambda n, a, b: monte_carlo_variance_check(
+        n.graph, n.resistances, a, b, 100, seed=0),
+}
+
+
+class TestCheckVertices:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)])
+    @pytest.mark.parametrize("route", sorted(PAIR_ROUTES))
+    def test_every_route_rejects_a_bad_pair(self, route, a, b):
+        # A negative index must not wrap to vertex 2 on one route and be
+        # rejected on another; no raw IndexError or singular solve either.
+        net = parse_network(str(DATA / "triangle.json"))
+        with pytest.raises((SameVertexError, NotASpanningTreeError)):
+            PAIR_ROUTES[route](net, a, b)
+
+    def test_repeat_is_checked_before_range(self, triangle):
+        with pytest.raises(SameVertexError):
+            triangle.graph.check_vertices(5, 5)
+
+    def test_message_names_vertex_and_count(self, triangle):
+        with pytest.raises(NotASpanningTreeError, match="vertex -1 .* 3 vertices"):
+            triangle.graph.check_vertices(0, -1)
 
 
 class TestSpanEquivalence:
