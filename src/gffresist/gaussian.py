@@ -4,9 +4,11 @@ Conditioning on linear statistics is done through the square root of the
 covariance: with S = cov^(1/2) and B = M S, the conditional covariance is
 S (I - P) S where P projects onto the row space of B. This equals the
 textbook pseudo-inverse form cov - cov M' (M cov M')^+ M cov but stays
-symmetric PSD by construction and absorbs linearly dependent constraint
-rows through the singular-value cutoff. condition_diagonal keeps only the
-factor, for an independent Gaussian whose square root is diagonal.
+symmetric PSD by construction; condition_on_value takes P from a thin SVD
+of B, whose singular-value cutoff absorbs linearly dependent constraint
+rows. condition_diagonal keeps only the factor, for an independent Gaussian
+whose square root is diagonal, and takes P from a Householder QR of B':
+its rows must be linearly independent, as circuit rows are.
 """
 
 import functools
@@ -28,6 +30,11 @@ PSD_TOL = 1e-10
 # Eigenvalues of M cov M' below EIG_CUTOFF * largest count as zero; the
 # equivalent singular-value cutoff on B = M cov^(1/2) is its square root.
 EIG_CUTOFF = 1e-12
+# condition_diagonal's test for a dependent row, on |diag(R)| / max|diag(R)|.
+# Rounding leaves a dependent 0/+-1 row below 20 k eps (4e-12 at k = 961);
+# a circuit row stays above min s / (max s sqrt(cycle length)), 2e-6 on the
+# 150 test networks at resistance span 1e12.
+RANK_CUTOFF = 1e-10
 VARIANCE_CLAMP = 1e-12
 INCONSISTENCY_TOL = 1e-8
 DRAW_BLOCK = 1 << 19  # normals functional_draws draws at once (4 MB)
@@ -131,21 +138,6 @@ def sum_independent(g1: GaussianVector, g2: GaussianVector) -> GaussianVector:
     return GaussianVector(g1.mean + g2.mean, g1.covariance + g2.covariance)
 
 
-def _kept_svd(b: np.ndarray, rows: np.ndarray, lam_max: float) -> tuple:
-    """Thin SVD of b = rows cov^(1/2), truncated to the rank the cutoff keeps,
-    and the spread sqrt(lam_max) max|row| of the constraint values."""
-    u, s, vt = np.linalg.svd(b, full_matrices=False)
-    # Constraint directions whose variance is negligible relative to the
-    # ambient covariance count as already satisfied; anchoring the cutoff
-    # to the ambient scale (not just to max(s)) makes re-conditioning on
-    # satisfied constraints a no-op instead of a noise amplifier.
-    spread = math.sqrt(lam_max) * float(
-        np.max(np.linalg.norm(rows, axis=1), initial=0.0))
-    cutoff = math.sqrt(EIG_CUTOFF) * max(s[0] if s.size else 0.0, spread)
-    r = int(np.sum(s > cutoff))
-    return u[:, :r], s[:r], vt[:r], spread
-
-
 def condition_on_value(g: GaussianVector, m: ConstraintSet,
                        values) -> GaussianVector:
     """Gaussian conditional law given the linear statistics M x = values.
@@ -172,8 +164,16 @@ def condition_on_value(g: GaussianVector, m: ConstraintSet,
     eigs, q = np.linalg.eigh(g.covariance)
     eigs = np.clip(eigs, 0.0, None)
     sqrt_cov = (q * np.sqrt(eigs)) @ q.T
-    u_r, s_r, vt_r, spread = _kept_svd(rows @ sqrt_cov, rows,
-                                       eigs.max(initial=0.0))
+    u, s, vt = np.linalg.svd(rows @ sqrt_cov, full_matrices=False)
+    # Constraint directions whose variance is negligible relative to the
+    # ambient covariance count as already satisfied; anchoring the cutoff
+    # to the ambient scale (not just to max(s)) makes re-conditioning on
+    # satisfied constraints a no-op instead of a noise amplifier.
+    spread = math.sqrt(eigs.max(initial=0.0)) * float(
+        np.max(np.linalg.norm(rows, axis=1), initial=0.0))
+    cutoff = math.sqrt(EIG_CUTOFF) * max(s[0] if s.size else 0.0, spread)
+    kept = int(np.sum(s > cutoff))
+    u_r, s_r, vt_r = u[:, :kept], s[:kept], vt[:kept]
 
     offset = values - rows @ g.mean
     residual = offset - u_r @ (u_r.T @ offset)
@@ -215,16 +215,26 @@ def linear_functional_variance(g: GaussianVector, c) -> float:
 
 def condition_diagonal(variances, rows) -> tuple:
     """Factor (s, q) of the independent Gaussian with these variances given
-    rows . x = 0: s = sqrt(variances) and q, an orthonormal basis of
-    col(diag(s) rows') cut as in condition_on_value. O(E k^2) for k rows.
+    rows . x = 0: s = sqrt(variances) and q, the Householder QR basis of
+    col(diag(s) rows'). O(E k^2) for k rows.
 
-    Not the normal equations c'Dc - y'(C D C')^-1 y: that is the cycle-Gram
-    solve of min_energy_flow_oracle, and the free-field route would then
-    share its arithmetic with the flow route it cross-checks.
+    The k rows must be linearly independent, as every circuit-row stack is:
+    each row of C, [C, C] or blockdiag(C, C) owns a chord column with entry
+    1. A diagonal entry of R at or below RANK_CUTOFF times the largest marks
+    a dependent row and raises ValidationError: unpivoted QR does not drop
+    it, so q would gain a spurious direction. Not the normal equations
+    c'Dc - y'(C D C')^-1 y: that is the cycle-Gram solve of
+    min_energy_flow_oracle, and the free-field route would then share its
+    arithmetic with the flow route it cross-checks.
     """
     s = np.sqrt(np.asarray(variances, dtype=float))
-    _, _, vt, _ = _kept_svd(rows * s, rows, float(np.max(variances)))
-    return s, vt.T
+    q, r = np.linalg.qr((rows * s).T)
+    diag = np.abs(np.diagonal(r))
+    if q.shape[1] < len(rows) or np.any(
+            diag <= RANK_CUTOFF * diag.max(initial=0.0)):
+        raise ValidationError(
+            f"the {len(rows)} conditioning rows are linearly dependent")
+    return s, q
 
 
 def functional_root(factor: tuple, c) -> np.ndarray:

@@ -6,6 +6,7 @@ Edges are identified by their position in the edge list; parallel edges are
 legal and distinguished by a per-endpoint-pair parallel index.
 """
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,8 +121,18 @@ class Multigraph:
             raise UnknownEndpointError(f"unknown vertex {name!r}") from None
 
     def check_vertices(self, *vertices):
-        """Raise SameVertexError if a vertex repeats, else NotASpanningTreeError
-        for one outside 0 <= v < n_vertices: a negative index never wraps."""
+        """Raise ValidationError for a vertex that is not an integer (bool
+        included), else SameVertexError if a vertex repeats, else
+        NotASpanningTreeError for one outside 0 <= v < n_vertices: a negative
+        index never wraps."""
+        for v in vertices:
+            try:
+                if isinstance(v, (bool, np.bool_)):
+                    raise TypeError
+                operator.index(v)
+            except TypeError:
+                raise ValidationError(
+                    f"vertex {v!r} is not an integer index") from None
         if len(set(vertices)) < len(vertices):
             raise SameVertexError(
                 f"vertices must differ, got {', '.join(map(str, vertices))}")

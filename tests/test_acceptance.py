@@ -296,3 +296,19 @@ def test_criterion_10_projection_matches_general_conditioning(instances):
             worst = max(worst, abs(fast - reference) / reference)
     assert worst <= 1e-12, f"worst relative gap {worst:.3e}"
     report_line(10, "projection form matches general conditioning")
+
+
+def test_criterion_11_circuit_rows_keep_full_rank(instances):
+    # Each circuit row owns a chord column, so the QR factor keeps one
+    # basis column per row: k for C and [C, C], 2k for blockdiag(C, C).
+    for net, r_bar, _, _ in instances + draw_instances(SUITE_SEED):
+        phi = net.graph.cycle_matrix
+        k = net.graph.cycle_rank
+        doubled = np.concatenate([net.resistances, r_bar])
+        for variances, rows, kept in (
+                (net.resistances, phi, k),
+                (doubled, np.hstack([phi, phi]), k),
+                (doubled, scipy.linalg.block_diag(phi, phi), 2 * k)):
+            _, q = condition_diagonal(variances, rows)
+            assert q.shape == (variances.size, kept)
+    report_line(11, "circuit rows keep full rank")

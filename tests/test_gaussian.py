@@ -346,6 +346,45 @@ class TestSampling:
             sample(independent_gaussian([1.0]), 0, seed=1)
 
 
+class TestDiagonalConditioning:
+    """condition_diagonal's QR factor and its full-rank precondition."""
+
+    def test_basis_is_orthonormal_and_spans_the_scaled_rows(self):
+        rng = np.random.default_rng(21)
+        rows = rng.standard_normal((4, 9))
+        s, q = condition_diagonal(rng.uniform(0.1, 10.0, 9), rows)
+        assert q.shape == (9, 4)
+        np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-14)
+        b = (rows * s).T
+        np.testing.assert_allclose(q @ (q.T @ b), b, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [3, 12, 60])
+    def test_duplicated_row_raises(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = rng.integers(-1, 2, (dim // 3, dim)).astype(float)
+        rows[0, 0] = 1.0
+        rows = np.vstack([rows, rows[0]])
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            condition_diagonal(rng.uniform(0.1, 10.0, dim), rows)
+
+    def test_combination_of_rows_raises(self):
+        rows = np.array([[1.0, -1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+                         [2.0, -1.0, 1.0, 2.0]])
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            condition_diagonal([1.0, 2.0, 3.0, 4.0], rows)
+
+    def test_zero_row_raises(self):
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            condition_diagonal([1.0, 2.0], np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+    def test_more_rows_than_coordinates_raises(self):
+        # Reduced QR of a 2 x 3 matrix has a full-size R diagonal; only the
+        # row count shows that 3 rows cannot be independent in 2 dimensions.
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            condition_diagonal([1.0, 2.0], rows)
+
+
 def all_draws(factor, c, count, seed):
     return np.concatenate(list(functional_draws(factor, c, count, seed)))
 

@@ -36,6 +36,7 @@ from gffresist.errors import (
     SelfLoopError,
     SizeLimitExceededError,
     UnknownEndpointError,
+    ValidationError,
 )
 from gffresist.gff import build_free_field, eta_field, potential_difference_variance
 from gffresist.graph import EdgeRecord, make_circuit
@@ -478,6 +479,19 @@ class TestCheckVertices:
         net = parse_network(str(DATA / "triangle.json"))
         with pytest.raises((SameVertexError, NotASpanningTreeError)):
             PAIR_ROUTES[route](net, a, b)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b", [(0.5, 1), (True, 2), (0, 2.0),
+                                      (np.True_, 2), ("1", 2), (None, 1)])
+    @pytest.mark.parametrize("route", sorted(PAIR_ROUTES))
+    def test_every_route_rejects_a_non_integer_vertex(self, route, a, b):
+        # 0.5 used to end in numpy's raw IndexError and True in a TypeError.
+        net = parse_network(str(DATA / "triangle.json"))
+        with pytest.raises(ValidationError, match="not an integer index"):
+            PAIR_ROUTES[route](net, a, b)
+
+    def test_numpy_integers_are_vertices(self, triangle):
+        triangle.graph.check_vertices(np.int64(0), np.int32(2))
 
     def test_repeat_is_checked_before_range(self, triangle):
         with pytest.raises(SameVertexError):
