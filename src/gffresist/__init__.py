@@ -43,7 +43,6 @@ from .graph import (
     Walk,
     build_multigraph,
     circuit_matrix,
-    circuit_sign_vector,
     enumerate_circuits,
     enumerate_simple_walks,
     fundamental_circuits,

@@ -1,12 +1,16 @@
 """Command-line surface: network file ingestion, dispatch, report emission.
 
 Network files are UTF-8 JSON documents shaped as NETWORK_SCHEMA says; vertex
-order is array order, parallel indices follow order of appearance. Reports
-print as text with 10 significant digits, or as JSON under ``--format json``.
+order is array order, parallel indices follow order of appearance. Each
+``verify`` check is a subcommand that declares only the options it reads
+(VERIFY_CHECKS). Reports print as text with 10 significant digits, or as
+JSON under ``--format json``.
 
 Exit codes: 0 all checks pass, 1 a verified inequality failed beyond
-tolerance, 2 usage error or malformed input, 3 semantically invalid input
-(self-loop, nonpositive or non-finite resistance, disconnected graph).
+tolerance, 2 usage error (an option the command does not read included) or
+malformed input (a file that is not UTF-8 or not JSON included), 3
+semantically invalid input (self-loop, a resistance that is not finite or
+is below MIN_RESISTANCE, disconnected graph).
 """
 
 import argparse
@@ -134,15 +138,17 @@ def _check_shape(value, schema, where: str) -> None:
 def parse_network(path: str) -> ResistiveNetwork:
     """Load and validate a network document.
 
-    Raises ParseError, located in the file, for a document that is not JSON
-    or does not match NETWORK_SCHEMA, and ValidationError for a well-formed
-    document that violates a network invariant.
+    Raises ParseError, located in the file, for a file that cannot be read
+    or decoded as UTF-8, a document that is not JSON or is nested too deeply
+    to parse, or one that does not match NETWORK_SCHEMA; and
+    ValidationError for a well-formed document that violates a network
+    invariant (ResistiveNetwork checks the resistances).
     """
     try:
         with open(path, encoding="utf-8") as fh:
             # Integers parse as floats: one too large for a double is inf, like 1e400.
             doc = json.load(fh, parse_int=float)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
@@ -151,19 +157,11 @@ def parse_network(path: str) -> ResistiveNetwork:
 
     _check_shape(doc, NETWORK_SCHEMA, path)
 
-    specs, resistances = [], []
-    for i, rec in enumerate(doc["edges"]):
-        where = f"{path}: edges[{i}]"
-        if rec["r"] <= 0:
-            raise ValidationError(f"{where}: resistance must be positive")
-        if not math.isfinite(rec["r"]):
-            raise ValidationError(f"{where}: resistance must be finite")
-        specs.append((rec["u"], rec["v"]))
-        resistances.append(rec["r"])
-
+    edges = doc["edges"]
     try:
-        graph = build_multigraph(doc["vertices"], specs)
-        return ResistiveNetwork(graph, np.array(resistances))
+        graph = build_multigraph(doc["vertices"],
+                                 [(rec["u"], rec["v"]) for rec in edges])
+        return ResistiveNetwork(graph, np.array([rec["r"] for rec in edges]))
     except GffResistError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -245,7 +243,7 @@ def _load_pair(network: ResistiveNetwork, pair: str, parser) -> tuple:
 
 
 def _require_same_topology(n1: ResistiveNetwork, n2: ResistiveNetwork, parser):
-    if n1.graph.vertices != n2.graph.vertices or n1.graph.edges != n2.graph.edges:
+    if n1.graph != n2.graph:
         parser.error("topology mismatch: --network and --bar-network must "
                      "share the same vertex list and edge multiset")
 
@@ -304,45 +302,25 @@ def _cmd_thomson(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    needs_bar = args.check in ("superadd", "melvin", "entropy", "concavity")
-    if args.check != "appendix":
-        if args.network is None or args.pair is None:
-            parser.error(f"verify {args.check} requires --network and --pair")
-        net = parse_network(args.network)
-        a, b = _load_pair(net, args.pair, parser)
-    if needs_bar:
-        if args.bar_network is None:
-            parser.error(f"verify {args.check} requires --bar-network")
+    """Run ``verify <check>``. Its subparser declared only the options the
+    check reads; ``args.keywords`` lists those its function takes, each
+    stored under the function's parameter name."""
+    kwargs = {dest: getattr(args, dest) for dest in args.keywords}
+    if args.check == "appendix":
+        instance = verify.random_appendix_instance(kwargs.pop("dim"),
+                                                   kwargs.pop("seed"))
+        return _emit_report(verify.appendix_check(instance, **kwargs), args)
+    net = parse_network(args.network)
+    kwargs["a"], kwargs["b"] = _load_pair(net, args.pair, parser)
+    resistances = [net.resistances]
+    if "bar_network" in args:
         net_bar = parse_network(args.bar_network)
         _require_same_topology(net, net_bar, parser)
-
-    if args.check == "superadd":
-        report = verify.check_superadditivity(
-            net.graph, net.resistances, net_bar.resistances, a, b, args.tol)
-    elif args.check == "melvin":
-        report = verify.melvin_chain(
-            net.graph, net.resistances, net_bar.resistances, a, b, args.tol)
-    elif args.check == "entropy":
-        report = verify.entropy_chain(
-            net.graph, net.resistances, net_bar.resistances, a, b, args.tol)
-    elif args.check == "concavity":
-        report = verify.check_concavity_segment(
-            net.graph, net.resistances, net_bar.resistances,
-            args.grid, a, b, args.tol)
-    elif args.check == "scaling":
-        report = verify.check_scaling(
-            net.graph, net.resistances, args.scale, a, b, args.tol)
-    elif args.check == "monotone":
-        if args.edge >= net.graph.n_edges:
-            parser.error(f"--edge must be below the edge count {net.graph.n_edges}")
-        report = verify.check_monotonicity(
-            net.graph, net.resistances, args.edge, args.delta, a, b, args.tol)
-    elif args.check == "appendix":
-        instance = verify.random_appendix_instance(args.dim, args.seed)
-        report = verify.appendix_check(instance, args.tol)
-    else:  # mc
-        report = verify.monte_carlo_variance_check(
-            net.graph, net.resistances, a, b, args.samples, args.seed)
+        resistances.append(net_bar.resistances)
+    if "edge" in kwargs and kwargs["edge"] >= net.graph.n_edges:
+        parser.error(f"--edge must be below the edge count {net.graph.n_edges}")
+    # Looked up per call, so that a wrapper bound in ``verify`` sees it.
+    report = getattr(verify, args.run)(net.graph, *resistances, **kwargs)
     return _emit_report(report, args)
 
 
@@ -374,6 +352,21 @@ def _at_least(kind, low, strict=False):
     return parse
 
 
+# Per verify check: the verify function that runs it, and the options it
+# reads besides --format, and --network and --pair for every check but
+# appendix. Argparse rejects any other option.
+VERIFY_CHECKS = {
+    "superadd": ("check_superadditivity", "--bar-network", "--tol"),
+    "melvin": ("melvin_chain", "--bar-network", "--tol"),
+    "entropy": ("entropy_chain", "--bar-network", "--tol", "--bits"),
+    "concavity": ("check_concavity_segment", "--bar-network", "--tol", "--grid"),
+    "scaling": ("check_scaling", "--tol", "--scale"),
+    "monotone": ("check_monotonicity", "--tol", "--edge", "--delta"),
+    "appendix": ("appendix_check", "--tol", "--dim", "--seed", "--bits"),
+    "mc": ("monte_carlo_variance_check", "--samples", "--seed"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gffresist",
@@ -403,25 +396,33 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_thomson)
 
     p_verify = sub.add_parser("verify", help="run one theorem check")
-    p_verify.add_argument("check", choices=(
-        "superadd", "melvin", "entropy", "concavity", "scaling",
-        "monotone", "appendix", "mc"))
-    p_verify.add_argument("--network", help="network JSON file")
-    p_verify.add_argument("--pair", help="vertex pair NAME,NAME")
-    p_verify.add_argument("--bar-network", dest="bar_network",
-                          help="second resistance assignment, same topology")
-    p_verify.add_argument("--tol", **tol_args)
-    p_verify.add_argument("--grid", type=_at_least(int, 3), default=21,
-                          help="concavity grid points")
-    p_verify.add_argument("--seed", type=_at_least(int, 0), default=0)
-    p_verify.add_argument("--samples", type=_at_least(int, 1), default=1_000_000)
-    p_verify.add_argument("--scale", type=positive, default=2.0)
-    p_verify.add_argument("--edge", type=_at_least(int, 0), default=0)
-    p_verify.add_argument("--delta", type=positive, default=1.0)
-    p_verify.add_argument("--dim", type=_at_least(int, 1), default=4)
-    p_verify.add_argument("--bits", action="store_true",
-                          help="report entropies in bits instead of nats")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    checks = p_verify.add_subparsers(dest="check", required=True)
+    check_options = {
+        "--bar-network": dict(required=True, help="second resistance "
+                              "assignment, same topology"),
+        "--tol": tol_args,
+        "--grid": dict(dest="grid_points", metavar="N", type=_at_least(int, 3),
+                       default=21, help="concavity grid points"),
+        "--seed": dict(type=_at_least(int, 0), default=0),
+        "--samples": dict(dest="count", metavar="N", type=_at_least(int, 1),
+                          default=1_000_000),
+        "--scale": dict(dest="t", type=positive, default=2.0),
+        "--edge": dict(type=_at_least(int, 0), default=0),
+        "--delta": dict(type=positive, default=1.0),
+        "--dim": dict(type=_at_least(int, 1), default=4),
+        "--bits": dict(action="store_true",
+                       help="report entropies in bits instead of nats"),
+    }
+    for check, (run, *flags) in VERIFY_CHECKS.items():
+        p = checks.add_parser(check)
+        if check == "appendix":
+            p.add_argument("--format", choices=("text", "json"), default="text")
+        else:
+            add_common(p)
+        dests = [p.add_argument(flag, **check_options[flag]).dest
+                 for flag in flags]
+        p.set_defaults(run=run, keywords=[
+            d for d in dests if d not in ("bar_network", "bits")])
 
     p_suite = sub.add_parser("suite", help="randomized property battery")
     # A string default goes through ``type`` too, so a bad $GFFRESIST_SEED

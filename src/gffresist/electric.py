@@ -30,7 +30,9 @@ MIN_RESISTANCE = 1e-12
 
 @dataclass(frozen=True)
 class ResistiveNetwork:
-    """Multigraph plus a strictly positive resistance per edge (ohms)."""
+    """Multigraph plus a resistance per edge (ohms), finite and at least
+    MIN_RESISTANCE so that every conductance is finite; the one place
+    resistances are checked."""
 
     graph: Multigraph
     resistances: np.ndarray
@@ -40,12 +42,12 @@ class ResistiveNetwork:
         if r.shape != (self.graph.n_edges,):
             raise DimensionMismatchError(
                 f"expected {self.graph.n_edges} resistances, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ValidationError("resistances must be finite")
-        if np.any(r < MIN_RESISTANCE):
+        valid = (r >= MIN_RESISTANCE) & (r < np.inf)  # NaN fails both
+        if not valid.all():
+            e = int(np.argmin(valid))
             raise ValidationError(
-                f"resistances must be >= {MIN_RESISTANCE} ohms to keep "
-                "conductances finite")
+                f"edges[{e}]: resistance must be finite and >= "
+                f"{MIN_RESISTANCE} ohms, got {float(r[e])}")
         r.setflags(write=False)
         object.__setattr__(self, "resistances", r)
 

@@ -11,10 +11,6 @@ class SelfLoopError(GffResistError):
     """An edge joins a vertex to itself."""
 
 
-class DisconnectedError(GffResistError):
-    """Some vertex is unreachable from vertex 0."""
-
-
 class DuplicateVertexNameError(GffResistError):
     """Two vertices share the same identifier."""
 
@@ -25,6 +21,10 @@ class UnknownEndpointError(GffResistError):
 
 class NotASpanningTreeError(GffResistError):
     """The supplied edge set is not a spanning tree of the graph."""
+
+
+class DisconnectedError(NotASpanningTreeError):
+    """Some vertex is unreachable from vertex 0, so no tree spans the graph."""
 
 
 class EdgeNotInGraphError(GffResistError):

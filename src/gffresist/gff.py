@@ -13,7 +13,6 @@ import numpy as np
 
 from .electric import ResistiveNetwork
 from .gaussian import (
-    ConstraintSet,
     GaussianVector,
     condition_diagonal,
     conditioned_variance,
@@ -24,13 +23,11 @@ from .graph import enumerate_simple_walks, tree_walk_vector, walk_sign_vector
 
 @dataclass(frozen=True)
 class FreeField:
-    """Conditioned edge field of a network, with its conditioning basis;
-    ``factor`` is the (s, q) of gaussian.condition_diagonal."""
+    """Conditioned edge field of a network; ``factor`` is the (s, q) of
+    gaussian.condition_diagonal on the graph's ``cycle_matrix``."""
 
     network: ResistiveNetwork
     factor: tuple
-    reference_vertex: int
-    constraint_basis: ConstraintSet
 
     @functools.cached_property
     def edge_field(self) -> GaussianVector:
@@ -41,11 +38,9 @@ class FreeField:
         return GaussianVector(np.zeros(m.shape[0]), m @ m.T)
 
 
-def build_free_field(n: ResistiveNetwork, v_star: int = 0) -> FreeField:
+def build_free_field(n: ResistiveNetwork) -> FreeField:
     """Condition the independent edge Gaussian on the fundamental cycle basis."""
-    basis = ConstraintSet(n.graph.cycle_matrix)
-    return FreeField(n, condition_diagonal(n.resistances, basis.rows),
-                     v_star, basis)
+    return FreeField(n, condition_diagonal(n.resistances, n.graph.cycle_matrix))
 
 
 def potential_difference_functional(f: FreeField, a: int, b: int) -> np.ndarray:
@@ -63,16 +58,15 @@ def potential_difference_variance(f: FreeField, a: int, b: int) -> float:
                                 potential_difference_functional(f, a, b))
 
 
-def eta_field(f: FreeField) -> GaussianVector:
-    """Vertex potential field, grounded at the reference vertex.
+def eta_field(f: FreeField, v_star: int = 0) -> GaussianVector:
+    """Vertex potential field, grounded at the reference vertex ``v_star``.
 
-    Coordinate v applies the tree-path functional from the reference vertex
-    to v; the reference coordinate is identically zero.
+    Coordinate v applies the tree-path functional from v_star to v; the
+    v_star coordinate is identically zero.
     """
-    # Here, not in build_free_field: a FreeField can be built directly.
-    f.network.graph.check_vertices(f.reference_vertex)
+    f.network.graph.check_vertices(v_star)
     paths = f.network.graph.tree_paths
-    b = functional_root(f.factor, paths - paths[f.reference_vertex])
+    b = functional_root(f.factor, paths - paths[v_star])
     return GaussianVector(np.zeros(len(b)), b @ b.T)
 
 

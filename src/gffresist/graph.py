@@ -70,8 +70,14 @@ class Multigraph:
 
     @cached_property
     def tree(self) -> tuple:
-        """The BFS spanning tree's ``(parent, depth)`` maps; shared, never mutated."""
-        return _bfs(self)
+        """The BFS spanning tree's ``(parent, depth)`` maps; shared, never
+        mutated. Raises DisconnectedError when the BFS misses a vertex."""
+        parent, depth = _bfs(self)
+        if len(parent) != self.n_vertices:
+            missing = sorted(set(range(self.n_vertices)) - parent.keys())
+            raise DisconnectedError(
+                f"vertices {missing} unreachable from vertex 0")
+        return parent, depth
 
     @cached_property
     def tree_paths(self) -> np.ndarray:
@@ -79,8 +85,6 @@ class Multigraph:
         row per vertex; row v is its parent's row plus v's tree edge, and the
         BFS order fills a parent's row before its children's."""
         parent, _ = self.tree
-        if len(parent) != self.n_vertices:
-            raise NotASpanningTreeError("tree edges do not span the graph")
         paths = np.zeros((self.n_vertices, self.n_edges), dtype=np.int8)
         for v, link in parent.items():
             if link is not None:
@@ -261,11 +265,7 @@ def build_multigraph(vertex_names, edge_specs) -> Multigraph:
         records.append(EdgeRecord(tail, head, k))
 
     g = Multigraph(tuple(names), tuple(records))
-    parent, _ = g.tree
-    if len(parent) != g.n_vertices:
-        missing = sorted(set(range(g.n_vertices)) - parent.keys())
-        raise DisconnectedError(
-            f"vertices {missing} unreachable from vertex 0")
+    g.tree  # raises DisconnectedError
     return g
 
 
@@ -353,15 +353,16 @@ def fundamental_circuits(g: Multigraph, tree=None) -> list:
     The list is ordered by non-tree edge id and has length equal to the
     cycle rank |E| - |V| + 1. ``tree`` defaults to the BFS spanning tree.
     """
-    # The BFS never follows an edge id outside the graph, so it cannot span.
-    if tree is not None:
+    if tree is None:
+        parent, depth = g.tree
+    else:
+        # The BFS never follows an id outside the graph, so none can span.
         tree = frozenset(tree)
-        if len(tree) != g.n_vertices - 1:
+        parent, depth = _bfs(g, tree)
+        if len(tree) != g.n_vertices - 1 or len(parent) != g.n_vertices:
             raise NotASpanningTreeError(
-                f"expected {g.n_vertices - 1} tree edges, got {len(tree)}")
-    parent, depth = g.tree if tree is None else _bfs(g, tree)
-    if len(parent) != g.n_vertices:
-        raise NotASpanningTreeError("tree edges do not span the graph")
+                f"the {len(tree)} given edges are not a spanning tree of "
+                f"{g.n_vertices} vertices")
     tree = _tree_edges(parent)
     circuits = []
     for e, rec in enumerate(g.edges):
@@ -429,10 +430,6 @@ def walk_sign_vector(g: Multigraph, w: Walk) -> np.ndarray:
     for e, s in zip(w.edges, w.signs):
         vec[e] += s
     return vec
-
-
-# A circuit is a walk; its sign vector is the walk's.
-circuit_sign_vector = walk_sign_vector
 
 
 def circuit_matrix(g: Multigraph, circuits) -> np.ndarray:

@@ -466,17 +466,14 @@ def random_network(rng, max_vertices: int = MAX_VERTICES,
     resistances; a random spanning tree guarantees connectivity."""
     n_v = int(rng.integers(2, max_vertices + 1))
     specs = [(int(rng.integers(0, v)), v) for v in range(1, n_v)]
-    for _ in range(int(rng.integers(0, max_edges - (n_v - 1) + 1))):
-        u = int(rng.integers(0, n_v))
-        v = int(rng.integers(0, n_v - 1))
-        if v >= u:
-            v += 1
-        specs.append((u, v))
+    specs += [random_pair(rng, n_v) for _ in
+              range(int(rng.integers(0, max_edges - (n_v - 1) + 1)))]
     graph = build_multigraph(list(range(n_v)), specs)
     return ResistiveNetwork(graph, random_resistances(rng, graph.n_edges))
 
 
 def random_pair(rng, n_vertices: int) -> tuple:
+    """An ordered pair of distinct vertices, uniform over all such pairs."""
     a = int(rng.integers(0, n_vertices))
     b = int(rng.integers(0, n_vertices - 1))
     if b >= a:

@@ -183,7 +183,7 @@ def test_criterion_6_circuit_basis_equivalence(instances):
         assert diff <= 1e-9
         rank = g.cycle_rank
         if rank:
-            assert np.linalg.matrix_rank(field.constraint_basis.rows) == rank
+            assert np.linalg.matrix_rank(g.cycle_matrix) == rank
             assert np.linalg.matrix_rank(all_rows) == rank
             checked += 1
     assert checked >= 100

@@ -1,6 +1,7 @@
 """File ingestion, command dispatch, exit codes, and report schemas."""
 
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -51,6 +52,30 @@ def triangle_check(check, bar=False):
 HUGE_RESISTANCES = pytest.mark.parametrize(
     "literal", ["1e400", "1" + "0" * 400, "9" * 5000],
     ids=["float-1e400", "int-401-digits", "int-5000-digits"])
+
+
+# Files no JSON document can be read from: Latin-1 bytes, and arrays nested
+# deeper than the decoder's recursion limit.
+UNDECODABLE = pytest.mark.parametrize("content", [
+    '{"vertices": ["\xe9", "b"], "edges": []}'.encode("latin-1"),
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["latin-1", "nested-100000"])
+
+# The options each verify check reads, besides -h/--help: 43 check/option
+# pairs.
+VERIFY_OPTIONS = {
+    "superadd": {"--network", "--pair", "--format", "--bar-network", "--tol"},
+    "melvin": {"--network", "--pair", "--format", "--bar-network", "--tol"},
+    "entropy": {"--network", "--pair", "--format", "--bar-network", "--tol",
+                "--bits"},
+    "concavity": {"--network", "--pair", "--format", "--bar-network",
+                  "--tol", "--grid"},
+    "scaling": {"--network", "--pair", "--format", "--tol", "--scale"},
+    "monotone": {"--network", "--pair", "--format", "--tol", "--edge",
+                 "--delta"},
+    "appendix": {"--format", "--tol", "--dim", "--seed", "--bits"},
+    "mc": {"--network", "--pair", "--format", "--samples", "--seed"},
+}
 
 
 class TestParseNetwork:
@@ -128,6 +153,13 @@ class TestParseNetwork:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_network(str(tmp_path / "absent.json"))
+
+    @UNDECODABLE
+    def test_undecodable_file_is_parse_error(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            parse_network(str(path))
 
     @pytest.mark.parametrize("doc", [
         {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "r": 1}]},
@@ -429,6 +461,57 @@ class TestExitCodes:
                             "--pair", "a,b"]) == EXIT_INVALID_NETWORK
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @UNDECODABLE
+    def test_undecodable_file_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert run_command(["reff", "--network", str(path),
+                            "--pair", "a,b"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("literal", ["0", "-1", "1e-13", "1e400", "NaN"])
+    def test_bad_resistance_exits_three_naming_its_edge(self, tmp_path, capsys,
+                                                        literal):
+        path = tmp_path / "net.json"
+        path.write_text('{"vertices": ["a", "b"], "edges": ['
+                        '{"u": "a", "v": "b", "r": 1}, '
+                        f'{{"u": "b", "v": "a", "r": {literal}}}]}}', "utf-8")
+        assert run_command(["reff", "--network", str(path),
+                            "--pair", "a,b"]) == EXIT_INVALID_NETWORK
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: edges[1]: resistance ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("check, unread", [
+        ("superadd", ["--grid", "5"]),
+        ("melvin", ["--bits"]),
+        ("entropy", ["--scale", "3"]),
+        ("concavity", ["--samples", "10"]),
+        ("scaling", ["--bar-network", str(DATA / "triangle.json")]),
+        ("monotone", ["--dim", "2"]),
+        ("appendix", ["--network", str(DATA / "triangle.json")]),
+        ("mc", ["--tol", "0.5"]),
+    ])
+    def test_option_the_check_does_not_read_exits_two(self, capsys, check,
+                                                      unread):
+        argv = (["verify", "appendix"] if check == "appendix" else
+                triangle_check(check, bar="--bar-network" in
+                               VERIFY_OPTIONS[check]))
+        assert unread[0] not in VERIFY_OPTIONS[check]
+        assert run_command(argv + unread) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: " + " ".join(unread) in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("check", sorted(VERIFY_OPTIONS))
+    def test_help_lists_exactly_the_check_options(self, capsys, check):
+        assert run_command(["verify", check, "--help"]) == EXIT_PASS
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)",
+                            capsys.readouterr().out, re.M)
+        assert sorted(listed) == sorted(VERIFY_OPTIONS[check] | {"--help"})
 
     def test_one_vertex_file_exits_two(self, tmp_path, capsys):
         path = write_network(tmp_path, {"vertices": ["a"], "edges": []})

@@ -317,6 +317,11 @@ class TestNetworkConstruction:
         with pytest.raises(ValidationError):
             ResistiveNetwork(triangle.graph, np.array([1.0, 1e-13, 1.0]))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 1e-13, np.inf, np.nan])
+    def test_message_names_the_first_bad_edge(self, triangle, bad):
+        with pytest.raises(ValidationError, match=r"^edges\[1\]: "):
+            ResistiveNetwork(triangle.graph, np.array([1.0, bad, bad]))
+
     def test_rejects_wrong_count(self, triangle):
         with pytest.raises(DimensionMismatchError):
             ResistiveNetwork(triangle.graph, np.array([1.0]))

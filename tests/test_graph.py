@@ -14,7 +14,6 @@ from gffresist import (
     Multigraph,
     build_multigraph,
     circuit_matrix,
-    circuit_sign_vector,
     enumerate_circuits,
     enumerate_simple_walks,
     fundamental_circuits,
@@ -191,6 +190,18 @@ class TestSpanningTree:
     def test_path_is_its_own_tree(self, series_path):
         assert spanning_tree(series_path.graph) == {0, 1}
 
+    def test_disconnected_graph_has_none(self):
+        # Built directly, past build_multigraph: the tree itself refuses.
+        g = Multigraph(("a", "b", "c"), (EdgeRecord(0, 1, 0),))
+        with pytest.raises(DisconnectedError, match=r"\[2\] unreachable"):
+            g.tree
+        with pytest.raises(NotASpanningTreeError):
+            spanning_tree(g)
+        with pytest.raises(NotASpanningTreeError):
+            walk_between(g, 0, 2)
+        with pytest.raises(NotASpanningTreeError):
+            fundamental_circuits(g)
+
 
 class TestFundamentalCircuits:
     def test_triangle(self, triangle):
@@ -211,6 +222,11 @@ class TestFundamentalCircuits:
             fundamental_circuits(triangle.graph, tree={0, 1, 2})
         with pytest.raises(NotASpanningTreeError):
             fundamental_circuits(triangle.graph, tree={0})
+
+    @pytest.mark.parametrize("tree", [{0, 99}, {0, "x"}])
+    def test_rejects_ids_outside_the_graph(self, triangle, tree):
+        with pytest.raises(NotASpanningTreeError):
+            fundamental_circuits(triangle.graph, tree=tree)
 
     def test_user_tree_triangle(self, triangle):
         (c,) = fundamental_circuits(triangle.graph, tree={0, 1})
@@ -324,23 +340,23 @@ class TestEnumerateCircuits:
 class TestSignVectors:
     def test_triangle_circuit(self, triangle):
         c = make_circuit(triangle.graph, [0, 1, 2, 0], [0, 1, 2])
-        assert circuit_sign_vector(triangle.graph, c).tolist() == [1, 1, -1]
+        assert walk_sign_vector(triangle.graph, c).tolist() == [1, 1, -1]
 
     def test_parallel_pair_circuit(self, parallel_pair):
         (c,) = fundamental_circuits(parallel_pair.graph)
-        assert circuit_sign_vector(parallel_pair.graph, c).tolist() == [-1, 1]
+        assert walk_sign_vector(parallel_pair.graph, c).tolist() == [-1, 1]
 
     def test_reversal_negates(self, triangle):
         g = triangle.graph
         forward = make_circuit(g, [0, 1, 2, 0], [0, 1, 2])
         backward = make_circuit(g, [0, 2, 1, 0], [2, 1, 0])
         np.testing.assert_array_equal(
-            circuit_sign_vector(g, backward), -circuit_sign_vector(g, forward))
+            walk_sign_vector(g, backward), -walk_sign_vector(g, forward))
 
     def test_foreign_circuit_rejected(self, triangle, parallel_pair):
         (c,) = fundamental_circuits(parallel_pair.graph)
         with pytest.raises(EdgeNotInGraphError):
-            circuit_sign_vector(triangle.graph, c)
+            walk_sign_vector(triangle.graph, c)
 
     def test_orthogonal_to_incidence(self):
         for i in range(30):
