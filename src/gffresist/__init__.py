@@ -17,7 +17,6 @@ from .electric import (
 )
 from .gaussian import (
     DEGENERATE_ENTROPY,
-    ConstraintSet,
     DegenerateEntropy,
     GaussianVector,
     condition_on_value,
@@ -26,7 +25,6 @@ from .gaussian import (
     independent_gaussian,
     linear_functional_variance,
     sample,
-    sum_independent,
 )
 from .gff import (
     FreeField,

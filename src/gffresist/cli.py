@@ -233,13 +233,19 @@ def _emit_report(report: VerificationReport, args) -> int:
 
 
 def _load_pair(network: ResistiveNetwork, pair: str, parser) -> tuple:
-    parts = pair.split(",")
-    if len(parts) != 2:
-        parser.error("--pair must look like NAME,NAME")
-    a, b = (network.graph.vertex_index(p) for p in parts)
-    if a == b:
-        parser.error("--pair needs two distinct vertices")
-    return a, b
+    """Split NAME,NAME at the one comma whose two sides both name vertices,
+    so a name may contain commas; the routes reject a repeated vertex."""
+    names = network.graph.vertices
+    splits = [(pair[:k], pair[k + 1:])
+              for k, ch in enumerate(pair) if ch == ","]
+    named = [s for s in splits if s[0] in names and s[1] in names]
+    if len(named) > 1:
+        parser.error(f"--pair {pair!r} splits into two vertex names at "
+                     "more than one comma")
+    if not named and len(splits) != 1:
+        parser.error(f"--pair {pair!r} must look like NAME,NAME: no comma "
+                     "splits it into two vertex names")
+    return tuple(map(network.graph.vertex_index, (named or splits)[0]))
 
 
 def _require_same_topology(n1: ResistiveNetwork, n2: ResistiveNetwork, parser):

@@ -51,9 +51,6 @@ class ResistiveNetwork:
         r.setflags(write=False)
         object.__setattr__(self, "resistances", r)
 
-    def with_resistances(self, r) -> "ResistiveNetwork":
-        return ResistiveNetwork(self.graph, np.asarray(r, dtype=float))
-
 
 @dataclass(frozen=True)
 class FlowVector:
@@ -117,7 +114,7 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
     return x.ravel()
 
 
-def _laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
+def laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
     """Weighted Laplacian with edge conductances 1/R_e; without the ground
     vertex's row and column when ``ground`` is given, the other vertices
     keeping their order."""
@@ -140,15 +137,10 @@ def _laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
     return lap
 
 
-def laplacian(n: ResistiveNetwork) -> np.ndarray:
-    """Weighted graph Laplacian with edge conductances 1/R_e."""
-    return _laplacian(n)
-
-
 def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:
     """Vertex potentials for a unit current injected at a, extracted at grounded b."""
     n.graph.check_vertices(a, b)
-    reduced = _laplacian(n, ground=b)
+    reduced = laplacian(n, ground=b)
     rhs = np.zeros(len(reduced))
     rhs[a - (a > b)] = 1.0
     sol = _spd_solve(reduced, rhs,

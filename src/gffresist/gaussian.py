@@ -27,13 +27,13 @@ from .errors import (
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
-# Eigenvalues of M cov M' below EIG_CUTOFF * largest count as zero; the
-# equivalent singular-value cutoff on B = M cov^(1/2) is its square root.
-EIG_CUTOFF = 1e-12
-# condition_diagonal's test for a dependent row, on |diag(R)| / max|diag(R)|.
-# Rounding leaves a dependent 0/+-1 row below 20 k eps (4e-12 at k = 961);
-# a circuit row stays above min s / (max s sqrt(cycle length)), 2e-6 on the
-# 150 test networks at resistance span 1e12.
+# The rank rule of both conditioning paths: a direction of B = M cov^(1/2)
+# at or below RANK_CUTOFF times its scale counts as dependent. For
+# condition_diagonal the scale is max|diag(R)| of the QR of B'; for
+# condition_on_value it is the larger of the top singular value and the
+# ambient spread. Rounding leaves a dependent 0/+-1 row below 20 k eps
+# (4e-12 at k = 961); a circuit row stays above min s / (max s sqrt(cycle
+# length)), 2e-6 on the 150 test networks at resistance span 1e12.
 RANK_CUTOFF = 1e-10
 VARIANCE_CLAMP = 1e-12
 INCONSISTENCY_TOL = 1e-8
@@ -105,22 +105,6 @@ class GaussianVector:
         return self.mean.size
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Rows of linear functionals to be pinned to given values (usually 0)."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=float)).copy()
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n_constraints(self) -> int:
-        return self.rows.shape[0]
-
-
 def independent_gaussian(variances) -> GaussianVector:
     """Mean-zero Gaussian with independent coordinates of the given variances."""
     v = np.asarray(variances, dtype=float)
@@ -131,23 +115,16 @@ def independent_gaussian(variances) -> GaussianVector:
     return GaussianVector(np.zeros(v.size), np.diag(v))
 
 
-def sum_independent(g1: GaussianVector, g2: GaussianVector) -> GaussianVector:
-    """Law of the sum of two independent Gaussian vectors."""
-    if g1.dim != g2.dim:
-        raise DimensionMismatchError(f"dimensions {g1.dim} and {g2.dim} differ")
-    return GaussianVector(g1.mean + g2.mean, g1.covariance + g2.covariance)
-
-
-def condition_on_value(g: GaussianVector, m: ConstraintSet,
-                       values) -> GaussianVector:
-    """Gaussian conditional law given the linear statistics M x = values.
+def condition_on_value(g: GaussianVector, rows, values) -> GaussianVector:
+    """Gaussian conditional law given the linear statistics M x = values,
+    M the 2-D float array of ``rows`` (one row may be given flat).
 
     The conditional covariance does not depend on ``values``; the mean
     shifts by cov M' (M cov M')^+ (values - M mean). Raises
     InconsistentConstraintError when the requested values lie outside the
     support of M x (a probability-zero conditioning event).
     """
-    rows = m.rows
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[0] == 0:
         return g
     if rows.shape[1] != g.dim:
@@ -171,7 +148,7 @@ def condition_on_value(g: GaussianVector, m: ConstraintSet,
     # satisfied constraints a no-op instead of a noise amplifier.
     spread = math.sqrt(eigs.max(initial=0.0)) * float(
         np.max(np.linalg.norm(rows, axis=1), initial=0.0))
-    cutoff = math.sqrt(EIG_CUTOFF) * max(s[0] if s.size else 0.0, spread)
+    cutoff = RANK_CUTOFF * max(s[0] if s.size else 0.0, spread)
     kept = int(np.sum(s > cutoff))
     u_r, s_r, vt_r = u[:, :kept], s[:kept], vt[:kept]
 
@@ -194,9 +171,9 @@ def condition_on_value(g: GaussianVector, m: ConstraintSet,
     return GaussianVector(mean, projected @ projected.T)
 
 
-def condition_on_zero(g: GaussianVector, m: ConstraintSet) -> GaussianVector:
+def condition_on_zero(g: GaussianVector, rows) -> GaussianVector:
     """Conditional law of g given that every constraint functional equals 0."""
-    return condition_on_value(g, m, np.zeros(m.n_constraints))
+    return condition_on_value(g, rows, 0.0)
 
 
 def linear_functional_variance(g: GaussianVector, c) -> float:

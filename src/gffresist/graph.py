@@ -162,26 +162,25 @@ def _frozen_ints(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Walk:
-    """Alternating vertex/edge sequence with traversal signs.
-
-    signs[k] is +1 when the k-th step ascends in the vertex order
-    (v_{k+1} > v_k) and -1 when it descends.
-    """
+    """Alternating vertex/edge sequence; its traversal signs follow from
+    the vertex order."""
 
     vertices: tuple
     edges: tuple
-    signs: tuple
 
     def __post_init__(self):
         n = len(self.edges)
         if n < 1:
             raise ValidationError("a walk needs at least one edge")
-        if len(self.vertices) != n + 1 or len(self.signs) != n:
+        if len(self.vertices) != n + 1:
             raise ValidationError("walk sequences have inconsistent lengths")
-        for k in range(n):
-            expected = 1 if self.vertices[k + 1] > self.vertices[k] else -1
-            if self.signs[k] != expected:
-                raise ValidationError(f"sign at step {k} contradicts the vertex order")
+
+    @property
+    def signs(self) -> tuple:
+        """signs[k] is +1 when the k-th step ascends in the vertex order
+        (v_{k+1} > v_k) and -1 when it descends."""
+        vs = self.vertices
+        return tuple(1 if vs[k + 1] > vs[k] else -1 for k in range(self.length))
 
     @property
     def length(self) -> int:
@@ -205,11 +204,6 @@ class Circuit(Walk):
             raise ValidationError("a circuit may not reuse an edge")
 
 
-def _signs_for(vertex_seq) -> tuple:
-    return tuple(1 if vertex_seq[k + 1] > vertex_seq[k] else -1
-                 for k in range(len(vertex_seq) - 1))
-
-
 def _check_steps(g: Multigraph, vertex_seq, edge_seq):
     """Every edge id must exist in g and join the consecutive vertex pair."""
     for k, e in enumerate(edge_seq):
@@ -222,12 +216,12 @@ def _check_steps(g: Multigraph, vertex_seq, edge_seq):
 
 def make_walk(g: Multigraph, vertex_seq, edge_seq) -> Walk:
     _check_steps(g, vertex_seq, edge_seq)
-    return Walk(tuple(vertex_seq), tuple(edge_seq), _signs_for(vertex_seq))
+    return Walk(tuple(vertex_seq), tuple(edge_seq))
 
 
 def make_circuit(g: Multigraph, vertex_seq, edge_seq) -> Circuit:
     _check_steps(g, vertex_seq, edge_seq)
-    return Circuit(tuple(vertex_seq), tuple(edge_seq), _signs_for(vertex_seq))
+    return Circuit(tuple(vertex_seq), tuple(edge_seq))
 
 
 def build_multigraph(vertex_names, edge_specs) -> Multigraph:
@@ -269,12 +263,11 @@ def build_multigraph(vertex_names, edge_specs) -> Multigraph:
     return g
 
 
-def _bfs(g: Multigraph, edges=None) -> tuple:
+def _bfs(g: Multigraph) -> tuple:
     """Breadth-first search from vertex 0 scanning incident edges in increasing id.
 
-    Only edges in ``edges`` are followed when it is given. Returns
-    ``(parent, depth)`` over the reached vertices: ``parent[v]`` is the
-    (vertex, edge id) pair v was reached through, None at the root. The
+    Returns ``(parent, depth)`` over the reached vertices: ``parent[v]`` is
+    the (vertex, edge id) pair v was reached through, None at the root. The
     search order fixes the spanning tree, hence every circuit orientation.
     """
     parent, depth = {0: None}, {0: 0}
@@ -282,7 +275,7 @@ def _bfs(g: Multigraph, edges=None) -> tuple:
     while queue:
         v = queue.popleft()
         for e, w in g.adjacency[v]:
-            if w not in parent and (edges is None or e in edges):
+            if w not in parent:
                 parent[w] = (v, e)
                 depth[w] = depth[v] + 1
                 queue.append(w)
@@ -347,22 +340,13 @@ def walk_between(g: Multigraph, a: int, b: int) -> Walk:
     return make_walk(g, vs, es)
 
 
-def fundamental_circuits(g: Multigraph, tree=None) -> list:
-    """One circuit per non-tree edge: the edge plus the tree path closing it.
+def fundamental_circuits(g: Multigraph) -> list:
+    """One circuit per non-tree edge: the edge plus the BFS tree path closing it.
 
     The list is ordered by non-tree edge id and has length equal to the
-    cycle rank |E| - |V| + 1. ``tree`` defaults to the BFS spanning tree.
+    cycle rank |E| - |V| + 1.
     """
-    if tree is None:
-        parent, depth = g.tree
-    else:
-        # The BFS never follows an id outside the graph, so none can span.
-        tree = frozenset(tree)
-        parent, depth = _bfs(g, tree)
-        if len(tree) != g.n_vertices - 1 or len(parent) != g.n_vertices:
-            raise NotASpanningTreeError(
-                f"the {len(tree)} given edges are not a spanning tree of "
-                f"{g.n_vertices} vertices")
+    parent, depth = g.tree
     tree = _tree_edges(parent)
     circuits = []
     for e, rec in enumerate(g.edges):

@@ -16,6 +16,7 @@ import pytest
 import scipy.linalg
 
 from gffresist import (
+    ResistiveNetwork,
     appendix_check,
     build_free_field,
     check_concavity_segment,
@@ -39,7 +40,6 @@ from gffresist import (
 )
 from gffresist.cli import run_command
 from gffresist.gaussian import (
-    ConstraintSet,
     condition_diagonal,
     conditioned_variance,
     linear_functional_variance,
@@ -119,9 +119,10 @@ def test_criterion_3_entropy_chain(instances):
         assert abs(report.margin("h_hat", "h_joint_hat")) <= 1e-9
         assert abs(report.margin("h_joint_split", "h_sum")) <= 1e-9
         reff_hat = effective_resistance(
-            net.with_resistances(net.resistances + r_bar), a, b)
+            ResistiveNetwork(net.graph, net.resistances + r_bar), a, b)
         reff_sum = (effective_resistance(net, a, b)
-                    + effective_resistance(net.with_resistances(r_bar), a, b))
+                    + effective_resistance(ResistiveNetwork(net.graph, r_bar),
+                                           a, b))
         expected_margin = 0.5 * math.log(reff_hat / reff_sum)
         assert report.margin("h_joint_hat", "h_joint_split") == pytest.approx(
             expected_margin, abs=1e-10)
@@ -177,7 +178,7 @@ def test_criterion_6_circuit_basis_equivalence(instances):
         field = build_free_field(net)
         all_rows = circuit_matrix(g, circuits)
         conditioned = condition_on_zero(independent_gaussian(net.resistances),
-                                        ConstraintSet(all_rows))
+                                        all_rows)
         diff = np.max(np.abs(conditioned.covariance
                              - field.edge_field.covariance))
         assert diff <= 1e-9
@@ -291,8 +292,8 @@ def test_criterion_10_projection_matches_general_conditioning(instances):
             fast = conditioned_variance(
                 condition_diagonal(variances, rows), functional)
             reference = linear_functional_variance(
-                condition_on_zero(independent_gaussian(variances),
-                                  ConstraintSet(rows)), functional)
+                condition_on_zero(independent_gaussian(variances), rows),
+                functional)
             worst = max(worst, abs(fast - reference) / reference)
     assert worst <= 1e-12, f"worst relative gap {worst:.3e}"
     report_line(10, "projection form matches general conditioning")

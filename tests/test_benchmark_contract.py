@@ -4,7 +4,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from gffresist import electric
+from gffresist.cli import parse_network
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+DATA = Path(__file__).parent / "data"
 
 
 def load_tracer():
@@ -21,3 +25,19 @@ def test_every_traced_layer_function_exists():
         missing += [f"gffresist.{module_name}.{fn}" for fn in functions
                     if not callable(getattr(module, fn, None))]
     assert missing == []
+
+
+def test_tracer_sees_the_laplacian_under_node_voltages():
+    # node_voltages assembles through the public laplacian, so a traced
+    # solve records one laplacian span inside its node_voltages span.
+    net = parse_network(str(DATA / "triangle.json"))
+    recorder = load_tracer().SpanRecorder()
+    recorder.install()
+    try:
+        electric.effective_resistance(net, 0, 1)
+    finally:
+        recorder.uninstall()
+    names = [span[0] for span in recorder.spans]
+    parents = [names[span[3]] for span in recorder.spans
+               if span[0] == "electric.laplacian"]
+    assert parents == ["electric.node_voltages"]

@@ -596,6 +596,46 @@ class TestExitCodes:
         assert "result: FAIL" in out
 
 
+class TestPairWithCommas:
+    """comma_names.json is a ring of the vertices "x,y", "z", "w", "w,x"
+    and "y"; --pair splits at the one comma that leaves two vertex names."""
+
+    NET = str(DATA / "comma_names.json")
+
+    def run(self, pair, command=("reff",), bar=False):
+        return run_command([*command, "--network", self.NET, "--pair", pair]
+                           + (["--bar-network", self.NET] if bar else []))
+
+    def test_resolved_at_the_one_naming_comma(self, capsys):
+        assert self.run("x,y,z") == EXIT_PASS
+        # The 1-ohm x,y-z edge beside the 6-ohm rest of the ring.
+        assert capsys.readouterr().out == "0.8571428571\n"
+
+    def test_two_naming_commas_are_ambiguous(self, capsys):
+        # "w" | "x,y" and "w,x" | "y" both name two vertices.
+        assert self.run("w,x,y") == EXIT_USAGE
+        assert "more than one comma" in capsys.readouterr().err
+
+    def test_no_naming_comma(self, capsys):
+        assert self.run("x,y,q") == EXIT_USAGE
+        assert "no comma splits" in capsys.readouterr().err
+
+    def test_unknown_name_at_a_single_comma(self, capsys):
+        assert self.run("z,q") == EXIT_USAGE
+        assert "unknown vertex 'q'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, bar", [
+        (("reff",), False), (("gff",), False), (("thomson",), False),
+        *((("verify", check), True)
+          for check in ("superadd", "melvin", "entropy", "concavity")),
+        *((("verify", check), False) for check in ("scaling", "monotone", "mc")),
+    ])
+    def test_same_vertex_twice(self, capsys, command, bar):
+        # Every route rejects it through Multigraph.check_vertices.
+        assert self.run("z,z", command, bar) == EXIT_USAGE
+        assert "vertices must differ" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, capsys):
         argv = ["verify", "entropy",

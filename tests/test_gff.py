@@ -8,7 +8,6 @@ import pytest
 
 import gffresist
 from gffresist import (
-    ConstraintSet,
     ResistiveNetwork,
     build_free_field,
     build_multigraph,
@@ -192,7 +191,7 @@ class TestBasisIndependence:
             field = build_free_field(net)
             all_rows = circuit_matrix(net.graph, enumerate_circuits(net.graph))
             conditioned = condition_on_zero(
-                independent_gaussian(net.resistances), ConstraintSet(all_rows))
+                independent_gaussian(net.resistances), all_rows)
             diff = np.max(np.abs(conditioned.covariance
                                  - field.edge_field.covariance))
             assert diff <= 1e-9
@@ -275,9 +274,10 @@ class TestProjectionForm:
 
     def test_wide_span_keeps_every_circuit_row(self):
         # Resistances over [1e-6, 1e6]: the factor keeps one column per
-        # circuit row, and the variance matches the cycle-space flow power.
-        # A singular-value cutoff dropped a row on one network here and
-        # left a relative gap of 1.8e-8.
+        # circuit row, and the variance matches the cycle-space flow power,
+        # by the projection and by the general conditioning path alike.
+        # A singular-value cutoff of 1e-6 dropped a row on one network here
+        # and left a relative gap of 1.8e-8.
         worst = 0.0
         for i in range(150):
             rng = instance_rng(99, i)
@@ -288,8 +288,13 @@ class TestProjectionForm:
             field = build_free_field(net)
             assert field.factor[1].shape[1] == graph.cycle_rank
             power = dissipated_power(net, min_energy_flow_oracle(net, a, b))
-            variance = potential_difference_variance(field, a, b)
-            worst = max(worst, abs(variance - power) / power)
+            general = condition_on_zero(independent_gaussian(net.resistances),
+                                        graph.cycle_matrix)
+            for variance in (
+                    potential_difference_variance(field, a, b),
+                    linear_functional_variance(
+                        general, potential_difference_functional(field, a, b))):
+                worst = max(worst, abs(variance - power) / power)
         assert worst <= 1e-9, f"worst relative gap {worst:.3e}"
 
     def test_edge_covariance_passes_psd_check_on_wide_spans(self):

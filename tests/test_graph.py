@@ -10,7 +10,6 @@ import pytest
 
 import gffresist
 from gffresist import (
-    Circuit,
     Multigraph,
     build_multigraph,
     circuit_matrix,
@@ -77,15 +76,6 @@ def count_circuits_brute(multiplicity) -> int:
     return int(sum(cycles.values())) + int(two_edge)
 
 
-def grid_graph(side):
-    """side x side grid: row edges first, then column edges."""
-    specs = [(i * side + j, i * side + j + 1)
-             for i in range(side) for j in range(side - 1)]
-    specs += [(i * side + j, (i + 1) * side + j)
-              for i in range(side - 1) for j in range(side)]
-    return build_multigraph(list(range(side * side)), specs)
-
-
 class TestBuild:
     def test_single_edge(self):
         g = build_multigraph(["a", "b"], [("a", "b")])
@@ -132,11 +122,9 @@ class TestBuild:
         m = g.cycle_matrix
         assert m is g.cycle_matrix
         assert not m.flags.writeable
-        for expected in (circuit_matrix(g, fundamental_circuits(g)),
-                         circuit_matrix(g, fundamental_circuits(
-                             g, spanning_tree(g)))):
-            assert m.shape == expected.shape
-            assert m.tobytes() == expected.tobytes()
+        expected = circuit_matrix(g, fundamental_circuits(g))
+        assert m.shape == expected.shape
+        assert m.tobytes() == expected.tobytes()
 
     def test_cycle_matrix_of_a_tree_is_empty(self, series_path):
         assert series_path.graph.cycle_matrix.shape == (0, 2)
@@ -216,43 +204,6 @@ class TestFundamentalCircuits:
 
     def test_tree_has_none(self, series_path):
         assert fundamental_circuits(series_path.graph) == []
-
-    def test_rejects_non_tree(self, triangle):
-        with pytest.raises(NotASpanningTreeError):
-            fundamental_circuits(triangle.graph, tree={0, 1, 2})
-        with pytest.raises(NotASpanningTreeError):
-            fundamental_circuits(triangle.graph, tree={0})
-
-    @pytest.mark.parametrize("tree", [{0, 99}, {0, "x"}])
-    def test_rejects_ids_outside_the_graph(self, triangle, tree):
-        with pytest.raises(NotASpanningTreeError):
-            fundamental_circuits(triangle.graph, tree=tree)
-
-    def test_user_tree_triangle(self, triangle):
-        (c,) = fundamental_circuits(triangle.graph, tree={0, 1})
-        assert c.vertices == (0, 2, 1, 0)
-        assert c.edges == (2, 1, 0)
-
-    def test_bfs_tree_passed_explicitly(self):
-        g = grid_graph(5)
-        assert fundamental_circuits(g, tree=spanning_tree(g)) == \
-            fundamental_circuits(g)
-
-    def test_user_tree_on_grid(self):
-        # comb: every row edge plus the first column, unlike the BFS tree
-        side = 5
-        g = grid_graph(side)
-        tree = {e for e, rec in enumerate(g.edges)
-                if rec.head == rec.tail + 1 or rec.tail % side == 0}
-        assert len(tree) == g.n_vertices - 1 and tree != spanning_tree(g)
-        circuits = fundamental_circuits(g, tree=tree)
-        assert [c.edges[0] for c in circuits] == \
-            [e for e in range(g.n_edges) if e not in tree]
-        for c in circuits:
-            assert isinstance(c, Circuit) and set(c.edges[1:]) <= tree
-        rows = circuit_matrix(g, circuits)
-        assert np.linalg.matrix_rank(rows) == g.cycle_rank
-        assert np.max(np.abs(g.incidence_matrix() @ rows.T)) == 0.0
 
     def test_count_equals_cycle_rank(self):
         for i in range(30):

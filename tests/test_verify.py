@@ -406,7 +406,8 @@ def unit_free(report: VerificationReport) -> list:
 
 
 def suite_unit_free(seed: int, index: int, unit: float) -> list:
-    instance = _suite_instance(seed, index, unit)
+    graph, r, r_bar, a, b, edge, delta = _suite_instance(seed, index)
+    instance = graph, unit * r, unit * r_bar, a, b, edge, unit * delta
     return [(name, unit_free(report)) for name, report in
             _suite_reports(*instance, DEFAULT_TOL, 11)]
 
