@@ -234,7 +234,7 @@ def _emit_report(report: VerificationReport, args) -> int:
 
 def _load_pair(network: ResistiveNetwork, pair: str, parser) -> tuple:
     """Split NAME,NAME at the one comma whose two sides both name vertices,
-    so a name may contain commas; the routes reject a repeated vertex."""
+    so a name may contain commas, and reject a vertex named twice."""
     names = network.graph.vertices
     splits = [(pair[:k], pair[k + 1:])
               for k, ch in enumerate(pair) if ch == ","]
@@ -245,7 +245,11 @@ def _load_pair(network: ResistiveNetwork, pair: str, parser) -> tuple:
     if not named and len(splits) != 1:
         parser.error(f"--pair {pair!r} must look like NAME,NAME: no comma "
                      "splits it into two vertex names")
-    return tuple(map(network.graph.vertex_index, (named or splits)[0]))
+    a, b = map(network.graph.vertex_index, (named or splits)[0])
+    if a == b:
+        parser.error(f"--pair {pair!r} names vertex {names[a]!r} twice: the "
+                     "vertices must differ")
+    return a, b
 
 
 def _require_same_topology(n1: ResistiveNetwork, n2: ResistiveNetwork, parser):

@@ -7,8 +7,10 @@ textbook pseudo-inverse form cov - cov M' (M cov M')^+ M cov but stays
 symmetric PSD by construction; condition_on_value takes P from a thin SVD
 of B, whose singular-value cutoff absorbs linearly dependent constraint
 rows. condition_diagonal keeps only the factor, for an independent Gaussian
-whose square root is diagonal, and takes P from a Householder QR of B':
-its rows must be linearly independent, as circuit rows are.
+whose square root is diagonal: P = Q Q' for the Householder QR of B',
+kept in LAPACK's compact form (the reflectors, never Q itself) and applied
+through them; the rows of M must be linearly independent, as circuit
+rows are.
 """
 
 import functools
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dormqr
 
 from .errors import (
     DimensionMismatchError,
@@ -190,43 +193,83 @@ def linear_functional_variance(g: GaussianVector, c) -> float:
     return var
 
 
+def _with_workspace(routine, *args, **kwargs):
+    """Call a LAPACK routine with the workspace its lwork=-1 query asks for:
+    with its default of 3n words dgeqrf is 4x slower at E x k = 1984 x 961."""
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    return routine(*args, lwork=int(work[0]), **kwargs)
+
+
 def condition_diagonal(variances, rows) -> tuple:
-    """Factor (s, q) of the independent Gaussian with these variances given
-    rows . x = 0: s = sqrt(variances) and q, the Householder QR basis of
-    col(diag(s) rows'). O(E k^2) for k rows.
+    """Factor (s, h, tau) of the independent Gaussian with these variances
+    given rows . x = 0: s = sqrt(variances) and (h, tau), LAPACK dgeqrf's
+    compact Householder QR of diag(s) rows', whose k reflectors Q span
+    col(diag(s) rows'). O(E k^2) for k rows; Q itself is never formed.
 
     The k rows must be linearly independent, as every circuit-row stack is:
     each row of C, [C, C] or blockdiag(C, C) owns a chord column with entry
-    1. A diagonal entry of R at or below RANK_CUTOFF times the largest marks
-    a dependent row and raises ValidationError: unpivoted QR does not drop
-    it, so q would gain a spurious direction. Not the normal equations
-    c'Dc - y'(C D C')^-1 y: that is the cycle-Gram solve of
-    min_energy_flow_oracle, and the free-field route would then share its
-    arithmetic with the flow route it cross-checks.
+    1. More rows than coordinates, or a diagonal entry of R at or below
+    RANK_CUTOFF times the largest, marks a dependent row and raises
+    ValidationError: unpivoted QR does not drop it, so Q would gain a
+    spurious direction. Not the normal equations c'Dc - y'(C D C')^-1 y:
+    that is the cycle-Gram solve of min_energy_flow_oracle, and the
+    free-field route would then share its arithmetic with the flow route it
+    cross-checks.
     """
     s = np.sqrt(np.asarray(variances, dtype=float))
-    q, r = np.linalg.qr((rows * s).T)
-    diag = np.abs(np.diagonal(r))
-    if q.shape[1] < len(rows) or np.any(
+    # The transpose of a C-ordered product is Fortran-ordered, so dgeqrf
+    # factors it in place. No rows (a tree) means no reflectors.
+    h, tau = (rows * s).T, np.zeros(0)
+    if len(rows):
+        h, tau, _, _ = _with_workspace(dgeqrf, h, overwrite_a=True)
+    # dgeqrf keeps min(E, k) reflectors: only the count shows k > E.
+    diag = np.abs(np.diagonal(h))
+    if len(rows) > s.size or np.any(
             diag <= RANK_CUTOFF * diag.max(initial=0.0)):
         raise ValidationError(
             f"the {len(rows)} conditioning rows are linearly dependent")
-    return s, q
+    return s, h, tau
+
+
+def _reflected(factor: tuple, w: np.ndarray, trans: str) -> np.ndarray:
+    """Q' w (trans "T") or Q w (trans "N") for the columns of w, in place
+    when w is a Fortran-ordered float array. A single column takes the
+    minimum workspace, so dormqr applies the reflectors one at a time: the
+    blocked form spends O(E k nb) building block reflectors that one vector
+    does not repay (4x slower at E x k = 264 x 121)."""
+    _, h, tau = factor
+    if not tau.size:  # no rows: Q is the identity
+        return w
+    if w.shape[1] == 1:
+        return dormqr("L", trans, h, tau, w, 1, overwrite_c=True)[0]
+    return _with_workspace(dormqr, "L", trans, h, tau, w, overwrite_c=True)[0]
+
+
+def _scaled_columns(factor: tuple, c) -> np.ndarray:
+    """w = s c, one column per functional: (s c').T is Fortran-ordered."""
+    c = np.asarray(c, dtype=float)
+    return (factor[0] * np.atleast_2d(c)).T
 
 
 def functional_root(factor: tuple, c) -> np.ndarray:
-    """u = w - q q' w, w = s c: under condition_diagonal, c . x = u . z; a
-    stack of rows c gets one root per row, and u u' is their covariance."""
-    s, q = factor
-    w = s * np.asarray(c, dtype=float)
-    return w - (q @ (q.T @ w.T)).T
+    """u = w - Q Q' w, w = s c: under condition_diagonal, c . x = u . z; a
+    stack of rows c gets one root per row, and u u' is their covariance.
+    Q Q' w is Q applied to the leading k coordinates of Q' w, so u is Q
+    applied to Q' w with those coordinates zeroed."""
+    w = _reflected(factor, _scaled_columns(factor, c), "T")
+    w[:factor[2].size] = 0.0
+    w = _reflected(factor, w, "N")
+    return w[:, 0] if np.ndim(c) == 1 else w.T
 
 
 def conditioned_variance(factor: tuple, c) -> float:
-    """Variance |u|^2 of c . x under condition_diagonal: its rounding error
-    is about eps |w| |u|, where w . u would lose eps |w|^2 on a wide span."""
-    u = functional_root(factor, c)
-    return float(u @ u)
+    """Variance |u|^2 of c . x under condition_diagonal, read as the squared
+    norm of the trailing E - k coordinates of Q' w (Q is orthogonal): the
+    least-squares residual, with rounding error about eps |w| |u|, where
+    w . u would lose eps |w|^2 on a wide span."""
+    tail = _reflected(factor, _scaled_columns(factor, c), "T")[
+        factor[2].size:, 0]
+    return float(tail @ tail)
 
 
 def functional_draws(factor: tuple, c, count: int, seed: int):

@@ -23,8 +23,9 @@ from .graph import enumerate_simple_walks, tree_walk_vector, walk_sign_vector
 
 @dataclass(frozen=True)
 class FreeField:
-    """Conditioned edge field of a network; ``factor`` is the (s, q) of
-    gaussian.condition_diagonal on the graph's ``cycle_matrix``."""
+    """Conditioned edge field of a network; ``factor`` is the (s, h, tau) of
+    gaussian.condition_diagonal on the graph's ``cycle_matrix``: s the edge
+    standard deviations, (h, tau) the Householder reflectors Q."""
 
     network: ResistiveNetwork
     factor: tuple
@@ -32,8 +33,8 @@ class FreeField:
     @functools.cached_property
     def edge_field(self) -> GaussianVector:
         """The E x E edge Gaussian, formed on first use as the Gram matrix
-        M M' of the identity rows' roots M = diag(s) (I - q q'); diag(R) -
-        (s q)(s q)' can come out indefinite on wide resistance spans."""
+        M M' of the identity rows' roots M = diag(s) (I - Q Q'); diag(R) -
+        (s Q)(s Q)' can come out indefinite on wide resistance spans."""
         m = functional_root(self.factor, np.eye(self.network.graph.n_edges))
         return GaussianVector(np.zeros(m.shape[0]), m @ m.T)
 

@@ -254,6 +254,7 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     on its own circuit constraints. Coarser conditioning leaves at least as
     much entropy in the a-to-b potential difference.
     """
+    graph.check_vertices(a, b)  # before the three factorizations
     r = np.asarray(r, dtype=float)
     r_bar = np.asarray(r_bar, dtype=float)
     fields = [build_free_field(ResistiveNetwork(graph, x))

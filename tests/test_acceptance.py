@@ -301,7 +301,7 @@ def test_criterion_10_projection_matches_general_conditioning(instances):
 
 def test_criterion_11_circuit_rows_keep_full_rank(instances):
     # Each circuit row owns a chord column, so the QR factor keeps one
-    # basis column per row: k for C and [C, C], 2k for blockdiag(C, C).
+    # reflector per row: k for C and [C, C], 2k for blockdiag(C, C).
     for net, r_bar, _, _ in instances + draw_instances(SUITE_SEED):
         phi = net.graph.cycle_matrix
         k = net.graph.cycle_rank
@@ -310,6 +310,6 @@ def test_criterion_11_circuit_rows_keep_full_rank(instances):
                 (net.resistances, phi, k),
                 (doubled, np.hstack([phi, phi]), k),
                 (doubled, scipy.linalg.block_diag(phi, phi), 2 * k)):
-            _, q = condition_diagonal(variances, rows)
-            assert q.shape == (variances.size, kept)
+            _, _, tau = condition_diagonal(variances, rows)
+            assert tau.size == kept
     report_line(11, "circuit rows keep full rank")

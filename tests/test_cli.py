@@ -631,9 +631,16 @@ class TestPairWithCommas:
         *((("verify", check), False) for check in ("scaling", "monotone", "mc")),
     ])
     def test_same_vertex_twice(self, capsys, command, bar):
-        # Every route rejects it through Multigraph.check_vertices.
+        # _load_pair rejects it before any route runs.
         assert self.run("z,z", command, bar) == EXIT_USAGE
         assert "vertices must differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair, name", [("z,z", "z"), ("x,y,x,y", "x,y")])
+    def test_same_vertex_twice_names_the_option_and_vertex(self, capsys,
+                                                           pair, name):
+        assert self.run(pair, ("gff",)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--pair {pair!r} names vertex {name!r} twice" in err
 
 
 class TestDeterminism:

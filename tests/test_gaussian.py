@@ -5,6 +5,7 @@ import operator
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -326,7 +327,11 @@ class TestDiagonalConditioning:
     def test_basis_is_orthonormal_and_spans_the_scaled_rows(self):
         rng = np.random.default_rng(21)
         rows = rng.standard_normal((4, 9))
-        s, q = condition_diagonal(rng.uniform(0.1, 10.0, 9), rows)
+        s, h, tau = condition_diagonal(rng.uniform(0.1, 10.0, 9), rows)
+        # Q is the reflectors applied to the first 4 columns of the identity.
+        q, _, info = scipy.linalg.lapack.dormqr(
+            "L", "N", h, tau, np.eye(9)[:, :4], 4 * 64)
+        assert info == 0
         assert q.shape == (9, 4)
         np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-14)
         b = (rows * s).T
@@ -357,6 +362,33 @@ class TestDiagonalConditioning:
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValidationError, match="linearly dependent"):
             condition_diagonal([1.0, 2.0], rows)
+
+
+class TestReflectorKernel:
+    """The compact factor against an explicit Q from numpy.linalg.qr."""
+
+    # Above 64 reflectors a stack of roots goes through dormqr's blocked form.
+    @pytest.mark.parametrize("k, dim", [(0, 1), (0, 6), (1, 6), (4, 9),
+                                        (8, 9), (1, 1), (9, 9), (70, 150),
+                                        (150, 150)])
+    def test_roots_and_variances_match_an_explicit_basis(self, k, dim):
+        rng = np.random.default_rng(100 * k + dim)
+        variances = rng.uniform(0.1, 10.0, dim)
+        rows = rng.standard_normal((k, dim))
+        factor = condition_diagonal(variances, rows)
+        q, _ = np.linalg.qr((rows * np.sqrt(variances)).T)
+        c = rng.standard_normal((5, dim))
+        w = np.sqrt(variances) * c
+        expected = w - (q @ (q.T @ w.T)).T
+        stacked = functional_root(factor, c)
+        if k == dim:  # the rows pin every coordinate
+            assert np.max(np.abs(stacked)) <= 1e-13 * np.max(np.abs(w))
+        for row, w_row, u_row, root in zip(c, w, expected, stacked):
+            scale = float(w_row @ w_row)
+            for u in (functional_root(factor, row), root):
+                assert np.max(np.abs(u - u_row)) <= 1e-13 * math.sqrt(scale)
+            assert (abs(conditioned_variance(factor, row) - u_row @ u_row)
+                    <= 1e-13 * scale)
 
 
 def all_draws(factor, c, count, seed):

@@ -5,6 +5,7 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 import gffresist
 from gffresist import (
@@ -271,6 +272,22 @@ class TestProjectionForm:
         field = build_free_field(triangle)
         assert "edge_field" not in vars(field)
         assert field.edge_field is field.edge_field
+
+    def test_no_route_forms_an_explicit_basis(self, monkeypatch):
+        # The conditioning works through the Householder reflectors alone.
+        def formed(*args, **kwargs):
+            raise AssertionError("an explicit Q was formed")
+        monkeypatch.setattr(np.linalg, "qr", formed)
+        monkeypatch.setattr(scipy.linalg.lapack, "dorgqr", formed)
+        net = parse_network(str(DATA / "grid4.json"))
+        field = build_free_field(net)
+        assert potential_difference_variance(field, 0, 15) == pytest.approx(
+            effective_resistance(net, 0, 15), rel=1e-12)
+        assert eta_field(field, 3).dim == net.graph.n_vertices
+        assert entropy_chain(net.graph, net.resistances,
+                             2.0 * net.resistances, 0, 15).passed
+        assert verify.monte_carlo_variance_check(
+            net.graph, net.resistances, 0, 15, 1000, 5).passed
 
     def test_wide_span_keeps_every_circuit_row(self):
         # Resistances over [1e-6, 1e6]: the factor keeps one column per

@@ -23,7 +23,11 @@ from gffresist import (
 )
 from gffresist import verify
 from gffresist.electric import ResistiveNetwork, effective_resistance
-from gffresist.errors import ValidationError
+from gffresist.errors import (
+    NotASpanningTreeError,
+    SameVertexError,
+    ValidationError,
+)
 from gffresist.graph import build_multigraph
 from gffresist.verify import (
     DEFAULT_TOL,
@@ -220,6 +224,16 @@ class TestEntropyChain:
         for q in ("h_hat", "h_joint_hat", "h_joint_split", "h_sum"):
             assert report.quantity(q) == pytest.approx(expected, abs=1e-9)
         assert report.passed
+
+    @pytest.mark.parametrize("a, b, error", [(1, 1, SameVertexError),
+                                             (0, 9, NotASpanningTreeError)])
+    def test_bad_pair_raises_before_any_free_field(self, monkeypatch,
+                                                   parallel_pair, a, b, error):
+        def build(network):
+            raise AssertionError("a free field was built for a bad pair")
+        monkeypatch.setattr(verify, "build_free_field", build)
+        with pytest.raises(error):
+            entropy_chain(parallel_pair.graph, [1.0, 1.0], [1.0, 2.0], a, b)
 
     def test_tiny_resistances_are_not_degenerate(self):
         # A valid network in picohms: the same verdict and the same
