@@ -31,7 +31,12 @@ from .electric import (
     kvl_residual,
     thomson_flow,
 )
-from .errors import GffResistError, ParseError, ValidationError
+from .errors import (
+    GffResistError,
+    ParseError,
+    SameVertexError,
+    ValidationError,
+)
 from .gaussian import DegenerateEntropy
 from .gff import build_free_field, potential_difference_variance
 from .graph import build_multigraph
@@ -246,9 +251,10 @@ def _load_pair(network: ResistiveNetwork, pair: str, parser) -> tuple:
         parser.error(f"--pair {pair!r} must look like NAME,NAME: no comma "
                      "splits it into two vertex names")
     a, b = map(network.graph.vertex_index, (named or splits)[0])
-    if a == b:
-        parser.error(f"--pair {pair!r} names vertex {names[a]!r} twice: the "
-                     "vertices must differ")
+    try:
+        network.graph.check_vertices(a, b)
+    except SameVertexError as err:
+        parser.error(f"--pair {pair!r}: {err}")
     return a, b
 
 

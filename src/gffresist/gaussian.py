@@ -193,13 +193,6 @@ def linear_functional_variance(g: GaussianVector, c) -> float:
     return var
 
 
-def _with_workspace(routine, *args, **kwargs):
-    """Call a LAPACK routine with the workspace its lwork=-1 query asks for:
-    with its default of 3n words dgeqrf is 4x slower at E x k = 1984 x 961."""
-    work = routine(*args, lwork=-1, **kwargs)[-2]
-    return routine(*args, lwork=int(work[0]), **kwargs)
-
-
 def condition_diagonal(variances, rows) -> tuple:
     """Factor (s, h, tau) of the independent Gaussian with these variances
     given rows . x = 0: s = sqrt(variances) and (h, tau), LAPACK dgeqrf's
@@ -217,11 +210,18 @@ def condition_diagonal(variances, rows) -> tuple:
     cross-checks.
     """
     s = np.sqrt(np.asarray(variances, dtype=float))
+    if np.ndim(rows) != 2 or np.shape(rows)[1] != s.size:
+        raise DimensionMismatchError(
+            f"rows have shape {np.shape(rows)}, Gaussian has dimension "
+            f"{s.size}")
     # The transpose of a C-ordered product is Fortran-ordered, so dgeqrf
-    # factors it in place. No rows (a tree) means no reflectors.
+    # factors it in place. No rows (a tree) means no reflectors. With its
+    # default workspace of 3n words dgeqrf is 4x slower at E x k = 1984 x
+    # 961 than with the one its lwork=-1 query asks for.
     h, tau = (rows * s).T, np.zeros(0)
     if len(rows):
-        h, tau, _, _ = _with_workspace(dgeqrf, h, overwrite_a=True)
+        work = dgeqrf(h, lwork=-1)[2]
+        h, tau, _, _ = dgeqrf(h, lwork=int(work[0]), overwrite_a=True)
     # dgeqrf keeps min(E, k) reflectors: only the count shows k > E.
     diag = np.abs(np.diagonal(h))
     if len(rows) > s.size or np.any(
@@ -233,22 +233,21 @@ def condition_diagonal(variances, rows) -> tuple:
 
 def _reflected(factor: tuple, w: np.ndarray, trans: str) -> np.ndarray:
     """Q' w (trans "T") or Q w (trans "N") for the columns of w, in place
-    when w is a Fortran-ordered float array. A single column takes the
-    minimum workspace, so dormqr applies the reflectors one at a time: the
-    blocked form spends O(E k nb) building block reflectors that one vector
-    does not repay (4x slower at E x k = 264 x 121)."""
+    when w is a Fortran-ordered float array."""
     _, h, tau = factor
     if not tau.size:  # no rows: Q is the identity
         return w
-    if w.shape[1] == 1:
-        return dormqr("L", trans, h, tau, w, 1, overwrite_c=True)[0]
-    return _with_workspace(dormqr, "L", trans, h, tau, w, overwrite_c=True)[0]
+    return dormqr("L", trans, h, tau, w, w.shape[1], overwrite_c=True)[0]
 
 
 def _scaled_columns(factor: tuple, c) -> np.ndarray:
     """w = s c, one column per functional: (s c').T is Fortran-ordered."""
     c = np.asarray(c, dtype=float)
-    return (factor[0] * np.atleast_2d(c)).T
+    s = factor[0]
+    if c.ndim not in (1, 2) or c.shape[-1] != s.size:
+        raise DimensionMismatchError(
+            f"functional has shape {c.shape}, Gaussian has dimension {s.size}")
+    return (s * np.atleast_2d(c)).T
 
 
 def functional_root(factor: tuple, c) -> np.ndarray:
@@ -266,7 +265,10 @@ def conditioned_variance(factor: tuple, c) -> float:
     """Variance |u|^2 of c . x under condition_diagonal, read as the squared
     norm of the trailing E - k coordinates of Q' w (Q is orthogonal): the
     least-squares residual, with rounding error about eps |w| |u|, where
-    w . u would lose eps |w|^2 on a wide span."""
+    w . u would lose eps |w|^2 on a wide span. One functional only."""
+    if np.ndim(c) != 1:
+        raise DimensionMismatchError(
+            f"one functional expected, got shape {np.shape(c)}")
     tail = _reflected(factor, _scaled_columns(factor, c), "T")[
         factor[2].size:, 0]
     return float(tail @ tail)

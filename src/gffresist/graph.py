@@ -137,9 +137,11 @@ class Multigraph:
             except TypeError:
                 raise ValidationError(
                     f"vertex {v!r} is not an integer index") from None
-        if len(set(vertices)) < len(vertices):
-            raise SameVertexError(
-                f"vertices must differ, got {', '.join(map(str, vertices))}")
+        for i, v in enumerate(vertices):
+            if v in vertices[:i]:
+                name = self.vertices[v] if 0 <= v < self.n_vertices else int(v)
+                raise SameVertexError(
+                    f"vertex {name!r} named twice: vertices must differ")
         for v in vertices:
             if not 0 <= v < self.n_vertices:
                 raise NotASpanningTreeError(

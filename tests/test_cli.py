@@ -640,7 +640,7 @@ class TestPairWithCommas:
                                                            pair, name):
         assert self.run(pair, ("gff",)) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"--pair {pair!r} names vertex {name!r} twice" in err
+        assert f"--pair {pair!r}: vertex {name!r} named twice" in err
 
 
 class TestDeterminism:

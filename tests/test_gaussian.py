@@ -367,7 +367,6 @@ class TestDiagonalConditioning:
 class TestReflectorKernel:
     """The compact factor against an explicit Q from numpy.linalg.qr."""
 
-    # Above 64 reflectors a stack of roots goes through dormqr's blocked form.
     @pytest.mark.parametrize("k, dim", [(0, 1), (0, 6), (1, 6), (4, 9),
                                         (8, 9), (1, 1), (9, 9), (70, 150),
                                         (150, 150)])
@@ -389,6 +388,23 @@ class TestReflectorKernel:
                 assert np.max(np.abs(u - u_row)) <= 1e-13 * math.sqrt(scale)
             assert (abs(conditioned_variance(factor, row) - u_row @ u_row)
                     <= 1e-13 * scale)
+
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(DimensionMismatchError, match=r"\(1, 2\)"):
+            condition_diagonal([1.0, 2.0, 3.0], np.ones((1, 2)))
+        factor = condition_diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
+        for route in (functional_root, conditioned_variance):
+            with pytest.raises(DimensionMismatchError, match="dimension 3"):
+                route(factor, [1.0, -1.0])
+            with pytest.raises(DimensionMismatchError, match=r"\(2, 2, 3\)"):
+                route(factor, np.ones((2, 2, 3)))
+
+    def test_variance_takes_one_functional(self):
+        # A stack used to return the first row's variance and drop the rest.
+        factor = condition_diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
+        with pytest.raises(DimensionMismatchError, match="one functional"):
+            conditioned_variance(factor, np.eye(3)[:2])
 
 
 def all_draws(factor, c, count, seed):

@@ -464,6 +464,13 @@ class TestCheckVertices:
         with pytest.raises(SameVertexError):
             triangle.graph.check_vertices(5, 5)
 
+    def test_repeat_message_names_the_vertex(self, triangle):
+        name = triangle.graph.vertices[1]
+        with pytest.raises(SameVertexError, match=f"vertex {name!r} named twice"):
+            triangle.graph.check_vertices(1, 1)
+        with pytest.raises(SameVertexError, match="vertex 5 named twice"):
+            triangle.graph.check_vertices(np.int64(5), 5)
+
     def test_message_names_vertex_and_count(self, triangle):
         with pytest.raises(NotASpanningTreeError, match="vertex -1 .* 3 vertices"):
             triangle.graph.check_vertices(0, -1)
