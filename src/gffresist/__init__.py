@@ -16,8 +16,6 @@ from .electric import (
     thomson_flow,
 )
 from .gaussian import (
-    DEGENERATE_ENTROPY,
-    DegenerateEntropy,
     GaussianVector,
     condition_on_value,
     condition_on_zero,

@@ -37,7 +37,6 @@ from .errors import (
     SameVertexError,
     ValidationError,
 )
-from .gaussian import DegenerateEntropy
 from .gff import build_free_field, potential_difference_variance
 from .graph import build_multigraph
 from .verify import VerificationReport
@@ -78,8 +77,8 @@ NETWORK_SCHEMA = {
     },
 }
 
-# Shape of every report emitted under --format json. Degenerate entropies
-# and non-finite margins serialize as null.
+# Shape of every report emitted under --format json. The -inf entropy of a
+# point mass and the infinite margins it brings serialize as null.
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["name", "quantities", "inequalities", "tolerance", "pass"],
@@ -190,19 +189,16 @@ def fmt(x) -> str:
     return format(float(x), ".10g")
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, DegenerateEntropy):
-        return "degenerate"
-    if isinstance(value, float) and not math.isfinite(value):
-        return "degenerate-comparison"
-    return fmt(value)
+def _fmt_value(value, word: str) -> str:
+    """fmt, or ``word`` in place of the infinities a point mass brings: its
+    entropy -inf, and the margin of a finite entropy compared with it."""
+    return fmt(value) if math.isfinite(value) else word
 
 
 def to_bits(report: VerificationReport) -> VerificationReport:
     """Rescale entropy-valued quantities (h_* labels) from nats to bits."""
     def bits(label, value):
-        entropy = label.startswith("h_") and isinstance(value, float)
-        return value / LN2 if entropy else value
+        return value / LN2 if label.startswith("h_") else value
 
     return VerificationReport(
         report.name,
@@ -217,11 +213,12 @@ def to_bits(report: VerificationReport) -> VerificationReport:
 def render_report(report: VerificationReport) -> str:
     lines = [f"check: {report.name}"]
     for label, value in report.quantities:
-        lines.append(f"  {label} = {_fmt_value(value)}")
+        lines.append(f"  {label} = {_fmt_value(value, 'degenerate')}")
     for iq in report.inequalities:
         status = "ok" if iq.holds else "FAILED"
         lines.append(
-            f"  {iq.lhs} {iq.rel} {iq.rhs}  margin={_fmt_value(iq.margin)}  {status}")
+            f"  {iq.lhs} {iq.rel} {iq.rhs}  "
+            f"margin={_fmt_value(iq.margin, 'degenerate-comparison')}  {status}")
     lines.append(f"  tolerance = {fmt(report.tolerance)}")
     lines.append(f"  result: {'pass' if report.passed else 'FAIL'}")
     return "\n".join(lines)
@@ -400,16 +397,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pair", required=True, help="vertex pair NAME,NAME")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_reff = sub.add_parser("reff", help="effective resistance (Laplacian route)")
-    add_common(p_reff)
+    def add_command(parent, name, handler, **kwargs):
+        """A subcommand parser that carries its handler and itself, so a
+        usage error the handler finds prints this subcommand's usage."""
+        p = parent.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler, parser=p)
+        return p
 
-    p_gff = sub.add_parser("gff", help="free-field variance beside the "
-                                       "effective resistance")
-    add_common(p_gff)
-
-    p_thomson = sub.add_parser("thomson", help="minimum-energy unit flow, "
-                                               "power, and law residuals")
-    add_common(p_thomson)
+    add_common(add_command(sub, "reff", _cmd_reff,
+                           help="effective resistance (Laplacian route)"))
+    add_common(add_command(sub, "gff", _cmd_gff,
+                           help="free-field variance beside the effective "
+                                "resistance"))
+    add_common(add_command(sub, "thomson", _cmd_thomson,
+                           help="minimum-energy unit flow, power, and law "
+                                "residuals"))
 
     p_verify = sub.add_parser("verify", help="run one theorem check")
     checks = p_verify.add_subparsers(dest="check", required=True)
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report entropies in bits instead of nats"),
     }
     for check, (run, *flags) in VERIFY_CHECKS.items():
-        p = checks.add_parser(check)
+        p = add_command(checks, check, _cmd_verify)
         if check == "appendix":
             p.add_argument("--format", choices=("text", "json"), default="text")
         else:
@@ -440,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run, keywords=[
             d for d in dests if d not in ("bar_network", "bits")])
 
-    p_suite = sub.add_parser("suite", help="randomized property battery")
+    p_suite = add_command(sub, "suite", _cmd_suite,
+                          help="randomized property battery")
     # A string default goes through ``type`` too, so a bad $GFFRESIST_SEED
     # is a usage error like a bad --seed.
     p_suite.add_argument("--seed", type=_at_least(int, 0),
@@ -462,16 +465,8 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-
-    handlers = {
-        "reff": _cmd_reff,
-        "gff": _cmd_gff,
-        "thomson": _cmd_thomson,
-        "verify": _cmd_verify,
-        "suite": _cmd_suite,
-    }
     try:
-        return handlers[args.command](args, parser)
+        return args.handler(args, args.parser)
     except SystemExit as exc:  # parser.error inside a handler
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ValidationError as exc:

@@ -20,7 +20,9 @@ class UnknownEndpointError(GffResistError):
 
 
 class NotASpanningTreeError(GffResistError):
-    """The supplied edge set is not a spanning tree of the graph."""
+    """A vertex that no spanning tree of the graph reaches: check_vertices
+    raises it for an index outside 0 <= v < n_vertices, and
+    DisconnectedError subclasses it."""
 
 
 class DisconnectedError(NotASpanningTreeError):

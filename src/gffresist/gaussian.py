@@ -13,12 +13,12 @@ through them; the rows of M must be linearly independent, as circuit
 rows are.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dormqr
+from scipy.linalg import qr
+from scipy.linalg.lapack import dormqr
 
 from .errors import (
     DimensionMismatchError,
@@ -41,36 +41,6 @@ RANK_CUTOFF = 1e-10
 VARIANCE_CLAMP = 1e-12
 INCONSISTENCY_TOL = 1e-8
 DRAW_BLOCK = 1 << 19  # normals functional_draws draws at once (4 MB)
-
-
-@functools.total_ordering
-class DegenerateEntropy:
-    """Entropy of a point mass: a distinguished signal, not a numeric -inf.
-
-    Compares equal to itself and strictly below every real number, so
-    entropy chains can order degenerate and finite values explicitly.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "DegenerateEntropy"
-
-    def __eq__(self, other):
-        return isinstance(other, DegenerateEntropy)
-
-    def __hash__(self):
-        return hash(DegenerateEntropy)
-
-    def __lt__(self, other):
-        if isinstance(other, DegenerateEntropy):
-            return False
-        if isinstance(other, (int, float)):
-            return True
-        return NotImplemented
-
-
-DEGENERATE_ENTROPY = DegenerateEntropy()
 
 
 @dataclass(frozen=True)
@@ -215,15 +185,13 @@ def condition_diagonal(variances, rows) -> tuple:
             f"rows have shape {np.shape(rows)}, Gaussian has dimension "
             f"{s.size}")
     # The transpose of a C-ordered product is Fortran-ordered, so dgeqrf
-    # factors it in place. No rows (a tree) means no reflectors. With its
-    # default workspace of 3n words dgeqrf is 4x slower at E x k = 1984 x
-    # 961 than with the one its lwork=-1 query asks for.
-    h, tau = (rows * s).T, np.zeros(0)
-    if len(rows):
-        work = dgeqrf(h, lwork=-1)[2]
-        h, tau, _, _ = dgeqrf(h, lwork=int(work[0]), overwrite_a=True)
+    # factors it in place, with the workspace its lwork=-1 query asks for
+    # (the default 3n words is 4x slower at E x k = 1984 x 961). No rows (a
+    # tree) means no reflectors.
+    (h, tau), r = qr((rows * s).T, overwrite_a=True, mode="raw",
+                     check_finite=False)
     # dgeqrf keeps min(E, k) reflectors: only the count shows k > E.
-    diag = np.abs(np.diagonal(h))
+    diag = np.abs(np.diagonal(r))
     if len(rows) > s.size or np.any(
             diag <= RANK_CUTOFF * diag.max(initial=0.0)):
         raise ValidationError(
@@ -287,18 +255,18 @@ def functional_draws(factor: tuple, c, count: int, seed: int):
         yield rng.standard_normal((min(block, count - start), u.size)) @ u
 
 
-def entropy_scalar(variance: float, tol: float = 0.0):
+def entropy_scalar(variance: float, tol: float = 0.0) -> float:
     """Differential entropy (nats) of a scalar Gaussian with this variance.
 
-    Returns 0.5 * ln(2*pi*e*variance) for variance > tol, the
-    DEGENERATE_ENTROPY signal at or below tol. The default threshold 0.0
+    Returns 0.5 * ln(2*pi*e*variance) for variance > tol, and -inf, the
+    entropy of a point mass, at or below tol. The default threshold 0.0
     makes only a zero variance a point mass, in any units; a caller whose
     variances carry rounding error passes a threshold on their scale.
     """
     if variance < 0:
         raise NegativeVarianceError(f"variance {variance:.3e} is negative")
     if variance <= tol:
-        return DEGENERATE_ENTROPY
+        return -math.inf
     return 0.5 * math.log(2.0 * math.pi * math.e * variance)
 
 

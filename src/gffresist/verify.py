@@ -24,7 +24,6 @@ from .electric import (
 from .errors import DimensionMismatchError, ValidationError
 from .gaussian import (
     VARIANCE_CLAMP,
-    DegenerateEntropy,
     GaussianVector,
     condition_diagonal,
     condition_on_value,
@@ -55,8 +54,9 @@ class Inequality:
     most tolerance * scale in magnitude. scale is the larger operand
     magnitude, so verdicts have no units, except 1 for entropies (margins
     in nats), max|f| for a concavity second difference and c' cov c for the
-    appendix lemma's variances. A comparison with a degenerate (point-mass)
-    entropy has a non-finite margin, serialized as null.
+    appendix lemma's variances. Two point-mass entropies (-inf) tie with
+    margin 0; a point mass against a finite entropy has an infinite margin,
+    serialized as null.
     """
 
     lhs: str
@@ -94,11 +94,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         def jsonable(value):
-            if isinstance(value, DegenerateEntropy):
-                return None
-            if isinstance(value, float) and not math.isfinite(value):
-                return None
-            return value
+            return value if math.isfinite(value) else None
 
         return {
             "name": self.name,
@@ -116,7 +112,8 @@ class VerificationReport:
 def _judged(name: str, quantities, relations, tol: float) -> VerificationReport:
     """Report ``quantities`` with each (lhs, rel, rhs[, scale]) relation over
     their labels judged by the one rule Inequality states; scale defaults to
-    the larger operand magnitude. A degenerate entropy sits below all floats.
+    the larger operand magnitude, which an entropy relation must override:
+    a point-mass entropy is -inf.
     """
     values = dict(quantities)
     ineqs = []
@@ -124,15 +121,10 @@ def _judged(name: str, quantities, relations, tol: float) -> VerificationReport:
         x, y = values[lhs], values[rhs]
         if rel == "<=":
             x, y = y, x
-        deg_x, deg_y = (isinstance(v, DegenerateEntropy) for v in (x, y))
-        if deg_x or deg_y:
-            margin = (0.0 if deg_x and deg_y else math.nan if rel == "=="
-                      else math.inf if deg_y else -math.inf)
-            holds = margin >= 0
-        else:
-            margin = x - y
-            bound = tol * (scale[0] if scale else max(abs(x), abs(y)))
-            holds = abs(margin) <= bound if rel == "==" else margin >= -bound
+        # Two point masses tie, where -inf - -inf would be NaN.
+        margin = 0.0 if x == y else x - y
+        bound = tol * (scale[0] if scale else max(abs(x), abs(y)))
+        holds = abs(margin) <= bound if rel == "==" else margin >= -bound
         ineqs.append(Inequality(lhs, rel, rhs, margin, bool(holds)))
     return VerificationReport(name, tuple(quantities), tuple(ineqs), tol)
 
@@ -384,7 +376,13 @@ def random_appendix_instance(dim: int, seed: int) -> AppendixInstance:
 def appendix_check(instance: AppendixInstance,
                    tol: float = DEFAULT_TOL) -> VerificationReport:
     """Conditioning on the sum leaves at least the variance of conditioning
-    on the parts, and the conditional variance ignores the pinned value."""
+    on the parts, and the conditional variance ignores the pinned value.
+
+    The second relation holds by construction: condition_on_value's
+    covariance never reads ``values``, so var_given_hat_alt equals
+    var_given_hat exactly. The witness can fail only by raising
+    InconsistentConstraintError, were the second value unreachable.
+    """
     joint = GaussianVector(
         np.zeros(2 * instance.dim),
         scipy.linalg.block_diag(instance.cov_w, instance.cov_w_bar))
@@ -528,11 +526,7 @@ def run_suite(seed: int, instances: int, tol: float = DEFAULT_TOL) -> dict:
         if not report.passed:
             entry["failures"] += 1
         for ineq in report.inequalities:
-            margin = ineq.margin
-            if isinstance(margin, float) and math.isnan(margin):
-                margin = -math.inf
-            if ineq.rel == "==":
-                margin = -abs(margin)
+            margin = -abs(ineq.margin) if ineq.rel == "==" else ineq.margin
             entry["worst_margin"] = min(entry["worst_margin"], margin)
 
     for i in range(instances):

@@ -257,6 +257,10 @@ def test_criterion_9_cli_golden_files():
             "--network", str(DATA / "grid4.json"),
             "--bar-network", str(DATA / "grid4_bar.json"),
             "--pair", "v0,v15"],
+        # A point mass: its entropy prints "degenerate", and its comparison
+        # with a finite entropy "degenerate-comparison".
+        "appendix_dim1_seed0.txt": [
+            "verify", "appendix", "--dim", "1", "--seed", "0"],
         # Worst margins of the default battery: they pin the bits of every
         # solve, conditioning and cycle basis the suite runs.
         "suite_12345_200.txt": [

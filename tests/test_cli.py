@@ -410,6 +410,8 @@ class TestJsonOutput:
                      "--format", "json"])
         doc = self.validate(capsys.readouterr().out)
         assert doc["pass"] is True
+        assert doc["quantities"]["h_given_split"] is None
+        assert doc["inequalities"][1]["margin"] is None
 
     def test_suite_json(self, capsys):
         run_command(["suite", "--seed", "5", "--instances", "1",
@@ -572,6 +574,22 @@ class TestExitCodes:
             "--pair", "a,b"])
         assert code == EXIT_USAGE
         assert "topology mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, prog", [
+        (["reff", "--network", str(DATA / "comma_names.json"),
+          "--pair", "z,z"], "gffresist reff"),
+        (["verify", "monotone", "--network", str(DATA / "triangle.json"),
+          "--pair", "a,b", "--edge", "9"], "gffresist verify monotone"),
+        (["verify", "superadd", "--network", str(DATA / "parallel_pair.json"),
+          "--bar-network", str(DATA / "triangle.json"), "--pair", "a,b"],
+         "gffresist verify superadd"),
+    ], ids=["reff-pair", "monotone-edge", "superadd-topology"])
+    def test_usage_error_in_a_handler_names_its_subcommand(self, capsys, argv,
+                                                           prog):
+        assert run_command(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} [-h] --network NETWORK")
+        assert f"\n{prog}: error: " in err
 
     def test_missing_bar_network(self, capsys):
         code = run_command([
