@@ -35,6 +35,7 @@ from .errors import (
     GffResistError,
     ParseError,
     SameVertexError,
+    SingularSystemError,
     ValidationError,
 )
 from .gff import build_free_field, potential_difference_variance
@@ -469,7 +470,7 @@ def run_command(argv) -> int:
         return args.handler(args, args.parser)
     except SystemExit as exc:  # parser.error inside a handler
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except ValidationError as exc:
+    except (ValidationError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_NETWORK
     except GffResistError as exc:  # ParseError and other usage errors

@@ -1,14 +1,18 @@
 """Deterministic circuit theory for resistive multigraphs.
 
-Node voltages come from a dense Cholesky solve of the ground-reduced
-Laplacian under a unit current source; the reduced matrix is assembled
-directly, without the ground vertex's row and column. The Thomson flow
-follows by Ohm's law; an independent minimum-energy route re-derives the
-same flow by unconstrained quadratic minimization in cycle coordinates, so
-the two can cross-check each other. Both routes solve through one kernel,
-``_spd_solve``: LAPACK ``dposv`` on the upper triangle, then ``dpocon`` for
-the reciprocal condition number, with a ``LinAlgWarning`` below machine
-epsilon.
+Node voltages come from a band Cholesky solve of the ground-reduced
+Laplacian under a unit current source. The reduced matrix is assembled
+directly in LAPACK upper band storage, without the ground vertex's row and
+column and without ever forming the dense matrix; its half-bandwidth ``kd``
+is the largest ``head - tail`` over the edges that keep both ends, so the
+vertex order sets the cost, O(V kd^2), but not the value beyond rounding.
+The Thomson flow follows by Ohm's law; an independent minimum-energy route
+re-derives the same flow by unconstrained quadratic minimization in cycle
+coordinates, so the two can cross-check each other. Both routes solve
+through one kernel, ``_spd_solve``: LAPACK ``dpbsv`` on the band, then a
+Hager-Higham estimate of the reciprocal 1-norm condition number (LAPACK
+``dlacn2``'s iteration, re-solving with ``dpbtrs``), with a
+``LinAlgWarning`` below machine epsilon.
 """
 
 import warnings
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import dpocon, dposv
+from scipy.linalg.lapack import dpbsv, dpbtrs
 
 from .errors import (
     DimensionMismatchError,
@@ -88,43 +92,130 @@ def _check_flow(n: ResistiveNetwork, f: FlowVector):
             f"{n.graph.n_edges} edges")
 
 
-def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` for a symmetric positive definite matrix.
+def _band_norm1(band: np.ndarray) -> float:
+    """1-norm of the symmetric matrix whose upper band storage is ``band``;
+    the unused top-left slots are not read."""
+    kd, size = band.shape[0] - 1, band.shape[1]
+    # Slot (r, j) holds entry (i, j), i = j - kd + r; i < 0 is no entry.
+    rows = np.arange(size) - np.arange(kd, -1, -1)[:, None]
+    held = np.where(rows >= 0, np.abs(band), 0.0)
+    # Column j: its entries on and above the diagonal, then the mirror of
+    # row j's entries right of the diagonal.
+    mirrored = np.bincount(np.maximum(rows[:-1], 0).ravel(),
+                           held[:-1].ravel(), minlength=size)
+    return float(np.max(held.sum(axis=0) + mirrored))
 
-    LAPACK ``dposv`` factors the upper triangle, so only that triangle is
-    read. A matrix that is not positive definite raises SingularSystemError
-    with ``message``. When the ``dpocon`` estimate of the reciprocal
-    1-norm condition number is below machine epsilon, a ``LinAlgWarning``
-    says the result may be inaccurate. A 1x1 system is one division and a
-    0x0 system has the empty solution.
+
+def _band_rcond(factor: np.ndarray, norm: float) -> float:
+    """Reciprocal 1-norm condition number of the SPD matrix with 1-norm
+    ``norm`` and upper band Cholesky factor ``factor`` (at least 2x2).
+
+    ``||A^-1||_1`` is estimated as LAPACK ``dpocon`` does, by ``dlacn2``'s
+    iteration (Hager, SIAM J. Sci. Stat. Comput. 5(2), 1984; Higham, ACM
+    TOMS 14(4), 1988): at most five steps, then the alternating-sign test.
+    A symmetric A needs no transposed solve, so every step re-solves with
+    ``dpbtrs``. An estimate that overflows gives 0, as ``dpocon`` does.
     """
-    if matrix.shape == (1, 1):
-        if not matrix[0, 0] > 0.0:
-            raise SingularSystemError(message)
-        return rhs / matrix[0, 0]
-    if matrix.size == 0:
+    size = factor.shape[1]
+
+    def solve(x):
+        return dpbtrs(factor, x)[0]
+
+    def signs(x):
+        return np.where(x >= 0.0, 1.0, -1.0)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = solve(np.full(size, 1.0 / size))
+        estimate, sign = np.abs(x).sum(), signs(x)
+        j = np.argmax(np.abs(solve(sign)))
+        for _ in range(4):
+            x = solve(np.eye(1, size, j)[0])
+            previous, estimate = estimate, np.abs(x).sum()
+            if np.array_equal(signs(x), sign) or estimate <= previous:
+                break
+            sign = signs(x)
+            z = solve(sign)
+            j_last, j = j, np.argmax(np.abs(z))
+            if z[j_last] == abs(z[j]):
+                break
+        i = np.arange(size)
+        alternating = np.where(i % 2, -1.0, 1.0) * (1.0 + i / (size - 1))
+        estimate = max(estimate,
+                       2.0 * np.abs(solve(alternating)).sum() / (3 * size))
+    return float(1.0 / estimate / norm) if estimate > 0.0 else 0.0
+
+
+def _spd_solve(band: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
+    """Solve ``A @ x = rhs`` for the symmetric positive definite A whose
+    LAPACK upper band storage is ``band``, shape ``(kd + 1, size)``.
+
+    LAPACK ``dpbsv`` factors the band. A matrix that is not positive
+    definite raises SingularSystemError with ``message``, and a solution
+    that is not finite raises it saying that the resistances exceed the
+    double range. When the estimated reciprocal 1-norm condition number
+    (``_band_rcond``) is below machine epsilon, a ``LinAlgWarning`` says
+    the result may be inaccurate. A 1x1 system is one division and a 0x0
+    system has the empty solution.
+    """
+    size = band.shape[1]
+    if size == 0:
         return np.zeros(0)
-    factor, x, info = dposv(matrix, rhs)
-    if info > 0:
-        raise SingularSystemError(message)
-    rcond, _ = dpocon(factor, np.linalg.norm(matrix, 1))
-    if not rcond >= np.finfo(float).eps:
-        warnings.warn(f"ill-conditioned matrix (rcond={rcond:.6g}): "
-                      "result may not be accurate", LinAlgWarning, stacklevel=3)
-    return x.ravel()
+    if size == 1:
+        if not band[-1, 0] > 0.0:
+            raise SingularSystemError(message)
+        with np.errstate(over="ignore"):
+            x = rhs / band[-1, 0]
+    else:
+        factor, x, info = dpbsv(band, rhs)
+        if info > 0:
+            raise SingularSystemError(message)
+    if not np.isfinite(x).all():
+        raise SingularSystemError(
+            "solution is not finite: the network's resistances exceed the "
+            "double range")
+    if size > 1:
+        rcond = _band_rcond(factor, _band_norm1(band))
+        if not rcond >= np.finfo(float).eps:
+            warnings.warn(f"ill-conditioned matrix (rcond={rcond:.6g}): "
+                          "result may not be accurate", LinAlgWarning,
+                          stacklevel=3)
+    return x
+
+
+def _full_band(matrix: np.ndarray) -> np.ndarray:
+    """Upper band storage, ``kd = size - 1``, of the dense symmetric
+    ``matrix``; its upper triangle is the one used."""
+    size = len(matrix)
+    if size == 0:
+        return np.zeros((1, 0))
+    kd = size - 1
+    flat = np.zeros(size * size)
+    # Column-major, slot (kd + i - j, j) lies at offset kd * (j + 1) + i:
+    # the first kd entries of each column go at stride kd from offset kd.
+    # Entries below the diagonal land in slots that hold no entry; the last
+    # diagonal entry is the one left over.
+    flat[kd:-1].reshape(size, kd)[:] = matrix[:kd].T
+    flat[-1] = matrix[-1, -1]
+    return flat.reshape(size, size).T
 
 
 def laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
-    """Weighted Laplacian with edge conductances 1/R_e; without the ground
-    vertex's row and column when ``ground`` is given, the other vertices
-    keeping their order."""
+    """Weighted Laplacian L with edge conductances 1/R_e, in LAPACK upper
+    band storage: an array of shape ``(kd + 1, size)`` whose entry
+    ``(kd + i - j, j)`` holds ``L[i, j]`` for ``j - kd <= i <= j``, so row
+    ``kd`` is the diagonal; the slots with ``i < 0`` are 0. With ``ground``
+    the ground vertex's row and column are left out, the other vertices
+    keeping their order. ``kd`` is the largest ``head - tail`` over the
+    edges that keep both ends (0 when none do); no vertex is reordered.
+    """
     g = n.graph
     t, h, c = g.tails, g.heads, 1.0 / n.resistances
-    # Per edge, in edge order: (t,h), (h,t) lose c and (t,t), (h,h) gain it.
-    # np.add.at sums repeated entries in this order, as an edge loop would.
-    rows = np.column_stack([t, h, t, h]).ravel()
-    cols = np.column_stack([h, t, t, h]).ravel()
-    values = np.column_stack([-c, -c, c, c]).ravel()
+    # Per edge, in edge order: (t,h) loses c and (t,t), (h,h) gain it; the
+    # lower triangle's (h,t) mirrors (t,h) and is not stored. np.add.at sums
+    # repeated entries in this order, as an edge loop would.
+    rows = np.column_stack([t, t, h]).ravel()
+    cols = np.column_stack([h, t, h]).ravel()
+    values = np.column_stack([-c, c, c]).ravel()
     size = g.n_vertices
     if ground is not None:
         kept = (rows != ground) & (cols != ground)
@@ -132,16 +223,17 @@ def laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
         rows = rows - (rows > ground)
         cols = cols - (cols > ground)
         size -= 1
-    lap = np.zeros((size, size))
-    np.add.at(lap, (rows, cols), values)
-    return lap
+    kd = int(np.max(cols - rows, initial=0))
+    band = np.zeros((kd + 1, size))
+    np.add.at(band, (kd + rows - cols, cols), values)
+    return band
 
 
 def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:
     """Vertex potentials for a unit current injected at a, extracted at grounded b."""
     n.graph.check_vertices(a, b)
     reduced = laplacian(n, ground=b)
-    rhs = np.zeros(len(reduced))
+    rhs = np.zeros(reduced.shape[1])
     rhs[a - (a > b)] = 1.0
     sol = _spd_solve(reduced, rhs,
                      "reduced Laplacian is singular; is the network connected?")
@@ -174,7 +266,7 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     base = tree_walk_vector(n.graph, a, b)
     cycles = n.graph.cycle_matrix
     weighted = cycles * n.resistances
-    t = _spd_solve(weighted @ cycles.T, -weighted @ base,
+    t = _spd_solve(_full_band(weighted @ cycles.T), -weighted @ base,
                    "cycle Gram matrix is singular")
     return FlowVector(base + cycles.T @ t)
 
@@ -188,11 +280,14 @@ def dissipated_power(n: ResistiveNetwork, f: FlowVector) -> float:
 def kcl_residual(n: ResistiveNetwork, f: FlowVector, a: int, b: int) -> float:
     """Worst-vertex violation of current conservation for a unit a-to-b source."""
     _check_flow(n, f)
-    n.graph.check_vertices(a, b)
-    source = np.zeros(n.graph.n_vertices)
+    g = n.graph
+    g.check_vertices(a, b)
+    source = np.zeros(g.n_vertices)
     source[a] += 1.0
     source[b] -= 1.0
-    net = n.graph.incidence_matrix() @ f.currents
+    # Current leaving each vertex: out through its tails, in through its heads.
+    net = (np.bincount(g.tails, f.currents, minlength=g.n_vertices)
+           - np.bincount(g.heads, f.currents, minlength=g.n_vertices))
     return float(np.max(np.abs(net - source)))
 
 

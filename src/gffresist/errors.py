@@ -48,7 +48,8 @@ class DimensionMismatchError(GffResistError):
 
 
 class SingularSystemError(GffResistError):
-    """A linear system that should be definite turned out singular."""
+    """A linear system that should be definite turned out singular, or its
+    solution is past the double range."""
 
 
 class NonpositiveVarianceError(GffResistError):

@@ -129,14 +129,31 @@ def _judged(name: str, quantities, relations, tol: float) -> VerificationReport:
     return VerificationReport(name, tuple(quantities), tuple(ineqs), tol)
 
 
+def _derived_network(graph: Multigraph, label: str,
+                     compute) -> ResistiveNetwork:
+    """The network whose resistances ``compute()`` derives from valid ones;
+    an invalid result names ``label``, not an edge value of the input."""
+    with np.errstate(over="ignore"):
+        r = compute()
+    overflow = np.isinf(r)
+    if overflow.any():
+        raise ValidationError(
+            f"{label} overflows at edges[{int(np.argmax(overflow))}]")
+    try:
+        return ResistiveNetwork(graph, r)
+    except ValidationError as exc:
+        raise ValidationError(f"{label}: {exc}") from exc
+
+
 def check_superadditivity(graph: Multigraph, r, r_bar, a: int, b: int,
                           tol: float = DEFAULT_TOL) -> VerificationReport:
     """Effective resistance of the edgewise sum dominates the sum of parts."""
     r = np.asarray(r, dtype=float)
     r_bar = np.asarray(r_bar, dtype=float)
-    reff_hat = effective_resistance(ResistiveNetwork(graph, r + r_bar), a, b)
-    reff = effective_resistance(ResistiveNetwork(graph, r), a, b)
-    reff_bar = effective_resistance(ResistiveNetwork(graph, r_bar), a, b)
+    nets = (ResistiveNetwork(graph, r), ResistiveNetwork(graph, r_bar),
+            _derived_network(graph, "r + r_bar", lambda: r + r_bar))
+    reff, reff_bar, reff_hat = (effective_resistance(net, a, b)
+                                for net in nets)
     quantities = (
         ("reff_hat", reff_hat),
         ("reff", reff),
@@ -158,12 +175,12 @@ def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
     """
     if grid_points < 3:
         raise ValidationError("concavity grid needs at least 3 points")
-    r0 = np.asarray(r0, dtype=float)
-    r1 = np.asarray(r1, dtype=float)
+    r0, r1 = (ResistiveNetwork(graph, r).resistances for r in (r0, r1))
 
     def reff_at(lam):
-        return effective_resistance(
-            ResistiveNetwork(graph, (1.0 - lam) * r0 + lam * r1), a, b)
+        return effective_resistance(_derived_network(
+            graph, f"(1 - lam) * r0 + lam * r1 at lam = {lam:g}",
+            lambda: (1.0 - lam) * r0 + lam * r1), a, b)
 
     lams = np.linspace(0.0, 1.0, grid_points)
     f = np.array([reff_at(lam) for lam in lams])
@@ -200,7 +217,7 @@ def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     r_bar = np.asarray(r_bar, dtype=float)
     net = ResistiveNetwork(graph, r)
     net_bar = ResistiveNetwork(graph, r_bar)
-    net_hat = ResistiveNetwork(graph, r + r_bar)
+    net_hat = _derived_network(graph, "r + r_bar", lambda: r + r_bar)
 
     # One solve per network gives both its Thomson flow and its Reff.
     volts_hat, volts, volts_bar = (node_voltages(m, a, b)
@@ -249,8 +266,9 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     graph.check_vertices(a, b)  # before the three factorizations
     r = np.asarray(r, dtype=float)
     r_bar = np.asarray(r_bar, dtype=float)
-    fields = [build_free_field(ResistiveNetwork(graph, x))
-              for x in (r, r_bar, r + r_bar)]
+    nets = (ResistiveNetwork(graph, r), ResistiveNetwork(graph, r_bar),
+            _derived_network(graph, "r + r_bar", lambda: r + r_bar))
+    fields = [build_free_field(net) for net in nets]
     var, var_bar, var_hat = (potential_difference_variance(f, a, b)
                              for f in fields)
 
@@ -285,8 +303,10 @@ def check_scaling(graph: Multigraph, r, t: float, a: int, b: int,
     if t <= 0:
         raise ValidationError("scale factor must be positive")
     r = np.asarray(r, dtype=float)
-    reff = effective_resistance(ResistiveNetwork(graph, r), a, b)
-    reff_scaled = effective_resistance(ResistiveNetwork(graph, t * r), a, b)
+    net = ResistiveNetwork(graph, r)
+    net_scaled = _derived_network(graph, "t * r", lambda: t * r)
+    reff = effective_resistance(net, a, b)
+    reff_scaled = effective_resistance(net_scaled, a, b)
     quantities = (
         ("reff", reff),
         ("scale_factor", float(t)),
@@ -306,10 +326,12 @@ def check_monotonicity(graph: Multigraph, r, edge: int, delta: float,
     r = np.asarray(r, dtype=float)
     if not 0 <= edge < graph.n_edges:
         raise ValidationError(f"edge id {edge} out of range")
-    bumped = r.copy()
-    bumped[edge] += delta
-    reff = effective_resistance(ResistiveNetwork(graph, r), a, b)
-    reff_bumped = effective_resistance(ResistiveNetwork(graph, bumped), a, b)
+    net = ResistiveNetwork(graph, r)
+    net_bumped = _derived_network(
+        graph, "r + delta",
+        lambda: np.where(np.arange(graph.n_edges) == edge, r + delta, r))
+    reff = effective_resistance(net, a, b)
+    reff_bumped = effective_resistance(net_bumped, a, b)
     quantities = (
         ("reff", reff),
         ("reff_bumped", reff_bumped),

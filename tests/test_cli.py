@@ -487,6 +487,24 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: edges[1]: resistance ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["reff"], "solution is not finite: the network's resistances "
+                   "exceed the double range"),
+        (["thomson"], "solution is not finite: the network's resistances "
+                      "exceed the double range"),
+        (["verify", "scaling"], "t * r overflows at edges[0]"),
+        *((["verify", check, "--bar-network", str(DATA / "overflow_path.json")],
+           "r + r_bar overflows at edges[0]")
+          for check in ("superadd", "melvin", "entropy")),
+    ])
+    def test_overflow_exits_three_naming_what_overflowed(self, capsys, argv,
+                                                         message):
+        # A valid path of two 1e308-ohm edges: Reff is 2e308.
+        code = run_command([*argv, "--network",
+                            str(DATA / "overflow_path.json"), "--pair", "a,c"])
+        assert code == EXIT_INVALID_NETWORK
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("check, unread", [
         ("superadd", ["--grid", "5"]),
         ("melvin", ["--bits"]),

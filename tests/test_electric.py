@@ -19,7 +19,7 @@ from gffresist import (
     node_voltages,
     thomson_flow,
 )
-from gffresist.electric import _spd_solve
+from gffresist.electric import _band_norm1, _band_rcond, _full_band, _spd_solve
 from gffresist.errors import (
     DimensionMismatchError,
     SameVertexError,
@@ -36,9 +36,29 @@ from gffresist.graph import (
 from gffresist.verify import instance_rng, random_network, random_pair
 
 
+def dense(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose LAPACK upper band storage is ``band``."""
+    kd, size = band.shape[0] - 1, band.shape[1]
+    i, j = np.triu_indices(size)
+    i, j = i[j - i <= kd], j[j - i <= kd]
+    full = np.zeros((size, size))
+    full[i, j] = full[j, i] = band[kd + i - j, j]
+    return full
+
+
+def pack(matrix, kd: int) -> np.ndarray:
+    """Upper band storage, half-bandwidth ``kd``, of a dense matrix's upper
+    triangle; the slots that hold no entry are 0."""
+    matrix = np.asarray(matrix, dtype=float)
+    band = np.zeros((kd + 1, len(matrix)))
+    for d in range(kd + 1):
+        band[kd - d, d:] = np.diagonal(matrix, d)
+    return band
+
+
 def pinv_effective_resistance(net: ResistiveNetwork, a: int, b: int) -> float:
     """Oracle: R_eff = (d_a - d_b)' L^+ (d_a - d_b) via the full pseudo-inverse."""
-    pinv = np.linalg.pinv(laplacian(net))
+    pinv = np.linalg.pinv(dense(laplacian(net)))
     d = np.zeros(net.graph.n_vertices)
     d[a], d[b] = 1.0, -1.0
     return float(d @ pinv @ d)
@@ -48,21 +68,23 @@ class TestLaplacian:
     def test_single_edge(self):
         g = build_multigraph(["a", "b"], [("a", "b")])
         net = ResistiveNetwork(g, np.array([2.0]))
-        np.testing.assert_allclose(laplacian(net), [[0.5, -0.5], [-0.5, 0.5]])
+        np.testing.assert_allclose(dense(laplacian(net)),
+                                   [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_parallel_conductances_add(self):
         g = build_multigraph(["a", "b"], [("a", "b"), ("a", "b")])
         net = ResistiveNetwork(g, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(laplacian(net), [[2, -2], [-2, 2]])
+        np.testing.assert_allclose(dense(laplacian(net)), [[2, -2], [-2, 2]])
 
     def test_triangle(self, triangle):
-        lap = laplacian(triangle)
+        lap = dense(laplacian(triangle))
         np.testing.assert_allclose(np.diag(lap), [2, 2, 2])
         np.testing.assert_allclose(lap - np.diag(np.diag(lap)),
                                    -(np.ones((3, 3)) - np.eye(3)))
 
     def test_nullspace_is_constant_vector(self, bridge):
-        np.testing.assert_allclose(laplacian(bridge) @ np.ones(4), 0, atol=1e-12)
+        np.testing.assert_allclose(dense(laplacian(bridge)) @ np.ones(4), 0,
+                                   atol=1e-12)
 
     def test_matches_edge_loop_bit_for_bit(self):
         # parallel edges repeat entries; they must add up in edge order
@@ -76,16 +98,35 @@ class TestLaplacian:
                 ref[rec.head, rec.tail] -= c
                 ref[rec.tail, rec.tail] += c
                 ref[rec.head, rec.head] += c
-            np.testing.assert_array_equal(laplacian(net), ref)
-
+            np.testing.assert_array_equal(dense(laplacian(net)), ref)
 
     def test_ground_reduced_assembly_drops_one_row_and_column(self):
         for i in range(30):
             net = random_network(instance_rng(73, i))
-            full = laplacian(net)
+            full = dense(laplacian(net))
             for ground in range(net.graph.n_vertices):
                 expected = np.delete(np.delete(full, ground, 0), ground, 1)
-                np.testing.assert_array_equal(laplacian(net, ground), expected)
+                np.testing.assert_array_equal(dense(laplacian(net, ground)),
+                                              expected)
+
+    def test_half_bandwidth_is_the_longest_kept_edge(self):
+        for i in range(30):
+            net = random_network(instance_rng(83, i))
+            g = net.graph
+            for ground in range(g.n_vertices):
+                kept = (g.tails != ground) & (g.heads != ground)
+                spans = (g.heads - g.tails - ((g.tails < ground)
+                                              & (ground < g.heads)))[kept]
+                assert laplacian(net, ground).shape == (
+                    int(np.max(spans, initial=0)) + 1, g.n_vertices - 1)
+
+    @pytest.mark.parametrize("side", [3, 8, 16])
+    def test_row_major_grid_has_half_bandwidth_side(self, side):
+        # What the band solve's speed rests on: O(V side^2), not O(V^3).
+        net = grid_network(side, np.random.default_rng(side))
+        assert laplacian(net).shape == (side + 1, side * side)
+        for ground in (0, side * side // 2, side * side - 1):
+            assert laplacian(net, ground).shape == (side + 1, side * side - 1)
 
 
 def grid_network(side: int, rng) -> ResistiveNetwork:
@@ -99,25 +140,50 @@ def grid_network(side: int, rng) -> ResistiveNetwork:
                                                   g.n_edges)))
 
 
+def scipy_banded_solve(matrix: np.ndarray, kd: int,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Reference: pack the upper triangle at half-bandwidth kd, then scipy's
+    cholesky_banded and cho_solve_banded (LAPACK dpbtrf, dpbtrs); as in
+    scipy.linalg.solve, a 1x1 system is one division and a 0x0 system has
+    the empty solution."""
+    if len(matrix) <= 1:
+        return rhs / matrix.ravel()
+    factor = scipy.linalg.cholesky_banded(pack(matrix, kd))
+    return scipy.linalg.cho_solve_banded((factor, False), rhs)
+
+
 def scipy_voltages(net: ResistiveNetwork, a: int, b: int) -> np.ndarray:
-    """Reference: slice the full Laplacian, solve with scipy.linalg.solve."""
+    """Reference: slice the full Laplacian, solve it banded through scipy
+    at the half-bandwidth of its nonzero entries."""
     keep = [v for v in range(net.graph.n_vertices) if v != b]
     rhs = np.zeros(len(keep))
     rhs[keep.index(a)] = 1.0
+    reduced = dense(laplacian(net))[np.ix_(keep, keep)]
+    i, j = np.nonzero(reduced)
     potentials = np.zeros(net.graph.n_vertices)
-    potentials[keep] = scipy.linalg.solve(
-        laplacian(net)[np.ix_(keep, keep)], rhs, assume_a="pos")
+    potentials[keep] = scipy_banded_solve(reduced, int(np.max(j - i)), rhs)
     return potentials
 
 
 def scipy_oracle_flow(net: ResistiveNetwork, a: int, b: int) -> np.ndarray:
-    """Reference: the cycle-coordinate normal equations through scipy."""
+    """Reference: the cycle-coordinate normal equations through scipy, at
+    full bandwidth."""
     g = net.graph
     base = walk_sign_vector(g, walk_between(g, a, b))
     weighted = g.cycle_matrix * net.resistances
-    t = scipy.linalg.solve(weighted @ g.cycle_matrix.T, -weighted @ base,
-                           assume_a="pos")
+    gram = weighted @ g.cycle_matrix.T
+    t = scipy_banded_solve(gram, len(gram) - 1, -weighted @ base)
     return base + g.cycle_matrix.T @ t
+
+
+def shuffled_grid(side: int, rng) -> tuple:
+    """A row-major side x side grid network and the same network with its
+    vertices listed in a random order, edges in the same order."""
+    net = grid_network(side, rng)
+    order = rng.permutation(side * side)
+    specs = [(int(rec.tail), int(rec.head)) for rec in net.graph.edges]
+    graph = build_multigraph([int(v) for v in order], specs)
+    return net, ResistiveNetwork(graph, net.resistances)
 
 
 class TestSpdSolve:
@@ -150,24 +216,103 @@ class TestSpdSolve:
                                         [[0.0]], [[-1.0]]])
     def test_not_positive_definite_raises(self, matrix):
         with pytest.raises(SingularSystemError, match="^no factor$"):
-            _spd_solve(np.array(matrix), np.ones(len(matrix)), "no factor")
+            _spd_solve(pack(matrix, len(matrix) - 1), np.ones(len(matrix)),
+                       "no factor")
 
     def test_ill_conditioned_warns(self):
         matrix = np.diag([1.0, 1e-17])
         with pytest.warns(LinAlgWarning, match="ill-conditioned"):
-            x = _spd_solve(matrix, np.ones(2), "unused")
+            x = _spd_solve(pack(matrix, 1), np.ones(2), "unused")
         np.testing.assert_allclose(x, [1.0, 1e17])
 
     def test_empty_system(self):
-        x = _spd_solve(np.zeros((0, 0)), np.zeros(0), "unused")
+        x = _spd_solve(np.zeros((1, 0)), np.zeros(0), "unused")
         assert x.shape == (0,)
 
     def test_reads_the_upper_triangle(self):
+        # _full_band, which packs the oracle's Gram, puts the lower triangle
+        # in band slots that hold no entry.
         matrix = np.array([[4.0, 1.0], [-7.0, 3.0]])
         symmetric = np.array([[4.0, 1.0], [1.0, 3.0]])
         rhs = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(_spd_solve(matrix, rhs, "unused"),
-                                      _spd_solve(symmetric, rhs, "unused"))
+        np.testing.assert_array_equal(
+            _spd_solve(_full_band(matrix), rhs, "unused"),
+            _spd_solve(pack(symmetric, 1), rhs, "unused"))
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 5, 40])
+    def test_full_band_holds_the_upper_triangle(self, size):
+        matrix = np.random.default_rng(size).standard_normal((size, size))
+        band = _full_band(matrix)
+        assert band.shape == (max(size, 1), size)
+        np.testing.assert_array_equal(dense(band),
+                                      np.triu(matrix) + np.triu(matrix, 1).T)
+
+    @pytest.mark.parametrize("resistances", [[1e308, 1e308],
+                                             [np.finfo(float).max]])
+    def test_non_finite_solution_raises(self, resistances):
+        # A path a-b-c of two 1e308-ohm edges has Reff 2e308, and a single
+        # edge at the largest double a reciprocal conductance past it.
+        names = ["a", "b", "c"][:len(resistances) + 1]
+        g = build_multigraph(names, list(zip(names, names[1:])))
+        net = ResistiveNetwork(g, np.array(resistances))
+        with pytest.raises(SingularSystemError,
+                           match="resistances exceed the double range"):
+            effective_resistance(net, 0, len(names) - 1)
+
+
+def random_spd_band(rng, kind: str) -> np.ndarray:
+    """A random SPD band, size 2-40: "band", a random half-bandwidth and a
+    1-norm condition number up to about 1e12; or "gram", the Gram matrix of
+    +-1 rows plus a small diagonal, at full bandwidth, on which the
+    estimate's alternating-sign test and its later steps decide."""
+    size = int(rng.integers(2, 41))
+    if kind == "gram":
+        rows = rng.choice([-1.0, 1.0], (size, size))
+        shift = 10.0 ** rng.uniform(-8, 0)
+        return pack(rows @ rows.T + shift * np.eye(size), size - 1)
+    kd = int(rng.integers(0, size))
+    sym = rng.standard_normal((size, size))
+    offsets = np.subtract.outer(np.arange(size), np.arange(size))
+    sym = np.where(np.abs(offsets) <= kd, sym + sym.T, 0.0)
+    lowest = np.linalg.eigvalsh(sym)[0]
+    shift = 10.0 ** rng.uniform(-12, 0) * np.abs(sym).max()
+    return pack(sym + (shift - lowest) * np.eye(size), kd)
+
+
+class TestConditionEstimate:
+    """The band kernel's Hager-Higham estimate against LAPACK dpocon on the
+    dense form of the same Cholesky factor."""
+
+    def assert_matches_dpocon(self, band):
+        norm = np.linalg.norm(dense(band), 1)
+        assert _band_norm1(band) == pytest.approx(norm, rel=1e-14, abs=0)
+        factor = scipy.linalg.cholesky_banded(band)
+        expected, info = scipy.linalg.lapack.dpocon(np.triu(dense(factor)),
+                                                    norm)
+        assert info == 0
+        assert _band_rcond(factor, norm) == pytest.approx(expected, rel=1e-12,
+                                                          abs=0)
+
+    @pytest.mark.parametrize("kind", ["band", "gram"])
+    def test_random_spd_matrices(self, kind):
+        # With this seed, the alternating-sign test raises the estimate of
+        # two Gram matrices, and five need more than one step.
+        rng = np.random.default_rng(2028)
+        for _ in range(25):
+            self.assert_matches_dpocon(random_spd_band(rng, kind))
+
+    def test_grounded_laplacians(self):
+        # The first 50 with at least 3 vertices: a 1x1 system has no estimate.
+        nets = (random_network(instance_rng(89, i)) for i in range(1000))
+        for i, net in enumerate(n for n in nets if n.graph.n_vertices >= 3):
+            if i == 50:
+                break
+            self.assert_matches_dpocon(laplacian(net, i % net.graph.n_vertices))
+
+    def test_norm_skips_the_slots_that_hold_no_entry(self):
+        band = pack([[4.0, 1.0], [1.0, 3.0]], 1)
+        band[0, 0] = np.nan
+        assert _band_norm1(band) == 5.0
 
 
 class TestNodeVoltages:
@@ -198,6 +343,33 @@ class TestNodeVoltages:
         net = ResistiveNetwork(g, np.array([1.0]))
         with pytest.raises(SingularSystemError):
             node_voltages(net, 0, 2)
+
+
+class TestBandOrder:
+    def test_shuffled_vertices_give_the_same_reff(self):
+        # A random vertex order spreads the grid's band to nearly V - 1: the
+        # cost changes, the value only by rounding.
+        rng = np.random.default_rng(12)
+        net, shuffled = shuffled_grid(12, rng)
+        position = {name: v for v, name in enumerate(shuffled.graph.vertices)}
+        assert laplacian(shuffled).shape[0] - 1 > 100
+        for a, b in [(0, 143), (143, 0), (5, 77), *(
+                random_pair(rng, 144) for _ in range(5))]:
+            assert effective_resistance(shuffled, position[a], position[b]) \
+                == pytest.approx(effective_resistance(net, a, b), rel=1e-12,
+                                 abs=0)
+
+    def test_kirchhoff_current_law_on_a_100_grid(self):
+        net = grid_network(100, np.random.default_rng(100))
+        g = net.graph
+        a, b = 0, g.n_vertices - 1
+        v = node_voltages(net, a, b).potentials
+        current = (v[g.tails] - v[g.heads]) / net.resistances
+        out = (np.bincount(g.tails, current, minlength=g.n_vertices)
+               - np.bincount(g.heads, current, minlength=g.n_vertices))
+        source = np.zeros(g.n_vertices)
+        source[a], source[b] = 1.0, -1.0
+        assert np.max(np.abs(out - source)) <= 1e-12
 
 
 class TestEffectiveResistance:

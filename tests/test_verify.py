@@ -26,6 +26,7 @@ from gffresist.electric import ResistiveNetwork, effective_resistance
 from gffresist.errors import (
     NotASpanningTreeError,
     SameVertexError,
+    SingularSystemError,
     ValidationError,
 )
 from gffresist.graph import build_multigraph
@@ -323,6 +324,59 @@ class TestMonotonicity:
         with pytest.raises(ValidationError):
             check_monotonicity(triangle.graph, triangle.resistances,
                                9, 1.0, 0, 1)
+
+
+class TestDerivedNetworks:
+    """A network a check derives from valid inputs is named when invalid."""
+
+    @pytest.fixture
+    def huge_path(self):
+        # a-b-c with two 1e308-ohm edges: valid, but 2 * r overflows.
+        g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        return g, np.array([1e308, 1e308])
+
+    @pytest.mark.parametrize("check", [check_superadditivity, melvin_chain,
+                                       entropy_chain])
+    def test_sum_overflow_names_r_plus_r_bar(self, huge_path, check):
+        g, r = huge_path
+        with pytest.raises(ValidationError,
+                           match=r"^r \+ r_bar overflows at edges\[0\]$"):
+            check(g, r, r, 0, 2)
+
+    def test_scale_overflow_names_t_times_r(self, huge_path):
+        g, r = huge_path
+        with pytest.raises(ValidationError,
+                           match=r"^t \* r overflows at edges\[0\]$"):
+            check_scaling(g, r, 2.0, 0, 2)
+
+    def test_bump_overflow_names_r_plus_delta(self, huge_path):
+        g, r = huge_path
+        with pytest.raises(ValidationError,
+                           match=r"^r \+ delta overflows at edges\[1\]$"):
+            check_monotonicity(g, r, 1, 1e308, 0, 2)
+
+    def test_scale_underflow_names_t_times_r(self, triangle):
+        with pytest.raises(ValidationError,
+                           match=r"^t \* r: edges\[0\]: resistance must be"):
+            check_scaling(triangle.graph, triangle.resistances, 1e-13, 0, 1)
+
+    def test_invalid_input_is_named_before_the_derived_network(self, huge_path):
+        g, r = huge_path
+        bad = np.array([np.inf, 1.0])
+        for call in (lambda: check_superadditivity(g, bad, r, 0, 2),
+                     lambda: check_scaling(g, bad, 2.0, 0, 2),
+                     lambda: check_concavity_segment(g, bad, r, 3, 0, 2)):
+            with pytest.raises(ValidationError, match=r"^edges\[0\]: "):
+                call()
+
+    def test_reff_past_the_double_range_is_singular(self, huge_path):
+        # No derived network overflows here; the solves do.
+        g, r = huge_path
+        for call in (lambda: check_concavity_segment(g, r, r, 3, 0, 2),
+                     lambda: check_scaling(g, r, 0.5, 0, 2)):
+            with pytest.raises(SingularSystemError,
+                               match="resistances exceed the double range"):
+                call()
 
 
 class TestAppendixLemma:
