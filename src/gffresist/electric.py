@@ -9,12 +9,21 @@ vertex order sets the cost, O(V kd^2), but not the value beyond rounding.
 The Thomson flow follows by Ohm's law; an independent minimum-energy route
 re-derives the same flow by unconstrained quadratic minimization in cycle
 coordinates, so the two can cross-check each other. Both routes solve
-through one kernel, ``_spd_solve``: LAPACK ``dpbsv`` on the band, then a
-Hager-Higham estimate of the reciprocal 1-norm condition number (LAPACK
-``dlacn2``'s iteration, re-solving with ``dpbtrs``), with a
+through one kernel, ``_spd_solve``: LAPACK ``dpbsv`` on the band, then the
+reciprocal 1-norm condition number that the caller derives, with a
 ``LinAlgWarning`` below machine epsilon.
+
+A grounded Laplacian of a connected network is a nonsingular M-matrix: its
+inverse is entrywise positive, so ``||A^-1||_1 = max(A^-1 1)`` exactly
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002), and
+``node_voltages`` reads its condition number from a second right-hand side
+in the same ``dpbsv`` call. The cycle Gram is not an M-matrix and keeps a
+Hager-Higham estimate (LAPACK ``dlacn2``'s iteration, re-solving with
+``dpbtrs``). Each graph keeps its last VOLTAGE_MEMO_SIZE voltage solves, so
+a network solved again for the same pair costs a lookup.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +39,9 @@ from .errors import (
 from .graph import Multigraph, tree_walk_vector
 
 MIN_RESISTANCE = 1e-12
+# Solves node_voltages keeps per graph: one suite instance or grid-electric
+# op solves at most 16 distinct networks.
+VOLTAGE_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -92,18 +104,12 @@ def _check_flow(n: ResistiveNetwork, f: FlowVector):
             f"{n.graph.n_edges} edges")
 
 
-def _band_norm1(band: np.ndarray) -> float:
-    """1-norm of the symmetric matrix whose upper band storage is ``band``;
-    the unused top-left slots are not read."""
-    kd, size = band.shape[0] - 1, band.shape[1]
-    # Slot (r, j) holds entry (i, j), i = j - kd + r; i < 0 is no entry.
-    rows = np.arange(size) - np.arange(kd, -1, -1)[:, None]
-    held = np.where(rows >= 0, np.abs(band), 0.0)
-    # Column j: its entries on and above the diagonal, then the mirror of
-    # row j's entries right of the diagonal.
-    mirrored = np.bincount(np.maximum(rows[:-1], 0).ravel(),
-                           held[:-1].ravel(), minlength=size)
-    return float(np.max(held.sum(axis=0) + mirrored))
+def _power_of_two_near(norm: float) -> float:
+    """The power of two in ``(norm / 2, norm]``. A right-hand side scaled by
+    it is scaled exactly, so A^-1 applied to it is of order
+    ``||A^-1||_1 ||A||_1`` and finite unless A is numerically singular,
+    even where the entries of A^-1 pass the double range."""
+    return math.ldexp(0.5, math.frexp(norm)[1])
 
 
 def _band_rcond(factor: np.ndarray, norm: float) -> float:
@@ -114,12 +120,15 @@ def _band_rcond(factor: np.ndarray, norm: float) -> float:
     iteration (Hager, SIAM J. Sci. Stat. Comput. 5(2), 1984; Higham, ACM
     TOMS 14(4), 1988): at most five steps, then the alternating-sign test.
     A symmetric A needs no transposed solve, so every step re-solves with
-    ``dpbtrs``. An estimate that overflows gives 0, as ``dpocon`` does.
+    ``dpbtrs``. Every right-hand side is scaled by ``_power_of_two_near``
+    the norm, which changes no bit of the estimate beyond that exact scale;
+    only an estimate that overflows even so gives 0, as ``dpocon`` does.
     """
     size = factor.shape[1]
+    scale = _power_of_two_near(norm)
 
     def solve(x):
-        return dpbtrs(factor, x)[0]
+        return dpbtrs(factor, scale * x)[0]
 
     def signs(x):
         return np.where(x >= 0.0, 1.0, -1.0)
@@ -142,24 +151,33 @@ def _band_rcond(factor: np.ndarray, norm: float) -> float:
         alternating = np.where(i % 2, -1.0, 1.0) * (1.0 + i / (size - 1))
         estimate = max(estimate,
                        2.0 * np.abs(solve(alternating)).sum() / (3 * size))
-    return float(1.0 / estimate / norm) if estimate > 0.0 else 0.0
+    return float(1.0 / estimate / (norm / scale)) if estimate > 0.0 else 0.0
 
 
-def _spd_solve(band: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
+def _warn_if_ill_conditioned(rcond: float):
+    if not rcond >= np.finfo(float).eps:
+        warnings.warn(f"ill-conditioned matrix (rcond={rcond:.6g}): "
+                      "result may not be accurate", LinAlgWarning,
+                      stacklevel=3)
+
+
+def _spd_solve(band: np.ndarray, rhs: np.ndarray, message: str,
+               condition) -> tuple:
     """Solve ``A @ x = rhs`` for the symmetric positive definite A whose
-    LAPACK upper band storage is ``band``, shape ``(kd + 1, size)``.
+    LAPACK upper band storage is ``band``, shape ``(kd + 1, size)``; returns
+    ``(x, rcond)``.
 
     LAPACK ``dpbsv`` factors the band. A matrix that is not positive
     definite raises SingularSystemError with ``message``, and a solution
     that is not finite raises it saying that the resistances exceed the
-    double range. When the estimated reciprocal 1-norm condition number
-    (``_band_rcond``) is below machine epsilon, a ``LinAlgWarning`` says
-    the result may be inaccurate. A 1x1 system is one division and a 0x0
-    system has the empty solution.
+    double range. ``condition(factor, x)`` gives A's reciprocal 1-norm
+    condition number from the upper band Cholesky factor and the solution:
+    each caller knows its matrix and supplies its own. Below machine
+    epsilon a ``LinAlgWarning`` says the result may be inaccurate. A 1x1
+    system is one division, with rcond 1, and a 0x0 system has the empty
+    solution.
     """
     size = band.shape[1]
-    if size == 0:
-        return np.zeros(0)
     if size == 1:
         if not band[-1, 0] > 0.0:
             raise SingularSystemError(message)
@@ -173,13 +191,9 @@ def _spd_solve(band: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
         raise SingularSystemError(
             "solution is not finite: the network's resistances exceed the "
             "double range")
-    if size > 1:
-        rcond = _band_rcond(factor, _band_norm1(band))
-        if not rcond >= np.finfo(float).eps:
-            warnings.warn(f"ill-conditioned matrix (rcond={rcond:.6g}): "
-                          "result may not be accurate", LinAlgWarning,
-                          stacklevel=3)
-    return x
+    rcond = float(condition(factor, x)) if size > 1 else 1.0
+    _warn_if_ill_conditioned(rcond)
+    return x, rcond
 
 
 def _full_band(matrix: np.ndarray) -> np.ndarray:
@@ -201,18 +215,19 @@ def _full_band(matrix: np.ndarray) -> np.ndarray:
 
 def laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
     """Weighted Laplacian L with edge conductances 1/R_e, in LAPACK upper
-    band storage: an array of shape ``(kd + 1, size)`` whose entry
-    ``(kd + i - j, j)`` holds ``L[i, j]`` for ``j - kd <= i <= j``, so row
-    ``kd`` is the diagonal; the slots with ``i < 0`` are 0. With ``ground``
-    the ground vertex's row and column are left out, the other vertices
-    keeping their order. ``kd`` is the largest ``head - tail`` over the
-    edges that keep both ends (0 when none do); no vertex is reordered.
+    band storage: a Fortran-ordered array of shape ``(kd + 1, size)`` whose
+    entry ``(kd + i - j, j)`` holds ``L[i, j]`` for ``j - kd <= i <= j``, so
+    row ``kd`` is the diagonal; the slots with ``i < 0`` are 0. With
+    ``ground`` the ground vertex's row and column are left out, the other
+    vertices keeping their order. ``kd`` is the largest ``head - tail`` over
+    the edges that keep both ends (0 when none do); no vertex is reordered.
+    One ``np.bincount`` pass sums the entries, parallel edges and diagonal
+    terms in edge order, as an edge loop would.
     """
     g = n.graph
     t, h, c = g.tails, g.heads, 1.0 / n.resistances
     # Per edge, in edge order: (t,h) loses c and (t,t), (h,h) gain it; the
-    # lower triangle's (h,t) mirrors (t,h) and is not stored. np.add.at sums
-    # repeated entries in this order, as an edge loop would.
+    # lower triangle's (h,t) mirrors (t,h) and is not stored.
     rows = np.column_stack([t, t, h]).ravel()
     cols = np.column_stack([h, t, h]).ravel()
     values = np.column_stack([-c, c, c]).ravel()
@@ -224,20 +239,65 @@ def laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
         cols = cols - (cols > ground)
         size -= 1
     kd = int(np.max(cols - rows, initial=0))
-    band = np.zeros((kd + 1, size))
-    np.add.at(band, (kd + rows - cols, cols), values)
-    return band
+    # Column-major, slot (kd + i - j, j) lies at offset kd * (j + 1) + i.
+    flat = np.bincount(kd * (cols + 1) + rows, values,
+                       minlength=(kd + 1) * size)
+    return flat.reshape(size, kd + 1).T
+
+
+def _grounded_potentials(n: ResistiveNetwork, a: int, b: int) -> tuple:
+    """Potentials of the vertices other than b under a unit current injected
+    at a and extracted at grounded b, and the reciprocal 1-norm condition
+    number of the reduced Laplacian A, both from one ``dpbsv`` call.
+
+    The second right-hand side is the all-ones vector times the power of
+    two c in ``(||A||_1 / 2, ||A||_1]``: A is an M-matrix, so its solution
+    y gives ``||A^-1||_1 = max(y) / c`` exactly, with no iteration.
+    ``||A||_1`` is ``max_j(2 d_j - g_j)``, the diagonal d less each
+    vertex's conductance g to ground, in O(E).
+    """
+    g = n.graph
+    reduced = laplacian(n, ground=b)
+    # Each edge at b adds its conductance to its other end, t + h - b.
+    at_ground = (g.tails == b) | (g.heads == b)
+    to_ground = np.bincount((g.tails + g.heads - b)[at_ground],
+                            1.0 / n.resistances[at_ground],
+                            minlength=g.n_vertices)
+    norm = float(np.max(2.0 * reduced[-1] - np.delete(to_ground, b)))
+    scale = _power_of_two_near(norm)
+    rhs = np.zeros((2, reduced.shape[1]))
+    rhs[0, a - (a > b)] = 1.0
+    rhs[1] = scale
+    x, rcond = _spd_solve(
+        reduced, rhs.T,
+        "reduced Laplacian is singular; is the network connected?",
+        lambda factor, x: 1.0 / np.max(x[:, 1]) / (norm / scale))
+    return x[:, 0], rcond
 
 
 def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:
-    """Vertex potentials for a unit current injected at a, extracted at grounded b."""
+    """Vertex potentials for a unit current injected at a, extracted at
+    grounded b.
+
+    The graph's ``voltage_memo`` keeps the last VOLTAGE_MEMO_SIZE results,
+    keyed by the resistances' bytes and the pair: a repeated call returns
+    the same potentials without a solve, and warns again when the solve
+    warned. An error is raised anew each time, never kept. The memo takes
+    no lock, so threads that share a graph must not call this at once.
+    """
     n.graph.check_vertices(a, b)
-    reduced = laplacian(n, ground=b)
-    rhs = np.zeros(reduced.shape[1])
-    rhs[a - (a > b)] = 1.0
-    sol = _spd_solve(reduced, rhs,
-                     "reduced Laplacian is singular; is the network connected?")
-    return VoltageVector(np.insert(sol, b, 0.0), ground=b)
+    memo = n.graph.voltage_memo
+    key = (n.resistances.tobytes(), a, b)
+    entry = memo.pop(key, None)
+    if entry is None:
+        x, rcond = _grounded_potentials(n, a, b)
+        entry = VoltageVector(np.insert(x, b, 0.0), ground=b), rcond
+        if len(memo) >= VOLTAGE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    else:
+        _warn_if_ill_conditioned(entry[1])
+    memo[key] = entry
+    return entry[0]
 
 
 def effective_resistance(n: ResistiveNetwork, a: int, b: int) -> float:
@@ -266,8 +326,11 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     base = tree_walk_vector(n.graph, a, b)
     cycles = n.graph.cycle_matrix
     weighted = cycles * n.resistances
-    t = _spd_solve(_full_band(weighted @ cycles.T), -weighted @ base,
-                   "cycle Gram matrix is singular")
+    gram = weighted @ cycles.T
+    norm = float(np.max(np.abs(gram).sum(axis=0), initial=0.0))
+    t, _ = _spd_solve(_full_band(gram), -(weighted @ base),
+                      "cycle Gram matrix is singular",
+                      lambda factor, _: _band_rcond(factor, norm))
     return FlowVector(base + cycles.T @ t)
 
 

@@ -49,7 +49,7 @@ class DimensionMismatchError(GffResistError):
 
 class SingularSystemError(GffResistError):
     """A linear system that should be definite turned out singular, or its
-    solution is past the double range."""
+    solution, or a variance the network fixes, is past the double range."""
 
 
 class NonpositiveVarianceError(GffResistError):

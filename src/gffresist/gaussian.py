@@ -25,6 +25,7 @@ from .errors import (
     InconsistentConstraintError,
     NegativeVarianceError,
     NonpositiveVarianceError,
+    SingularSystemError,
     ValidationError,
 )
 
@@ -233,13 +234,20 @@ def conditioned_variance(factor: tuple, c) -> float:
     """Variance |u|^2 of c . x under condition_diagonal, read as the squared
     norm of the trailing E - k coordinates of Q' w (Q is orthogonal): the
     least-squares residual, with rounding error about eps |w| |u|, where
-    w . u would lose eps |w|^2 on a wide span. One functional only."""
+    w . u would lose eps |w|^2 on a wide span. One functional only; a
+    variance past the double range raises SingularSystemError."""
     if np.ndim(c) != 1:
         raise DimensionMismatchError(
             f"one functional expected, got shape {np.shape(c)}")
     tail = _reflected(factor, _scaled_columns(factor, c), "T")[
         factor[2].size:, 0]
-    return float(tail @ tail)
+    with np.errstate(over="ignore"):
+        variance = float(tail @ tail)
+    if not math.isfinite(variance):
+        raise SingularSystemError(
+            "conditioned variance is not finite: the variances exceed the "
+            "double range")
+    return variance
 
 
 def functional_draws(factor: tuple, c, count: int, seed: int):

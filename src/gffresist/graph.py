@@ -106,6 +106,12 @@ class Multigraph:
         cycles.setflags(write=False)
         return cycles
 
+    @cached_property
+    def voltage_memo(self) -> dict:
+        """electric.node_voltages' recent solves on this graph, oldest
+        first; node_voltages keys and bounds it."""
+        return {}
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)

@@ -21,7 +21,11 @@ from .electric import (
     node_voltages,
     ohm_flow,
 )
-from .errors import DimensionMismatchError, ValidationError
+from .errors import (
+    DimensionMismatchError,
+    SingularSystemError,
+    ValidationError,
+)
 from .gaussian import (
     VARIANCE_CLAMP,
     GaussianVector,
@@ -176,11 +180,14 @@ def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
     if grid_points < 3:
         raise ValidationError("concavity grid needs at least 3 points")
     r0, r1 = (ResistiveNetwork(graph, r).resistances for r in (r0, r1))
+    # Rounding can carry a convex combination past its ends, such as below
+    # MIN_RESISTANCE when both ends sit on it.
+    low, high = np.minimum(r0, r1), np.maximum(r0, r1)
 
     def reff_at(lam):
         return effective_resistance(_derived_network(
             graph, f"(1 - lam) * r0 + lam * r1 at lam = {lam:g}",
-            lambda: (1.0 - lam) * r0 + lam * r1), a, b)
+            lambda: np.clip((1.0 - lam) * r0 + lam * r1, low, high)), a, b)
 
     lams = np.linspace(0.0, 1.0, grid_points)
     f = np.array([reff_at(lam) for lam in lams])
@@ -449,8 +456,13 @@ def monte_carlo_variance_check(graph: Multigraph, r, a: int, b: int,
     field = build_free_field(net)
     functional = potential_difference_functional(field, a, b)
     # Block by block: memory does not grow with count.
-    squares = sum(d @ d for d in
-                  functional_draws(field.factor, functional, count, seed))
+    with np.errstate(over="ignore"):
+        squares = sum(d @ d for d in functional_draws(
+            field.factor, functional, count, seed))
+    if not np.isfinite(squares):
+        raise SingularSystemError(
+            "sample variance is not finite: the network's resistances "
+            "exceed the double range")
     # Late: at import it slows CLI start, before the draws it adds peak RSS.
     from scipy.special import chdtri
     reff = effective_resistance(net, a, b)

@@ -343,6 +343,14 @@ class TestCommands:
             == EXIT_PASS
         assert "result: pass" in capsys.readouterr().out
 
+    def test_reff_whose_inverse_passes_the_double_range(self, capsys):
+        # a-b-c with two 1e308-ohm edges, b grounded: diag(1e-308, 1e-308)
+        # has condition number 1 and an inverse of 1e308 entries.
+        assert run_command(["reff", "--network",
+                            str(DATA / "overflow_path.json"),
+                            "--pair", "a,b"]) == EXIT_PASS
+        assert capsys.readouterr() == ("1e+308\n", "")
+
     def test_verify_scaling_and_monotone(self, capsys):
         assert run_command(["verify", "scaling",
                             "--network", str(DATA / "triangle.json"),
@@ -496,6 +504,11 @@ class TestExitCodes:
         *((["verify", check, "--bar-network", str(DATA / "overflow_path.json")],
            "r + r_bar overflows at edges[0]")
           for check in ("superadd", "melvin", "entropy")),
+        (["gff"], "conditioned variance is not finite: the variances exceed "
+                  "the double range"),
+        (["verify", "mc", "--samples", "100"],
+         "sample variance is not finite: the network's resistances exceed "
+         "the double range"),
     ])
     def test_overflow_exits_three_naming_what_overflowed(self, capsys, argv,
                                                          message):

@@ -19,7 +19,14 @@ from gffresist import (
     node_voltages,
     thomson_flow,
 )
-from gffresist.electric import _band_norm1, _band_rcond, _full_band, _spd_solve
+from gffresist import electric
+from gffresist.electric import (
+    VOLTAGE_MEMO_SIZE,
+    _band_rcond,
+    _full_band,
+    _grounded_potentials,
+    _spd_solve,
+)
 from gffresist.errors import (
     DimensionMismatchError,
     SameVertexError,
@@ -54,6 +61,13 @@ def pack(matrix, kd: int) -> np.ndarray:
     for d in range(kd + 1):
         band[kd - d, d:] = np.diagonal(matrix, d)
     return band
+
+
+def hager(band: np.ndarray):
+    """The kernel's ``condition`` for a Hager-Higham estimate on ``band``'s
+    matrix, its 1-norm read from the dense form."""
+    norm = np.linalg.norm(dense(band), 1)
+    return lambda factor, x: _band_rcond(factor, norm)
 
 
 def pinv_effective_resistance(net: ResistiveNetwork, a: int, b: int) -> float:
@@ -216,18 +230,21 @@ class TestSpdSolve:
                                         [[0.0]], [[-1.0]]])
     def test_not_positive_definite_raises(self, matrix):
         with pytest.raises(SingularSystemError, match="^no factor$"):
-            _spd_solve(pack(matrix, len(matrix) - 1), np.ones(len(matrix)),
-                       "no factor")
+            band = pack(matrix, len(matrix) - 1)
+            _spd_solve(band, np.ones(len(matrix)), "no factor", hager(band))
 
     def test_ill_conditioned_warns(self):
         matrix = np.diag([1.0, 1e-17])
+        band = pack(matrix, 1)
         with pytest.warns(LinAlgWarning, match="ill-conditioned"):
-            x = _spd_solve(pack(matrix, 1), np.ones(2), "unused")
+            x, rcond = _spd_solve(band, np.ones(2), "unused", hager(band))
         np.testing.assert_allclose(x, [1.0, 1e17])
+        assert rcond == pytest.approx(1e-17, rel=1e-12)
 
     def test_empty_system(self):
-        x = _spd_solve(np.zeros((1, 0)), np.zeros(0), "unused")
+        x, rcond = _spd_solve(np.zeros((1, 0)), np.zeros(0), "unused", None)
         assert x.shape == (0,)
+        assert rcond == 1.0
 
     def test_reads_the_upper_triangle(self):
         # _full_band, which packs the oracle's Gram, puts the lower triangle
@@ -235,9 +252,10 @@ class TestSpdSolve:
         matrix = np.array([[4.0, 1.0], [-7.0, 3.0]])
         symmetric = np.array([[4.0, 1.0], [1.0, 3.0]])
         rhs = np.array([1.0, 2.0])
+        band = pack(symmetric, 1)
         np.testing.assert_array_equal(
-            _spd_solve(_full_band(matrix), rhs, "unused"),
-            _spd_solve(pack(symmetric, 1), rhs, "unused"))
+            _spd_solve(_full_band(matrix), rhs, "unused", hager(band))[0],
+            _spd_solve(band, rhs, "unused", hager(band))[0])
 
     @pytest.mark.parametrize("size", [0, 1, 2, 5, 40])
     def test_full_band_holds_the_upper_triangle(self, size):
@@ -283,15 +301,28 @@ class TestConditionEstimate:
     """The band kernel's Hager-Higham estimate against LAPACK dpocon on the
     dense form of the same Cholesky factor."""
 
+    @staticmethod
+    def dpocon(band) -> float:
+        factor = scipy.linalg.cholesky_banded(band)
+        expected, info = scipy.linalg.lapack.dpocon(
+            np.triu(dense(factor)), np.linalg.norm(dense(band), 1))
+        assert info == 0
+        return expected
+
     def assert_matches_dpocon(self, band):
         norm = np.linalg.norm(dense(band), 1)
-        assert _band_norm1(band) == pytest.approx(norm, rel=1e-14, abs=0)
         factor = scipy.linalg.cholesky_banded(band)
-        expected, info = scipy.linalg.lapack.dpocon(np.triu(dense(factor)),
-                                                    norm)
-        assert info == 0
-        assert _band_rcond(factor, norm) == pytest.approx(expected, rel=1e-12,
-                                                          abs=0)
+        assert _band_rcond(factor, norm) == pytest.approx(
+            self.dpocon(band), rel=1e-12, abs=0)
+
+    @staticmethod
+    def grounded_laplacians():
+        """The first 50 (network, ground) pairs with at least 3 vertices: a
+        1x1 system has no estimate."""
+        nets = (random_network(instance_rng(89, i)) for i in range(1000))
+        big = (n for n in nets if n.graph.n_vertices >= 3)
+        return [(net, i % net.graph.n_vertices)
+                for i, net in zip(range(50), big)]
 
     @pytest.mark.parametrize("kind", ["band", "gram"])
     def test_random_spd_matrices(self, kind):
@@ -302,17 +333,27 @@ class TestConditionEstimate:
             self.assert_matches_dpocon(random_spd_band(rng, kind))
 
     def test_grounded_laplacians(self):
-        # The first 50 with at least 3 vertices: a 1x1 system has no estimate.
-        nets = (random_network(instance_rng(89, i)) for i in range(1000))
-        for i, net in enumerate(n for n in nets if n.graph.n_vertices >= 3):
-            if i == 50:
-                break
-            self.assert_matches_dpocon(laplacian(net, i % net.graph.n_vertices))
+        for net, ground in self.grounded_laplacians():
+            self.assert_matches_dpocon(laplacian(net, ground))
 
-    def test_norm_skips_the_slots_that_hold_no_entry(self):
-        band = pack([[4.0, 1.0], [1.0, 3.0]], 1)
-        band[0, 0] = np.nan
-        assert _band_norm1(band) == 5.0
+    def test_m_matrix_rcond_of_grounded_laplacians(self):
+        # node_voltages' exact rcond, from its second right-hand side.
+        for net, ground in self.grounded_laplacians():
+            a = (ground + 1) % net.graph.n_vertices
+            assert _grounded_potentials(net, a, ground)[1] == pytest.approx(
+                self.dpocon(laplacian(net, ground)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -1022])
+    def test_scaling_keeps_the_estimate_finite(self, scale):
+        # At the smallest normal double the 10x10 second-difference
+        # matrix's inverse has a 1-norm of about 7e308, past the double
+        # range: its condition number, that of the unscaled matrix, is
+        # still read.
+        base = pack(2.0 * np.eye(10) - np.eye(10, k=1) - np.eye(10, k=-1), 1)
+        band = scale * base
+        factor = scipy.linalg.cholesky_banded(band)
+        assert _band_rcond(factor, np.linalg.norm(dense(band), 1)) \
+            == pytest.approx(self.dpocon(base), rel=1e-12, abs=0)
 
 
 class TestNodeVoltages:
@@ -343,6 +384,78 @@ class TestNodeVoltages:
         net = ResistiveNetwork(g, np.array([1.0]))
         with pytest.raises(SingularSystemError):
             node_voltages(net, 0, 2)
+
+
+class TestVoltageMemo:
+    """node_voltages' per-graph memo of recent solves."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The (a, b) pairs node_voltages solves for, memo hits left out."""
+        calls = []
+        solve = electric._grounded_potentials
+
+        def counted(n, a, b):
+            calls.append((a, b))
+            return solve(n, a, b)
+
+        monkeypatch.setattr(electric, "_grounded_potentials", counted)
+        return calls
+
+    def test_repeat_returns_bit_identical_potentials_without_a_solve(
+            self, solves):
+        net = grid_network(6, np.random.default_rng(6))
+        first = node_voltages(net, 0, 35).potentials
+        same = ResistiveNetwork(net.graph, net.resistances.copy())
+        assert np.array_equal(node_voltages(same, 0, 35).potentials, first)
+        assert solves == [(0, 35)]
+        # A new graph has its own memo and solves to the same bits.
+        fresh = grid_network(6, np.random.default_rng(6))
+        assert np.array_equal(node_voltages(fresh, 0, 35).potentials, first)
+        assert solves == [(0, 35), (0, 35)]
+
+    def test_repeat_on_an_ill_conditioned_network_warns_again(self, solves):
+        # Conductances 1 and 2^-51 in series, grounded past the small one:
+        # rcond about 2^-53, below eps.
+        g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        net = ResistiveNetwork(g, np.array([1.0, 2.0 ** 51]))
+        for _ in range(2):
+            with pytest.warns(LinAlgWarning, match="ill-conditioned"):
+                node_voltages(net, 0, 2)
+        assert solves == [(0, 2)]
+
+    def test_misses_on_another_pair_and_a_one_ulp_change(self, solves):
+        net = grid_network(6, np.random.default_rng(7))
+        bumped = net.resistances.copy()
+        bumped[3] = np.nextafter(bumped[3], np.inf)
+        for n, a, b in [(net, 0, 35), (net, 35, 0), (net, 0, 1),
+                        (ResistiveNetwork(net.graph, bumped), 0, 35),
+                        (net, 0, 35)]:
+            node_voltages(n, a, b)
+        assert solves == [(0, 35), (35, 0), (0, 1), (0, 35)]
+
+    def test_never_stores_an_error(self, solves):
+        g = Multigraph(("a", "b", "c"), (EdgeRecord(0, 1, 0),))
+        net = ResistiveNetwork(g, np.array([1.0]))
+        for _ in range(2):
+            with pytest.raises(SingularSystemError):
+                node_voltages(net, 0, 2)
+        assert solves == [(0, 2), (0, 2)]
+        assert g.voltage_memo == {}
+
+    def test_holds_at_most_its_constant_number_of_entries(self, solves):
+        net = grid_network(4, np.random.default_rng(4))
+        nets = [ResistiveNetwork(net.graph, net.resistances * (1 + k))
+                for k in range(VOLTAGE_MEMO_SIZE + 5)]
+        for n in nets:
+            node_voltages(n, 0, 15)
+        assert len(net.graph.voltage_memo) == VOLTAGE_MEMO_SIZE
+        # The oldest entries went first; a hit makes an entry the newest.
+        node_voltages(nets[5], 0, 15)
+        node_voltages(nets[4], 0, 15)
+        node_voltages(nets[5], 0, 15)
+        assert len(solves) == len(nets) + 1
+        assert len(net.graph.voltage_memo) == VOLTAGE_MEMO_SIZE
 
 
 class TestBandOrder:

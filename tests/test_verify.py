@@ -369,6 +369,12 @@ class TestDerivedNetworks:
             with pytest.raises(ValidationError, match=r"^edges\[0\]: "):
                 call()
 
+    def test_segment_between_floor_resistances_stays_valid(self):
+        # (1 - 0.35) * 1e-12 + 0.35 * 1e-12 rounds to 9.999999999999998e-13.
+        g = build_multigraph(["a", "b"], [("a", "b")])
+        r = np.array([1e-12])
+        assert check_concavity_segment(g, r, r, 21, 0, 1).passed
+
     def test_reff_past_the_double_range_is_singular(self, huge_path):
         # No derived network overflows here; the solves do.
         g, r = huge_path
