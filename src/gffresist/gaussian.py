@@ -10,15 +10,15 @@ rows. condition_diagonal keeps only the factor, for an independent Gaussian
 whose square root is diagonal: P = Q Q' for the Householder QR of B',
 kept in LAPACK's compact form (the reflectors, never Q itself) and applied
 through them; the rows of M must be linearly independent, as circuit
-rows are.
+rows are. condition_block_diagonal appends an independent block with its
+own rows to such a factor, and QR-factors only the new block.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.linalg.lapack import dormqr
+from scipy.linalg.lapack import dgeqrf, dormqr
 
 from .errors import (
     DimensionMismatchError,
@@ -180,24 +180,72 @@ def condition_diagonal(variances, rows) -> tuple:
     free-field route would then share its arithmetic with the flow route it
     cross-checks.
     """
+    s = _deviations(variances, rows)
+    # The transpose of a C-ordered product is Fortran-ordered, so dgeqrf
+    # factors it in place. No rows (a tree) means no reflectors.
+    h, tau = _compact_qr((rows * s).T)
+    return _independent((s, h, tau), len(rows), np.diagonal(h))
+
+
+def condition_block_diagonal(factor: tuple, variances, rows) -> tuple:
+    """Factor of the pair (x, y) given the rows of ``factor`` on x and
+    rows . y = 0, for y independent of x with these variances: the factor
+    condition_diagonal returns for blockdiag(rows of x, rows), from one QR
+    of the new block alone.
+
+    Householder QR follows the zero blocks of blockdiag(B, D), D =
+    diag(s) rows' (Golub & Van Loan, Matrix Computations, 4th ed., 5.1-5.2).
+    The k1 reflectors of B never reach the rows of y, so they are
+    ``factor``'s own. The last k2 are the QR of P = [0; D], D padded above
+    by the E1 - k1 zero rows where B's residual lives: P's pivots fall in
+    those rows first, and in D's own rows once k2 > E1 - k1. At E1 = E2 =
+    E and k1 = k2 = k that is 2k^2 (2E - 4k/3) flops, not the 8k^2 (2E -
+    2k/3) of the whole 2E x 2k matrix. The rank rule judges the combined
+    |diag R| of both blocks against its largest entry, as for that matrix.
+    """
+    s1, h1, tau1 = factor
+    s2 = _deviations(variances, rows)
+    e1, k1 = h1.shape
+    e = e1 + s2.size
+    p = np.zeros((e - k1, len(rows)), order="F")
+    p[e1 - k1:] = (rows * s2).T
+    h2, tau2 = _compact_qr(p)
+    h = np.zeros((e, k1 + len(rows)), order="F")
+    h[:e1, :k1] = h1
+    h[k1:, k1:] = h2
+    return _independent(
+        (np.concatenate([s1, s2]), h, np.concatenate([tau1, tau2])),
+        k1 + len(rows), np.concatenate([np.diagonal(h1), np.diagonal(h2)]))
+
+
+def _deviations(variances, rows) -> np.ndarray:
+    """s = sqrt(variances), once the rows have one column per coordinate."""
     s = np.sqrt(np.asarray(variances, dtype=float))
     if np.ndim(rows) != 2 or np.shape(rows)[1] != s.size:
         raise DimensionMismatchError(
             f"rows have shape {np.shape(rows)}, Gaussian has dimension "
             f"{s.size}")
-    # The transpose of a C-ordered product is Fortran-ordered, so dgeqrf
-    # factors it in place, with the workspace its lwork=-1 query asks for
-    # (the default 3n words is 4x slower at E x k = 1984 x 961). No rows (a
-    # tree) means no reflectors.
-    (h, tau), r = qr((rows * s).T, overwrite_a=True, mode="raw",
-                     check_finite=False)
-    # dgeqrf keeps min(E, k) reflectors: only the count shows k > E.
-    diag = np.abs(np.diagonal(r))
-    if len(rows) > s.size or np.any(
+    return s
+
+
+def _compact_qr(b: np.ndarray) -> tuple:
+    """(h, tau) of dgeqrf on b, in place when b is Fortran-ordered, with the
+    workspace its lwork=-1 query asks for (the default 3n words is 4x
+    slower at E x k = 1984 x 961). An E x 0 matrix gives no reflectors."""
+    lwork = int(dgeqrf(b, lwork=-1, overwrite_a=True)[2][0])
+    h, tau, _, _ = dgeqrf(b, lwork=lwork, overwrite_a=True)
+    return h, tau
+
+
+def _independent(factor: tuple, k: int, diag_r: np.ndarray) -> tuple:
+    """``factor`` once its k rows pass the rank rule. dgeqrf keeps min(E, k)
+    reflectors, so only their count shows k > E."""
+    diag = np.abs(diag_r)
+    if factor[2].size < k or np.any(
             diag <= RANK_CUTOFF * diag.max(initial=0.0)):
         raise ValidationError(
-            f"the {len(rows)} conditioning rows are linearly dependent")
-    return s, h, tau
+            f"the {k} conditioning rows are linearly dependent")
+    return factor
 
 
 def _reflected(factor: tuple, w: np.ndarray, trans: str) -> np.ndarray:

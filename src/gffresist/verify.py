@@ -29,6 +29,7 @@ from .errors import (
 from .gaussian import (
     VARIANCE_CLAMP,
     GaussianVector,
+    condition_block_diagonal,
     condition_diagonal,
     condition_on_value,
     condition_on_zero,
@@ -269,6 +270,12 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     constraints (rows acting on x + x_bar) against conditioning each block
     on its own circuit constraints. Coarser conditioning leaves at least as
     much entropy in the a-to-b potential difference.
+
+    The coarse side factors [C, C] whole. The fine side's factor is that of
+    blockdiag(C, C), built by condition_block_diagonal from the free field
+    of r, whose reflectors are its first k: one QR of the (2E - k) x k
+    padded second block, not of the 2E x 2k matrix. That is one doubled
+    factorization still, not the two separate ones of var + var_bar.
     """
     graph.check_vertices(a, b)  # before the three factorizations
     r = np.asarray(r, dtype=float)
@@ -282,12 +289,14 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     # The appendix lemma, applied to the fundamental cycle basis. The fine
     # side stays one doubled projection, so that h_joint_split == h_sum
     # compares it with the two separate free fields.
+    phi = graph.cycle_matrix
     walk_vec = potential_difference_functional(fields[2], a, b)
-    var_joint_hat, var_joint_split = (
-        conditioned_variance(
-            condition_diagonal(np.concatenate([r, r_bar]), rows),
-            np.concatenate([walk_vec, walk_vec]))
-        for rows in _coarse_and_fine_rows(graph.cycle_matrix))
+    doubled_walk = np.concatenate([walk_vec, walk_vec])
+    var_joint_hat = conditioned_variance(
+        condition_diagonal(np.concatenate([r, r_bar]), np.hstack([phi, phi])),
+        doubled_walk)
+    var_joint_split = conditioned_variance(
+        condition_block_diagonal(fields[0].factor, r_bar, phi), doubled_walk)
 
     variances = {"hat": var_hat, "joint_hat": var_joint_hat,
                  "joint_split": var_joint_split, "sum": var + var_bar}

@@ -2,9 +2,11 @@
 
 import math
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,14 +29,20 @@ from gffresist.errors import (
     ValidationError,
 )
 
+from gffresist.cli import parse_network
 from gffresist.gaussian import (
+    condition_block_diagonal,
     condition_diagonal,
     conditioned_variance,
     functional_draws,
     functional_root,
 )
+from gffresist.verify import instance_rng, random_network, random_resistances
+from test_electric import grid_network
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
+DATA = Path(__file__).parent / "data"
+EPS = np.finfo(float).eps
 
 
 def schur_condition_single_row(cov: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -361,6 +369,109 @@ class TestDiagonalConditioning:
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValidationError, match="linearly dependent"):
             condition_diagonal([1.0, 2.0], rows)
+
+
+class TestBlockDiagonalConditioning:
+    """condition_block_diagonal against the dense QR of blockdiag(C, C)."""
+
+    @staticmethod
+    def fine_and_dense(r, r_bar, phi):
+        fine = condition_block_diagonal(condition_diagonal(r, phi), r_bar, phi)
+        dense = condition_diagonal(np.concatenate([r, r_bar]),
+                                   scipy.linalg.block_diag(phi, phi))
+        return fine, dense
+
+    def assert_same_factor(self, r, r_bar, phi, c, ulps):
+        fine, dense = self.fine_and_dense(r, r_bar, phi)
+        assert np.array_equal(fine[0], dense[0])
+        assert fine[1].shape == dense[1].shape
+        assert fine[1].flags.f_contiguous
+        # Column by column: R's entries carry the scale of sqrt(r), the
+        # reflectors' entries do not.
+        scale = np.max(np.abs(dense[1]), axis=0, initial=0.0)
+        assert np.all(np.abs(fine[1] - dense[1]) <= ulps * EPS * scale)
+        assert np.all(np.abs(fine[2] - dense[2]) <= ulps * EPS)
+        c = np.concatenate([c, c])
+        expected = conditioned_variance(dense, c)
+        assert (abs(conditioned_variance(fine, c) - expected)
+                <= ulps * EPS * expected)
+
+    def test_suite_instances_match_the_dense_factor(self):
+        # run_suite's 200 instances, drawn as it draws them.
+        for i in range(200):
+            rng = instance_rng(12345, i)
+            net = random_network(rng)
+            r_bar = random_resistances(rng, net.graph.n_edges)
+            c = rng.standard_normal(net.graph.n_edges)
+            self.assert_same_factor(net.resistances, r_bar,
+                                    net.graph.cycle_matrix, c, 4)
+
+    @pytest.mark.parametrize("side", [12, 16])
+    def test_grids_match_the_dense_factor(self, side):
+        # Here dgeqrf blocks the two matrices differently, so they agree
+        # to rounding, not bit for bit.
+        for seed in range(3):
+            rng = np.random.default_rng((side, seed))
+            net = grid_network(side, rng)
+            r_bar = grid_network(side, rng).resistances
+            c = rng.standard_normal(net.graph.n_edges)
+            self.assert_same_factor(net.resistances, r_bar,
+                                    net.graph.cycle_matrix, c, 8)
+
+    def test_tree_has_no_reflectors(self, series_path):
+        # k = 0: every coordinate is free, so the variance is |s c|^2.
+        phi = series_path.graph.cycle_matrix
+        r, r_bar = np.array([1.0, 4.0]), np.array([0.25, 9.0])
+        fine, _ = self.fine_and_dense(r, r_bar, phi)
+        assert fine[1].shape == (4, 0) and fine[2].size == 0
+        assert conditioned_variance(fine, np.ones(4)) == 14.25
+        self.assert_same_factor(r, r_bar, phi, np.ones(2), 0)
+
+    def test_more_rows_than_half_the_coordinates(self):
+        # k = 9 of E = 12: the last pivots of the padded block fall in its
+        # own rows, past the E - k = 3 zero rows.
+        net = parse_network(str(DATA / "wide_span.json"))
+        phi = net.graph.cycle_matrix
+        assert 2 * len(phi) > net.graph.n_edges
+        r_bar = net.resistances[::-1].copy()
+        fine, _ = self.fine_and_dense(net.resistances, r_bar, phi)
+        assert fine[2].size == 2 * len(phi)
+        self.assert_same_factor(net.resistances, r_bar, phi,
+                                np.linspace(-1.0, 1.0, net.graph.n_edges), 4)
+
+    def test_dependent_second_block_row_raises(self):
+        first = condition_diagonal([1.0, 2.0, 3.0], [[1.0, 1.0, 0.0]])
+        rows = np.array([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]])
+        with pytest.raises(ValidationError, match="the 3 conditioning rows"):
+            condition_block_diagonal(first, [1.0, 1.0, 1.0], rows)
+
+    def test_rank_rule_judges_both_blocks_together(self):
+        # Each block passes on its own; next to the other block's scale a
+        # direction falls below RANK_CUTOFF, and the dense QR of the whole
+        # matrix raises too.
+        rows = np.array([[1.0, 1.0, 0.0]])
+        for variances, bar in (([1.0, 1.0, 1.0], [1e-24] * 3),
+                               ([1e-24] * 3, [1.0, 1.0, 1.0])):
+            condition_diagonal(bar, rows)
+            with pytest.raises(ValidationError, match="linearly dependent"):
+                condition_block_diagonal(condition_diagonal(variances, rows),
+                                         bar, rows)
+            with pytest.raises(ValidationError, match="linearly dependent"):
+                condition_diagonal(np.concatenate([variances, bar]),
+                                   scipy.linalg.block_diag(rows, rows))
+
+    def test_more_rows_than_free_coordinates_raises(self):
+        # The first block pins both its coordinates, so the padded block
+        # has only the 2 coordinates of y for its 3 rows.
+        first = condition_diagonal([1.0, 2.0], np.eye(2))
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            condition_block_diagonal(first, [1.0, 2.0], rows)
+
+    def test_shape_mismatch_raises(self):
+        first = condition_diagonal([1.0, 2.0], [[1.0, 1.0]])
+        with pytest.raises(DimensionMismatchError, match=r"\(1, 2\)"):
+            condition_block_diagonal(first, [1.0, 2.0, 3.0], [[1.0, 1.0]])
 
 
 class TestReflectorKernel:
