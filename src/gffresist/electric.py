@@ -20,7 +20,10 @@ inverse is entrywise positive, so ``||A^-1||_1 = max(A^-1 1)`` exactly
 in the same ``dpbsv`` call. The cycle Gram is not an M-matrix and keeps a
 Hager-Higham estimate (LAPACK ``dlacn2``'s iteration, re-solving with
 ``dpbtrs``). Each graph keeps its last VOLTAGE_MEMO_SIZE voltage solves, so
-a network solved again for the same pair costs a lookup.
+a network solved again for the same pair costs a lookup. What depends on
+the graph alone, the Laplacian's band plan for the last ground and the
+cycle basis in chord/tree block form, is built once per graph, so each
+solve does only the arithmetic that depends on the resistances.
 """
 
 import math
@@ -213,66 +216,118 @@ def _full_band(matrix: np.ndarray) -> np.ndarray:
     return flat.reshape(size, size).T
 
 
+@dataclass(frozen=True)
+class _BandPlan:
+    """The graph-only part of ``laplacian(n, ground)``: per band entry kept,
+    in edge order, its ``np.bincount`` slot, its edge and whether it is an
+    off-diagonal (negated) entry; the band's ``kd`` and ``size``; and for
+    the ground norm, the ground's edges and the reduced index of each one's
+    other end (both empty without a ground)."""
+
+    slots: np.ndarray
+    edge_ids: np.ndarray
+    negated: np.ndarray
+    kd: int
+    size: int
+    ground_edges: np.ndarray
+    ground_ends: np.ndarray
+
+
+def _band_plan(g: Multigraph, ground) -> _BandPlan:
+    """The graph's band plan for ``ground``. A miss makes it and puts it in
+    ``band_plans`` in place of the previous ground's."""
+    plan = g.band_plans.get(ground)
+    if plan is not None:
+        return plan
+    t, h = g.tails, g.heads
+    # Per edge, in edge order: (t,h) loses c and (t,t), (h,h) gain it; the
+    # lower triangle's (h,t) mirrors (t,h) and is not stored.
+    rows = np.column_stack([t, t, h]).ravel()
+    cols = np.column_stack([h, t, h]).ravel()
+    edge_ids = np.repeat(np.arange(g.n_edges), 3)
+    negated = np.tile([True, False, False], g.n_edges)
+    size = g.n_vertices
+    ground_edges = ground_ends = np.zeros(0, dtype=int)
+    if ground is not None:
+        kept = (rows != ground) & (cols != ground)
+        rows, cols = rows[kept], cols[kept]
+        edge_ids, negated = edge_ids[kept], negated[kept]
+        rows = rows - (rows > ground)
+        cols = cols - (cols > ground)
+        size -= 1
+        # Each edge at the ground joins it to its other end, t + h - ground.
+        at_ground = (t == ground) | (h == ground)
+        ground_edges = np.flatnonzero(at_ground)
+        ground_ends = (t + h - ground)[at_ground]
+        ground_ends = ground_ends - (ground_ends > ground)
+    kd = int(np.max(cols - rows, initial=0))
+    # Column-major, slot (kd + i - j, j) lies at offset kd * (j + 1) + i.
+    plan = _BandPlan(kd * (cols + 1) + rows, edge_ids, negated, kd, size,
+                     ground_edges, ground_ends)
+    g.band_plans.clear()
+    g.band_plans[ground] = plan
+    return plan
+
+
 def laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
     """Weighted Laplacian L with edge conductances 1/R_e, in LAPACK upper
     band storage: a Fortran-ordered array of shape ``(kd + 1, size)`` whose
     entry ``(kd + i - j, j)`` holds ``L[i, j]`` for ``j - kd <= i <= j``, so
     row ``kd`` is the diagonal; the slots with ``i < 0`` are 0. With
-    ``ground`` the ground vertex's row and column are left out, the other
+    ``ground`` (a vertex index, checked as ``Multigraph.check_vertices``
+    does) the ground vertex's row and column are left out, the other
     vertices keeping their order. ``kd`` is the largest ``head - tail`` over
     the edges that keep both ends (0 when none do); no vertex is reordered.
-    One ``np.bincount`` pass sums the entries, parallel edges and diagonal
-    terms in edge order, as an edge loop would.
+
+    The indexing depends on the graph and the ground only. It is planned
+    once (``_band_plan``) and kept in the graph's ``band_plans``, so an
+    assembly is one gather of the conductances, one negation and one
+    ``np.bincount`` pass, which sums the entries, parallel edges and
+    diagonal terms in edge order, as an edge loop would.
     """
     g = n.graph
-    t, h, c = g.tails, g.heads, 1.0 / n.resistances
-    # Per edge, in edge order: (t,h) loses c and (t,t), (h,h) gain it; the
-    # lower triangle's (h,t) mirrors (t,h) and is not stored.
-    rows = np.column_stack([t, t, h]).ravel()
-    cols = np.column_stack([h, t, h]).ravel()
-    values = np.column_stack([-c, c, c]).ravel()
-    size = g.n_vertices
     if ground is not None:
-        kept = (rows != ground) & (cols != ground)
-        rows, cols, values = rows[kept], cols[kept], values[kept]
-        rows = rows - (rows > ground)
-        cols = cols - (cols > ground)
-        size -= 1
-    kd = int(np.max(cols - rows, initial=0))
-    # Column-major, slot (kd + i - j, j) lies at offset kd * (j + 1) + i.
-    flat = np.bincount(kd * (cols + 1) + rows, values,
-                       minlength=(kd + 1) * size)
-    return flat.reshape(size, kd + 1).T
+        g.check_vertices(ground)
+    plan = _band_plan(g, ground)
+    values = (1.0 / n.resistances)[plan.edge_ids]
+    np.negative(values, out=values, where=plan.negated)
+    flat = np.bincount(plan.slots, values,
+                       minlength=(plan.kd + 1) * plan.size)
+    return flat.reshape(plan.size, plan.kd + 1).T
 
 
 def _grounded_potentials(n: ResistiveNetwork, a: int, b: int) -> tuple:
-    """Potentials of the vertices other than b under a unit current injected
-    at a and extracted at grounded b, and the reciprocal 1-norm condition
-    number of the reduced Laplacian A, both from one ``dpbsv`` call.
+    """Potentials of every vertex under a unit current injected at a and
+    extracted at grounded b (exactly 0 there), and the reciprocal 1-norm
+    condition number of the reduced Laplacian A, both from one ``dpbsv``
+    call on the public ``laplacian(n, ground=b)``.
 
     The second right-hand side is the all-ones vector times the power of
     two c in ``(||A||_1 / 2, ||A||_1]``: A is an M-matrix, so its solution
     y gives ``||A^-1||_1 = max(y) / c`` exactly, with no iteration.
     ``||A||_1`` is ``max_j(2 d_j - g_j)``, the diagonal d less each
-    vertex's conductance g to ground, in O(E).
+    vertex's conductance g to ground: one ``np.bincount`` over the ground's
+    edges, which the assembly's band plan lists.
     """
     g = n.graph
     reduced = laplacian(n, ground=b)
-    # Each edge at b adds its conductance to its other end, t + h - b.
-    at_ground = (g.tails == b) | (g.heads == b)
-    to_ground = np.bincount((g.tails + g.heads - b)[at_ground],
-                            1.0 / n.resistances[at_ground],
-                            minlength=g.n_vertices)
-    norm = float(np.max(2.0 * reduced[-1] - np.delete(to_ground, b)))
+    plan = _band_plan(g, b)
+    to_ground = np.bincount(plan.ground_ends,
+                            1.0 / n.resistances[plan.ground_edges],
+                            minlength=plan.size)
+    norm = float(np.max(2.0 * reduced[-1] - to_ground))
     scale = _power_of_two_near(norm)
-    rhs = np.zeros((2, reduced.shape[1]))
+    rhs = np.zeros((2, plan.size))
     rhs[0, a - (a > b)] = 1.0
     rhs[1] = scale
     x, rcond = _spd_solve(
         reduced, rhs.T,
         "reduced Laplacian is singular; is the network connected?",
         lambda factor, x: 1.0 / np.max(x[:, 1]) / (norm / scale))
-    return x[:, 0], rcond
+    potentials = np.zeros(g.n_vertices)
+    potentials[:b] = x[:b, 0]
+    potentials[b + 1:] = x[b:, 0]
+    return potentials, rcond
 
 
 def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:
@@ -290,8 +345,8 @@ def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:
     key = (n.resistances.tobytes(), a, b)
     entry = memo.pop(key, None)
     if entry is None:
-        x, rcond = _grounded_potentials(n, a, b)
-        entry = VoltageVector(np.insert(x, b, 0.0), ground=b), rcond
+        potentials, rcond = _grounded_potentials(n, a, b)
+        entry = VoltageVector(potentials, ground=b), rcond
         if len(memo) >= VOLTAGE_MEMO_SIZE:
             del memo[next(iter(memo))]
     else:
@@ -321,17 +376,30 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
 
     Feasible flows are the tree-path flow plus the span of the fundamental
     circuit sign vectors; the power quadratic is minimized by solving its
-    normal equations in cycle coordinates.
+    normal equations in cycle coordinates. The circuit matrix is
+    ``[I_k | D]`` up to a column permutation (``Multigraph.cycle_blocks``),
+    so with the tree-path flow ``base`` (zero on the chords) the Gram is
+    ``(D r_tree) D^T + diag(r_chords)``, the right-hand side is
+    ``-(D r_tree) base_tree``, and the flow is ``base`` plus ``D^T t`` on
+    the tree edges and ``t`` on the chords: the dense k x E circuit matrix
+    is never formed. The cycle Gram has its own Cholesky solve and
+    condition estimate, shared with no other route.
     """
-    base = tree_walk_vector(n.graph, a, b)
-    cycles = n.graph.cycle_matrix
-    weighted = cycles * n.resistances
-    gram = weighted @ cycles.T
+    g = n.graph
+    flow = tree_walk_vector(g, a, b)
+    tree_ids, chords, block = g.cycle_blocks
+    r = n.resistances
+    weighted = block * r[tree_ids]
+    gram = weighted @ block.T
+    diagonal = np.arange(len(chords))
+    gram[diagonal, diagonal] += r[chords]
     norm = float(np.max(np.abs(gram).sum(axis=0), initial=0.0))
-    t, _ = _spd_solve(_full_band(gram), -(weighted @ base),
+    t, _ = _spd_solve(_full_band(gram), -(weighted @ flow[tree_ids]),
                       "cycle Gram matrix is singular",
                       lambda factor, _: _band_rcond(factor, norm))
-    return FlowVector(base + cycles.T @ t)
+    flow[tree_ids] += block.T @ t
+    flow[chords] = t
+    return FlowVector(flow)
 
 
 def dissipated_power(n: ResistiveNetwork, f: FlowVector) -> float:
@@ -355,7 +423,25 @@ def kcl_residual(n: ResistiveNetwork, f: FlowVector, a: int, b: int) -> float:
 
 
 def kvl_residual(n: ResistiveNetwork, f: FlowVector) -> float:
-    """Worst fundamental-circuit violation of the voltage-drop sum law."""
+    """Worst fundamental-circuit violation of the voltage-drop sum law.
+
+    The drops ``I_e R_e`` are integrated down the BFS tree (``tree``'s
+    parent map lists every parent before its children) into potentials phi,
+    0 at vertex 0. The residual is ``max |drops - (phi[tails] -
+    phi[heads])|``: 0 on tree edges up to rounding, and on a chord its
+    fundamental circuit's drop sum. It takes O(E) memory: no cycle matrix
+    and no tree paths.
+    """
     _check_flow(n, f)
-    drops = n.graph.cycle_matrix @ (f.currents * n.resistances)
-    return float(np.max(np.abs(drops), initial=0.0))
+    g = n.graph
+    drops = f.currents * n.resistances
+    down = drops.tolist()
+    phi = [0.0] * g.n_vertices
+    for v, link in g.tree[0].items():
+        if link is not None:
+            p, e = link
+            # A tree edge points from tail to head, the lower vertex first.
+            phi[v] = phi[p] - down[e] if v > p else phi[p] + down[e]
+    phi = np.array(phi)
+    return float(np.max(np.abs(drops - (phi[g.tails] - phi[g.heads])),
+                        initial=0.0))

@@ -95,14 +95,24 @@ class Multigraph:
         return paths
 
     @cached_property
+    def cycle_blocks(self) -> tuple:
+        """The fundamental circuits of ``tree`` in chord/tree block form:
+        ``(tree_ids, chords, block)``, see ``_cycle_basis``; read-only."""
+        return _cycle_basis(self)
+
+    @cached_property
     def cycle_matrix(self) -> np.ndarray:
         """Read-only fundamental circuit sign vectors of ``tree``, one per row.
 
         Row i is the sign vector of the i-th circuit of
-        ``fundamental_circuits``, built from arrays without making the
-        circuits (see ``_cycle_basis``).
+        ``fundamental_circuits``: ``cycle_blocks``' tree block in the tree
+        edges' columns and the identity in the chords' columns, so the
+        circuits are never made.
         """
-        cycles = _cycle_basis(self)
+        tree_ids, chords, block = self.cycle_blocks
+        cycles = np.zeros((len(chords), self.n_edges))
+        cycles[:, tree_ids] = block
+        cycles[np.arange(len(chords)), chords] = 1.0
         cycles.setflags(write=False)
         return cycles
 
@@ -110,6 +120,12 @@ class Multigraph:
     def voltage_memo(self) -> dict:
         """electric.node_voltages' recent solves on this graph, oldest
         first; node_voltages keys and bounds it."""
+        return {}
+
+    @cached_property
+    def band_plans(self) -> dict:
+        """electric.laplacian's band plan for the last ground it assembled,
+        keyed by that ground; laplacian keys it and keeps one entry."""
         return {}
 
     @property
@@ -299,19 +315,27 @@ def spanning_tree(g: Multigraph) -> frozenset:
     return _tree_edges(g.tree[0])
 
 
-def _cycle_basis(g: Multigraph) -> np.ndarray:
-    """Fundamental circuit sign vectors of the BFS tree, one row per chord.
+def _cycle_basis(g: Multigraph) -> tuple:
+    """Fundamental circuits of the BFS tree in chord/tree block form.
 
-    The chords are the edges no root path uses. The circuit of chord e runs
-    tail to head along e, then back along the tree, so its row is
-    ``e_e + P[tail] - P[head]`` with ``P = g.tree_paths``: the shared part of
-    the two root paths cancels and every entry is exactly -1, 0 or 1.
+    Returns ``(tree_ids, chords, block)``: the tree edges' ids and the
+    chords' ids, each increasing, and the k x (V - 1) float tree block D,
+    all read-only. The chords are the edges no root path uses. The circuit
+    of chord e runs tail to head along e, then back along the tree, so it
+    owns its chord and its tree part is ``P[tail] - P[head]`` with
+    ``P = g.tree_paths``: the shared part of the two root paths cancels and
+    every entry of D is exactly -1, 0 or 1. The circuit matrix is
+    ``[I_k | D]`` up to a column permutation.
     """
     paths = g.tree_paths
-    chords = np.flatnonzero(~paths.any(axis=0))
-    cycles = (paths[g.tails[chords]] - paths[g.heads[chords]]).astype(float)
-    cycles[np.arange(len(chords)), chords] = 1.0
-    return cycles
+    on_tree = paths.any(axis=0)
+    tree_ids, chords = np.flatnonzero(on_tree), np.flatnonzero(~on_tree)
+    tree_part = paths[:, tree_ids]
+    block = (tree_part[g.tails[chords]]
+             - tree_part[g.heads[chords]]).astype(float)
+    for part in (tree_ids, chords, block):
+        part.setflags(write=False)
+    return tree_ids, chords, block
 
 
 def tree_walk_vector(g: Multigraph, a: int, b: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Laplacian solves, Thomson flows, and the minimum-energy cross-check."""
 
+from itertools import permutations
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,8 +30,10 @@ from gffresist.electric import (
     _grounded_potentials,
     _spd_solve,
 )
+from gffresist.cli import parse_network
 from gffresist.errors import (
     DimensionMismatchError,
+    NotASpanningTreeError,
     SameVertexError,
     SingularSystemError,
     ValidationError,
@@ -37,10 +42,20 @@ from gffresist.graph import (
     EdgeRecord,
     Multigraph,
     build_multigraph,
+    spanning_tree,
     walk_between,
     walk_sign_vector,
 )
-from gffresist.verify import instance_rng, random_network, random_pair
+from gffresist.verify import (
+    _suite_instance,
+    instance_rng,
+    random_network,
+    random_pair,
+    random_resistances,
+)
+
+DATA = Path(__file__).parent / "data"
+EPS = np.finfo(float).eps
 
 
 def dense(band: np.ndarray) -> np.ndarray:
@@ -179,15 +194,54 @@ def scipy_voltages(net: ResistiveNetwork, a: int, b: int) -> np.ndarray:
     return potentials
 
 
+def block_gram(net: ResistiveNetwork) -> tuple:
+    """Reference: the cycle Gram in the documented block form, read off
+    ``cycle_matrix``: its tree-edge columns D and the identity on the
+    chords, so the Gram is ``(D r_tree) D^T + diag(r_chords)``. Returns
+    ``(gram, D r_tree, tree_ids, chords, D)``."""
+    g, r = net.graph, net.resistances
+    tree_ids = np.array(sorted(spanning_tree(g)), dtype=int)
+    chords = np.setdiff1d(np.arange(g.n_edges), tree_ids)
+    block = np.ascontiguousarray(g.cycle_matrix[:, tree_ids])
+    weighted = block * r[tree_ids]
+    gram = weighted @ block.T
+    gram[np.diag_indices(len(chords))] += r[chords]
+    return gram, weighted, tree_ids, chords, block
+
+
 def scipy_oracle_flow(net: ResistiveNetwork, a: int, b: int) -> np.ndarray:
     """Reference: the cycle-coordinate normal equations through scipy, at
-    full bandwidth."""
+    full bandwidth, with the Gram and right-hand side of ``block_gram``."""
     g = net.graph
     base = walk_sign_vector(g, walk_between(g, a, b))
-    weighted = g.cycle_matrix * net.resistances
-    gram = weighted @ g.cycle_matrix.T
-    t = scipy_banded_solve(gram, len(gram) - 1, -weighted @ base)
-    return base + g.cycle_matrix.T @ t
+    gram, weighted, tree_ids, chords, block = block_gram(net)
+    t = scipy_banded_solve(gram, len(gram) - 1, -(weighted @ base[tree_ids]))
+    flow = base.copy()
+    flow[tree_ids] += block.T @ t
+    flow[chords] = t
+    return flow
+
+
+def uncached_laplacian(net: ResistiveNetwork, ground=None) -> np.ndarray:
+    """Reference: the band assembly with every index array rebuilt and no
+    plan kept: one np.bincount over the (t,h), (t,t), (h,h) entries of each
+    edge in edge order, the ground's entries dropped."""
+    g = net.graph
+    t, h, c = g.tails, g.heads, 1.0 / net.resistances
+    rows = np.column_stack([t, t, h]).ravel()
+    cols = np.column_stack([h, t, h]).ravel()
+    values = np.column_stack([-c, c, c]).ravel()
+    size = g.n_vertices
+    if ground is not None:
+        kept = (rows != ground) & (cols != ground)
+        rows, cols, values = rows[kept], cols[kept], values[kept]
+        rows = rows - (rows > ground)
+        cols = cols - (cols > ground)
+        size -= 1
+    kd = int(np.max(cols - rows, initial=0))
+    flat = np.bincount(kd * (cols + 1) + rows, values,
+                       minlength=(kd + 1) * size)
+    return flat.reshape(size, kd + 1).T
 
 
 def shuffled_grid(side: int, rng) -> tuple:
@@ -485,6 +539,46 @@ class TestBandOrder:
         assert np.max(np.abs(out - source)) <= 1e-12
 
 
+class TestBandPlan:
+    """laplacian's per-graph plan: the graph-only indexing, kept for the
+    last ground."""
+
+    def test_planned_assembly_equals_an_uncached_one(self):
+        rng = np.random.default_rng(12)
+        for net in shuffled_grid(12, rng):
+            other = ResistiveNetwork(net.graph, net.resistances[::-1])
+            for ground in [None, *range(net.graph.n_vertices), None, 5]:
+                # The second network reuses the plan the first one made.
+                for n in (net, other):
+                    expected = uncached_laplacian(n, ground)
+                    band = laplacian(n, ground)
+                    assert band.shape == expected.shape
+                    assert band.flags.f_contiguous
+                    assert np.array_equal(band, expected)
+
+    def test_keeps_the_plan_of_the_last_ground_only(self):
+        net = grid_network(6, np.random.default_rng(6))
+        plans = net.graph.band_plans
+        for ground in [None, 0, 7, np.int64(35), 7]:
+            laplacian(net, ground)
+            assert list(plans) == [ground]
+        node_voltages(net, 0, 20)
+        assert list(plans) == [20]
+
+    @pytest.mark.parametrize("ground, error", [
+        (-1, NotASpanningTreeError), (3, NotASpanningTreeError),
+        (7, NotASpanningTreeError), (1.5, ValidationError),
+        (True, ValidationError)])
+    def test_rejects_an_invalid_ground(self, ground, error):
+        # -1, 3 and 7 used to end in numpy's raw ValueError, 1.5 in a wrong
+        # 2x2 band and True in vertex 1's; no such key is ever planned.
+        net = parse_network(str(DATA / "triangle.json"))
+        laplacian(net, 0)
+        with pytest.raises(error):
+            laplacian(net, ground)
+        assert list(net.graph.band_plans) == [0]
+
+
 class TestEffectiveResistance:
     def test_series_adds(self, series_path):
         assert effective_resistance(series_path, 0, 2) == pytest.approx(2.0)
@@ -554,6 +648,51 @@ class TestMinEnergyOracle:
                 thomson_flow(net, a, b).currents, atol=1e-10)
 
 
+class TestBlockOracle:
+    """The oracle's cycle Gram in chord/tree block form."""
+
+    @staticmethod
+    def edge_cases():
+        """A tree (k = 0), a parallel pair and wide_span.json (2k > E)."""
+        g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        yield ResistiveNetwork(g, np.array([1.0, 3.0]))
+        g = build_multigraph(["a", "b"], [("a", "b"), ("b", "a")])
+        yield ResistiveNetwork(g, np.array([1.0, 2.0]))
+        yield parse_network(str(DATA / "wide_span.json"))
+
+    def networks(self):
+        """12x12 and 16x16 grids, the seed-12345 suite instances and the
+        edge cases."""
+        rng = np.random.default_rng(1216)
+        yield from (grid_network(side, rng) for side in (12, 16) for _ in "ab")
+        for i in range(200):
+            graph, r = _suite_instance(12345, i)[:2]
+            yield ResistiveNetwork(graph, r)
+        yield from self.edge_cases()
+
+    def test_block_gram_matches_the_dense_gram(self):
+        # The chord block adds an exact diagonal; the tree block's sums
+        # round differently from the dense product's.
+        for net in self.networks():
+            cycles = net.graph.cycle_matrix
+            dense_gram = (cycles * net.resistances) @ cycles.T
+            error = np.max(np.abs(block_gram(net)[0] - dense_gram), initial=0)
+            assert error <= 4 * EPS * np.max(np.abs(dense_gram), initial=0)
+
+    def test_tree_parallel_pair_and_wide_span(self):
+        for net in self.edge_cases():
+            for a, b in permutations(range(net.graph.n_vertices), 2):
+                flow = min_energy_flow_oracle(net, a, b).currents
+                assert np.array_equal(flow, scipy_oracle_flow(net, a, b))
+                assert dissipated_power(net, FlowVector(flow)) == pytest.approx(
+                    effective_resistance(net, a, b), rel=1e-9)
+
+    def test_never_forms_the_dense_circuit_matrix(self):
+        net = grid_network(8, np.random.default_rng(8))
+        min_energy_flow_oracle(net, 0, 63)
+        assert "cycle_matrix" not in vars(net.graph)
+
+
 class TestPowerAndResiduals:
     def test_zero_flow(self, triangle):
         f = FlowVector(np.zeros(3))
@@ -578,6 +717,38 @@ class TestPowerAndResiduals:
 
     def test_tree_kvl_is_zero(self, series_path):
         assert kvl_residual(series_path, FlowVector(np.array([2.0, -1.0]))) == 0.0
+
+    @pytest.mark.parametrize("span", [None, 1e12])
+    def test_kvl_matches_the_dense_circuit_sums(self, span):
+        # The tree integration against the maximum of cycle_matrix @ drops:
+        # within eps * max|phi| on Thomson flows, and on arbitrary flows,
+        # whose chord drops can outgrow phi, within a few ulps of the
+        # larger of the two.
+        for i in range(150):
+            rng = instance_rng(99, i)
+            net = random_network(rng)
+            g = net.graph
+            if span is not None:
+                net = ResistiveNetwork(g, random_resistances(
+                    rng, g.n_edges, 1.0, span))
+            a, b = random_pair(rng, g.n_vertices)
+            thomson = thomson_flow(net, a, b)
+            arbitrary = FlowVector(rng.standard_normal(g.n_edges))
+            for flow in (thomson, arbitrary):
+                drops = flow.currents * net.resistances
+                phi = np.max(np.abs(g.tree_paths @ drops))
+                dense = np.max(np.abs(g.cycle_matrix @ drops), initial=0.0)
+                error = abs(kvl_residual(net, flow) - dense)
+                if flow is thomson:
+                    assert error <= EPS * phi
+                else:
+                    assert error <= 4 * EPS * max(phi, np.max(np.abs(drops)))
+
+    def test_kvl_needs_neither_circuits_nor_tree_paths(self):
+        net = grid_network(8, np.random.default_rng(9))
+        kvl_residual(net, thomson_flow(net, 0, 63))
+        assert not {"cycle_blocks", "cycle_matrix", "tree_paths"} & set(
+            vars(net.graph))
 
     def test_kcl_same_vertex(self, triangle):
         # A zero source is no a-to-b source: no residual is returned for it.

@@ -45,6 +45,8 @@ from gffresist.verify import (
     random_network,
 )
 
+from test_electric import grid_network
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -130,8 +132,9 @@ class TestBuild:
         assert series_path.graph.cycle_matrix.shape == (0, 2)
 
     def test_one_circuit_build_per_graph(self, monkeypatch, bridge):
-        # Every route reads the cycle basis through the cached cycle_matrix,
-        # so the basis is built once per graph.
+        # Every route reads the cycle basis through the cached cycle_blocks,
+        # from which cycle_matrix is built, so the basis is built once per
+        # graph.
         calls = []
         original = graph_module._cycle_basis
 
@@ -160,10 +163,50 @@ class TestBuild:
             parallel += any(rec.parallel_index for rec in g.edges)
         assert parallel > 100
 
+    @staticmethod
+    def block_form_networks():
+        """Grids, random multigraphs with parallel edges, a tree, a parallel
+        pair and wide_span.json (2k > E)."""
+        rng = np.random.default_rng(5)
+        yield from (grid_network(side, rng).graph for side in (4, 12, 16))
+        yield from (random_network(instance_rng(83, i)).graph
+                    for i in range(100))
+        yield build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        yield build_multigraph(["a", "b"], [("a", "b"), ("b", "a")])
+        yield parse_network(str(DATA / "wide_span.json")).graph
+
+    def test_cycle_blocks_are_the_circuit_matrix_in_block_form(self):
+        for g in self.block_form_networks():
+            tree_ids, chords, block = g.cycle_blocks
+            assert g.cycle_blocks is g.cycle_blocks
+            assert all(not part.flags.writeable
+                       for part in (tree_ids, chords, block))
+            assert tree_ids.tolist() == sorted(spanning_tree(g))
+            assert sorted([*tree_ids, *chords]) == list(range(g.n_edges))
+            assert block.shape == (g.cycle_rank, g.n_vertices - 1)
+            assert set(np.unique(block)) <= {-1.0, 0.0, 1.0}
+            cycles = g.cycle_matrix
+            assert np.array_equal(cycles[:, chords], np.eye(len(chords)))
+            assert cycles[:, tree_ids].tobytes() == block.tobytes()
+
+    def test_cycle_matrix_keeps_its_dense_construction(self):
+        # The dense form built directly, chord rows e_e + P[tail] - P[head]:
+        # the block form's cycle_matrix is the same, byte for byte.
+        for g in self.block_form_networks():
+            paths = g.tree_paths
+            chords = np.flatnonzero(~paths.any(axis=0))
+            dense = (paths[g.tails[chords]]
+                     - paths[g.heads[chords]]).astype(float)
+            dense[np.arange(len(chords)), chords] = 1.0
+            assert g.cycle_matrix.shape == dense.shape
+            assert g.cycle_matrix.tobytes() == dense.tobytes()
+
     def test_cycle_matrix_needs_a_spanning_tree(self):
         g = Multigraph(("a", "b", "c"), (EdgeRecord(0, 1, 0),))
         with pytest.raises(NotASpanningTreeError):
             g.cycle_matrix
+        with pytest.raises(NotASpanningTreeError):
+            g.cycle_blocks
         with pytest.raises(NotASpanningTreeError):
             g.tree_paths
 
