@@ -8,19 +8,20 @@ is the largest ``head - tail`` over the edges that keep both ends, so the
 vertex order sets the cost, O(V kd^2), but not the value beyond rounding.
 The Thomson flow follows by Ohm's law; an independent minimum-energy route
 re-derives the same flow by unconstrained quadratic minimization in cycle
-coordinates, so the two can cross-check each other. Both routes solve
-through one kernel, ``_spd_solve``: LAPACK ``dpbsv`` on the band, then the
-reciprocal 1-norm condition number that the caller derives, with a
-``LinAlgWarning`` below machine epsilon.
+coordinates, so the two can cross-check each other. Each route has its own
+Cholesky solve and shares no arithmetic with the other: LAPACK ``dpbsv`` on
+the Laplacian's band, ``dposv`` on the dense cycle Gram. Both raise the
+same errors (``_check_solve``) and give a ``LinAlgWarning`` when the
+reciprocal 1-norm condition number falls below machine epsilon.
 
 A grounded Laplacian of a connected network is a nonsingular M-matrix: its
 inverse is entrywise positive, so ``||A^-1||_1 = max(A^-1 1)`` exactly
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002), and
 ``node_voltages`` reads its condition number from a second right-hand side
-in the same ``dpbsv`` call. The cycle Gram is not an M-matrix and keeps a
-Hager-Higham estimate (LAPACK ``dlacn2``'s iteration, re-solving with
-``dpbtrs``). Each graph keeps its last VOLTAGE_MEMO_SIZE voltage solves, so
-a network solved again for the same pair costs a lookup. What depends on
+in the same ``dpbsv`` call. The cycle Gram is not an M-matrix; LAPACK
+``dpocon`` estimates its condition number from the ``dposv`` factor. Each
+graph keeps its last VOLTAGE_MEMO_SIZE voltage solves, so a network solved
+again for the same pair costs a lookup. What depends on
 the graph alone, the Laplacian's band plan for the last ground and the
 cycle basis in chord/tree block form, is built once per graph, so each
 solve does only the arithmetic that depends on the resistances.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import dpbsv, dpbtrs
+from scipy.linalg.lapack import dlange, dpbsv, dpocon, dposv
 
 from .errors import (
     DimensionMismatchError,
@@ -107,56 +108,6 @@ def _check_flow(n: ResistiveNetwork, f: FlowVector):
             f"{n.graph.n_edges} edges")
 
 
-def _power_of_two_near(norm: float) -> float:
-    """The power of two in ``(norm / 2, norm]``. A right-hand side scaled by
-    it is scaled exactly, so A^-1 applied to it is of order
-    ``||A^-1||_1 ||A||_1`` and finite unless A is numerically singular,
-    even where the entries of A^-1 pass the double range."""
-    return math.ldexp(0.5, math.frexp(norm)[1])
-
-
-def _band_rcond(factor: np.ndarray, norm: float) -> float:
-    """Reciprocal 1-norm condition number of the SPD matrix with 1-norm
-    ``norm`` and upper band Cholesky factor ``factor`` (at least 2x2).
-
-    ``||A^-1||_1`` is estimated as LAPACK ``dpocon`` does, by ``dlacn2``'s
-    iteration (Hager, SIAM J. Sci. Stat. Comput. 5(2), 1984; Higham, ACM
-    TOMS 14(4), 1988): at most five steps, then the alternating-sign test.
-    A symmetric A needs no transposed solve, so every step re-solves with
-    ``dpbtrs``. Every right-hand side is scaled by ``_power_of_two_near``
-    the norm, which changes no bit of the estimate beyond that exact scale;
-    only an estimate that overflows even so gives 0, as ``dpocon`` does.
-    """
-    size = factor.shape[1]
-    scale = _power_of_two_near(norm)
-
-    def solve(x):
-        return dpbtrs(factor, scale * x)[0]
-
-    def signs(x):
-        return np.where(x >= 0.0, 1.0, -1.0)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = solve(np.full(size, 1.0 / size))
-        estimate, sign = np.abs(x).sum(), signs(x)
-        j = np.argmax(np.abs(solve(sign)))
-        for _ in range(4):
-            x = solve(np.eye(1, size, j)[0])
-            previous, estimate = estimate, np.abs(x).sum()
-            if np.array_equal(signs(x), sign) or estimate <= previous:
-                break
-            sign = signs(x)
-            z = solve(sign)
-            j_last, j = j, np.argmax(np.abs(z))
-            if z[j_last] == abs(z[j]):
-                break
-        i = np.arange(size)
-        alternating = np.where(i % 2, -1.0, 1.0) * (1.0 + i / (size - 1))
-        estimate = max(estimate,
-                       2.0 * np.abs(solve(alternating)).sum() / (3 * size))
-    return float(1.0 / estimate / (norm / scale)) if estimate > 0.0 else 0.0
-
-
 def _warn_if_ill_conditioned(rcond: float):
     if not rcond >= np.finfo(float).eps:
         warnings.warn(f"ill-conditioned matrix (rcond={rcond:.6g}): "
@@ -164,56 +115,22 @@ def _warn_if_ill_conditioned(rcond: float):
                       stacklevel=3)
 
 
-def _spd_solve(band: np.ndarray, rhs: np.ndarray, message: str,
-               condition) -> tuple:
-    """Solve ``A @ x = rhs`` for the symmetric positive definite A whose
-    LAPACK upper band storage is ``band``, shape ``(kd + 1, size)``; returns
-    ``(x, rcond)``.
-
-    LAPACK ``dpbsv`` factors the band. A matrix that is not positive
-    definite raises SingularSystemError with ``message``, and a solution
-    that is not finite raises it saying that the resistances exceed the
-    double range. ``condition(factor, x)`` gives A's reciprocal 1-norm
-    condition number from the upper band Cholesky factor and the solution:
-    each caller knows its matrix and supplies its own. Below machine
-    epsilon a ``LinAlgWarning`` says the result may be inaccurate. A 1x1
-    system is one division, with rcond 1, and a 0x0 system has the empty
-    solution.
-    """
-    size = band.shape[1]
-    if size == 1:
-        if not band[-1, 0] > 0.0:
-            raise SingularSystemError(message)
-        with np.errstate(over="ignore"):
-            x = rhs / band[-1, 0]
-    else:
-        factor, x, info = dpbsv(band, rhs)
-        if info > 0:
-            raise SingularSystemError(message)
-    if not np.isfinite(x).all():
+def _check_finite(*values):
+    """Raise SingularSystemError unless every entry of ``values`` is
+    finite: a system or solution past the double range."""
+    if not all(np.isfinite(v).all() for v in values):
         raise SingularSystemError(
             "solution is not finite: the network's resistances exceed the "
             "double range")
-    rcond = float(condition(factor, x)) if size > 1 else 1.0
-    _warn_if_ill_conditioned(rcond)
-    return x, rcond
 
 
-def _full_band(matrix: np.ndarray) -> np.ndarray:
-    """Upper band storage, ``kd = size - 1``, of the dense symmetric
-    ``matrix``; its upper triangle is the one used."""
-    size = len(matrix)
-    if size == 0:
-        return np.zeros((1, 0))
-    kd = size - 1
-    flat = np.zeros(size * size)
-    # Column-major, slot (kd + i - j, j) lies at offset kd * (j + 1) + i:
-    # the first kd entries of each column go at stride kd from offset kd.
-    # Entries below the diagonal land in slots that hold no entry; the last
-    # diagonal entry is the one left over.
-    flat[kd:-1].reshape(size, kd)[:] = matrix[:kd].T
-    flat[-1] = matrix[-1, -1]
-    return flat.reshape(size, size).T
+def _check_solve(info: int, x: np.ndarray, message: str):
+    """Raise SingularSystemError after a LAPACK Cholesky solve: with
+    ``message`` when ``info`` says the matrix is not positive definite, and
+    as ``_check_finite`` does when the solution ``x`` is not finite."""
+    if info > 0:
+        raise SingularSystemError(message)
+    _check_finite(x)
 
 
 @dataclass(frozen=True)
@@ -304,10 +221,12 @@ def _grounded_potentials(n: ResistiveNetwork, a: int, b: int) -> tuple:
 
     The second right-hand side is the all-ones vector times the power of
     two c in ``(||A||_1 / 2, ||A||_1]``: A is an M-matrix, so its solution
-    y gives ``||A^-1||_1 = max(y) / c`` exactly, with no iteration.
-    ``||A||_1`` is ``max_j(2 d_j - g_j)``, the diagonal d less each
-    vertex's conductance g to ground: one ``np.bincount`` over the ground's
-    edges, which the assembly's band plan lists.
+    y gives ``||A^-1||_1 = max(y) / c`` exactly, with no iteration. The
+    scale c is exact, and it keeps y finite where the entries of A^-1 pass
+    the double range. ``||A||_1`` is ``max_j(2 d_j - g_j)``, the diagonal d
+    less each vertex's conductance g to ground: one ``np.bincount`` over
+    the ground's edges, which the assembly's band plan lists. A positive
+    1x1 system is one division, with rcond 1.
     """
     g = n.graph
     reduced = laplacian(n, ground=b)
@@ -316,14 +235,20 @@ def _grounded_potentials(n: ResistiveNetwork, a: int, b: int) -> tuple:
                             1.0 / n.resistances[plan.ground_edges],
                             minlength=plan.size)
     norm = float(np.max(2.0 * reduced[-1] - to_ground))
-    scale = _power_of_two_near(norm)
+    scale = math.ldexp(0.5, math.frexp(norm)[1])
     rhs = np.zeros((2, plan.size))
     rhs[0, a - (a > b)] = 1.0
     rhs[1] = scale
-    x, rcond = _spd_solve(
-        reduced, rhs.T,
-        "reduced Laplacian is singular; is the network connected?",
-        lambda factor, x: 1.0 / np.max(x[:, 1]) / (norm / scale))
+    if plan.size == 1 and reduced[-1, 0] > 0.0:
+        with np.errstate(over="ignore"):
+            x, info = rhs.T / reduced[-1, 0], 0
+    else:
+        _, x, info = dpbsv(reduced, rhs.T)
+    _check_solve(info, x,
+                 "reduced Laplacian is singular; is the network connected?")
+    rcond = 1.0 if plan.size == 1 else float(
+        1.0 / np.max(x[:, 1]) / (norm / scale))
+    _warn_if_ill_conditioned(rcond)
     potentials = np.zeros(g.n_vertices)
     potentials[:b] = x[:b, 0]
     potentials[b + 1:] = x[b:, 0]
@@ -371,6 +296,28 @@ def thomson_flow(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     return ohm_flow(n, node_voltages(n, a, b))
 
 
+def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Solve ``gram @ t = rhs`` for the dense symmetric positive definite
+    cycle Gram; returns ``(t, rcond)``.
+
+    LAPACK ``dposv`` factors the Gram's upper triangle and solves. ``dlange``
+    reads its 1-norm and ``dpocon`` estimates its reciprocal 1-norm
+    condition number from the factor (Hager 1984; Higham 1988). A Gram or
+    right-hand side that is not finite raises before the solve; otherwise
+    it raises and warns as the Laplacian's solve does. A 0x0 system (a
+    tree has no cycles) has the empty solution.
+    """
+    if not len(rhs):
+        return rhs, 1.0
+    norm = dlange("1", gram)
+    _check_finite(norm, rhs)
+    factor, t, info = dposv(gram, rhs)
+    _check_solve(info, t, "cycle Gram matrix is singular")
+    rcond = dpocon(factor, norm)[0]
+    _warn_if_ill_conditioned(rcond)
+    return t, rcond
+
+
 def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     """Unit a-to-b flow minimizing dissipated power, without any voltage solve.
 
@@ -382,21 +329,21 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     ``(D r_tree) D^T + diag(r_chords)``, the right-hand side is
     ``-(D r_tree) base_tree``, and the flow is ``base`` plus ``D^T t`` on
     the tree edges and ``t`` on the chords: the dense k x E circuit matrix
-    is never formed. The cycle Gram has its own Cholesky solve and
-    condition estimate, shared with no other route.
+    is never formed. ``_gram_solve`` solves the Gram; at most one LAPACK
+    copy of it is held beside it.
     """
     g = n.graph
     flow = tree_walk_vector(g, a, b)
     tree_ids, chords, block = g.cycle_blocks
     r = n.resistances
-    weighted = block * r[tree_ids]
-    gram = weighted @ block.T
-    diagonal = np.arange(len(chords))
-    gram[diagonal, diagonal] += r[chords]
-    norm = float(np.max(np.abs(gram).sum(axis=0), initial=0.0))
-    t, _ = _spd_solve(_full_band(gram), -(weighted @ flow[tree_ids]),
-                      "cycle Gram matrix is singular",
-                      lambda factor, _: _band_rcond(factor, norm))
+    # Resistances near the double's limit overflow here; the inf or NaN
+    # reaches the Gram's norm or the right-hand side, and _gram_solve
+    # raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = (block * r[tree_ids]) @ block.T
+        gram[np.diag_indices(len(chords))] += r[chords]
+        rhs = -(block @ (r[tree_ids] * flow[tree_ids]))
+    t, _ = _gram_solve(gram, rhs)
     flow[tree_ids] += block.T @ t
     flow[chords] = t
     return FlowVector(flow)

@@ -1,5 +1,6 @@
 """Laplacian solves, Thomson flows, and the minimum-energy cross-check."""
 
+import warnings
 from itertools import permutations
 from pathlib import Path
 
@@ -25,10 +26,8 @@ from gffresist import (
 from gffresist import electric
 from gffresist.electric import (
     VOLTAGE_MEMO_SIZE,
-    _band_rcond,
-    _full_band,
+    _gram_solve,
     _grounded_potentials,
-    _spd_solve,
 )
 from gffresist.cli import parse_network
 from gffresist.errors import (
@@ -76,13 +75,6 @@ def pack(matrix, kd: int) -> np.ndarray:
     for d in range(kd + 1):
         band[kd - d, d:] = np.diagonal(matrix, d)
     return band
-
-
-def hager(band: np.ndarray):
-    """The kernel's ``condition`` for a Hager-Higham estimate on ``band``'s
-    matrix, its 1-norm read from the dense form."""
-    norm = np.linalg.norm(dense(band), 1)
-    return lambda factor, x: _band_rcond(factor, norm)
 
 
 def pinv_effective_resistance(net: ResistiveNetwork, a: int, b: int) -> float:
@@ -210,12 +202,14 @@ def block_gram(net: ResistiveNetwork) -> tuple:
 
 
 def scipy_oracle_flow(net: ResistiveNetwork, a: int, b: int) -> np.ndarray:
-    """Reference: the cycle-coordinate normal equations through scipy, at
-    full bandwidth, with the Gram and right-hand side of ``block_gram``."""
+    """Reference: the cycle-coordinate normal equations through scipy's
+    dense Cholesky (LAPACK dpotrf, dpotrs), with the Gram and right-hand
+    side of ``block_gram``."""
     g = net.graph
     base = walk_sign_vector(g, walk_between(g, a, b))
     gram, weighted, tree_ids, chords, block = block_gram(net)
-    t = scipy_banded_solve(gram, len(gram) - 1, -(weighted @ base[tree_ids]))
+    t = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram),
+                               -(weighted @ base[tree_ids]))
     flow = base.copy()
     flow[tree_ids] += block.T @ t
     flow[chords] = t
@@ -283,41 +277,20 @@ class TestSpdSolve:
                                         [[0.0, 0.0], [0.0, 1.0]],
                                         [[0.0]], [[-1.0]]])
     def test_not_positive_definite_raises(self, matrix):
-        with pytest.raises(SingularSystemError, match="^no factor$"):
-            band = pack(matrix, len(matrix) - 1)
-            _spd_solve(band, np.ones(len(matrix)), "no factor", hager(band))
+        with pytest.raises(SingularSystemError,
+                           match="^cycle Gram matrix is singular$"):
+            _gram_solve(np.array(matrix), np.ones(len(matrix)))
 
     def test_ill_conditioned_warns(self):
-        matrix = np.diag([1.0, 1e-17])
-        band = pack(matrix, 1)
         with pytest.warns(LinAlgWarning, match="ill-conditioned"):
-            x, rcond = _spd_solve(band, np.ones(2), "unused", hager(band))
+            x, rcond = _gram_solve(np.diag([1.0, 1e-17]), np.ones(2))
         np.testing.assert_allclose(x, [1.0, 1e17])
         assert rcond == pytest.approx(1e-17, rel=1e-12)
 
     def test_empty_system(self):
-        x, rcond = _spd_solve(np.zeros((1, 0)), np.zeros(0), "unused", None)
+        x, rcond = _gram_solve(np.zeros((0, 0)), np.zeros(0))
         assert x.shape == (0,)
         assert rcond == 1.0
-
-    def test_reads_the_upper_triangle(self):
-        # _full_band, which packs the oracle's Gram, puts the lower triangle
-        # in band slots that hold no entry.
-        matrix = np.array([[4.0, 1.0], [-7.0, 3.0]])
-        symmetric = np.array([[4.0, 1.0], [1.0, 3.0]])
-        rhs = np.array([1.0, 2.0])
-        band = pack(symmetric, 1)
-        np.testing.assert_array_equal(
-            _spd_solve(_full_band(matrix), rhs, "unused", hager(band))[0],
-            _spd_solve(band, rhs, "unused", hager(band))[0])
-
-    @pytest.mark.parametrize("size", [0, 1, 2, 5, 40])
-    def test_full_band_holds_the_upper_triangle(self, size):
-        matrix = np.random.default_rng(size).standard_normal((size, size))
-        band = _full_band(matrix)
-        assert band.shape == (max(size, 1), size)
-        np.testing.assert_array_equal(dense(band),
-                                      np.triu(matrix) + np.triu(matrix, 1).T)
 
     @pytest.mark.parametrize("resistances", [[1e308, 1e308],
                                              [np.finfo(float).max]])
@@ -332,27 +305,8 @@ class TestSpdSolve:
             effective_resistance(net, 0, len(names) - 1)
 
 
-def random_spd_band(rng, kind: str) -> np.ndarray:
-    """A random SPD band, size 2-40: "band", a random half-bandwidth and a
-    1-norm condition number up to about 1e12; or "gram", the Gram matrix of
-    +-1 rows plus a small diagonal, at full bandwidth, on which the
-    estimate's alternating-sign test and its later steps decide."""
-    size = int(rng.integers(2, 41))
-    if kind == "gram":
-        rows = rng.choice([-1.0, 1.0], (size, size))
-        shift = 10.0 ** rng.uniform(-8, 0)
-        return pack(rows @ rows.T + shift * np.eye(size), size - 1)
-    kd = int(rng.integers(0, size))
-    sym = rng.standard_normal((size, size))
-    offsets = np.subtract.outer(np.arange(size), np.arange(size))
-    sym = np.where(np.abs(offsets) <= kd, sym + sym.T, 0.0)
-    lowest = np.linalg.eigvalsh(sym)[0]
-    shift = 10.0 ** rng.uniform(-12, 0) * np.abs(sym).max()
-    return pack(sym + (shift - lowest) * np.eye(size), kd)
-
-
 class TestConditionEstimate:
-    """The band kernel's Hager-Higham estimate against LAPACK dpocon on the
+    """The Laplacian's exact M-matrix rcond against LAPACK dpocon on the
     dense form of the same Cholesky factor."""
 
     @staticmethod
@@ -363,12 +317,6 @@ class TestConditionEstimate:
         assert info == 0
         return expected
 
-    def assert_matches_dpocon(self, band):
-        norm = np.linalg.norm(dense(band), 1)
-        factor = scipy.linalg.cholesky_banded(band)
-        assert _band_rcond(factor, norm) == pytest.approx(
-            self.dpocon(band), rel=1e-12, abs=0)
-
     @staticmethod
     def grounded_laplacians():
         """The first 50 (network, ground) pairs with at least 3 vertices: a
@@ -378,36 +326,12 @@ class TestConditionEstimate:
         return [(net, i % net.graph.n_vertices)
                 for i, net in zip(range(50), big)]
 
-    @pytest.mark.parametrize("kind", ["band", "gram"])
-    def test_random_spd_matrices(self, kind):
-        # With this seed, the alternating-sign test raises the estimate of
-        # two Gram matrices, and five need more than one step.
-        rng = np.random.default_rng(2028)
-        for _ in range(25):
-            self.assert_matches_dpocon(random_spd_band(rng, kind))
-
-    def test_grounded_laplacians(self):
-        for net, ground in self.grounded_laplacians():
-            self.assert_matches_dpocon(laplacian(net, ground))
-
     def test_m_matrix_rcond_of_grounded_laplacians(self):
         # node_voltages' exact rcond, from its second right-hand side.
         for net, ground in self.grounded_laplacians():
             a = (ground + 1) % net.graph.n_vertices
             assert _grounded_potentials(net, a, ground)[1] == pytest.approx(
                 self.dpocon(laplacian(net, ground)), rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -1022])
-    def test_scaling_keeps_the_estimate_finite(self, scale):
-        # At the smallest normal double the 10x10 second-difference
-        # matrix's inverse has a 1-norm of about 7e308, past the double
-        # range: its condition number, that of the unscaled matrix, is
-        # still read.
-        base = pack(2.0 * np.eye(10) - np.eye(10, k=1) - np.eye(10, k=-1), 1)
-        band = scale * base
-        factor = scipy.linalg.cholesky_banded(band)
-        assert _band_rcond(factor, np.linalg.norm(dense(band), 1)) \
-            == pytest.approx(self.dpocon(base), rel=1e-12, abs=0)
 
 
 class TestNodeVoltages:
@@ -431,6 +355,13 @@ class TestNodeVoltages:
     def test_same_vertex(self, triangle):
         with pytest.raises(SameVertexError):
             node_voltages(triangle, 1, 1)
+
+    def test_two_vertices_without_an_edge_are_singular(self):
+        # A 1x1 reduced Laplacian [[0]] is not positive definite.
+        g = Multigraph(("a", "b"), ())
+        net = ResistiveNetwork(g, np.zeros(0))
+        with pytest.raises(SingularSystemError, match="is the network connected"):
+            node_voltages(net, 0, 1)
 
     def test_singular_system_detected(self):
         # a disconnected graph that slipped past construction validation
@@ -646,6 +577,37 @@ class TestMinEnergyOracle:
             np.testing.assert_allclose(
                 min_energy_flow_oracle(net, a, b).currents,
                 thomson_flow(net, a, b).currents, atol=1e-10)
+
+    @pytest.mark.parametrize("specs", [[("a", "b"), ("b", "c"), ("c", "a")],
+                                       [("a", "b"), ("a", "b")]])
+    def test_gram_past_the_double_range_raises(self, specs):
+        # At 1e308 ohms per edge the Gram overflows to inf; a Cholesky of
+        # inf would give t = 0 and the tree path's flow.
+        names = sorted({v for edge in specs for v in edge})
+        net = ResistiveNetwork(build_multigraph(names, specs),
+                               np.full(len(specs), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError,
+                               match="resistances exceed the double range"):
+                min_energy_flow_oracle(net, 0, 1)
+
+    def parallel_triple(self, big: float) -> ResistiveNetwork:
+        g = build_multigraph(["a", "b"], [("a", "b")] * 3)
+        return ResistiveNetwork(g, np.array([big, 1e-12, 1e-12]))
+
+    def test_ill_conditioned_gram_warns(self):
+        # The R edge is the tree, so the Gram is R [[1, 1], [1, 1]] plus
+        # 1e-12 I: eigenvalues 1e-12 and about 2R, rcond about 1e-16.
+        with pytest.warns(LinAlgWarning, match="ill-conditioned"):
+            min_energy_flow_oracle(self.parallel_triple(1e4), 0, 1)
+
+    def test_numerically_singular_gram_raises(self):
+        # At R = 1e20 the 1e-12 vanishes in R + 1e-12: the Gram is R times
+        # a singular matrix of ones.
+        with pytest.raises(SingularSystemError,
+                           match="^cycle Gram matrix is singular$"):
+            min_energy_flow_oracle(self.parallel_triple(1e20), 0, 1)
 
 
 class TestBlockOracle:
