@@ -292,6 +292,25 @@ class TestSpdSolve:
         assert x.shape == (0,)
         assert rcond == 1.0
 
+    def test_reads_the_upper_triangle(self):
+        # dposv, like the cho_factor reference, factors the upper triangle:
+        # a Gram formed by GEMM need not be bitwise symmetric.
+        matrix = np.array([[4.0, 1.0], [-7.0, 3.0]])
+        symmetric = np.array([[4.0, 1.0], [1.0, 3.0]])
+        rhs = np.array([1.0, 2.0])
+        np.testing.assert_array_equal(_gram_solve(matrix, rhs)[0],
+                                      _gram_solve(symmetric, rhs)[0])
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 5, 40])
+    def test_matches_cho_solve(self, size):
+        rng = np.random.default_rng(size)
+        rows = rng.standard_normal((size, size))
+        gram = rows @ rows.T + size * np.eye(size)
+        rhs = rng.standard_normal(size)
+        assert np.array_equal(
+            _gram_solve(gram, rhs)[0],
+            scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs))
+
     @pytest.mark.parametrize("resistances", [[1e308, 1e308],
                                              [np.finfo(float).max]])
     def test_non_finite_solution_raises(self, resistances):
@@ -305,9 +324,29 @@ class TestSpdSolve:
             effective_resistance(net, 0, len(names) - 1)
 
 
+def random_spd_band(rng, kind: str) -> np.ndarray:
+    """A random SPD band, size 2-40: "band", a random half-bandwidth and a
+    1-norm condition number up to about 1e12; or "gram", the Gram matrix of
+    +-1 rows plus a small diagonal, at full bandwidth, on which the
+    estimate's alternating-sign test and its later steps decide."""
+    size = int(rng.integers(2, 41))
+    if kind == "gram":
+        rows = rng.choice([-1.0, 1.0], (size, size))
+        shift = 10.0 ** rng.uniform(-8, 0)
+        return pack(rows @ rows.T + shift * np.eye(size), size - 1)
+    kd = int(rng.integers(0, size))
+    sym = rng.standard_normal((size, size))
+    offsets = np.subtract.outer(np.arange(size), np.arange(size))
+    sym = np.where(np.abs(offsets) <= kd, sym + sym.T, 0.0)
+    lowest = np.linalg.eigvalsh(sym)[0]
+    shift = 10.0 ** rng.uniform(-12, 0) * np.abs(sym).max()
+    return pack(sym + (shift - lowest) * np.eye(size), kd)
+
+
 class TestConditionEstimate:
-    """The Laplacian's exact M-matrix rcond against LAPACK dpocon on the
-    dense form of the same Cholesky factor."""
+    """The cycle Gram's rcond estimate and the Laplacian's exact M-matrix
+    rcond against LAPACK dpocon on the dense form of the same Cholesky
+    factor."""
 
     @staticmethod
     def dpocon(band) -> float:
@@ -325,6 +364,35 @@ class TestConditionEstimate:
         big = (n for n in nets if n.graph.n_vertices >= 3)
         return [(net, i % net.graph.n_vertices)
                 for i, net in zip(range(50), big)]
+
+    @staticmethod
+    def gram_rcond(band) -> tuple:
+        """The Gram route's rcond on ``band``'s dense matrix, and dpocon on
+        the matrix's dense Cholesky factor (LAPACK dpotrf)."""
+        matrix = dense(band)
+        expected, info = scipy.linalg.lapack.dpocon(
+            scipy.linalg.cholesky(matrix), np.linalg.norm(matrix, 1))
+        assert info == 0
+        return _gram_solve(matrix, np.ones(len(matrix)))[1], expected
+
+    @pytest.mark.parametrize("kind", ["band", "gram"])
+    def test_random_spd_matrices(self, kind):
+        # With this seed, the alternating-sign test raises the estimate of
+        # two Gram matrices, and five need more than one step.
+        rng = np.random.default_rng(2028)
+        for _ in range(25):
+            rcond, expected = self.gram_rcond(random_spd_band(rng, kind))
+            assert rcond == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_grounded_laplacians(self):
+        # dpocon's estimate of the inverse's norm is a lower bound, so the
+        # Gram route's rcond is at least the Laplacian route's exact one.
+        for net, ground in self.grounded_laplacians():
+            estimate, expected = self.gram_rcond(laplacian(net, ground))
+            assert estimate == pytest.approx(expected, rel=1e-12, abs=0)
+            a = (ground + 1) % net.graph.n_vertices
+            assert _grounded_potentials(net, a, ground)[1] \
+                <= estimate * (1 + 1e-12)
 
     def test_m_matrix_rcond_of_grounded_laplacians(self):
         # node_voltages' exact rcond, from its second right-hand side.
