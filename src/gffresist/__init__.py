@@ -13,6 +13,7 @@ from .electric import (
     min_energy_flow_oracle,
     node_voltages,
     ohm_flow,
+    stacked_voltages,
     thomson_flow,
 )
 from .gaussian import (
@@ -34,7 +35,6 @@ from .gff import (
 )
 from .graph import (
     Circuit,
-    EdgeRecord,
     Multigraph,
     Walk,
     build_multigraph,

@@ -178,9 +178,10 @@ def serialize_network(n: ResistiveNetwork) -> dict:
     return {
         "vertices": names,
         "edges": [
-            {"u": names[rec.tail], "v": names[rec.head],
-             "r": float(n.resistances[e])}
-            for e, rec in enumerate(n.graph.edges)
+            {"u": names[tail], "v": names[head], "r": r}
+            for tail, head, r in zip(n.graph.tails.tolist(),
+                                     n.graph.heads.tolist(),
+                                     n.resistances.tolist())
         ],
     }
 
@@ -307,9 +308,9 @@ def _cmd_thomson(args, parser) -> int:
         return _emit_report(_simple_report("thomson_flow", quantities), args)
     names = g.vertices
     print(f"thomson flow, unit current {names[a]} -> {names[b]}")
-    for e, rec in enumerate(g.edges):
-        print(f"  edge {e}  {names[rec.tail]} -> {names[rec.head]}"
-              f"  (parallel {rec.parallel_index})  I = {fmt(flow.currents[e])}")
+    for e, (tail, head, parallel) in enumerate(g.edges):
+        print(f"  edge {e}  {names[tail]} -> {names[head]}"
+              f"  (parallel {parallel})  I = {fmt(flow.currents[e])}")
     for label, value in quantities[g.n_edges:]:
         print(f"  {label} = {fmt(value)}")
     return EXIT_PASS

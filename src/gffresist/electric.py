@@ -1,34 +1,25 @@
 """Deterministic circuit theory for resistive multigraphs.
 
 Node voltages come from a band Cholesky solve of the ground-reduced
-Laplacian under a unit current source. The reduced matrix is assembled
-directly in LAPACK upper band storage, without the ground vertex's row and
-column and without ever forming the dense matrix; its half-bandwidth ``kd``
-is the largest ``head - tail`` over the edges that keep both ends, so the
-vertex order sets the cost, O(V kd^2), but not the value beyond rounding.
+Laplacian under a unit current source, assembled in LAPACK upper band
+storage; its half-bandwidth ``kd`` is the largest ``head - tail`` over the
+edges that keep both ends, so the vertex order sets the cost, O(V kd^2),
+not the value. ``stacked_voltages`` solves a check's networks, one
+resistance row each, as one stack, each row bit for bit its solve alone.
 The Thomson flow follows by Ohm's law; an independent minimum-energy route
-re-derives the same flow by unconstrained quadratic minimization in cycle
-coordinates, so the two can cross-check each other. Each route has its own
-Cholesky solve and shares no arithmetic with the other: LAPACK ``dpbsv`` on
-the Laplacian's band, ``dposv`` on the dense cycle Gram. Both raise the
-same errors (``_check_solve``) and give a ``LinAlgWarning`` when the
-reciprocal 1-norm condition number falls below machine epsilon.
-
-A grounded Laplacian of a connected network is a nonsingular M-matrix: its
-inverse is entrywise positive, so ``||A^-1||_1 = max(A^-1 1)`` exactly
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002), and
-``node_voltages`` reads its condition number from a second right-hand side
-in the same ``dpbsv`` call. The cycle Gram is not an M-matrix; LAPACK
-``dpocon`` estimates its condition number from the ``dposv`` factor. Each
-graph keeps its last VOLTAGE_MEMO_SIZE voltage solves, so a network solved
-again for the same pair costs a lookup. What depends on
-the graph alone, the Laplacian's band plan for the last ground and the
-cycle basis in chord/tree block form, is built once per graph, so each
-solve does only the arithmetic that depends on the resistances.
+re-derives it by ``dposv`` on the dense cycle Gram, sharing no arithmetic
+with the Laplacian's ``dpbsv``. Both raise the same errors (``_check_solve``)
+and warn (``LinAlgWarning``) when the reciprocal 1-norm condition number,
+exact for the Laplacian (an M-matrix) and ``dpocon``'s estimate for the
+Gram, falls below machine epsilon. Each graph keeps its last
+VOLTAGE_MEMO_SIZE voltage solves, and builds once what depends on it alone:
+the band plan for the last ground and the cycle basis in block form.
 """
 
 import math
+import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +34,19 @@ from .errors import (
 from .graph import Multigraph, tree_walk_vector
 
 MIN_RESISTANCE = 1e-12
-# Solves node_voltages keeps per graph: one suite instance or grid-electric
-# op solves at most 16 distinct networks.
+EPS = np.finfo(float).eps
+# Solves stacked_voltages keeps per graph: one suite instance or
+# grid-electric op solves at most 16 distinct networks.
 VOLTAGE_MEMO_SIZE = 16
+# Gram rows mirrored at once: bounds temporaries; larger squares copy slower.
+MIRROR_ROWS = 64
 
 
 @dataclass(frozen=True)
 class ResistiveNetwork:
     """Multigraph plus a resistance per edge (ohms), finite and at least
-    MIN_RESISTANCE so that every conductance is finite; the one place
-    resistances are checked."""
+    MIN_RESISTANCE so that every conductance is finite: the rule
+    ``_check_resistances`` applies here and to stacked_voltages' rows."""
 
     graph: Multigraph
     resistances: np.ndarray
@@ -62,14 +56,23 @@ class ResistiveNetwork:
         if r.shape != (self.graph.n_edges,):
             raise DimensionMismatchError(
                 f"expected {self.graph.n_edges} resistances, got shape {r.shape}")
-        valid = (r >= MIN_RESISTANCE) & (r < np.inf)  # NaN fails both
-        if not valid.all():
-            e = int(np.argmin(valid))
-            raise ValidationError(
-                f"edges[{e}]: resistance must be finite and >= "
-                f"{MIN_RESISTANCE} ohms, got {float(r[e])}")
+        _check_resistances(r)
         r.setflags(write=False)
         object.__setattr__(self, "resistances", r)
+
+
+# Networks on one graph, a row of checked resistances each, for laplacian.
+_Stack = namedtuple("_Stack", "graph resistances")
+
+
+def _check_resistances(r: np.ndarray, where: str = ""):
+    """The one resistance rule: each finite and >= MIN_RESISTANCE."""
+    valid = (r >= MIN_RESISTANCE) & (r < np.inf)  # NaN fails both
+    if not valid.all():
+        e = int(np.argmin(valid))
+        raise ValidationError(
+            f"{where}edges[{e}]: resistance must be finite and >= "
+            f"{MIN_RESISTANCE} ohms, got {float(r[e])}")
 
 
 @dataclass(frozen=True)
@@ -109,41 +112,39 @@ def _check_flow(n: ResistiveNetwork, f: FlowVector):
 
 
 def _warn_if_ill_conditioned(rcond: float):
-    if not rcond >= np.finfo(float).eps:
+    """Warn below machine epsilon, at the first caller outside the package."""
+    if not rcond >= EPS:
+        frame, level = sys._getframe(1), 2
+        while frame.f_back and frame.f_globals.get("__name__", "").startswith(
+                f"{__package__}."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(f"ill-conditioned matrix (rcond={rcond:.6g}): "
                       "result may not be accurate", LinAlgWarning,
-                      stacklevel=3)
+                      stacklevel=level)
 
 
-def _check_finite(*values):
-    """Raise SingularSystemError unless every entry of ``values`` is
-    finite: a system or solution past the double range."""
+def _check_solve(info: int, message: str, *values):
+    """Raise SingularSystemError: ``message`` when LAPACK's ``info`` says
+    not positive definite, else the double range when ``values`` are not."""
+    if info > 0:
+        raise SingularSystemError(message)
     if not all(np.isfinite(v).all() for v in values):
         raise SingularSystemError(
             "solution is not finite: the network's resistances exceed the "
             "double range")
 
 
-def _check_solve(info: int, x: np.ndarray, message: str):
-    """Raise SingularSystemError after a LAPACK Cholesky solve: with
-    ``message`` when ``info`` says the matrix is not positive definite, and
-    as ``_check_finite`` does when the solution ``x`` is not finite."""
-    if info > 0:
-        raise SingularSystemError(message)
-    _check_finite(x)
-
-
 @dataclass(frozen=True)
 class _BandPlan:
     """The graph-only part of ``laplacian(n, ground)``: per band entry kept,
-    in edge order, its ``np.bincount`` slot, its edge and whether it is an
-    off-diagonal (negated) entry; the band's ``kd`` and ``size``; and for
+    in edge order, its ``np.bincount`` slot, its edge and its sign, -1.0 for
+    an off-diagonal entry; the band's ``kd`` and ``size``; and for
     the ground norm, the ground's edges and the reduced index of each one's
     other end (both empty without a ground)."""
 
     slots: np.ndarray
     edge_ids: np.ndarray
-    negated: np.ndarray
+    signs: np.ndarray
     kd: int
     size: int
     ground_edges: np.ndarray
@@ -162,13 +163,13 @@ def _band_plan(g: Multigraph, ground) -> _BandPlan:
     rows = np.column_stack([t, t, h]).ravel()
     cols = np.column_stack([h, t, h]).ravel()
     edge_ids = np.repeat(np.arange(g.n_edges), 3)
-    negated = np.tile([True, False, False], g.n_edges)
+    signs = np.tile([-1.0, 1.0, 1.0], g.n_edges)
     size = g.n_vertices
     ground_edges = ground_ends = np.zeros(0, dtype=int)
     if ground is not None:
         kept = (rows != ground) & (cols != ground)
         rows, cols = rows[kept], cols[kept]
-        edge_ids, negated = edge_ids[kept], negated[kept]
+        edge_ids, signs = edge_ids[kept], signs[kept]
         rows = rows - (rows > ground)
         cols = cols - (cols > ground)
         size -= 1
@@ -179,7 +180,7 @@ def _band_plan(g: Multigraph, ground) -> _BandPlan:
         ground_ends = ground_ends - (ground_ends > ground)
     kd = int(np.max(cols - rows, initial=0))
     # Column-major, slot (kd + i - j, j) lies at offset kd * (j + 1) + i.
-    plan = _BandPlan(kd * (cols + 1) + rows, edge_ids, negated, kd, size,
+    plan = _BandPlan(kd * (cols + 1) + rows, edge_ids, signs, kd, size,
                      ground_edges, ground_ends)
     g.band_plans.clear()
     g.band_plans[ground] = plan
@@ -190,94 +191,100 @@ def laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
     """Weighted Laplacian L with edge conductances 1/R_e, in LAPACK upper
     band storage: a Fortran-ordered array of shape ``(kd + 1, size)`` whose
     entry ``(kd + i - j, j)`` holds ``L[i, j]`` for ``j - kd <= i <= j``, so
-    row ``kd`` is the diagonal; the slots with ``i < 0`` are 0. With
-    ``ground`` (a vertex index, checked as ``Multigraph.check_vertices``
-    does) the ground vertex's row and column are left out, the other
-    vertices keeping their order. ``kd`` is the largest ``head - tail`` over
-    the edges that keep both ends (0 when none do); no vertex is reordered.
-
-    The indexing depends on the graph and the ground only. It is planned
-    once (``_band_plan``) and kept in the graph's ``band_plans``, so an
-    assembly is one gather of the conductances, one negation and one
-    ``np.bincount`` pass, which sums the entries, parallel edges and
-    diagonal terms in edge order, as an edge loop would.
+    row ``kd`` is the diagonal; the slots with ``i < 0`` are 0; a ``_Stack``
+    gets one per row. ``ground`` (a vertex, checked) leaves its row and
+    column out. ``kd`` is the largest ``head - tail`` over the edges that
+    keep both ends. The graph-only indexing is planned once per ground
+    (``_band_plan``): an assembly is a gather of the conductances, a
+    product with the signs and one ``np.bincount``, each row's slots
+    offset, which sums the entries in edge order, as an edge loop would.
     """
     g = n.graph
     if ground is not None:
         g.check_vertices(ground)
     plan = _band_plan(g, ground)
-    values = (1.0 / n.resistances)[plan.edge_ids]
-    np.negative(values, out=values, where=plan.negated)
-    flat = np.bincount(plan.slots, values,
-                       minlength=(plan.kd + 1) * plan.size)
-    return flat.reshape(plan.size, plan.kd + 1).T
+    values = (1.0 / n.resistances).take(plan.edge_ids, axis=-1) * plan.signs
+    rows, width = n.resistances.shape[:-1], (plan.kd + 1) * plan.size
+    offsets = width * np.arange(math.prod(rows)).reshape(*rows, 1)
+    flat = np.bincount((plan.slots + offsets).ravel(), values.ravel(),
+                       minlength=offsets.size * width)
+    return np.swapaxes(flat.reshape(*rows, plan.size, plan.kd + 1), -1, -2)
 
 
-def _grounded_potentials(n: ResistiveNetwork, a: int, b: int) -> tuple:
-    """Potentials of every vertex under a unit current injected at a and
-    extracted at grounded b (exactly 0 there), and the reciprocal 1-norm
-    condition number of the reduced Laplacian A, both from one ``dpbsv``
-    call on the public ``laplacian(n, ground=b)``.
+def stacked_voltages(graph: Multigraph, resistances, a: int,
+                     b: int) -> np.ndarray:
+    """Vertex potentials for a unit current injected at a and extracted at
+    grounded b (0 there), one row per row of ``resistances``: bit for bit
+    the solve of that network on ``graph`` alone.
 
-    The second right-hand side is the all-ones vector times the power of
-    two c in ``(||A||_1 / 2, ||A||_1]``: A is an M-matrix, so its solution
-    y gives ``||A^-1||_1 = max(y) / c`` exactly, with no iteration. The
-    scale c is exact, and it keeps y finite where the entries of A^-1 pass
-    the double range. ``||A||_1`` is ``max_j(2 d_j - g_j)``, the diagonal d
-    less each vertex's conductance g to ground: one ``np.bincount`` over
-    the ground's edges, which the assembly's band plan lists. A positive
-    1x1 system is one division, with rcond 1.
+    ``voltage_memo`` keeps the last VOLTAGE_MEMO_SIZE rows solved with their
+    rcond, keyed by bytes and pair: a row found there or repeated is not
+    solved again, and warns again if its solve did. The others are checked
+    as ResistiveNetwork checks them, assembled at once by ``laplacian`` and
+    solved by one ``dpbsv`` call each (one for all would leave cache), with
+    a second right-hand side for the exact rcond of the M-matrix A: the
+    ones vector times the power of two c in ``(||A||_1 / 2, ||A||_1]``, so
+    ``||A^-1||_1 = max(y) / c``, where ``||A||_1 = max_j(2 d_j - g_j)``,
+    less each vertex's conductance to ground. A positive 1x1 system is one
+    division. An error is never kept. Threads sharing a graph must not call
+    this at once: the memo takes no lock.
     """
-    g = n.graph
-    reduced = laplacian(n, ground=b)
-    plan = _band_plan(g, b)
-    to_ground = np.bincount(plan.ground_ends,
-                            1.0 / n.resistances[plan.ground_edges],
-                            minlength=plan.size)
-    norm = float(np.max(2.0 * reduced[-1] - to_ground))
-    scale = math.ldexp(0.5, math.frexp(norm)[1])
-    rhs = np.zeros((2, plan.size))
-    rhs[0, a - (a > b)] = 1.0
-    rhs[1] = scale
-    if plan.size == 1 and reduced[-1, 0] > 0.0:
-        with np.errstate(over="ignore"):
-            x, info = rhs.T / reduced[-1, 0], 0
-    else:
-        _, x, info = dpbsv(reduced, rhs.T)
-    _check_solve(info, x,
-                 "reduced Laplacian is singular; is the network connected?")
-    rcond = 1.0 if plan.size == 1 else float(
-        1.0 / np.max(x[:, 1]) / (norm / scale))
-    _warn_if_ill_conditioned(rcond)
-    potentials = np.zeros(g.n_vertices)
-    potentials[:b] = x[:b, 0]
-    potentials[b + 1:] = x[b:, 0]
-    return potentials, rcond
+    graph.check_vertices(a, b)
+    r = np.asarray(resistances, dtype=float)
+    if r.ndim != 2 or r.shape[1] != graph.n_edges:
+        raise DimensionMismatchError(
+            f"expected rows of {graph.n_edges} resistances, got {r.shape}")
+    memo = graph.voltage_memo
+    keys = [(row.tobytes(), a, b) for row in r]
+    found = {key: memo.get(key) for key in keys}
+    todo = {}  # each missing row once, where it first appears
+    for i, key in enumerate(keys):
+        if found[key] is None and key not in todo:
+            _check_resistances(r[i], f"rows[{i}]: ")
+            todo[key] = i
+    if todo:
+        r = r[list(todo.values())]
+        bands = laplacian(_Stack(graph, r), ground=b)
+        plan = _band_plan(graph, b)
+        rows, size = np.arange(len(r))[:, None], plan.size
+        to_ground = np.bincount((plan.ground_ends + rows * size).ravel(),
+                                (1.0 / r[:, plan.ground_edges]).ravel(),
+                                minlength=len(r) * size).reshape(len(r), size)
+        norms = (2.0 * bands[:, -1] - to_ground).max(axis=1)
+        scales = np.ldexp(0.5, np.frexp(norms)[1])
+        rhs = np.zeros((len(r), 2, size))
+        rhs[:, 0, a - (a > b)] = 1.0
+        rhs[:, 1] = scales[:, None]
+        # Each row's pair of right-hand sides is solved in place.
+        for band, source in zip(bands, rhs):
+            info = 0
+            if size == 1 and band[-1, 0] > 0.0:
+                with np.errstate(over="ignore"):
+                    np.divide(source, band[-1, 0], out=source)
+            else:
+                info = dpbsv(band, source.T, overwrite_ab=1, overwrite_b=1)[2]
+            _check_solve(info, "reduced Laplacian is singular; is the "
+                         "network connected?", source)
+        rconds = np.ones(len(r)) if size == 1 else (
+            1.0 / rhs[:, 1].max(axis=1) / (norms / scales))
+        potentials = np.zeros((len(r), graph.n_vertices))
+        potentials[:, :b] = rhs[:, 0, :b]
+        potentials[:, b + 1:] = rhs[:, 0, b:]
+        found.update(zip(todo, zip(potentials, rconds.tolist())))
+    for key, entry in found.items():
+        memo.pop(key, None)
+        if len(memo) >= VOLTAGE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = entry
+    for key in keys:
+        _warn_if_ill_conditioned(found[key][1])
+    return np.array([found[key][0] for key in keys])
 
 
 def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:
-    """Vertex potentials for a unit current injected at a, extracted at
-    grounded b.
-
-    The graph's ``voltage_memo`` keeps the last VOLTAGE_MEMO_SIZE results,
-    keyed by the resistances' bytes and the pair: a repeated call returns
-    the same potentials without a solve, and warns again when the solve
-    warned. An error is raised anew each time, never kept. The memo takes
-    no lock, so threads that share a graph must not call this at once.
-    """
-    n.graph.check_vertices(a, b)
-    memo = n.graph.voltage_memo
-    key = (n.resistances.tobytes(), a, b)
-    entry = memo.pop(key, None)
-    if entry is None:
-        potentials, rcond = _grounded_potentials(n, a, b)
-        entry = VoltageVector(potentials, ground=b), rcond
-        if len(memo) >= VOLTAGE_MEMO_SIZE:
-            del memo[next(iter(memo))]
-    else:
-        _warn_if_ill_conditioned(entry[1])
-    memo[key] = entry
-    return entry[0]
+    """``stacked_voltages`` of the one network n, memo included."""
+    return VoltageVector(
+        stacked_voltages(n.graph, n.resistances[None], a, b)[0], ground=b)
 
 
 def effective_resistance(n: ResistiveNetwork, a: int, b: int) -> float:
@@ -297,22 +304,24 @@ def thomson_flow(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
 
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple:
-    """Solve ``gram @ t = rhs`` for the dense symmetric positive definite
-    cycle Gram; returns ``(t, rcond)``.
-
-    LAPACK ``dposv`` factors the Gram's upper triangle and solves. ``dlange``
-    reads its 1-norm and ``dpocon`` estimates its reciprocal 1-norm
-    condition number from the factor (Hager 1984; Higham 1988). A Gram or
-    right-hand side that is not finite raises before the solve; otherwise
-    it raises and warns as the Laplacian's solve does. A 0x0 system (a
-    tree has no cycles) has the empty solution.
+    """Solve ``gram @ t = rhs``, the cycle Gram's upper triangle read, in
+    place; returns ``(t, rcond)``. Mirrored onto the lower triangle, the
+    Gram is ``gram.T`` in Fortran order, which ``dposv``, ``dlange`` (its
+    1-norm) and ``dpocon`` (its rcond; Hager 1984, Higham 1988) take
+    without a copy. A non-finite Gram or right-hand side raises before the
+    solve. A 0x0 system (a tree has no cycles) has the empty solution.
     """
     if not len(rhs):
         return rhs, 1.0
-    norm = dlange("1", gram)
-    _check_finite(norm, rhs)
-    factor, t, info = dposv(gram, rhs)
-    _check_solve(info, t, "cycle Gram matrix is singular")
+    for start in range(0, len(gram), MIRROR_ROWS):
+        rows = gram[start:start + MIRROR_ROWS]
+        square = rows[:, start:start + len(rows)]
+        rows[:, :start] = gram[:start, start:start + len(rows)].T
+        np.copyto(square, square.T, where=np.tri(len(rows), k=-1, dtype=bool))
+    norm = dlange("1", gram.T)
+    _check_solve(0, "", norm, rhs)
+    factor, t, info = dposv(gram.T, rhs, overwrite_a=1)
+    _check_solve(info, "cycle Gram matrix is singular", t)
     rcond = dpocon(factor, norm)[0]
     _warn_if_ill_conditioned(rcond)
     return t, rcond
@@ -323,14 +332,12 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
 
     Feasible flows are the tree-path flow plus the span of the fundamental
     circuit sign vectors; the power quadratic is minimized by solving its
-    normal equations in cycle coordinates. The circuit matrix is
-    ``[I_k | D]`` up to a column permutation (``Multigraph.cycle_blocks``),
-    so with the tree-path flow ``base`` (zero on the chords) the Gram is
-    ``(D r_tree) D^T + diag(r_chords)``, the right-hand side is
-    ``-(D r_tree) base_tree``, and the flow is ``base`` plus ``D^T t`` on
-    the tree edges and ``t`` on the chords: the dense k x E circuit matrix
-    is never formed. ``_gram_solve`` solves the Gram; at most one LAPACK
-    copy of it is held beside it.
+    normal equations in cycle coordinates. The circuit matrix is ``[I_k |
+    D]`` up to a column permutation (``Multigraph.cycle_blocks``), so with
+    the tree-path flow ``base`` (zero on the chords) the Gram is ``(D
+    r_tree) D^T + diag(r_chords)``, the right-hand side ``-(D r_tree)
+    base_tree``, and the flow ``base`` plus ``D^T t`` on the tree edges and
+    ``t`` on the chords: the dense k x E circuit matrix is never formed.
     """
     g = n.graph
     flow = tree_walk_vector(g, a, b)
@@ -372,23 +379,21 @@ def kcl_residual(n: ResistiveNetwork, f: FlowVector, a: int, b: int) -> float:
 def kvl_residual(n: ResistiveNetwork, f: FlowVector) -> float:
     """Worst fundamental-circuit violation of the voltage-drop sum law.
 
-    The drops ``I_e R_e`` are integrated down the BFS tree (``tree``'s
-    parent map lists every parent before its children) into potentials phi,
-    0 at vertex 0. The residual is ``max |drops - (phi[tails] -
-    phi[heads])|``: 0 on tree edges up to rounding, and on a chord its
-    fundamental circuit's drop sum. It takes O(E) memory: no cycle matrix
-    and no tree paths.
+    The drops ``I_e R_e`` are integrated down the BFS tree, in its queue
+    order, into potentials phi, 0 at vertex 0. The residual, ``max |drops -
+    (phi[tails] - phi[heads])|``, is 0 on tree edges up to rounding and a
+    chord's circuit drop sum: O(E) memory, no cycle matrix or tree paths.
     """
     _check_flow(n, f)
     g = n.graph
     drops = f.currents * n.resistances
     down = drops.tolist()
     phi = [0.0] * g.n_vertices
-    for v, link in g.tree[0].items():
-        if link is not None:
-            p, e = link
-            # A tree edge points from tail to head, the lower vertex first.
-            phi[v] = phi[p] - down[e] if v > p else phi[p] + down[e]
+    parent, parent_edge, order = (part.tolist() for part in g.tree)
+    for v in order[1:]:
+        p, e = parent[v], parent_edge[v]
+        # A tree edge points from tail to head, the lower vertex first.
+        phi[v] = phi[p] - down[e] if v > p else phi[p] + down[e]
     phi = np.array(phi)
     return float(np.max(np.abs(drops - (phi[g.tails] - phi[g.heads])),
                         initial=0.0))

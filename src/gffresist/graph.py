@@ -3,13 +3,15 @@
 Vertices are identified by their position in the input list, which also fixes
 the total order used for canonical edge orientation and traversal signs.
 Edges are identified by their position in the edge list; parallel edges are
-legal and distinguished by a per-endpoint-pair parallel index.
+legal and distinguished by a per-endpoint-pair parallel index. A graph is
+int arrays, never an object per edge: tails and heads, then a CSR adjacency
+and the BFS tree's parent, parent-edge and queue order, built on first use.
 """
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -28,69 +30,94 @@ from .errors import (
 DEFAULT_CIRCUIT_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    """One edge in canonical orientation: tail < head in the vertex order."""
-
-    tail: int
-    head: int
-    parallel_index: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Multigraph:
-    """Connected undirected multigraph without self-loops.
-
-    ``vertices`` holds the vertex names; list position defines both the
-    vertex index and the total order. ``edges`` holds one EdgeRecord per
-    edge; list position is the edge identifier.
-    """
+    """Connected undirected multigraph without self-loops. ``vertices``
+    holds the names, position being index and order; edge ``e`` joins
+    ``tails[e] < heads[e]``, read-only int arrays. Equality and hashing
+    compare the names and both arrays."""
 
     vertices: tuple
-    edges: tuple
+    tails: np.ndarray
+    heads: np.ndarray
 
-    # Derived views, computed once per graph. They are cached attributes, not
-    # fields, so equality and hashing still see only vertices and edges.
+    def __post_init__(self):
+        for name in ("tails", "heads"):
+            object.__setattr__(self, name, _frozen_ints(getattr(self, name)))
+
+    def _key(self) -> tuple:
+        return self.vertices, self.tails.tobytes(), self.heads.tobytes()
+
+    def __eq__(self, other):
+        return (self._key() == other._key() if isinstance(other, Multigraph)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    # Derived views, computed once per graph on first use.
     @cached_property
-    def tails(self) -> np.ndarray:
-        return _frozen_ints([rec.tail for rec in self.edges])
+    def parallel(self) -> np.ndarray:
+        """Per edge, its 0-based index among the edges joining the same pair,
+        in input order: its rank in its run of a stable argsort by pair."""
+        key = self.tails * self.n_vertices + self.heads
+        order, ranks = np.argsort(key, kind="stable"), np.arange(self.n_edges)
+        # Keys are positive, so the first sorted edge starts a run.
+        starts = np.where(np.diff(key[order], prepend=-1) != 0, ranks, 0)
+        parallel = np.empty_like(ranks)
+        parallel[order] = ranks - np.maximum.accumulate(starts)
+        return _frozen_ints(parallel)
 
     @cached_property
-    def heads(self) -> np.ndarray:
-        return _frozen_ints([rec.head for rec in self.edges])
+    def edges(self) -> tuple:
+        """``(tail, head, parallel index)`` per edge, in Python ints."""
+        return tuple(zip(self.tails.tolist(), self.heads.tolist(),
+                         self.parallel.tolist()))
 
     @cached_property
     def adjacency(self) -> tuple:
-        """Per vertex, its (edge id, other endpoint) pairs in increasing edge id."""
-        adj = [[] for _ in self.vertices]
-        for e, rec in enumerate(self.edges):
-            adj[rec.tail].append((e, rec.head))
-            adj[rec.head].append((e, rec.tail))
-        return tuple(map(tuple, adj))
+        """CSR ``(starts, incident)``: vertex v's (edge id, other end) pairs,
+        in increasing id, are ``incident[starts[v]:starts[v + 1]]``."""
+        # A stable sort of the interleaved ends: entry p is of edge p // 2.
+        ends = np.column_stack([self.tails, self.heads]).ravel()
+        order = np.argsort(ends, kind="stable")
+        starts = np.searchsorted(ends[order], np.arange(self.n_vertices + 1))
+        others = np.column_stack([self.heads, self.tails]).ravel()[order]
+        return starts.tolist(), list(zip((order // 2).tolist(),
+                                         others.tolist()))
 
     @cached_property
     def tree(self) -> tuple:
-        """The BFS spanning tree's ``(parent, depth)`` maps; shared, never
-        mutated. Raises DisconnectedError when the BFS misses a vertex."""
-        parent, depth = _bfs(self)
-        if len(parent) != self.n_vertices:
-            missing = sorted(set(range(self.n_vertices)) - parent.keys())
+        """BFS tree from vertex 0, incident edges in increasing id, as
+        read-only int arrays ``(parent, parent_edge, order)`` (-1 at the
+        root; ``order`` lists each parent before its children). It fixes
+        every circuit orientation; DisconnectedError if it misses a vertex.
+        """
+        starts, incident = self.adjacency
+        parent, parent_edge = [-1] * self.n_vertices, [-1] * self.n_vertices
+        reached = [True] + [False] * (self.n_vertices - 1)
+        order = [0]
+        for v in order:  # the queue: order grows while it is read
+            for e, w in incident[starts[v]:starts[v + 1]]:
+                if not reached[w]:
+                    reached[w], parent[w], parent_edge[w] = True, v, e
+                    order.append(w)
+        if len(order) != self.n_vertices:
+            missing = sorted(set(range(self.n_vertices)) - set(order))
             raise DisconnectedError(
                 f"vertices {missing} unreachable from vertex 0")
-        return parent, depth
+        return tuple(map(_frozen_ints, (parent, parent_edge, order)))
 
     @cached_property
     def tree_paths(self) -> np.ndarray:
         """Read-only int8 sign vectors of the tree walks from vertex 0, one
-        row per vertex; row v is its parent's row plus v's tree edge, and the
-        BFS order fills a parent's row before its children's."""
-        parent, _ = self.tree
+        row per vertex, each its parent's row plus its tree edge."""
+        parent, parent_edge, order = (part.tolist() for part in self.tree)
         paths = np.zeros((self.n_vertices, self.n_edges), dtype=np.int8)
-        for v, link in parent.items():
-            if link is not None:
-                p, e = link
-                paths[v] = paths[p]
-                paths[v, e] = 1 if v > p else -1
+        for v in order[1:]:
+            p = parent[v]
+            paths[v] = paths[p]
+            paths[v, parent_edge[v]] = 1 if v > p else -1
         paths.setflags(write=False)
         return paths
 
@@ -134,7 +161,7 @@ class Multigraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
 
     @property
     def cycle_rank(self) -> int:
@@ -233,7 +260,7 @@ def _check_steps(g: Multigraph, vertex_seq, edge_seq):
     for k, e in enumerate(edge_seq):
         if not 0 <= e < g.n_edges:
             raise EdgeNotInGraphError(f"edge id {e} out of range")
-        if {g.edges[e].tail, g.edges[e].head} != {vertex_seq[k], vertex_seq[k + 1]}:
+        if {g.tails[e], g.heads[e]} != {vertex_seq[k], vertex_seq[k + 1]}:
             raise EdgeNotInGraphError(
                 f"edge {e} does not join vertices {vertex_seq[k]} and {vertex_seq[k + 1]}")
 
@@ -253,66 +280,40 @@ def build_multigraph(vertex_names, edge_specs) -> Multigraph:
 
     Edge specs may carry extra entries (e.g. a resistance) past the two
     endpoint names; they are ignored here. Orientation is canonicalized to
-    tail < head; parallel indices follow input order within each endpoint
-    pair. Raises SelfLoopError, DuplicateVertexNameError,
-    UnknownEndpointError, or DisconnectedError on invalid input.
+    tail < head. Raises ValidationError, DuplicateVertexNameError, then for
+    the first bad spec in order UnknownEndpointError (u before v) or
+    SelfLoopError, then DisconnectedError.
     """
     names = list(vertex_names)
     if len(names) < 2:
         raise ValidationError("a multigraph needs at least 2 vertices")
-    seen = set()
-    for name in names:
-        if name in seen:
+    index = {}
+    for i, name in enumerate(names):
+        if index.setdefault(name, i) != i:
             raise DuplicateVertexNameError(f"duplicate vertex name {name!r}")
-        seen.add(name)
-    index = {name: i for i, name in enumerate(names)}
 
-    records = []
-    pair_counts = {}
-    for spec in edge_specs:
-        u, v = spec[0], spec[1]
+    specs = list(edge_specs)
+    # Each end's vertex index, -1 for an unknown name.
+    ends = [np.fromiter(map(index.get, map(operator.itemgetter(k), specs),
+                            repeat(-1)), dtype=int, count=len(specs))
+            for k in (0, 1)]
+    tails, heads = np.minimum(*ends), np.maximum(*ends)
+    bad = (tails < 0) | (tails == heads)
+    if bad.any():
+        u, v = specs[int(np.argmax(bad))][:2]
         for endpoint in (u, v):
             if endpoint not in index:
                 raise UnknownEndpointError(f"unknown vertex {endpoint!r}")
-        iu, iv = index[u], index[v]
-        if iu == iv:
-            raise SelfLoopError(f"self-loop at vertex {u!r}")
-        tail, head = min(iu, iv), max(iu, iv)
-        k = pair_counts.get((tail, head), 0)
-        pair_counts[(tail, head)] = k + 1
-        records.append(EdgeRecord(tail, head, k))
+        raise SelfLoopError(f"self-loop at vertex {u!r}")
 
-    g = Multigraph(tuple(names), tuple(records))
+    g = Multigraph(tuple(names), tails, heads)
     g.tree  # raises DisconnectedError
     return g
 
 
-def _bfs(g: Multigraph) -> tuple:
-    """Breadth-first search from vertex 0 scanning incident edges in increasing id.
-
-    Returns ``(parent, depth)`` over the reached vertices: ``parent[v]`` is
-    the (vertex, edge id) pair v was reached through, None at the root. The
-    search order fixes the spanning tree, hence every circuit orientation.
-    """
-    parent, depth = {0: None}, {0: 0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for e, w in g.adjacency[v]:
-            if w not in parent:
-                parent[w] = (v, e)
-                depth[w] = depth[v] + 1
-                queue.append(w)
-    return parent, depth
-
-
-def _tree_edges(parent) -> frozenset:
-    return frozenset(link[1] for link in parent.values() if link is not None)
-
-
 def spanning_tree(g: Multigraph) -> frozenset:
     """Deterministic BFS spanning tree from vertex 0, edge-id tie-break."""
-    return _tree_edges(g.tree[0])
+    return frozenset(g.tree[1][1:].tolist())
 
 
 def _cycle_basis(g: Multigraph) -> tuple:
@@ -320,17 +321,16 @@ def _cycle_basis(g: Multigraph) -> tuple:
 
     Returns ``(tree_ids, chords, block)``: the tree edges' ids and the
     chords' ids, each increasing, and the k x (V - 1) float tree block D,
-    all read-only. The chords are the edges no root path uses. The circuit
-    of chord e runs tail to head along e, then back along the tree, so it
-    owns its chord and its tree part is ``P[tail] - P[head]`` with
-    ``P = g.tree_paths``: the shared part of the two root paths cancels and
-    every entry of D is exactly -1, 0 or 1. The circuit matrix is
-    ``[I_k | D]`` up to a column permutation.
+    all read-only. The chords are the edges no vertex was reached through.
+    The circuit of chord e runs tail to head along e, then back along the
+    tree, so it owns its chord and its tree part is ``P[tail] - P[head]``,
+    ``P = g.tree_paths``: the root paths' shared part cancels, and D, the
+    tree block of ``[I_k | D]``, holds only -1, 0 and 1.
     """
-    paths = g.tree_paths
-    on_tree = paths.any(axis=0)
+    on_tree = np.zeros(g.n_edges, dtype=bool)
+    on_tree[g.tree[1][1:]] = True
     tree_ids, chords = np.flatnonzero(on_tree), np.flatnonzero(~on_tree)
-    tree_part = paths[:, tree_ids]
+    tree_part = g.tree_paths[:, tree_ids]
     block = (tree_part[g.tails[chords]]
              - tree_part[g.heads[chords]]).astype(float)
     for part in (tree_ids, chords, block):
@@ -346,30 +346,26 @@ def tree_walk_vector(g: Multigraph, a: int, b: int) -> np.ndarray:
     return (g.tree_paths[b] - g.tree_paths[a]).astype(float)
 
 
-def _tree_path(parent, depth, a: int, b: int):
-    """Unique a-to-b path in the BFS tree, as (vertex_seq, edge_seq).
-
-    Walks up from the deeper end until both ends meet at their lowest
-    common ancestor.
-    """
-    up_vs, up_es, down_vs, down_es = [a], [], [b], []
-    while a != b:
-        if depth[a] >= depth[b]:
-            a, e = parent[a]
-            up_vs.append(a)
-            up_es.append(e)
-        else:
-            b, e = parent[b]
-            down_vs.append(b)
-            down_es.append(e)
-    return up_vs + down_vs[-2::-1], up_es + down_es[::-1]
+def _tree_path(parent, parent_edge, a: int, b: int):
+    """Unique a-to-b path in the BFS tree, given as lists, as (vertex_seq,
+    edge_seq): a's walk up to the root, cut where b's walk up meets it."""
+    up, down = [a], [b]
+    while parent[up[-1]] >= 0:
+        up.append(parent[up[-1]])
+    on_up = set(up)
+    while down[-1] not in on_up:
+        down.append(parent[down[-1]])
+    vs = up[:up.index(down[-1])] + down[::-1]
+    # Each step runs along the parent edge of its child end.
+    return vs, [parent_edge[v] if parent[v] == w else parent_edge[w]
+                for v, w in zip(vs, vs[1:])]
 
 
 def walk_between(g: Multigraph, a: int, b: int) -> Walk:
     """The unique spanning-tree walk from a to b."""
     g.check_vertices(a, b)
-    vs, es = _tree_path(*g.tree, a, b)
-    return make_walk(g, vs, es)
+    parent, parent_edge, _ = (part.tolist() for part in g.tree)
+    return make_walk(g, *_tree_path(parent, parent_edge, a, b))
 
 
 def fundamental_circuits(g: Multigraph) -> list:
@@ -378,14 +374,14 @@ def fundamental_circuits(g: Multigraph) -> list:
     The list is ordered by non-tree edge id and has length equal to the
     cycle rank |E| - |V| + 1.
     """
-    parent, depth = g.tree
-    tree = _tree_edges(parent)
+    parent, parent_edge, _ = (part.tolist() for part in g.tree)
+    tree = set(parent_edge)
     circuits = []
-    for e, rec in enumerate(g.edges):
+    for e, (tail, head) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
         if e in tree:
             continue
-        path_vs, path_es = _tree_path(parent, depth, rec.head, rec.tail)
-        circuits.append(make_circuit(g, [rec.tail] + path_vs, [e] + path_es))
+        path_vs, path_es = _tree_path(parent, parent_edge, head, tail)
+        circuits.append(make_circuit(g, [tail] + path_vs, [e] + path_es))
     return circuits
 
 
@@ -397,9 +393,10 @@ def _simple_paths(g: Multigraph, start: int, stop: int, floor: int):
     increasing id, so paths come in the order a recursive search finds
     them. Yields fresh (vertex list, edge list) pairs.
     """
+    starts, incident = g.adjacency
     path_vs, path_es = [start], []
     on_path = {start}
-    frames = [iter(g.adjacency[start])]
+    frames = [iter(incident[starts[start]:starts[start + 1]])]
     while frames:
         for e, w in frames[-1]:
             # The only path edge incident to the tip is the one that entered it.
@@ -411,7 +408,7 @@ def _simple_paths(g: Multigraph, start: int, stop: int, floor: int):
                 path_vs.append(w)
                 path_es.append(e)
                 on_path.add(w)
-                frames.append(iter(g.adjacency[w]))
+                frames.append(iter(incident[starts[w]:starts[w + 1]]))
                 break
         else:
             frames.pop()

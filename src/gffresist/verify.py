@@ -16,10 +16,11 @@ import scipy.linalg
 
 from .electric import (
     ResistiveNetwork,
+    VoltageVector,
     dissipated_power,
     effective_resistance,
-    node_voltages,
     ohm_flow,
+    stacked_voltages,
 )
 from .errors import (
     DimensionMismatchError,
@@ -157,8 +158,8 @@ def check_superadditivity(graph: Multigraph, r, r_bar, a: int, b: int,
     r_bar = np.asarray(r_bar, dtype=float)
     nets = (ResistiveNetwork(graph, r), ResistiveNetwork(graph, r_bar),
             _derived_network(graph, "r + r_bar", lambda: r + r_bar))
-    reff, reff_bar, reff_hat = (effective_resistance(net, a, b)
-                                for net in nets)
+    reff, reff_bar, reff_hat = stacked_voltages(
+        graph, [net.resistances for net in nets], a, b)[:, a].tolist()
     quantities = (
         ("reff_hat", reff_hat),
         ("reff", reff),
@@ -176,26 +177,21 @@ def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
 
     Evaluates lambda -> Reff((1-lambda) r0 + lambda r1) on a uniform grid
     and requires every second difference to be at most tol * max|f|; also
-    checks the midpoint inequality directly.
+    checks the midpoint inequality directly, in the same stacked solve: on
+    most odd grids (not 99) lambda = 0.5 is the centre's row, solved once.
     """
     if grid_points < 3:
         raise ValidationError("concavity grid needs at least 3 points")
     r0, r1 = (ResistiveNetwork(graph, r).resistances for r in (r0, r1))
+    lams = np.append(np.linspace(0.0, 1.0, grid_points), 0.5)[:, None]
     # Rounding can carry a convex combination past its ends, such as below
-    # MIN_RESISTANCE when both ends sit on it.
-    low, high = np.minimum(r0, r1), np.maximum(r0, r1)
-
-    def reff_at(lam):
-        return effective_resistance(_derived_network(
-            graph, f"(1 - lam) * r0 + lam * r1 at lam = {lam:g}",
-            lambda: np.clip((1.0 - lam) * r0 + lam * r1, low, high)), a, b)
-
-    lams = np.linspace(0.0, 1.0, grid_points)
-    f = np.array([reff_at(lam) for lam in lams])
+    # MIN_RESISTANCE when both ends sit on it. Clipped, each row lies
+    # between two valid rows, so it is valid too.
+    segment = np.clip((1.0 - lams) * r0 + lams * r1, np.minimum(r0, r1),
+                      np.maximum(r0, r1))
+    *f, mid = stacked_voltages(graph, segment, a, b)[:, a].tolist()
+    f = np.array(f)
     second = f[:-2] - 2.0 * f[1:-1] + f[2:]
-    # Most odd grids hold lambda = 0.5 exactly at their centre (99 does not).
-    centre = grid_points // 2
-    mid = float(f[centre]) if lams[centre] == 0.5 else reff_at(0.5)
     endpoint_mean = 0.5 * (f[0] + f[-1])
     quantities = (
         ("reff_at_r0", float(f[0])),
@@ -227,9 +223,10 @@ def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     net_bar = ResistiveNetwork(graph, r_bar)
     net_hat = _derived_network(graph, "r + r_bar", lambda: r + r_bar)
 
-    # One solve per network gives both its Thomson flow and its Reff.
-    volts_hat, volts, volts_bar = (node_voltages(m, a, b)
-                                   for m in (net_hat, net, net_bar))
+    # One stacked solve gives each network its Thomson flow and its Reff.
+    potentials = stacked_voltages(
+        graph, [m.resistances for m in (net_hat, net, net_bar)], a, b)
+    volts_hat, volts, volts_bar = (VoltageVector(v, b) for v in potentials)
     flow_hat = ohm_flow(net_hat, volts_hat)
 
     reff_hat = float(volts_hat.potentials[a])
@@ -321,8 +318,8 @@ def check_scaling(graph: Multigraph, r, t: float, a: int, b: int,
     r = np.asarray(r, dtype=float)
     net = ResistiveNetwork(graph, r)
     net_scaled = _derived_network(graph, "t * r", lambda: t * r)
-    reff = effective_resistance(net, a, b)
-    reff_scaled = effective_resistance(net_scaled, a, b)
+    reff, reff_scaled = stacked_voltages(
+        graph, [net.resistances, net_scaled.resistances], a, b)[:, a].tolist()
     quantities = (
         ("reff", reff),
         ("scale_factor", float(t)),
@@ -346,8 +343,8 @@ def check_monotonicity(graph: Multigraph, r, edge: int, delta: float,
     net_bumped = _derived_network(
         graph, "r + delta",
         lambda: np.where(np.arange(graph.n_edges) == edge, r + delta, r))
-    reff = effective_resistance(net, a, b)
-    reff_bumped = effective_resistance(net_bumped, a, b)
+    reff, reff_bumped = stacked_voltages(
+        graph, [net.resistances, net_bumped.resistances], a, b)[:, a].tolist()
     quantities = (
         ("reff", reff),
         ("reff_bumped", reff_bumped),

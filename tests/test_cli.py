@@ -93,8 +93,7 @@ class TestParseNetwork:
             "edges": [{"u": "a", "v": "b", "r": 1},
                       {"u": "b", "v": "a", "r": 2}]})
         net = parse_network(path)
-        assert [(rec.tail, rec.head, rec.parallel_index)
-                for rec in net.graph.edges] == [(0, 1, 0), (0, 1, 1)]
+        assert net.graph.edges == ((0, 1, 0), (0, 1, 1))
 
     def test_zero_resistance_is_validation_error(self, tmp_path):
         path = write_network(tmp_path, {

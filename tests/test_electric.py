@@ -21,13 +21,13 @@ from gffresist import (
     laplacian,
     min_energy_flow_oracle,
     node_voltages,
+    stacked_voltages,
     thomson_flow,
 )
 from gffresist import electric
 from gffresist.electric import (
     VOLTAGE_MEMO_SIZE,
     _gram_solve,
-    _grounded_potentials,
 )
 from gffresist.cli import parse_network
 from gffresist.errors import (
@@ -38,7 +38,6 @@ from gffresist.errors import (
     ValidationError,
 )
 from gffresist.graph import (
-    EdgeRecord,
     Multigraph,
     build_multigraph,
     spanning_tree,
@@ -47,6 +46,7 @@ from gffresist.graph import (
 )
 from gffresist.verify import (
     _suite_instance,
+    check_concavity_segment,
     instance_rng,
     random_network,
     random_pair,
@@ -113,12 +113,12 @@ class TestLaplacian:
             net = random_network(instance_rng(71, i))
             g = net.graph
             ref = np.zeros((g.n_vertices, g.n_vertices))
-            for e, rec in enumerate(g.edges):
+            for e, (tail, head, _) in enumerate(g.edges):
                 c = 1.0 / net.resistances[e]
-                ref[rec.tail, rec.head] -= c
-                ref[rec.head, rec.tail] -= c
-                ref[rec.tail, rec.tail] += c
-                ref[rec.head, rec.head] += c
+                ref[tail, head] -= c
+                ref[head, tail] -= c
+                ref[tail, tail] += c
+                ref[head, head] += c
             np.testing.assert_array_equal(dense(laplacian(net)), ref)
 
     def test_ground_reduced_assembly_drops_one_row_and_column(self):
@@ -243,7 +243,7 @@ def shuffled_grid(side: int, rng) -> tuple:
     vertices listed in a random order, edges in the same order."""
     net = grid_network(side, rng)
     order = rng.permutation(side * side)
-    specs = [(int(rec.tail), int(rec.head)) for rec in net.graph.edges]
+    specs = list(zip(net.graph.tails.tolist(), net.graph.heads.tolist()))
     graph = build_multigraph([int(v) for v in order], specs)
     return net, ResistiveNetwork(graph, net.resistances)
 
@@ -307,8 +307,9 @@ class TestSpdSolve:
         rows = rng.standard_normal((size, size))
         gram = rows @ rows.T + size * np.eye(size)
         rhs = rng.standard_normal(size)
+        # The solve overwrites the Gram it is given.
         assert np.array_equal(
-            _gram_solve(gram, rhs)[0],
+            _gram_solve(gram.copy(), rhs)[0],
             scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs))
 
     @pytest.mark.parametrize("resistances", [[1e308, 1e308],
@@ -341,6 +342,13 @@ def random_spd_band(rng, kind: str) -> np.ndarray:
     lowest = np.linalg.eigvalsh(sym)[0]
     shift = 10.0 ** rng.uniform(-12, 0) * np.abs(sym).max()
     return pack(sym + (shift - lowest) * np.eye(size), kd)
+
+
+def laplacian_rcond(net: ResistiveNetwork, a: int, b: int) -> float:
+    """The exact M-matrix rcond of the Laplacian solve, grounded at b, as
+    the voltage memo keeps it."""
+    stacked_voltages(net.graph, [net.resistances], a, b)
+    return net.graph.voltage_memo[net.resistances.tobytes(), a, b][1]
 
 
 class TestConditionEstimate:
@@ -391,14 +399,13 @@ class TestConditionEstimate:
             estimate, expected = self.gram_rcond(laplacian(net, ground))
             assert estimate == pytest.approx(expected, rel=1e-12, abs=0)
             a = (ground + 1) % net.graph.n_vertices
-            assert _grounded_potentials(net, a, ground)[1] \
-                <= estimate * (1 + 1e-12)
+            assert laplacian_rcond(net, a, ground) <= estimate * (1 + 1e-12)
 
     def test_m_matrix_rcond_of_grounded_laplacians(self):
         # node_voltages' exact rcond, from its second right-hand side.
         for net, ground in self.grounded_laplacians():
             a = (ground + 1) % net.graph.n_vertices
-            assert _grounded_potentials(net, a, ground)[1] == pytest.approx(
+            assert laplacian_rcond(net, a, ground) == pytest.approx(
                 self.dpocon(laplacian(net, ground)), rel=1e-12, abs=0)
 
 
@@ -426,89 +433,191 @@ class TestNodeVoltages:
 
     def test_two_vertices_without_an_edge_are_singular(self):
         # A 1x1 reduced Laplacian [[0]] is not positive definite.
-        g = Multigraph(("a", "b"), ())
-        net = ResistiveNetwork(g, np.zeros(0))
+        g = Multigraph(("a", "b"), [], [])
         with pytest.raises(SingularSystemError, match="is the network connected"):
-            node_voltages(net, 0, 1)
+            stacked_voltages(g, np.zeros((2, 0)), 0, 1)
 
     def test_singular_system_detected(self):
         # a disconnected graph that slipped past construction validation
-        g = Multigraph(("a", "b", "c"), (EdgeRecord(0, 1, 0),))
-        net = ResistiveNetwork(g, np.array([1.0]))
+        g = Multigraph(("a", "b", "c"), [0], [1])
         with pytest.raises(SingularSystemError):
-            node_voltages(net, 0, 2)
+            stacked_voltages(g, [[1.0], [2.0]], 0, 2)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The ground of each row that stacked_voltages solves, memo hits and
+    repeats left out: it assembles them as one stack."""
+    calls = []
+    assemble = electric.laplacian
+
+    def counted(n, ground=None):
+        if isinstance(n, electric._Stack):
+            calls.extend([ground] * len(n.resistances))
+        return assemble(n, ground)
+
+    monkeypatch.setattr(electric, "laplacian", counted)
+    return calls
 
 
 class TestVoltageMemo:
-    """node_voltages' per-graph memo of recent solves."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """The (a, b) pairs node_voltages solves for, memo hits left out."""
-        calls = []
-        solve = electric._grounded_potentials
-
-        def counted(n, a, b):
-            calls.append((a, b))
-            return solve(n, a, b)
-
-        monkeypatch.setattr(electric, "_grounded_potentials", counted)
-        return calls
+    """stacked_voltages' per-graph memo of recent solves, which
+    node_voltages shares."""
 
     def test_repeat_returns_bit_identical_potentials_without_a_solve(
             self, solves):
         net = grid_network(6, np.random.default_rng(6))
-        first = node_voltages(net, 0, 35).potentials
-        same = ResistiveNetwork(net.graph, net.resistances.copy())
-        assert np.array_equal(node_voltages(same, 0, 35).potentials, first)
-        assert solves == [(0, 35)]
+        first = stacked_voltages(net.graph, [net.resistances], 0, 35)
+        again = stacked_voltages(net.graph, [net.resistances.copy()], 0, 35)
+        assert np.array_equal(again, first)
+        assert solves == [35]
+        # node_voltages shares the memo.
+        assert np.array_equal(node_voltages(net, 0, 35).potentials, first[0])
+        assert solves == [35]
         # A new graph has its own memo and solves to the same bits.
         fresh = grid_network(6, np.random.default_rng(6))
-        assert np.array_equal(node_voltages(fresh, 0, 35).potentials, first)
-        assert solves == [(0, 35), (0, 35)]
+        assert np.array_equal(
+            stacked_voltages(fresh.graph, [fresh.resistances], 0, 35), first)
+        assert solves == [35, 35]
 
     def test_repeat_on_an_ill_conditioned_network_warns_again(self, solves):
         # Conductances 1 and 2^-51 in series, grounded past the small one:
         # rcond about 2^-53, below eps.
         g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        net = ResistiveNetwork(g, np.array([1.0, 2.0 ** 51]))
         for _ in range(2):
             with pytest.warns(LinAlgWarning, match="ill-conditioned"):
-                node_voltages(net, 0, 2)
-        assert solves == [(0, 2)]
+                stacked_voltages(g, [[1.0, 2.0 ** 51]], 0, 2)
+        assert solves == [2]
 
     def test_misses_on_another_pair_and_a_one_ulp_change(self, solves):
         net = grid_network(6, np.random.default_rng(7))
         bumped = net.resistances.copy()
         bumped[3] = np.nextafter(bumped[3], np.inf)
-        for n, a, b in [(net, 0, 35), (net, 35, 0), (net, 0, 1),
-                        (ResistiveNetwork(net.graph, bumped), 0, 35),
-                        (net, 0, 35)]:
-            node_voltages(n, a, b)
-        assert solves == [(0, 35), (35, 0), (0, 1), (0, 35)]
+        for r, a, b in [(net.resistances, 0, 35), (net.resistances, 35, 0),
+                        (net.resistances, 0, 1), (bumped, 0, 35),
+                        (net.resistances, 0, 35)]:
+            stacked_voltages(net.graph, [r], a, b)
+        assert solves == [35, 0, 1, 35]
 
     def test_never_stores_an_error(self, solves):
-        g = Multigraph(("a", "b", "c"), (EdgeRecord(0, 1, 0),))
-        net = ResistiveNetwork(g, np.array([1.0]))
+        g = Multigraph(("a", "b", "c"), [0], [1])
         for _ in range(2):
             with pytest.raises(SingularSystemError):
-                node_voltages(net, 0, 2)
-        assert solves == [(0, 2), (0, 2)]
+                stacked_voltages(g, [[1.0]], 0, 2)
+        assert solves == [2, 2]
         assert g.voltage_memo == {}
 
     def test_holds_at_most_its_constant_number_of_entries(self, solves):
         net = grid_network(4, np.random.default_rng(4))
-        nets = [ResistiveNetwork(net.graph, net.resistances * (1 + k))
-                for k in range(VOLTAGE_MEMO_SIZE + 5)]
-        for n in nets:
-            node_voltages(n, 0, 15)
+        rows = [net.resistances * (1 + k) for k in range(VOLTAGE_MEMO_SIZE + 5)]
+        for r in rows:
+            stacked_voltages(net.graph, [r], 0, 15)
         assert len(net.graph.voltage_memo) == VOLTAGE_MEMO_SIZE
         # The oldest entries went first; a hit makes an entry the newest.
-        node_voltages(nets[5], 0, 15)
-        node_voltages(nets[4], 0, 15)
-        node_voltages(nets[5], 0, 15)
-        assert len(solves) == len(nets) + 1
+        for k in (5, 4, 5):
+            stacked_voltages(net.graph, [rows[k]], 0, 15)
+        assert len(solves) == len(rows) + 1
         assert len(net.graph.voltage_memo) == VOLTAGE_MEMO_SIZE
+        # A stack longer than the memo keeps its last rows.
+        stacked_voltages(net.graph, rows, 0, 15)
+        assert list(net.graph.voltage_memo) == [
+            (r.tobytes(), 0, 15) for r in rows[-VOLTAGE_MEMO_SIZE:]]
+
+
+class TestStackedVoltages:
+    """Each row of one stacked call is its own network's solve, bit for bit."""
+
+    @pytest.mark.parametrize("side", [4, 16, 33])
+    def test_rows_equal_one_at_a_time_solves(self, side):
+        # At 33x33 the half-bandwidth reaches 32, where dpbtrf is blocked.
+        rng = np.random.default_rng(side)
+        net = grid_network(side, rng)
+        g, n_v = net.graph, net.graph.n_vertices
+        rows = np.array([net.resistances] + [random_resistances(
+            rng, g.n_edges) for _ in range(4)])
+        for a, b in [(0, n_v - 1), (n_v - 1, side), random_pair(rng, n_v)]:
+            assert laplacian(net, b).shape[0] - 1 == side
+            g.voltage_memo.clear()
+            stacked = stacked_voltages(g, rows, a, b)
+            rconds = [g.voltage_memo[row.tobytes(), a, b][1] for row in rows]
+            for row, v, rcond in zip(rows, stacked, rconds):
+                g.voltage_memo.clear()
+                assert np.array_equal(stacked_voltages(g, [row], a, b)[0], v)
+                assert g.voltage_memo[row.tobytes(), a, b][1] == rcond
+                assert np.array_equal(
+                    scipy_voltages(ResistiveNetwork(g, row), a, b), v)
+
+    def test_one_by_one_systems(self):
+        rng = np.random.default_rng(1)
+        g = build_multigraph(["a", "b"], [("a", "b")] * 3)
+        rows = np.array([random_resistances(rng, 3) for _ in range(5)])
+        for a, b in [(0, 1), (1, 0)]:
+            g.voltage_memo.clear()
+            stacked = stacked_voltages(g, rows, a, b)
+            for row, v in zip(rows, stacked):
+                g.voltage_memo.clear()
+                assert np.array_equal(stacked_voltages(g, [row], a, b)[0], v)
+                assert np.array_equal(
+                    scipy_voltages(ResistiveNetwork(g, row), a, b), v)
+
+    def test_a_memo_hit_in_a_stack_warns_again_without_a_solve(self, solves):
+        g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        ill, fine = [1.0, 2.0 ** 51], [1.0, 2.0]
+        with pytest.warns(LinAlgWarning, match="ill-conditioned"):
+            stacked_voltages(g, [ill], 0, 2)
+        with pytest.warns(LinAlgWarning, match="ill-conditioned") as record:
+            stacked_voltages(g, [fine, ill], 0, 2)
+        assert len(record) == 1
+        assert solves == [2, 2]
+
+    def test_an_error_in_a_stack_is_never_stored(self, solves):
+        # The second row's Reff is 2e308, past the double range.
+        g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        for _ in range(2):
+            with pytest.raises(SingularSystemError,
+                               match="resistances exceed the double range"):
+                stacked_voltages(g, [[1.0, 1.0], [1e308, 1e308]], 0, 2)
+        assert g.voltage_memo == {}
+        assert solves == [2] * 4
+
+    def test_a_repeated_row_is_solved_once(self, solves):
+        net = grid_network(4, np.random.default_rng(4))
+        r, other = net.resistances, 2.0 * net.resistances
+        stacked = stacked_voltages(net.graph, [r, other, r, r], 0, 15)
+        assert solves == [15, 15]
+        assert np.array_equal(stacked[[0, 0, 0]], stacked[[0, 2, 3]])
+        assert len(net.graph.voltage_memo) == 2
+
+    def test_message_names_the_row_and_the_edge(self, triangle):
+        with pytest.raises(ValidationError, match=r"^rows\[1\]: edges\[2\]: "):
+            stacked_voltages(triangle.graph, [[1.0] * 3, [1.0, 1.0, 0.0]],
+                             0, 1)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 1, 3)])
+    def test_rejects_a_wrong_shape(self, triangle, shape):
+        with pytest.raises(DimensionMismatchError):
+            stacked_voltages(triangle.graph, np.ones(shape), 0, 1)
+
+
+class TestWarningLocation:
+    """A LinAlgWarning names the line that called into the package."""
+
+    def test_names_the_callers_file(self):
+        g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        net = ResistiveNetwork(g, np.array([1.0, 2.0 ** 51]))
+        triple = build_multigraph(["a", "b"], [("a", "b")] * 3)
+        calls = {
+            "a fresh solve": lambda: effective_resistance(net, 0, 2),
+            "a memo hit": lambda: effective_resistance(net, 0, 2),
+            "a stacked check": lambda: check_concavity_segment(
+                g, net.resistances, 2.0 * net.resistances, 3, 0, 2),
+            "the cycle-space oracle": lambda: min_energy_flow_oracle(
+                ResistiveNetwork(triple, np.array([1e4, 1e-12, 1e-12])), 0, 1),
+        }
+        for label, call in calls.items():
+            with pytest.warns(LinAlgWarning) as record:
+                call()
+            assert {w.filename for w in record} == {__file__}, label
 
 
 class TestBandOrder:

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from collections import deque
 from itertools import permutations
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from gffresist.cli import parse_network
 from gffresist.electric import kvl_residual, min_energy_flow_oracle
 from gffresist.errors import (
     DisconnectedError,
+    GffResistError,
     DuplicateVertexNameError,
     EdgeNotInGraphError,
     NotASpanningTreeError,
@@ -37,7 +39,7 @@ from gffresist.errors import (
     ValidationError,
 )
 from gffresist.gff import build_free_field, eta_field, potential_difference_variance
-from gffresist.graph import EdgeRecord, make_circuit
+from gffresist.graph import make_circuit
 from gffresist.verify import (
     entropy_chain,
     instance_rng,
@@ -78,14 +80,130 @@ def count_circuits_brute(multiplicity) -> int:
     return int(sum(cycles.values())) + int(two_edge)
 
 
+def reference_build(names, specs) -> tuple:
+    """The dict-based build that the array build replaced, kept as its
+    oracle: ``(tails, heads, parallel, parent, order)`` as lists, ``parent``
+    mapping each reached vertex to the (vertex, edge id) it was reached
+    through, None at the root, and ``order`` the BFS queue's. It raises as
+    the first bad spec in input order makes it."""
+    index = {}
+    for i, name in enumerate(names):
+        if name in index:
+            raise DuplicateVertexNameError(f"duplicate vertex name {name!r}")
+        index[name] = i
+    tails, heads, parallel, counts = [], [], [], {}
+    for spec in specs:
+        u, v = spec[0], spec[1]
+        for endpoint in (u, v):
+            if endpoint not in index:
+                raise UnknownEndpointError(f"unknown vertex {endpoint!r}")
+        if index[u] == index[v]:
+            raise SelfLoopError(f"self-loop at vertex {u!r}")
+        tail, head = sorted((index[u], index[v]))
+        parallel.append(counts.get((tail, head), 0))
+        counts[tail, head] = parallel[-1] + 1
+        tails.append(tail)
+        heads.append(head)
+    adjacency = [[] for _ in names]
+    for e, (tail, head) in enumerate(zip(tails, heads)):
+        adjacency[tail].append((e, head))
+        adjacency[head].append((e, tail))
+    parent, order, queue = {0: None}, [], deque([0])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for e, w in adjacency[v]:
+            if w not in parent:
+                parent[w] = (v, e)
+                queue.append(w)
+    return tails, heads, parallel, parent, order
+
+
+def random_specs(rng, n_vertices: int, n_extra: int) -> list:
+    """A random spanning tree plus extra random edges, parallel ones and
+    both orientations included, in shuffled order, as index pairs."""
+    specs = [(int(rng.integers(0, v)), v) for v in range(1, n_vertices)]
+    specs += [tuple(int(x) for x in rng.integers(0, n_vertices, 2))
+              for _ in range(n_extra)]
+    specs = [(u, v) for u, v in specs if u != v]
+    specs += specs[:n_extra // 3]  # parallel copies
+    specs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in specs]
+    return [specs[k] for k in rng.permutation(len(specs))]
+
+
+def outcome(build, names, specs):
+    """What ``build(names, specs)`` returns, or its error's type and text."""
+    try:
+        return build(names, specs)
+    except GffResistError as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayBuild:
+    """The array build against the dict-based reference build."""
+
+    def test_matches_the_reference_on_random_multigraphs(self):
+        rng = np.random.default_rng(2021)
+        parallel = 0
+        for _ in range(400):
+            n_v = int(rng.integers(2, 31))
+            names = [f"v{k}" for k in rng.permutation(n_v)]
+            specs = [(names[u], names[v], 1.0) for u, v in
+                     random_specs(rng, n_v, int(rng.integers(0, 50)))]
+            g = build_multigraph(names, specs)
+            tails, heads, par, parent, order = reference_build(names, specs)
+            assert g.tails.tolist() == tails and g.heads.tolist() == heads
+            assert g.parallel.tolist() == par
+            assert g.edges == tuple(zip(tails, heads, par))
+            up, up_edge, queue = (part.tolist() for part in g.tree)
+            assert queue == order
+            assert {v: None if up[v] < 0 else (up[v], up_edge[v])
+                    for v in queue} == parent
+            parallel += any(par)
+        assert parallel > 100
+
+    def test_first_bad_spec_raises_as_the_reference(self):
+        # An unknown name and a self-loop planted at random places: the
+        # first bad spec in input order decides, u before v within it.
+        rng = np.random.default_rng(2022)
+        kinds = set()
+        for _ in range(400):
+            n_v = int(rng.integers(2, 12))
+            names = list(range(n_v))
+            specs = random_specs(rng, n_v, int(rng.integers(0, 10)))
+            for _ in range(int(rng.integers(1, 4))):
+                u = int(rng.integers(0, n_v))
+                bad = rng.choice([(u, u), (u, -1), (-1, u), (-2, -1)])
+                specs.insert(int(rng.integers(0, len(specs) + 1)),
+                             tuple(int(x) for x in bad))
+            expected = outcome(reference_build, names, specs)
+            assert outcome(build_multigraph, names, specs) == expected
+            kinds.add(expected[0])
+        assert kinds == {UnknownEndpointError, SelfLoopError}
+
+    def test_disconnected_and_duplicate_names_raise_as_before(self):
+        for names, specs in [(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]),
+                             (["a", "b", "a"], [("a", "b")]),
+                             ([1, 2, 1, 2], [(1, 2)])]:
+            try:
+                reference = reference_build(names, specs)
+            except DuplicateVertexNameError as exc:
+                reference = (DuplicateVertexNameError, str(exc))
+            else:
+                missing = sorted(set(range(len(names))) - set(reference[4]))
+                reference = (DisconnectedError,
+                             f"vertices {missing} unreachable from vertex 0")
+            assert outcome(build_multigraph, names, specs) == reference
+
+
 class TestBuild:
     def test_single_edge(self):
         g = build_multigraph(["a", "b"], [("a", "b")])
-        assert g.edges == (EdgeRecord(0, 1, 0),)
+        assert g.edges == ((0, 1, 0),)
 
     def test_reversed_spec_is_canonicalized(self):
         g = build_multigraph(["a", "b"], [("a", "b"), ("b", "a")])
-        assert g.edges == (EdgeRecord(0, 1, 0), EdgeRecord(0, 1, 1))
+        assert g.edges == ((0, 1, 0), (0, 1, 1))
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
@@ -111,12 +229,18 @@ class TestBuild:
         g = triangle.graph
         assert g.tails.tolist() == [0, 1, 0]
         assert g.heads.tolist() == [1, 2, 2]
-        assert g.adjacency == (((0, 1), (2, 2)), ((0, 0), (1, 2)),
-                               ((1, 1), (2, 0)))
-        assert g.tree == ({0: None, 1: (0, 0), 2: (0, 2)}, {0: 0, 1: 1, 2: 1})
+        assert g.parallel.tolist() == [0, 0, 0]
+        assert g.edges == ((0, 1, 0), (1, 2, 0), (0, 2, 0))
+        # Vertex 0 meets edges 0 and 2, vertex 1 edges 0 and 1, vertex 2
+        # edges 1 and 2.
+        assert g.adjacency == ([0, 2, 4, 6], [(0, 1), (2, 2), (0, 0),
+                                              (1, 2), (1, 1), (2, 0)])
+        assert [part.tolist() for part in g.tree] == [[-1, 0, 0], [-1, 0, 2],
+                                                      [0, 1, 2]]
         # cached views are not fields: equality and hashing ignore them
-        fresh = Multigraph(g.vertices, g.edges)
+        fresh = Multigraph(g.vertices, g.tails.tolist(), g.heads.tolist())
         assert fresh == g and hash(fresh) == hash(g)
+        assert fresh != Multigraph(g.vertices, [0, 1, 1], [1, 2, 2])
 
     @pytest.mark.parametrize("name", ["triangle.json", "grid4.json"])
     def test_cycle_matrix_view(self, name):
@@ -160,7 +284,7 @@ class TestBuild:
             expected = circuit_matrix(g, fundamental_circuits(g))
             assert g.cycle_matrix.shape == expected.shape
             assert g.cycle_matrix.tobytes() == expected.tobytes()
-            parallel += any(rec.parallel_index for rec in g.edges)
+            parallel += bool(g.parallel.any())
         assert parallel > 100
 
     @staticmethod
@@ -202,7 +326,7 @@ class TestBuild:
             assert g.cycle_matrix.tobytes() == dense.tobytes()
 
     def test_cycle_matrix_needs_a_spanning_tree(self):
-        g = Multigraph(("a", "b", "c"), (EdgeRecord(0, 1, 0),))
+        g = Multigraph(("a", "b", "c"), [0], [1])
         with pytest.raises(NotASpanningTreeError):
             g.cycle_matrix
         with pytest.raises(NotASpanningTreeError):
@@ -223,7 +347,7 @@ class TestSpanningTree:
 
     def test_disconnected_graph_has_none(self):
         # Built directly, past build_multigraph: the tree itself refuses.
-        g = Multigraph(("a", "b", "c"), (EdgeRecord(0, 1, 0),))
+        g = Multigraph(("a", "b", "c"), [0], [1])
         with pytest.raises(DisconnectedError, match=r"\[2\] unreachable"):
             g.tree
         with pytest.raises(NotASpanningTreeError):
@@ -290,9 +414,9 @@ class TestEnumerateCircuits:
         for i in range(20):
             g = random_network(instance_rng(29, i), max_vertices=6).graph
             multiplicity = np.zeros((g.n_vertices, g.n_vertices), dtype=int)
-            for rec in g.edges:
-                multiplicity[rec.tail, rec.head] += 1
-                multiplicity[rec.head, rec.tail] += 1
+            for tail, head, _ in g.edges:
+                multiplicity[tail, head] += 1
+                multiplicity[head, tail] += 1
             assert len(enumerate_circuits(g)) == \
                 count_circuits_brute(multiplicity)
 
@@ -312,7 +436,7 @@ class TestEnumerateCircuits:
         for i in range(300):
             g = random_network(instance_rng(61, i)).graph
             assert enumerate_circuits(g) == by_sequence_key(g)
-            parallel += any(rec.parallel_index for rec in g.edges)
+            parallel += bool(g.parallel.any())
         assert parallel > 100
 
     def test_limit_guard(self):
@@ -423,7 +547,7 @@ class TestTreePaths:
                         expected = walk_sign_vector(g, walk_between(g, a, b))
                         assert (tree_walk_vector(g, a, b).tobytes()
                                 == expected.tobytes())
-            parallel += any(rec.parallel_index for rec in g.edges)
+            parallel += bool(g.parallel.any())
         assert parallel > 100
 
     def test_no_route_builds_a_walk(self, monkeypatch):
@@ -559,5 +683,5 @@ class TestSimpleWalks:
 
 def test_disconnected_bypass_is_caught_later():
     # construction-time validation can be bypassed by building records directly
-    g = Multigraph(("a", "b", "c"), (EdgeRecord(0, 1, 0),))
+    g = Multigraph(("a", "b", "c"), [0], [1])
     assert g.cycle_rank == -1

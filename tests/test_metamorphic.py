@@ -29,8 +29,8 @@ REL = 1e-12
 def permute_edges(instance, perm):
     """The instance with edge k of the result being edge perm[k]."""
     graph, r, r_bar, a, b, edge, delta = instance
-    specs = [(graph.vertices[graph.edges[e].tail],
-              graph.vertices[graph.edges[e].head]) for e in perm]
+    specs = [(graph.vertices[graph.tails[e]],
+              graph.vertices[graph.heads[e]]) for e in perm]
     moved = build_multigraph(graph.vertices, specs)
     return (moved, r[perm], r_bar[perm], a, b, perm.index(edge), delta)
 
@@ -39,8 +39,8 @@ def relabel_vertices(instance, order):
     """The instance with vertex k of the result being vertex order[k]."""
     graph, r, r_bar, a, b, edge, delta = instance
     names = [graph.vertices[v] for v in order]
-    specs = [(graph.vertices[rec.tail], graph.vertices[rec.head])
-             for rec in graph.edges]
+    specs = [(graph.vertices[tail], graph.vertices[head])
+             for tail, head, _ in graph.edges]
     moved = build_multigraph(names, specs)
     return (moved, r, r_bar, order.index(a), order.index(b), edge, delta)
 

@@ -21,8 +21,12 @@ from gffresist import (
     random_appendix_instance,
     run_suite,
 )
-from gffresist import verify
-from gffresist.electric import ResistiveNetwork, effective_resistance
+from gffresist import electric, verify
+from gffresist.electric import (
+    ResistiveNetwork,
+    effective_resistance,
+    stacked_voltages,
+)
 from gffresist.errors import (
     NotASpanningTreeError,
     SameVertexError,
@@ -145,21 +149,33 @@ class TestConcavity:
         # A grid that holds lambda = 0.5 reuses that solve; the midpoint keeps
         # the bits of a separate solve at 0.5 (r0 + r1) either way. The odd
         # grid 99 has 0.49999999999999994 at its centre, so it solves again.
-        calls = []
+        # The whole segment is one stacked call.
+        stacks, solved = [], []
+        assemble = electric.laplacian
 
-        def counting(*args):
-            calls.append(args)
-            return effective_resistance(*args)
+        def counting(graph, resistances, a, b):
+            stacks.append(len(resistances))
+            return stacked_voltages(graph, resistances, a, b)
 
-        monkeypatch.setattr(verify, "effective_resistance", counting)
+        def counted(n, ground=None):
+            if isinstance(n, electric._Stack):
+                solved.append(len(n.resistances))
+            return assemble(n, ground)
+
+        monkeypatch.setattr(verify, "stacked_voltages", counting)
+        monkeypatch.setattr(electric, "laplacian", counted)
+        reused = np.linspace(0.0, 1.0, grid)[grid // 2] == 0.5
+        assert reused == (grid in (3, 11, 21))
         for i in range(30):
             graph, r0, r1, a, b, _, _ = _suite_instance(99, i)
             report = check_concavity_segment(graph, r0, r1, grid, a, b)
+            # Off the grid, the midpoint's row can round to the centre's.
+            assert len(solved) == 1
+            assert grid <= solved[0] <= grid + (not reused)
             assert report.quantity("reff_midpoint") == effective_resistance(
                 ResistiveNetwork(graph, 0.5 * (r0 + r1)), a, b)
-        reused = np.linspace(0.0, 1.0, grid)[grid // 2] == 0.5
-        assert reused == (grid in (3, 11, 21))
-        assert len(calls) == 30 * (grid + (not reused))
+            solved.clear()
+        assert stacks == [grid + 1] * 30
 
 
 class TestMelvinChain:
