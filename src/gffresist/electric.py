@@ -40,6 +40,10 @@ EPS = np.finfo(float).eps
 VOLTAGE_MEMO_SIZE = 16
 # Gram rows mirrored at once: bounds temporaries; larger squares copy slower.
 MIRROR_ROWS = 64
+# Band bytes stacked_voltages assembles at once, at least one row: a
+# grid-electric stack (at most 12 rows of 35 KB) is one slice, a 100x100
+# grid's 8 MB bands go two at a time.
+STACK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -220,8 +224,9 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
     ``voltage_memo`` keeps the last VOLTAGE_MEMO_SIZE rows solved with their
     rcond, keyed by bytes and pair: a row found there or repeated is not
     solved again, and warns again if its solve did. The others are checked
-    as ResistiveNetwork checks them, assembled at once by ``laplacian`` and
-    solved by one ``dpbsv`` call each (one for all would leave cache), with
+    as ResistiveNetwork checks them, assembled by ``laplacian`` in slices of
+    at most STACK_BYTES of band (at least one row) and solved by one
+    ``dpbsv`` call each (one for all would leave cache), with
     a second right-hand side for the exact rcond of the M-matrix A: the
     ones vector times the power of two c in ``(||A||_1 / 2, ||A||_1]``, so
     ``||A^-1||_1 = max(y) / c``, where ``||A||_1 = max_j(2 d_j - g_j)``,
@@ -243,34 +248,12 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
             _check_resistances(r[i], f"rows[{i}]: ")
             todo[key] = i
     if todo:
-        r = r[list(todo.values())]
-        bands = laplacian(_Stack(graph, r), ground=b)
+        r, missing = r[list(todo.values())], list(todo)
         plan = _band_plan(graph, b)
-        rows, size = np.arange(len(r))[:, None], plan.size
-        to_ground = np.bincount((plan.ground_ends + rows * size).ravel(),
-                                (1.0 / r[:, plan.ground_edges]).ravel(),
-                                minlength=len(r) * size).reshape(len(r), size)
-        norms = (2.0 * bands[:, -1] - to_ground).max(axis=1)
-        scales = np.ldexp(0.5, np.frexp(norms)[1])
-        rhs = np.zeros((len(r), 2, size))
-        rhs[:, 0, a - (a > b)] = 1.0
-        rhs[:, 1] = scales[:, None]
-        # Each row's pair of right-hand sides is solved in place.
-        for band, source in zip(bands, rhs):
-            info = 0
-            if size == 1 and band[-1, 0] > 0.0:
-                with np.errstate(over="ignore"):
-                    np.divide(source, band[-1, 0], out=source)
-            else:
-                info = dpbsv(band, source.T, overwrite_ab=1, overwrite_b=1)[2]
-            _check_solve(info, "reduced Laplacian is singular; is the "
-                         "network connected?", source)
-        rconds = np.ones(len(r)) if size == 1 else (
-            1.0 / rhs[:, 1].max(axis=1) / (norms / scales))
-        potentials = np.zeros((len(r), graph.n_vertices))
-        potentials[:, :b] = rhs[:, 0, :b]
-        potentials[:, b + 1:] = rhs[:, 0, b:]
-        found.update(zip(todo, zip(potentials, rconds.tolist())))
+        rows = max(1, STACK_BYTES // (8 * (plan.kd + 1) * plan.size))
+        for i in range(0, len(r), rows):
+            found.update(zip(missing[i:i + rows], _solved_slice(
+                graph, plan, r[i:i + rows], a, b)))
     for key, entry in found.items():
         memo.pop(key, None)
         if len(memo) >= VOLTAGE_MEMO_SIZE:
@@ -279,6 +262,38 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
     for key in keys:
         _warn_if_ill_conditioned(found[key][1])
     return np.array([found[key][0] for key in keys])
+
+
+def _solved_slice(graph: Multigraph, plan: _BandPlan, r: np.ndarray,
+                  a: int, b: int) -> list:
+    """(potentials, rcond) of each row of ``r`` by stacked_voltages' solve,
+    its bands assembled by one ``laplacian`` call."""
+    bands = laplacian(_Stack(graph, r), ground=b)
+    rows, size = np.arange(len(r))[:, None], plan.size
+    to_ground = np.bincount((plan.ground_ends + rows * size).ravel(),
+                            (1.0 / r[:, plan.ground_edges]).ravel(),
+                            minlength=len(r) * size).reshape(len(r), size)
+    norms = (2.0 * bands[:, -1] - to_ground).max(axis=1)
+    scales = np.ldexp(0.5, np.frexp(norms)[1])
+    rhs = np.zeros((len(r), 2, size))
+    rhs[:, 0, a - (a > b)] = 1.0
+    rhs[:, 1] = scales[:, None]
+    # Each row's pair of right-hand sides is solved in place.
+    for band, source in zip(bands, rhs):
+        info = 0
+        if size == 1 and band[-1, 0] > 0.0:
+            with np.errstate(over="ignore"):
+                np.divide(source, band[-1, 0], out=source)
+        else:
+            info = dpbsv(band, source.T, overwrite_ab=1, overwrite_b=1)[2]
+        _check_solve(info, "reduced Laplacian is singular; is the "
+                     "network connected?", source)
+    rconds = np.ones(len(r)) if size == 1 else (
+        1.0 / rhs[:, 1].max(axis=1) / (norms / scales))
+    potentials = np.zeros((len(r), graph.n_vertices))
+    potentials[:, :b] = rhs[:, 0, :b]
+    potentials[:, b + 1:] = rhs[:, 0, b:]
+    return list(zip(potentials, rconds.tolist()))
 
 
 def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:

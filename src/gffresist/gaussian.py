@@ -10,12 +10,16 @@ rows. condition_diagonal keeps only the factor, for an independent Gaussian
 whose square root is diagonal: P = Q Q' for the Householder QR of B',
 kept in LAPACK's compact form (the reflectors, never Q itself) and applied
 through them; the rows of M must be linearly independent, as circuit
-rows are. condition_block_diagonal appends an independent block with its
-own rows to such a factor, and QR-factors only the new block.
+rows are. A factor is (s, h1, tau1, h2, tau2, ...): s and a sequence of
+reflector blocks, each acting from the row where the blocks before it
+end. condition_diagonal returns one block; condition_block_diagonal
+appends an independent block with its own rows, QR-factoring only the
+new block, so its reflectors are never assembled into one matrix.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr
@@ -183,39 +187,43 @@ def condition_diagonal(variances, rows) -> tuple:
     s = _deviations(variances, rows)
     # The transpose of a C-ordered product is Fortran-ordered, so dgeqrf
     # factors it in place. No rows (a tree) means no reflectors.
-    h, tau = _compact_qr((rows * s).T)
-    return _independent((s, h, tau), len(rows), np.diagonal(h))
+    return condition_scaled(s, (rows * s).T)
+
+
+def condition_scaled(s: np.ndarray, b: np.ndarray) -> tuple:
+    """condition_diagonal's factor from s and b = diag(s) rows', an E x k
+    float array already formed; dgeqrf overwrites b when it is
+    Fortran-ordered, so a caller can build b in the layout it needs once."""
+    h, tau = _compact_qr(b)
+    return _independent((s, h, tau), b.shape[1])
 
 
 def condition_block_diagonal(factor: tuple, variances, rows) -> tuple:
     """Factor of the pair (x, y) given the rows of ``factor`` on x and
-    rows . y = 0, for y independent of x with these variances: the factor
-    condition_diagonal returns for blockdiag(rows of x, rows), from one QR
-    of the new block alone.
+    rows . y = 0, for y independent of x with these variances: ``factor``
+    with the reflector block (h2, tau2) of one QR of the new block appended,
+    the same reflectors as condition_diagonal's for blockdiag(rows of x,
+    rows), never assembled into one matrix.
 
     Householder QR follows the zero blocks of blockdiag(B, D), D =
     diag(s) rows' (Golub & Van Loan, Matrix Computations, 4th ed., 5.1-5.2).
     The k1 reflectors of B never reach the rows of y, so they are
     ``factor``'s own. The last k2 are the QR of P = [0; D], D padded above
-    by the E1 - k1 zero rows where B's residual lives: P's pivots fall in
-    those rows first, and in D's own rows once k2 > E1 - k1. At E1 = E2 =
-    E and k1 = k2 = k that is 2k^2 (2E - 4k/3) flops, not the 8k^2 (2E -
-    2k/3) of the whole 2E x 2k matrix. The rank rule judges the combined
-    |diag R| of both blocks against its largest entry, as for that matrix.
+    by the E1 - k1 zero rows where B's residual lives, and act from row k1
+    on: P's pivots fall in those rows first, and in D's own rows once k2 >
+    E1 - k1. At E1 = E2 = E and k1 = k2 = k that is 2k^2 (2E - 4k/3) flops,
+    not the 8k^2 (2E - 2k/3) of the whole 2E x 2k matrix. The rank rule
+    judges the combined |diag R| of both blocks against its largest entry,
+    as for that matrix.
     """
-    s1, h1, tau1 = factor
+    s1 = factor[0]
     s2 = _deviations(variances, rows)
-    e1, k1 = h1.shape
-    e = e1 + s2.size
-    p = np.zeros((e - k1, len(rows)), order="F")
-    p[e1 - k1:] = (rows * s2).T
+    k1 = _reflector_count(factor)
+    p = np.zeros((s1.size + s2.size - k1, len(rows)), order="F")
+    np.multiply(np.transpose(rows), s2[:, None], out=p[s1.size - k1:])
     h2, tau2 = _compact_qr(p)
-    h = np.zeros((e, k1 + len(rows)), order="F")
-    h[:e1, :k1] = h1
-    h[k1:, k1:] = h2
-    return _independent(
-        (np.concatenate([s1, s2]), h, np.concatenate([tau1, tau2])),
-        k1 + len(rows), np.concatenate([np.diagonal(h1), np.diagonal(h2)]))
+    return _independent((np.concatenate([s1, s2]), *factor[1:], h2, tau2),
+                        k1 + len(rows))
 
 
 def _deviations(variances, rows) -> np.ndarray:
@@ -237,11 +245,17 @@ def _compact_qr(b: np.ndarray) -> tuple:
     return h, tau
 
 
-def _independent(factor: tuple, k: int, diag_r: np.ndarray) -> tuple:
-    """``factor`` once its k rows pass the rank rule. dgeqrf keeps min(E, k)
-    reflectors, so only their count shows k > E."""
-    diag = np.abs(diag_r)
-    if factor[2].size < k or np.any(
+def _reflector_count(factor: tuple) -> int:
+    """k, the number of reflectors of every block together."""
+    return sum(tau.size for tau in factor[2::2])
+
+
+def _independent(factor: tuple, k: int) -> tuple:
+    """``factor`` once its k rows pass the rank rule on the |diag R| of all
+    its blocks. dgeqrf keeps min(E, k) reflectors, so only their count
+    shows k > E."""
+    diag = np.abs(np.concatenate([np.diagonal(h) for h in factor[1::2]]))
+    if _reflector_count(factor) < k or np.any(
             diag <= RANK_CUTOFF * diag.max(initial=0.0)):
         raise ValidationError(
             f"the {k} conditioning rows are linearly dependent")
@@ -250,11 +264,21 @@ def _independent(factor: tuple, k: int, diag_r: np.ndarray) -> tuple:
 
 def _reflected(factor: tuple, w: np.ndarray, trans: str) -> np.ndarray:
     """Q' w (trans "T") or Q w (trans "N") for the columns of w, in place
-    when w is a Fortran-ordered float array."""
-    _, h, tau = factor
-    if not tau.size:  # no rows: Q is the identity
-        return w
-    return dormqr("L", trans, h, tau, w, w.shape[1], overwrite_c=True)[0]
+    when w is a Fortran-ordered float array: Q' applies the blocks in order,
+    Q in reverse, each by one dormqr on its own rows of w, the same dlarf
+    sequence as on the blocks assembled into one matrix. The minimum
+    workspace, one word per column, keeps dormqr unblocked."""
+    taus = factor[2::2]
+    blocks = list(zip(accumulate((tau.size for tau in taus), initial=0),
+                      factor[1::2], taus))
+    for start, h, tau in blocks if trans == "T" else blocks[::-1]:
+        if not tau.size:  # no rows: the block is the identity
+            continue
+        rows = w[start:start + len(h)]
+        out = dormqr("L", trans, h, tau, rows, w.shape[1], overwrite_c=True)[0]
+        if out is not rows:  # f2py copied a strided multi-column slice
+            rows[...] = out
+    return w
 
 
 def _scaled_columns(factor: tuple, c) -> np.ndarray:
@@ -273,7 +297,7 @@ def functional_root(factor: tuple, c) -> np.ndarray:
     Q Q' w is Q applied to the leading k coordinates of Q' w, so u is Q
     applied to Q' w with those coordinates zeroed."""
     w = _reflected(factor, _scaled_columns(factor, c), "T")
-    w[:factor[2].size] = 0.0
+    w[:_reflector_count(factor)] = 0.0
     w = _reflected(factor, w, "N")
     return w[:, 0] if np.ndim(c) == 1 else w.T
 
@@ -288,7 +312,7 @@ def conditioned_variance(factor: tuple, c) -> float:
         raise DimensionMismatchError(
             f"one functional expected, got shape {np.shape(c)}")
     tail = _reflected(factor, _scaled_columns(factor, c), "T")[
-        factor[2].size:, 0]
+        _reflector_count(factor):, 0]
     with np.errstate(over="ignore"):
         variance = float(tail @ tail)
     if not math.isfinite(variance):

@@ -25,7 +25,8 @@ from .graph import enumerate_simple_walks, tree_walk_vector, walk_sign_vector
 class FreeField:
     """Conditioned edge field of a network; ``factor`` is the (s, h, tau) of
     gaussian.condition_diagonal on the graph's ``cycle_matrix``: s the edge
-    standard deviations, (h, tau) the Householder reflectors Q."""
+    standard deviations, (h, tau) the one block of Householder reflectors
+    Q, to which gaussian.condition_block_diagonal can append another."""
 
     network: ResistiveNetwork
     factor: tuple

@@ -31,9 +31,9 @@ from .gaussian import (
     VARIANCE_CLAMP,
     GaussianVector,
     condition_block_diagonal,
-    condition_diagonal,
     condition_on_value,
     condition_on_zero,
+    condition_scaled,
     conditioned_variance,
     entropy_scalar,
     functional_draws,
@@ -44,7 +44,7 @@ from .gff import (
     potential_difference_functional,
     potential_difference_variance,
 )
-from .graph import Multigraph, build_multigraph
+from .graph import Multigraph, build_multigraph, tree_walk_vector
 
 DEFAULT_TOL = 1e-8
 # Two-sided tail of the Monte Carlo check: that of a normal 4-sigma test.
@@ -268,32 +268,43 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     on its own circuit constraints. Coarser conditioning leaves at least as
     much entropy in the a-to-b potential difference.
 
-    The coarse side factors [C, C] whole. The fine side's factor is that of
-    blockdiag(C, C), built by condition_block_diagonal from the free field
-    of r, whose reflectors are its first k: one QR of the (2E - k) x k
-    padded second block, not of the 2E x 2k matrix. That is one doubled
-    factorization still, not the two separate ones of var + var_bar.
+    The coarse side factors [S C'; S_bar C'] whole, formed scaled in one
+    2E x k Fortran array. The fine side's factor is that of blockdiag(C, C),
+    built by condition_block_diagonal from the free field of r, whose
+    reflectors are its first k: one QR of the (2E - k) x k padded second
+    block, not of the 2E x 2k matrix. That is one doubled factorization
+    still, not the two separate ones of var + var_bar. The free fields of
+    r + r_bar and r_bar are dropped once their variances are read, and the
+    coarse factor before the free field of r is built, so at most one
+    doubled matrix and one free field are held at a time.
     """
-    graph.check_vertices(a, b)  # before the three factorizations
+    graph.check_vertices(a, b)  # before the factorizations
     r = np.asarray(r, dtype=float)
     r_bar = np.asarray(r_bar, dtype=float)
-    nets = (ResistiveNetwork(graph, r), ResistiveNetwork(graph, r_bar),
-            _derived_network(graph, "r + r_bar", lambda: r + r_bar))
-    fields = [build_free_field(net) for net in nets]
-    var, var_bar, var_hat = (potential_difference_variance(f, a, b)
-                             for f in fields)
+    net, net_bar, net_hat = (
+        ResistiveNetwork(graph, r), ResistiveNetwork(graph, r_bar),
+        _derived_network(graph, "r + r_bar", lambda: r + r_bar))
+    var_hat, var_bar = (
+        potential_difference_variance(build_free_field(n), a, b)
+        for n in (net_hat, net_bar))
 
     # The appendix lemma, applied to the fundamental cycle basis. The fine
     # side stays one doubled projection, so that h_joint_split == h_sum
     # compares it with the two separate free fields.
     phi = graph.cycle_matrix
-    walk_vec = potential_difference_functional(fields[2], a, b)
+    walk_vec = tree_walk_vector(graph, a, b)
     doubled_walk = np.concatenate([walk_vec, walk_vec])
+    # Row i of the coarse rows [C, C] scaled by s, as the k x 2 x E products
+    # C[i] s and C[i] s_bar: the same products as np.hstack([C, C]) * s.
+    s = np.sqrt(np.concatenate([r, r_bar]))
+    coarse = phi[:, None, :] * s.reshape(2, -1)
     var_joint_hat = conditioned_variance(
-        condition_diagonal(np.concatenate([r, r_bar]), np.hstack([phi, phi])),
-        doubled_walk)
+        condition_scaled(s, coarse.reshape(len(phi), s.size).T), doubled_walk)
+    del coarse  # now the coarse factor: freed before the fine side
+    field = build_free_field(net)
+    var = potential_difference_variance(field, a, b)
     var_joint_split = conditioned_variance(
-        condition_block_diagonal(fields[0].factor, r_bar, phi), doubled_walk)
+        condition_block_diagonal(field.factor, r_bar, phi), doubled_walk)
 
     variances = {"hat": var_hat, "joint_hat": var_joint_hat,
                  "joint_split": var_joint_split, "sum": var + var_bar}

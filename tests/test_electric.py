@@ -460,6 +460,21 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """The row count of each stack stacked_voltages assembles."""
+    sizes = []
+    assemble = electric.laplacian
+
+    def counted(n, ground=None):
+        if isinstance(n, electric._Stack):
+            sizes.append(len(n.resistances))
+        return assemble(n, ground)
+
+    monkeypatch.setattr(electric, "laplacian", counted)
+    return sizes
+
+
 class TestVoltageMemo:
     """stacked_voltages' per-graph memo of recent solves, which
     node_voltages shares."""
@@ -546,6 +561,33 @@ class TestStackedVoltages:
                 assert g.voltage_memo[row.tobytes(), a, b][1] == rcond
                 assert np.array_equal(
                     scipy_voltages(ResistiveNetwork(g, row), a, b), v)
+
+    @pytest.mark.parametrize("budget, slices", [
+        (1, [1] * 5), (2, [2, 2, 1]), (4.5, [4, 1]), (5, [5])])
+    def test_slices_of_bounded_bands_keep_every_bit(self, monkeypatch,
+                                                    stack_sizes, budget,
+                                                    slices):
+        # budget counts bands: below one, each row is a slice of its own.
+        rng = np.random.default_rng(7)
+        net = grid_network(16, rng)
+        g, b = net.graph, net.graph.n_vertices - 1
+        rows = np.array([random_resistances(rng, g.n_edges)
+                         for _ in range(5)])
+        whole = stacked_voltages(g, rows, 0, b)
+        band = laplacian(net, b).nbytes
+        monkeypatch.setattr(electric, "STACK_BYTES", int(budget * band))
+        g.voltage_memo.clear()
+        stack_sizes.clear()
+        assert np.array_equal(stacked_voltages(g, rows, 0, b), whole)
+        assert stack_sizes == slices
+
+    def test_a_grid_electric_stack_is_one_slice(self, stack_sizes):
+        # 12 rows of the 16x16 grid's 35 KB band.
+        rng = np.random.default_rng(12)
+        g = grid_network(16, rng).graph
+        stacked_voltages(g, [random_resistances(rng, g.n_edges)
+                             for _ in range(12)], 0, 255)
+        assert stack_sizes == [12]
 
     def test_one_by_one_systems(self):
         rng = np.random.default_rng(1)

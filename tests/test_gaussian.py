@@ -382,17 +382,26 @@ class TestBlockDiagonalConditioning:
         return fine, dense
 
     def assert_same_factor(self, r, r_bar, phi, c, ulps):
-        fine, dense = self.fine_and_dense(r, r_bar, phi)
-        assert np.array_equal(fine[0], dense[0])
-        assert fine[1].shape == dense[1].shape
-        assert fine[1].flags.f_contiguous
-        # Column by column: R's entries carry the scale of sqrt(r), the
-        # reflectors' entries do not.
-        scale = np.max(np.abs(dense[1]), axis=0, initial=0.0)
-        assert np.all(np.abs(fine[1] - dense[1]) <= ulps * EPS * scale)
-        assert np.all(np.abs(fine[2] - dense[2]) <= ulps * EPS)
+        fine, (s, h, tau) = self.fine_and_dense(r, r_bar, phi)
+        assert len(fine) == 5
+        assert np.array_equal(fine[0], s)
+        e, k = len(r), len(phi)
+        # The dense reflectors follow blockdiag's zeros: off the first
+        # block's top-left E x k and the padded block from row and column k
+        # on, h holds only zeros.
+        assert not h[e:, :k].any() and not h[:k, k:].any()
+        for block, block_tau, expected, expected_tau in (
+                (fine[1], fine[2], h[:e, :k], tau[:k]),
+                (fine[3], fine[4], h[k:, k:], tau[k:])):
+            assert block.shape == expected.shape
+            assert block.flags.f_contiguous
+            # Column by column: R's entries carry the scale of sqrt(r), the
+            # reflectors' entries do not.
+            scale = np.max(np.abs(expected), axis=0, initial=0.0)
+            assert np.all(np.abs(block - expected) <= ulps * EPS * scale)
+            assert np.all(np.abs(block_tau - expected_tau) <= ulps * EPS)
         c = np.concatenate([c, c])
-        expected = conditioned_variance(dense, c)
+        expected = conditioned_variance((s, h, tau), c)
         assert (abs(conditioned_variance(fine, c) - expected)
                 <= ulps * EPS * expected)
 
@@ -423,7 +432,8 @@ class TestBlockDiagonalConditioning:
         phi = series_path.graph.cycle_matrix
         r, r_bar = np.array([1.0, 4.0]), np.array([0.25, 9.0])
         fine, _ = self.fine_and_dense(r, r_bar, phi)
-        assert fine[1].shape == (4, 0) and fine[2].size == 0
+        assert [h.shape for h in fine[1::2]] == [(2, 0), (4, 0)]
+        assert [tau.size for tau in fine[2::2]] == [0, 0]
         assert conditioned_variance(fine, np.ones(4)) == 14.25
         self.assert_same_factor(r, r_bar, phi, np.ones(2), 0)
 
@@ -435,7 +445,7 @@ class TestBlockDiagonalConditioning:
         assert 2 * len(phi) > net.graph.n_edges
         r_bar = net.resistances[::-1].copy()
         fine, _ = self.fine_and_dense(net.resistances, r_bar, phi)
-        assert fine[2].size == 2 * len(phi)
+        assert [tau.size for tau in fine[2::2]] == [len(phi)] * 2
         self.assert_same_factor(net.resistances, r_bar, phi,
                                 np.linspace(-1.0, 1.0, net.graph.n_edges), 4)
 
@@ -472,6 +482,50 @@ class TestBlockDiagonalConditioning:
         first = condition_diagonal([1.0, 2.0], [[1.0, 1.0]])
         with pytest.raises(DimensionMismatchError, match=r"\(1, 2\)"):
             condition_block_diagonal(first, [1.0, 2.0, 3.0], [[1.0, 1.0]])
+
+
+def assembled(factor):
+    """The composed fine factor (s, h1, tau1, h2, tau2) as one (s, h, tau):
+    h holds h1 top-left and h2 from row and column k1 on, zeros elsewhere."""
+    s, h1, tau1, h2, tau2 = factor
+    (e1, k1), k = h1.shape, tau1.size + tau2.size
+    h = np.zeros((s.size, k), order="F")
+    h[:e1, :k1] = h1
+    h[k1:, k1:] = h2
+    return s, h, np.concatenate([tau1, tau2])
+
+
+class TestComposedFactor:
+    """The fine factor's blocks, each applied on its own rows, give every
+    variance and root bit for bit as the blocks assembled into one matrix."""
+
+    @staticmethod
+    def assert_bit_identical(graph, r, r_bar, rng):
+        phi = graph.cycle_matrix
+        fine = condition_block_diagonal(condition_diagonal(r, phi), r_bar, phi)
+        reference = assembled(fine)
+        c = rng.standard_normal((3, 2 * graph.n_edges))
+        assert np.array_equal(functional_root(fine, c),
+                              functional_root(reference, c))
+        assert np.array_equal(functional_root(fine, c[0]),
+                              functional_root(reference, c[0]))
+        assert (conditioned_variance(fine, c[1])
+                == conditioned_variance(reference, c[1]))
+
+    def test_suite_instances(self):
+        for i in range(200):
+            rng = instance_rng(12345, i)
+            net = random_network(rng)
+            r_bar = random_resistances(rng, net.graph.n_edges)
+            self.assert_bit_identical(net.graph, net.resistances, r_bar, rng)
+
+    @pytest.mark.parametrize("side", [12, 16, 24])
+    def test_grids(self, side):
+        # At 24x24, k = 529 runs dgeqrf's blocked path.
+        rng = np.random.default_rng(side)
+        net = grid_network(side, rng)
+        self.assert_bit_identical(net.graph, net.resistances,
+                                  grid_network(side, rng).resistances, rng)
 
 
 class TestReflectorKernel:

@@ -1,6 +1,7 @@
 """Theorem-harness checks: worked instances, equality cases, randomization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from gffresist.verify import (
     random_network,
     random_pair,
 )
+from test_electric import grid_network
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -263,6 +265,23 @@ class TestEntropyChain:
         for small, big in zip(report.inequalities, ohms.inequalities):
             assert small.holds == big.holds
             assert small.margin == pytest.approx(big.margin, abs=1e-12)
+
+    def test_peak_memory_is_one_doubled_matrix_and_a_field(self):
+        # Units of one 2E x k matrix: the coarse factor is one, the fine
+        # side the free field of r (a half) and its padded block. Holding
+        # the three fields, [C, C] and its scaled copy read 4.28.
+        rng = np.random.default_rng(24)
+        net = grid_network(24, rng)
+        g, r = net.graph, net.resistances
+        r_bar = grid_network(24, rng).resistances
+        entropy_chain(g, r, r_bar, 0, 575)  # the graph's caches
+        tracemalloc.start()
+        try:
+            entropy_chain(g, r_bar, r, 0, 575)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (2 * g.n_edges * g.cycle_rank * 8)
 
     def test_random_instances(self):
         for i in range(25):
