@@ -19,7 +19,6 @@ from .electric import (
 from .gaussian import (
     GaussianVector,
     condition_on_value,
-    condition_on_zero,
     entropy_scalar,
     independent_gaussian,
     linear_functional_variance,

@@ -261,7 +261,8 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
         memo[key] = entry
     for key in keys:
         _warn_if_ill_conditioned(found[key][1])
-    return np.array([found[key][0] for key in keys])
+    return np.array([found[key][0] for key in keys]).reshape(
+        len(keys), graph.n_vertices)
 
 
 def _solved_slice(graph: Multigraph, plan: _BandPlan, r: np.ndarray,

@@ -10,11 +10,14 @@ rows. condition_diagonal keeps only the factor, for an independent Gaussian
 whose square root is diagonal: P = Q Q' for the Householder QR of B',
 kept in LAPACK's compact form (the reflectors, never Q itself) and applied
 through them; the rows of M must be linearly independent, as circuit
-rows are. A factor is (s, h1, tau1, h2, tau2, ...): s and a sequence of
-reflector blocks, each acting from the row where the blocks before it
-end. condition_diagonal returns one block; condition_block_diagonal
-appends an independent block with its own rows, QR-factoring only the
-new block, so its reflectors are never assembled into one matrix.
+rows are. It takes M only as ``fill(s, out)``, which writes B' = diag(s)
+M' into the zeroed array that QR then overwrites (graph.scaled_cycles
+for circuit rows), so no M is held beside it. A factor is (s, h1, tau1,
+h2, tau2, ...): s and a sequence of reflector blocks, each acting from
+the row where the blocks before it end. condition_diagonal returns one
+block; condition_block_diagonal appends an independent block with its
+own rows, QR-factoring only the new block, so its reflectors are never
+assembled into one matrix.
 """
 
 import math
@@ -149,11 +152,6 @@ def condition_on_value(g: GaussianVector, rows, values) -> GaussianVector:
     return GaussianVector(mean, projected @ projected.T)
 
 
-def condition_on_zero(g: GaussianVector, rows) -> GaussianVector:
-    """Conditional law of g given that every constraint functional equals 0."""
-    return condition_on_value(g, rows, 0.0)
-
-
 def linear_functional_variance(g: GaussianVector, c) -> float:
     """Variance c' cov c of a linear functional; tiny negatives clamp to 0."""
     c = np.asarray(c, dtype=float)
@@ -168,11 +166,13 @@ def linear_functional_variance(g: GaussianVector, c) -> float:
     return var
 
 
-def condition_diagonal(variances, rows) -> tuple:
+def condition_diagonal(variances, k: int, fill) -> tuple:
     """Factor (s, h, tau) of the independent Gaussian with these variances
-    given rows . x = 0: s = sqrt(variances) and (h, tau), LAPACK dgeqrf's
-    compact Householder QR of diag(s) rows', whose k reflectors Q span
-    col(diag(s) rows'). O(E k^2) for k rows; Q itself is never formed.
+    given M x = 0 for k rows M: s = sqrt(variances) and (h, tau), LAPACK
+    dgeqrf's compact Householder QR of B = diag(s) M', whose k reflectors Q
+    span col(B). ``fill(s, out)`` writes B into a zeroed Fortran E x k
+    ``out``, which dgeqrf then overwrites: ``graph.scaled_cycles`` for
+    circuit rows. O(E k^2); Q itself is never formed.
 
     The k rows must be linearly independent, as every circuit-row stack is:
     each row of C, [C, C] or blockdiag(C, C) owns a chord column with entry
@@ -184,56 +184,37 @@ def condition_diagonal(variances, rows) -> tuple:
     free-field route would then share its arithmetic with the flow route it
     cross-checks.
     """
-    s = _deviations(variances, rows)
-    # The transpose of a C-ordered product is Fortran-ordered, so dgeqrf
-    # factors it in place. No rows (a tree) means no reflectors.
-    return condition_scaled(s, (rows * s).T)
-
-
-def condition_scaled(s: np.ndarray, b: np.ndarray) -> tuple:
-    """condition_diagonal's factor from s and b = diag(s) rows', an E x k
-    float array already formed; dgeqrf overwrites b when it is
-    Fortran-ordered, so a caller can build b in the layout it needs once."""
-    h, tau = _compact_qr(b)
-    return _independent((s, h, tau), b.shape[1])
-
-
-def condition_block_diagonal(factor: tuple, variances, rows) -> tuple:
-    """Factor of the pair (x, y) given the rows of ``factor`` on x and
-    rows . y = 0, for y independent of x with these variances: ``factor``
-    with the reflector block (h2, tau2) of one QR of the new block appended,
-    the same reflectors as condition_diagonal's for blockdiag(rows of x,
-    rows), never assembled into one matrix.
-
-    Householder QR follows the zero blocks of blockdiag(B, D), D =
-    diag(s) rows' (Golub & Van Loan, Matrix Computations, 4th ed., 5.1-5.2).
-    The k1 reflectors of B never reach the rows of y, so they are
-    ``factor``'s own. The last k2 are the QR of P = [0; D], D padded above
-    by the E1 - k1 zero rows where B's residual lives, and act from row k1
-    on: P's pivots fall in those rows first, and in D's own rows once k2 >
-    E1 - k1. At E1 = E2 = E and k1 = k2 = k that is 2k^2 (2E - 4k/3) flops,
-    not the 8k^2 (2E - 2k/3) of the whole 2E x 2k matrix. The rank rule
-    judges the combined |diag R| of both blocks against its largest entry,
-    as for that matrix.
-    """
-    s1 = factor[0]
-    s2 = _deviations(variances, rows)
-    k1 = _reflector_count(factor)
-    p = np.zeros((s1.size + s2.size - k1, len(rows)), order="F")
-    np.multiply(np.transpose(rows), s2[:, None], out=p[s1.size - k1:])
-    h2, tau2 = _compact_qr(p)
-    return _independent((np.concatenate([s1, s2]), *factor[1:], h2, tau2),
-                        k1 + len(rows))
-
-
-def _deviations(variances, rows) -> np.ndarray:
-    """s = sqrt(variances), once the rows have one column per coordinate."""
     s = np.sqrt(np.asarray(variances, dtype=float))
-    if np.ndim(rows) != 2 or np.shape(rows)[1] != s.size:
-        raise DimensionMismatchError(
-            f"rows have shape {np.shape(rows)}, Gaussian has dimension "
-            f"{s.size}")
-    return s
+    b = np.zeros((s.size, k), order="F")
+    fill(s, b)
+    return _independent((s, *_compact_qr(b)), k)
+
+
+def condition_block_diagonal(factor: tuple, variances, k: int,
+                             fill) -> tuple:
+    """Factor of the pair (x, y) given the rows of ``factor`` on x and k
+    rows M . y = 0, for y independent of x with these variances:
+    ``factor`` with the reflector block (h2, tau2) of one QR of the new
+    block appended, the same reflectors as condition_diagonal's for
+    blockdiag(rows of x, M), never assembled into one matrix. ``fill``
+    writes D = diag(s) M' as for condition_diagonal.
+
+    Householder QR follows the zero blocks of blockdiag(B, D) (Golub & Van
+    Loan, Matrix Computations, 4th ed., 5.1-5.2). The k1 reflectors of B
+    never reach the rows of y, so they are ``factor``'s own. The last k
+    are the QR of P = [0; D], D padded above by the E1 - k1 zero rows where
+    B's residual lives, and act from row k1 on: P's pivots fall in those
+    rows first, and in D's own rows once k > E1 - k1. At E1 = E2 = E and k1
+    = k that is 2k^2 (2E - 4k/3) flops, not the 8k^2 (2E - 2k/3) of the
+    whole 2E x 2k matrix. The rank rule judges the combined |diag R| of
+    both blocks against its largest entry, as for that matrix.
+    """
+    s1, s2 = factor[0], np.sqrt(np.asarray(variances, dtype=float))
+    k1 = _reflector_count(factor)
+    p = np.zeros((s1.size + s2.size - k1, k), order="F")
+    fill(s2, p[s1.size - k1:])
+    return _independent(
+        (np.concatenate([s1, s2]), *factor[1:], *_compact_qr(p)), k1 + k)
 
 
 def _compact_qr(b: np.ndarray) -> tuple:

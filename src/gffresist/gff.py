@@ -18,15 +18,21 @@ from .gaussian import (
     conditioned_variance,
     functional_root,
 )
-from .graph import enumerate_simple_walks, tree_walk_vector, walk_sign_vector
+from .graph import (
+    enumerate_simple_walks,
+    scaled_cycles,
+    tree_walk_vector,
+    walk_sign_vector,
+)
 
 
 @dataclass(frozen=True)
 class FreeField:
     """Conditioned edge field of a network; ``factor`` is the (s, h, tau) of
-    gaussian.condition_diagonal on the graph's ``cycle_matrix``: s the edge
-    standard deviations, (h, tau) the one block of Householder reflectors
-    Q, to which gaussian.condition_block_diagonal can append another."""
+    gaussian.condition_diagonal on the graph's fundamental circuits, written
+    by graph.scaled_cycles: s the edge standard deviations, (h, tau) the one
+    block of Householder reflectors Q, to which
+    gaussian.condition_block_diagonal can append another."""
 
     network: ResistiveNetwork
     factor: tuple
@@ -42,7 +48,9 @@ class FreeField:
 
 def build_free_field(n: ResistiveNetwork) -> FreeField:
     """Condition the independent edge Gaussian on the fundamental cycle basis."""
-    return FreeField(n, condition_diagonal(n.resistances, n.graph.cycle_matrix))
+    g = n.graph
+    return FreeField(n, condition_diagonal(
+        n.resistances, g.cycle_rank, functools.partial(scaled_cycles, g)))
 
 
 def potential_difference_functional(f: FreeField, a: int, b: int) -> np.ndarray:

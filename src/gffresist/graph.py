@@ -16,6 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     DisconnectedError,
     DuplicateVertexNameError,
     EdgeNotInGraphError,
@@ -126,22 +127,6 @@ class Multigraph:
         """The fundamental circuits of ``tree`` in chord/tree block form:
         ``(tree_ids, chords, block)``, see ``_cycle_basis``; read-only."""
         return _cycle_basis(self)
-
-    @cached_property
-    def cycle_matrix(self) -> np.ndarray:
-        """Read-only fundamental circuit sign vectors of ``tree``, one per row.
-
-        Row i is the sign vector of the i-th circuit of
-        ``fundamental_circuits``: ``cycle_blocks``' tree block in the tree
-        edges' columns and the identity in the chords' columns, so the
-        circuits are never made.
-        """
-        tree_ids, chords, block = self.cycle_blocks
-        cycles = np.zeros((len(chords), self.n_edges))
-        cycles[:, tree_ids] = block
-        cycles[np.arange(len(chords)), chords] = 1.0
-        cycles.setflags(write=False)
-        return cycles
 
     @cached_property
     def voltage_memo(self) -> dict:
@@ -336,6 +321,24 @@ def _cycle_basis(g: Multigraph) -> tuple:
     for part in (tree_ids, chords, block):
         part.setflags(write=False)
     return tree_ids, chords, block
+
+
+def scaled_cycles(g: Multigraph, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """diag(s) C' into ``out``, for C the fundamental circuit rows repeated
+    once per E-long block of s and ``out`` a zeroed (m E) x k float array:
+    ``(C * s).T`` bit for bit, with no k x E matrix. Each block's tree
+    edges' rows get D' and each chord a 1 in its own column, from
+    ``cycle_blocks``, before one in-place product by s."""
+    tree_ids, chords, block = g.cycle_blocks
+    if s.size % g.n_edges or out.shape != (s.size, len(chords)):
+        raise DimensionMismatchError(
+            f"{s.size} deviations and a {out.shape} array do not fit "
+            f"circuits of {g.n_edges} edges")
+    for start in range(0, s.size, g.n_edges):
+        out[start + tree_ids] = block.T
+        out[start + chords, np.arange(len(chords))] = 1.0
+    out *= s[:, None]
+    return out
 
 
 def tree_walk_vector(g: Multigraph, a: int, b: int) -> np.ndarray:

@@ -8,6 +8,7 @@ one record per verified equality or inequality, with a signed margin so that
 near-equality cases are visibly tight rather than silently passing.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +32,8 @@ from .gaussian import (
     VARIANCE_CLAMP,
     GaussianVector,
     condition_block_diagonal,
+    condition_diagonal,
     condition_on_value,
-    condition_on_zero,
-    condition_scaled,
     conditioned_variance,
     entropy_scalar,
     functional_draws,
@@ -44,7 +44,12 @@ from .gff import (
     potential_difference_functional,
     potential_difference_variance,
 )
-from .graph import Multigraph, build_multigraph, tree_walk_vector
+from .graph import (
+    Multigraph,
+    build_multigraph,
+    scaled_cycles,
+    tree_walk_vector,
+)
 
 DEFAULT_TOL = 1e-8
 # Two-sided tail of the Monte Carlo check: that of a normal 4-sigma test.
@@ -268,15 +273,15 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     on its own circuit constraints. Coarser conditioning leaves at least as
     much entropy in the a-to-b potential difference.
 
-    The coarse side factors [S C'; S_bar C'] whole, formed scaled in one
-    2E x k Fortran array. The fine side's factor is that of blockdiag(C, C),
-    built by condition_block_diagonal from the free field of r, whose
-    reflectors are its first k: one QR of the (2E - k) x k padded second
-    block, not of the 2E x 2k matrix. That is one doubled factorization
-    still, not the two separate ones of var + var_bar. The free fields of
-    r + r_bar and r_bar are dropped once their variances are read, and the
-    coarse factor before the free field of r is built, so at most one
-    doubled matrix and one free field are held at a time.
+    The coarse side factors [S C'; S_bar C'] whole, written scaled by
+    graph.scaled_cycles into one 2E x k Fortran array. The fine side's
+    factor is that of blockdiag(C, C), built by condition_block_diagonal
+    from the free field of r, whose reflectors are its first k: one QR of
+    the (2E - k) x k padded second block, not of the 2E x 2k matrix. That
+    is one doubled factorization still, not the two separate ones of var +
+    var_bar. Each free field and the coarse factor is dropped once its
+    variance is read, so at most one doubled matrix and one free field are
+    held at a time.
     """
     graph.check_vertices(a, b)  # before the factorizations
     r = np.asarray(r, dtype=float)
@@ -291,20 +296,15 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     # The appendix lemma, applied to the fundamental cycle basis. The fine
     # side stays one doubled projection, so that h_joint_split == h_sum
     # compares it with the two separate free fields.
-    phi = graph.cycle_matrix
+    fill, k = functools.partial(scaled_cycles, graph), graph.cycle_rank
     walk_vec = tree_walk_vector(graph, a, b)
     doubled_walk = np.concatenate([walk_vec, walk_vec])
-    # Row i of the coarse rows [C, C] scaled by s, as the k x 2 x E products
-    # C[i] s and C[i] s_bar: the same products as np.hstack([C, C]) * s.
-    s = np.sqrt(np.concatenate([r, r_bar]))
-    coarse = phi[:, None, :] * s.reshape(2, -1)
     var_joint_hat = conditioned_variance(
-        condition_scaled(s, coarse.reshape(len(phi), s.size).T), doubled_walk)
-    del coarse  # now the coarse factor: freed before the fine side
+        condition_diagonal(np.concatenate([r, r_bar]), k, fill), doubled_walk)
     field = build_free_field(net)
     var = potential_difference_variance(field, a, b)
     var_joint_split = conditioned_variance(
-        condition_block_diagonal(field.factor, r_bar, phi), doubled_walk)
+        condition_block_diagonal(field.factor, r_bar, k, fill), doubled_walk)
 
     variances = {"hat": var_hat, "joint_hat": var_joint_hat,
                  "joint_split": var_joint_split, "sum": var + var_bar}
@@ -434,7 +434,7 @@ def appendix_check(instance: AppendixInstance,
         scipy.linalg.block_diag(instance.cov_w, instance.cov_w_bar))
     hat_rows, split_rows = _coarse_and_fine_rows(instance.conditioning)
     var_hat, var_split = (
-        linear_functional_variance(condition_on_zero(joint, rows),
+        linear_functional_variance(condition_on_value(joint, rows, 0.0),
                                    instance.functional)
         for rows in (hat_rows, split_rows))
     # Conditioned variances are judged against the unconditioned c' cov c:

@@ -24,7 +24,7 @@ from gffresist import (
     check_scaling,
     check_superadditivity,
     circuit_matrix,
-    condition_on_zero,
+    condition_on_value,
     dissipated_power,
     effective_resistance,
     entropy_chain,
@@ -39,11 +39,7 @@ from gffresist import (
     thomson_flow,
 )
 from gffresist.cli import run_command
-from gffresist.gaussian import (
-    condition_diagonal,
-    conditioned_variance,
-    linear_functional_variance,
-)
+from gffresist.gaussian import conditioned_variance, linear_functional_variance
 from gffresist.graph import build_multigraph
 from gffresist.verify import (
     instance_rng,
@@ -51,6 +47,8 @@ from gffresist.verify import (
     random_pair,
     random_resistances,
 )
+
+from test_gaussian import cycle_rows, diagonal
 
 ACCEPTANCE_SEED = 20240
 N_INSTANCES = 200
@@ -177,14 +175,14 @@ def test_criterion_6_circuit_basis_equivalence(instances):
         circuits = enumerate_circuits(g, limit=20_000)
         field = build_free_field(net)
         all_rows = circuit_matrix(g, circuits)
-        conditioned = condition_on_zero(independent_gaussian(net.resistances),
-                                        all_rows)
+        conditioned = condition_on_value(
+            independent_gaussian(net.resistances), all_rows, 0.0)
         diff = np.max(np.abs(conditioned.covariance
                              - field.edge_field.covariance))
         assert diff <= 1e-9
         rank = g.cycle_rank
         if rank:
-            assert np.linalg.matrix_rank(g.cycle_matrix) == rank
+            assert np.linalg.matrix_rank(cycle_rows(g)) == rank
             assert np.linalg.matrix_rank(all_rows) == rank
             checked += 1
     assert checked >= 100
@@ -285,7 +283,7 @@ def test_criterion_10_projection_matches_general_conditioning(instances):
     # agrees with condition_on_value, on this battery and run_suite's.
     worst = 0.0
     for net, r_bar, a, b in instances + draw_instances(SUITE_SEED):
-        phi = net.graph.cycle_matrix
+        phi = cycle_rows(net.graph)
         c = potential_difference_functional(build_free_field(net), a, b)
         cases = [(x, phi, c) for x in
                  (net.resistances, r_bar, net.resistances + r_bar)]
@@ -293,10 +291,9 @@ def test_criterion_10_projection_matches_general_conditioning(instances):
         cases += [(doubled, rows, np.concatenate([c, c])) for rows in
                   (np.hstack([phi, phi]), scipy.linalg.block_diag(phi, phi))]
         for variances, rows, functional in cases:
-            fast = conditioned_variance(
-                condition_diagonal(variances, rows), functional)
+            fast = conditioned_variance(diagonal(variances, rows), functional)
             reference = linear_functional_variance(
-                condition_on_zero(independent_gaussian(variances), rows),
+                condition_on_value(independent_gaussian(variances), rows, 0.0),
                 functional)
             worst = max(worst, abs(fast - reference) / reference)
     assert worst <= 1e-12, f"worst relative gap {worst:.3e}"
@@ -307,13 +304,13 @@ def test_criterion_11_circuit_rows_keep_full_rank(instances):
     # Each circuit row owns a chord column, so the QR factor keeps one
     # reflector per row: k for C and [C, C], 2k for blockdiag(C, C).
     for net, r_bar, _, _ in instances + draw_instances(SUITE_SEED):
-        phi = net.graph.cycle_matrix
+        phi = cycle_rows(net.graph)
         k = net.graph.cycle_rank
         doubled = np.concatenate([net.resistances, r_bar])
         for variances, rows, kept in (
                 (net.resistances, phi, k),
                 (doubled, np.hstack([phi, phi]), k),
                 (doubled, scipy.linalg.block_diag(phi, phi), 2 * k)):
-            _, _, tau = condition_diagonal(variances, rows)
+            _, _, tau = diagonal(variances, rows)
             assert tau.size == kept
     report_line(11, "circuit rows keep full rank")

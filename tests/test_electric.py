@@ -188,17 +188,34 @@ def scipy_voltages(net: ResistiveNetwork, a: int, b: int) -> np.ndarray:
 
 def block_gram(net: ResistiveNetwork) -> tuple:
     """Reference: the cycle Gram in the documented block form, read off
-    ``cycle_matrix``: its tree-edge columns D and the identity on the
-    chords, so the Gram is ``(D r_tree) D^T + diag(r_chords)``. Returns
-    ``(gram, D r_tree, tree_ids, chords, D)``."""
+    the walk API's circuit matrix: its tree-edge columns D and the identity
+    on the chords, so the Gram is ``(D r_tree) D^T + diag(r_chords)``.
+    Returns ``(gram, D r_tree, tree_ids, chords, D)``."""
     g, r = net.graph, net.resistances
     tree_ids = np.array(sorted(spanning_tree(g)), dtype=int)
     chords = np.setdiff1d(np.arange(g.n_edges), tree_ids)
-    block = np.ascontiguousarray(g.cycle_matrix[:, tree_ids])
+    block = np.ascontiguousarray(
+        circuit_matrix(g, fundamental_circuits(g))[:, tree_ids])
     weighted = block * r[tree_ids]
     gram = weighted @ block.T
     gram[np.diag_indices(len(chords))] += r[chords]
     return gram, weighted, tree_ids, chords, block
+
+
+def dense_circuit_caches(g: Multigraph) -> list:
+    """Names of the graph's caches holding, at any depth of tuples, lists
+    and dict values, a float array of E k entries: the size of the dense
+    circuit matrix. For a graph with circuits (k > 0)."""
+    size = g.n_edges * g.cycle_rank
+
+    def holds(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (tuple, list)):
+            return any(map(holds, value))
+        return (isinstance(value, np.ndarray) and value.dtype.kind == "f"
+                and value.size == size)
+    return [name for name, value in vars(g).items() if holds(value)]
 
 
 def scipy_oracle_flow(net: ResistiveNetwork, a: int, b: int) -> np.ndarray:
@@ -562,6 +579,12 @@ class TestStackedVoltages:
                 assert np.array_equal(
                     scipy_voltages(ResistiveNetwork(g, row), a, b), v)
 
+    def test_no_rows_give_no_potentials(self, triangle):
+        # One row of V potentials per row of resistances, none for none.
+        out = stacked_voltages(triangle.graph, np.zeros((0, 3)), 0, 1)
+        assert out.shape == (0, 3)
+        assert out.dtype == float
+
     @pytest.mark.parametrize("budget, slices", [
         (1, [1] * 5), (2, [2, 2, 1]), (4.5, [4, 1]), (5, [5])])
     def test_slices_of_bounded_bands_keep_every_bit(self, monkeypatch,
@@ -855,7 +878,7 @@ class TestBlockOracle:
         # The chord block adds an exact diagonal; the tree block's sums
         # round differently from the dense product's.
         for net in self.networks():
-            cycles = net.graph.cycle_matrix
+            cycles = circuit_matrix(net.graph, fundamental_circuits(net.graph))
             dense_gram = (cycles * net.resistances) @ cycles.T
             error = np.max(np.abs(block_gram(net)[0] - dense_gram), initial=0)
             assert error <= 4 * EPS * np.max(np.abs(dense_gram), initial=0)
@@ -871,7 +894,7 @@ class TestBlockOracle:
     def test_never_forms_the_dense_circuit_matrix(self):
         net = grid_network(8, np.random.default_rng(8))
         min_energy_flow_oracle(net, 0, 63)
-        assert "cycle_matrix" not in vars(net.graph)
+        assert not dense_circuit_caches(net.graph)
 
 
 class TestPowerAndResiduals:
@@ -901,10 +924,10 @@ class TestPowerAndResiduals:
 
     @pytest.mark.parametrize("span", [None, 1e12])
     def test_kvl_matches_the_dense_circuit_sums(self, span):
-        # The tree integration against the maximum of cycle_matrix @ drops:
-        # within eps * max|phi| on Thomson flows, and on arbitrary flows,
-        # whose chord drops can outgrow phi, within a few ulps of the
-        # larger of the two.
+        # The tree integration against the maximum of C @ drops, C the
+        # circuit matrix: within eps * max|phi| on Thomson flows, and on
+        # arbitrary flows, whose chord drops can outgrow phi, within a few
+        # ulps of the larger of the two.
         for i in range(150):
             rng = instance_rng(99, i)
             net = random_network(rng)
@@ -915,10 +938,11 @@ class TestPowerAndResiduals:
             a, b = random_pair(rng, g.n_vertices)
             thomson = thomson_flow(net, a, b)
             arbitrary = FlowVector(rng.standard_normal(g.n_edges))
+            cycles = circuit_matrix(g, fundamental_circuits(g))
             for flow in (thomson, arbitrary):
                 drops = flow.currents * net.resistances
                 phi = np.max(np.abs(g.tree_paths @ drops))
-                dense = np.max(np.abs(g.cycle_matrix @ drops), initial=0.0)
+                dense = np.max(np.abs(cycles @ drops), initial=0.0)
                 error = abs(kvl_residual(net, flow) - dense)
                 if flow is thomson:
                     assert error <= EPS * phi
@@ -928,8 +952,8 @@ class TestPowerAndResiduals:
     def test_kvl_needs_neither_circuits_nor_tree_paths(self):
         net = grid_network(8, np.random.default_rng(9))
         kvl_residual(net, thomson_flow(net, 0, 63))
-        assert not {"cycle_blocks", "cycle_matrix", "tree_paths"} & set(
-            vars(net.graph))
+        assert not {"cycle_blocks", "tree_paths"} & set(vars(net.graph))
+        assert not dense_circuit_caches(net.graph)
 
     def test_kcl_same_vertex(self, triangle):
         # A zero source is no a-to-b source: no residual is returned for it.

@@ -2,6 +2,7 @@
 
 import math
 import operator
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 
 from gffresist import (
     GaussianVector,
+    circuit_matrix,
     condition_on_value,
-    condition_on_zero,
     entropy_scalar,
+    fundamental_circuits,
     independent_gaussian,
     linear_functional_variance,
     sample,
@@ -37,12 +39,42 @@ from gffresist.gaussian import (
     functional_draws,
     functional_root,
 )
+from gffresist.graph import scaled_cycles
 from gffresist.verify import instance_rng, random_network, random_resistances
 from test_electric import grid_network
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 DATA = Path(__file__).parent / "data"
 EPS = np.finfo(float).eps
+
+
+def row_fill(rows):
+    """A conditioning fill for dense rows: diag(s) rows' into ``out``."""
+    rows = np.asarray(rows, dtype=float)
+    return lambda s, out: np.multiply(rows.T, s[:, None], out=out)
+
+
+def diagonal(variances, rows):
+    """condition_diagonal on the dense rows ``rows``."""
+    return condition_diagonal(variances, len(rows), row_fill(rows))
+
+
+def block_diagonal(factor, variances, rows):
+    """condition_block_diagonal on the dense rows ``rows``."""
+    return condition_block_diagonal(factor, variances, len(rows),
+                                    row_fill(rows))
+
+
+def fine_factor(graph, r, r_bar):
+    """The factor of blockdiag(C, C) as entropy_chain builds it."""
+    fill, k = partial(scaled_cycles, graph), graph.cycle_rank
+    return condition_block_diagonal(condition_diagonal(r, k, fill), r_bar,
+                                    k, fill)
+
+
+def cycle_rows(graph):
+    """The fundamental circuit rows, from the walk API's circuits."""
+    return circuit_matrix(graph, fundamental_circuits(graph))
 
 
 def schur_condition_single_row(cov: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -128,7 +160,7 @@ class TestConditioning:
     def test_parallel_pair_schur_oracle(self):
         g = independent_gaussian([1.0, 2.0])
         row = np.array([1.0, -1.0])
-        conditioned = condition_on_zero(g, [row])
+        conditioned = condition_on_value(g, [row], 0.0)
         oracle = schur_condition_single_row(g.covariance, row)
         np.testing.assert_allclose(conditioned.covariance, oracle, atol=1e-12)
         np.testing.assert_allclose(conditioned.covariance,
@@ -140,14 +172,14 @@ class TestConditioning:
 
     def test_empty_constraints_are_identity(self):
         g = independent_gaussian([1.0, 2.0])
-        out = condition_on_zero(g, np.zeros((0, 2)))
+        out = condition_on_value(g, np.zeros((0, 2)), 0.0)
         np.testing.assert_allclose(out.covariance, g.covariance)
 
     def test_duplicated_row_equals_single_row(self):
         g = independent_gaussian([1.0, 2.0, 0.5])
         row = np.array([1.0, -1.0, 0.5])
-        once = condition_on_zero(g, [row])
-        twice = condition_on_zero(g, [row, row])
+        once = condition_on_value(g, [row], 0.0)
+        twice = condition_on_value(g, [row, row], 0.0)
         np.testing.assert_allclose(twice.covariance, once.covariance, atol=1e-12)
 
     def test_result_satisfies_constraints(self):
@@ -162,23 +194,23 @@ class TestConditioning:
 
     def test_zero_mean_after_zero_conditioning(self):
         g = independent_gaussian([1.0, 2.0])
-        conditioned = condition_on_zero(g, [[1.0, -1.0]])
+        conditioned = condition_on_value(g, [[1.0, -1.0]], 0.0)
         np.testing.assert_allclose(conditioned.mean, 0.0, atol=1e-12)
 
     def test_inconsistent_constraint(self):
         point = GaussianVector(np.array([1.0]), np.zeros((1, 1)))
         with pytest.raises(InconsistentConstraintError):
-            condition_on_zero(point, [[1.0]])
+            condition_on_value(point, [[1.0]], 0.0)
 
     def test_satisfied_degenerate_constraint_is_harmless(self):
         point = GaussianVector(np.array([0.0]), np.zeros((1, 1)))
-        out = condition_on_zero(point, [[1.0]])
+        out = condition_on_value(point, [[1.0]], 0.0)
         np.testing.assert_allclose(out.covariance, 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            condition_on_zero(independent_gaussian([1.0]),
-                              [[1.0, 2.0]])
+            condition_on_value(independent_gaussian([1.0]),
+                               [[1.0, 2.0]], 0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -188,8 +220,8 @@ class TestConditioning:
         a = rng.standard_normal((dim, dim))
         g = GaussianVector(rng.standard_normal(dim), a @ a.T)
         rows = rng.standard_normal((int(rng.integers(1, dim)), dim))
-        once = condition_on_zero(g, rows)
-        twice = condition_on_zero(once, rows)
+        once = condition_on_value(g, rows, 0.0)
+        twice = condition_on_value(once, rows, 0.0)
         np.testing.assert_allclose(twice.covariance, once.covariance, atol=1e-10)
         np.testing.assert_allclose(twice.mean, once.mean, atol=1e-10)
 
@@ -201,7 +233,7 @@ class TestConditioning:
         a = rng.standard_normal((dim, dim))
         g = GaussianVector(np.zeros(dim), a @ a.T)
         rows = rng.standard_normal((int(rng.integers(1, dim + 2)), dim))
-        conditioned = condition_on_zero(g, rows)
+        conditioned = condition_on_value(g, rows, 0.0)
         for _ in range(5):
             c = rng.standard_normal(dim)
             before = linear_functional_variance(g, c)
@@ -218,7 +250,7 @@ class TestConditioning:
         g = GaussianVector(np.zeros(dim), cov)
         k = int(rng.integers(1, dim))
         rows = rng.standard_normal((k, dim))
-        conditioned = condition_on_zero(g, rows)
+        conditioned = condition_on_value(g, rows, 0.0)
         rank_before = np.linalg.matrix_rank(cov, tol=1e-9)
         rank_killed = np.linalg.matrix_rank(rows @ cov, tol=1e-9)
         rank_after = np.linalg.matrix_rank(conditioned.covariance, tol=1e-9)
@@ -311,8 +343,8 @@ class TestSampling:
         assert np.all(np.abs(emp_cov - cov) <= 5 * se_cov)
 
     def test_singular_support(self):
-        g = condition_on_zero(independent_gaussian([1.0, 2.0]),
-                              [[1.0, -1.0]])
+        g = condition_on_value(independent_gaussian([1.0, 2.0]),
+                               [[1.0, -1.0]], 0.0)
         draws = sample(g, 1000, seed=3)
         assert np.max(np.abs(draws[:, 0] - draws[:, 1])) <= 1e-6
 
@@ -334,7 +366,7 @@ class TestDiagonalConditioning:
     def test_basis_is_orthonormal_and_spans_the_scaled_rows(self):
         rng = np.random.default_rng(21)
         rows = rng.standard_normal((4, 9))
-        s, h, tau = condition_diagonal(rng.uniform(0.1, 10.0, 9), rows)
+        s, h, tau = diagonal(rng.uniform(0.1, 10.0, 9), rows)
         # Q is the reflectors applied to the first 4 columns of the identity.
         q, _, info = scipy.linalg.lapack.dormqr(
             "L", "N", h, tau, np.eye(9)[:, :4], 4 * 64)
@@ -351,41 +383,43 @@ class TestDiagonalConditioning:
         rows[0, 0] = 1.0
         rows = np.vstack([rows, rows[0]])
         with pytest.raises(ValidationError, match="linearly dependent"):
-            condition_diagonal(rng.uniform(0.1, 10.0, dim), rows)
+            diagonal(rng.uniform(0.1, 10.0, dim), rows)
 
     def test_combination_of_rows_raises(self):
         rows = np.array([[1.0, -1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
                          [2.0, -1.0, 1.0, 2.0]])
         with pytest.raises(ValidationError, match="linearly dependent"):
-            condition_diagonal([1.0, 2.0, 3.0, 4.0], rows)
+            diagonal([1.0, 2.0, 3.0, 4.0], rows)
 
     def test_zero_row_raises(self):
         with pytest.raises(ValidationError, match="linearly dependent"):
-            condition_diagonal([1.0, 2.0], np.array([[1.0, 1.0], [0.0, 0.0]]))
+            diagonal([1.0, 2.0], np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_more_rows_than_coordinates_raises(self):
         # Reduced QR of a 2 x 3 matrix has a full-size R diagonal; only the
         # row count shows that 3 rows cannot be independent in 2 dimensions.
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValidationError, match="linearly dependent"):
-            condition_diagonal([1.0, 2.0], rows)
+            diagonal([1.0, 2.0], rows)
 
 
 class TestBlockDiagonalConditioning:
     """condition_block_diagonal against the dense QR of blockdiag(C, C)."""
 
     @staticmethod
-    def fine_and_dense(r, r_bar, phi):
-        fine = condition_block_diagonal(condition_diagonal(r, phi), r_bar, phi)
-        dense = condition_diagonal(np.concatenate([r, r_bar]),
-                                   scipy.linalg.block_diag(phi, phi))
-        return fine, dense
+    def fine_and_dense(graph, r, r_bar):
+        """The fine factor as entropy_chain builds it, and the dense QR of
+        blockdiag(C, C) with C from the walk API's circuits."""
+        phi = cycle_rows(graph)
+        dense = diagonal(np.concatenate([r, r_bar]),
+                         scipy.linalg.block_diag(phi, phi))
+        return fine_factor(graph, r, r_bar), dense
 
-    def assert_same_factor(self, r, r_bar, phi, c, ulps):
-        fine, (s, h, tau) = self.fine_and_dense(r, r_bar, phi)
+    def assert_same_factor(self, graph, r, r_bar, c, ulps):
+        fine, (s, h, tau) = self.fine_and_dense(graph, r, r_bar)
         assert len(fine) == 5
         assert np.array_equal(fine[0], s)
-        e, k = len(r), len(phi)
+        e, k = len(r), graph.cycle_rank
         # The dense reflectors follow blockdiag's zeros: off the first
         # block's top-left E x k and the padded block from row and column k
         # on, h holds only zeros.
@@ -412,8 +446,7 @@ class TestBlockDiagonalConditioning:
             net = random_network(rng)
             r_bar = random_resistances(rng, net.graph.n_edges)
             c = rng.standard_normal(net.graph.n_edges)
-            self.assert_same_factor(net.resistances, r_bar,
-                                    net.graph.cycle_matrix, c, 4)
+            self.assert_same_factor(net.graph, net.resistances, r_bar, c, 4)
 
     @pytest.mark.parametrize("side", [12, 16])
     def test_grids_match_the_dense_factor(self, side):
@@ -424,36 +457,35 @@ class TestBlockDiagonalConditioning:
             net = grid_network(side, rng)
             r_bar = grid_network(side, rng).resistances
             c = rng.standard_normal(net.graph.n_edges)
-            self.assert_same_factor(net.resistances, r_bar,
-                                    net.graph.cycle_matrix, c, 8)
+            self.assert_same_factor(net.graph, net.resistances, r_bar, c, 8)
 
     def test_tree_has_no_reflectors(self, series_path):
         # k = 0: every coordinate is free, so the variance is |s c|^2.
-        phi = series_path.graph.cycle_matrix
+        graph = series_path.graph
         r, r_bar = np.array([1.0, 4.0]), np.array([0.25, 9.0])
-        fine, _ = self.fine_and_dense(r, r_bar, phi)
+        fine, _ = self.fine_and_dense(graph, r, r_bar)
         assert [h.shape for h in fine[1::2]] == [(2, 0), (4, 0)]
         assert [tau.size for tau in fine[2::2]] == [0, 0]
         assert conditioned_variance(fine, np.ones(4)) == 14.25
-        self.assert_same_factor(r, r_bar, phi, np.ones(2), 0)
+        self.assert_same_factor(graph, r, r_bar, np.ones(2), 0)
 
     def test_more_rows_than_half_the_coordinates(self):
         # k = 9 of E = 12: the last pivots of the padded block fall in its
         # own rows, past the E - k = 3 zero rows.
         net = parse_network(str(DATA / "wide_span.json"))
-        phi = net.graph.cycle_matrix
-        assert 2 * len(phi) > net.graph.n_edges
+        k = net.graph.cycle_rank
+        assert 2 * k > net.graph.n_edges
         r_bar = net.resistances[::-1].copy()
-        fine, _ = self.fine_and_dense(net.resistances, r_bar, phi)
-        assert [tau.size for tau in fine[2::2]] == [len(phi)] * 2
-        self.assert_same_factor(net.resistances, r_bar, phi,
+        fine, _ = self.fine_and_dense(net.graph, net.resistances, r_bar)
+        assert [tau.size for tau in fine[2::2]] == [k] * 2
+        self.assert_same_factor(net.graph, net.resistances, r_bar,
                                 np.linspace(-1.0, 1.0, net.graph.n_edges), 4)
 
     def test_dependent_second_block_row_raises(self):
-        first = condition_diagonal([1.0, 2.0, 3.0], [[1.0, 1.0, 0.0]])
+        first = diagonal([1.0, 2.0, 3.0], [[1.0, 1.0, 0.0]])
         rows = np.array([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]])
         with pytest.raises(ValidationError, match="the 3 conditioning rows"):
-            condition_block_diagonal(first, [1.0, 1.0, 1.0], rows)
+            block_diagonal(first, [1.0, 1.0, 1.0], rows)
 
     def test_rank_rule_judges_both_blocks_together(self):
         # Each block passes on its own; next to the other block's scale a
@@ -462,26 +494,20 @@ class TestBlockDiagonalConditioning:
         rows = np.array([[1.0, 1.0, 0.0]])
         for variances, bar in (([1.0, 1.0, 1.0], [1e-24] * 3),
                                ([1e-24] * 3, [1.0, 1.0, 1.0])):
-            condition_diagonal(bar, rows)
+            diagonal(bar, rows)
             with pytest.raises(ValidationError, match="linearly dependent"):
-                condition_block_diagonal(condition_diagonal(variances, rows),
-                                         bar, rows)
+                block_diagonal(diagonal(variances, rows), bar, rows)
             with pytest.raises(ValidationError, match="linearly dependent"):
-                condition_diagonal(np.concatenate([variances, bar]),
-                                   scipy.linalg.block_diag(rows, rows))
+                diagonal(np.concatenate([variances, bar]),
+                         scipy.linalg.block_diag(rows, rows))
 
     def test_more_rows_than_free_coordinates_raises(self):
         # The first block pins both its coordinates, so the padded block
         # has only the 2 coordinates of y for its 3 rows.
-        first = condition_diagonal([1.0, 2.0], np.eye(2))
+        first = diagonal([1.0, 2.0], np.eye(2))
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValidationError, match="linearly dependent"):
-            condition_block_diagonal(first, [1.0, 2.0], rows)
-
-    def test_shape_mismatch_raises(self):
-        first = condition_diagonal([1.0, 2.0], [[1.0, 1.0]])
-        with pytest.raises(DimensionMismatchError, match=r"\(1, 2\)"):
-            condition_block_diagonal(first, [1.0, 2.0, 3.0], [[1.0, 1.0]])
+            block_diagonal(first, [1.0, 2.0], rows)
 
 
 def assembled(factor):
@@ -501,8 +527,7 @@ class TestComposedFactor:
 
     @staticmethod
     def assert_bit_identical(graph, r, r_bar, rng):
-        phi = graph.cycle_matrix
-        fine = condition_block_diagonal(condition_diagonal(r, phi), r_bar, phi)
+        fine = fine_factor(graph, r, r_bar)
         reference = assembled(fine)
         c = rng.standard_normal((3, 2 * graph.n_edges))
         assert np.array_equal(functional_root(fine, c),
@@ -538,7 +563,7 @@ class TestReflectorKernel:
         rng = np.random.default_rng(100 * k + dim)
         variances = rng.uniform(0.1, 10.0, dim)
         rows = rng.standard_normal((k, dim))
-        factor = condition_diagonal(variances, rows)
+        factor = diagonal(variances, rows)
         q, _ = np.linalg.qr((rows * np.sqrt(variances)).T)
         c = rng.standard_normal((5, dim))
         w = np.sqrt(variances) * c
@@ -555,9 +580,7 @@ class TestReflectorKernel:
 
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(DimensionMismatchError, match=r"\(1, 2\)"):
-            condition_diagonal([1.0, 2.0, 3.0], np.ones((1, 2)))
-        factor = condition_diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
+        factor = diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
         for route in (functional_root, conditioned_variance):
             with pytest.raises(DimensionMismatchError, match="dimension 3"):
                 route(factor, [1.0, -1.0])
@@ -566,7 +589,7 @@ class TestReflectorKernel:
 
     def test_variance_takes_one_functional(self):
         # A stack used to return the first row's variance and drop the rest.
-        factor = condition_diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
+        factor = diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
         with pytest.raises(DimensionMismatchError, match="one functional"):
             conditioned_variance(factor, np.eye(3)[:2])
 
@@ -587,7 +610,7 @@ class TestFunctionalSampling:
     def test_block_size_does_not_change_draws(self, monkeypatch):
         # Same normals whatever the blocks; u . z per row may differ in the
         # last bit where BLAS sums a one-row block in another order.
-        factor = condition_diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
+        factor = diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
         c = np.array([1.0, -1.0, 0.0])
         whole = all_draws(factor, c, 1000, seed=9)
         for block in (3 * 64, 1):
@@ -597,7 +620,7 @@ class TestFunctionalSampling:
                 rtol=0, atol=1e-14)
 
     def test_variance_within_five_standard_errors(self):
-        factor = condition_diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
+        factor = diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
         c = np.array([1.0, -1.0, 0.0])
         count = 100_000
         draws = all_draws(factor, c, count, seed=4)
@@ -608,14 +631,14 @@ class TestFunctionalSampling:
 
     def test_unconstrained_draws_are_scaled_normals(self):
         # One coordinate, no rows: c . x = z sqrt(r) c exactly.
-        draws = all_draws(condition_diagonal([4.0], np.zeros((0, 1))),
+        draws = all_draws(diagonal([4.0], np.zeros((0, 1))),
                                   [-1.0], 50, seed=3)
         z = np.random.default_rng(3).standard_normal((50, 1))
         assert np.array_equal(draws, z[:, 0] * -2.0)
 
     def test_count_validated(self):
         with pytest.raises(ValidationError):
-            all_draws(condition_diagonal([1.0], np.zeros((0, 1))),
+            all_draws(diagonal([1.0], np.zeros((0, 1))),
                               [1.0], 0, seed=1)
 
     def test_row_stack_matches_row_by_row_roots(self):
@@ -624,7 +647,7 @@ class TestFunctionalSampling:
         # rows as coordinates every root is 0 up to that rounding.
         for k, dim in ((0, 3), (2, 5), (6, 9), (9, 9)):
             rows = rng.standard_normal((k, dim))
-            factor = condition_diagonal(rng.uniform(0.1, 10.0, dim), rows)
+            factor = diagonal(rng.uniform(0.1, 10.0, dim), rows)
             c = rng.standard_normal((7, dim))
             stacked = functional_root(factor, c)
             single = np.array([functional_root(factor, row) for row in c])
@@ -639,8 +662,8 @@ class TestLinearFunctionalVariance:
         assert linear_functional_variance(g, [0.0, 1.0]) == pytest.approx(2.0)
 
     def test_constraint_direction_is_dead(self):
-        g = condition_on_zero(independent_gaussian([1.0, 2.0]),
-                              [[1.0, -1.0]])
+        g = condition_on_value(independent_gaussian([1.0, 2.0]),
+                               [[1.0, -1.0]], 0.0)
         assert linear_functional_variance(g, [1.0, -1.0]) == 0.0
 
     def test_zero_functional(self):

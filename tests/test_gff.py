@@ -13,12 +13,13 @@ from gffresist import (
     build_free_field,
     build_multigraph,
     circuit_matrix,
-    condition_on_zero,
+    condition_on_value,
     dissipated_power,
     effective_resistance,
     entropy_chain,
     enumerate_circuits,
     eta_field,
+    fundamental_circuits,
     gaussian,
     gff,
     independent_gaussian,
@@ -61,8 +62,10 @@ class TestBuildFreeField:
 
     def test_triangle_against_pinv_oracle(self, triangle):
         field = build_free_field(triangle)
+        g = triangle.graph
         oracle = pinv_conditioned_covariance(
-            np.diag(triangle.resistances), triangle.graph.cycle_matrix)
+            np.diag(triangle.resistances),
+            circuit_matrix(g, fundamental_circuits(g)))
         np.testing.assert_allclose(field.edge_field.covariance, oracle,
                                    atol=1e-12)
         np.testing.assert_allclose(np.diag(field.edge_field.covariance),
@@ -74,7 +77,8 @@ class TestBuildFreeField:
         for i in range(25):
             net = random_network(instance_rng(307, i))
             field = build_free_field(net)
-            for row in net.graph.cycle_matrix:
+            for row in circuit_matrix(net.graph,
+                                      fundamental_circuits(net.graph)):
                 assert linear_functional_variance(field.edge_field, row) <= 1e-10
             rank = np.linalg.matrix_rank(field.edge_field.covariance, tol=1e-9)
             assert rank == net.graph.n_vertices - 1
@@ -191,8 +195,8 @@ class TestBasisIndependence:
             net = random_network(instance_rng(331, i))
             field = build_free_field(net)
             all_rows = circuit_matrix(net.graph, enumerate_circuits(net.graph))
-            conditioned = condition_on_zero(
-                independent_gaussian(net.resistances), all_rows)
+            conditioned = condition_on_value(
+                independent_gaussian(net.resistances), all_rows, 0.0)
             diff = np.max(np.abs(conditioned.covariance
                                  - field.edge_field.covariance))
             assert diff <= 1e-9
@@ -305,8 +309,9 @@ class TestProjectionForm:
             field = build_free_field(net)
             assert field.factor[1].shape[1] == graph.cycle_rank
             power = dissipated_power(net, min_energy_flow_oracle(net, a, b))
-            general = condition_on_zero(independent_gaussian(net.resistances),
-                                        graph.cycle_matrix)
+            general = condition_on_value(
+                independent_gaussian(net.resistances),
+                circuit_matrix(graph, fundamental_circuits(graph)), 0.0)
             for variance in (
                     potential_difference_variance(field, a, b),
                     linear_functional_variance(

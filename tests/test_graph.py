@@ -27,6 +27,7 @@ from gffresist import graph as graph_module
 from gffresist.cli import parse_network
 from gffresist.electric import kvl_residual, min_energy_flow_oracle
 from gffresist.errors import (
+    DimensionMismatchError,
     DisconnectedError,
     GffResistError,
     DuplicateVertexNameError,
@@ -39,7 +40,7 @@ from gffresist.errors import (
     ValidationError,
 )
 from gffresist.gff import build_free_field, eta_field, potential_difference_variance
-from gffresist.graph import make_circuit
+from gffresist.graph import make_circuit, scaled_cycles
 from gffresist.verify import (
     entropy_chain,
     instance_rng,
@@ -48,6 +49,20 @@ from gffresist.verify import (
 )
 
 from test_electric import grid_network
+
+
+def scaled(g, s):
+    """scaled_cycles into a fresh zeroed Fortran array, returned."""
+    out = np.zeros((len(s), g.cycle_rank), order="F")
+    assert scaled_cycles(g, s, out) is out
+    return out
+
+
+def oracle_scaled(g, s):
+    """diag(s) C' from the walk API's circuits, one copy of C per E-long
+    block of s."""
+    cycles = circuit_matrix(g, fundamental_circuits(g))
+    return (np.tile(cycles, len(s) // g.n_edges) * s).T
 
 DATA = Path(__file__).parent / "data"
 
@@ -243,22 +258,22 @@ class TestBuild:
         assert fresh != Multigraph(g.vertices, [0, 1, 1], [1, 2, 2])
 
     @pytest.mark.parametrize("name", ["triangle.json", "grid4.json"])
-    def test_cycle_matrix_view(self, name):
+    def test_scaled_cycles_on_network_files(self, name):
         g = parse_network(str(DATA / name)).graph
-        m = g.cycle_matrix
-        assert m is g.cycle_matrix
-        assert not m.flags.writeable
-        expected = circuit_matrix(g, fundamental_circuits(g))
-        assert m.shape == expected.shape
-        assert m.tobytes() == expected.tobytes()
+        s = np.random.default_rng(7).uniform(0.1, 10.0, g.n_edges)
+        out, expected = scaled(g, s), oracle_scaled(g, s)
+        assert out.flags.f_contiguous
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
 
-    def test_cycle_matrix_of_a_tree_is_empty(self, series_path):
-        assert series_path.graph.cycle_matrix.shape == (0, 2)
+    def test_scaled_cycles_of_a_tree_is_empty(self, series_path):
+        assert scaled(series_path.graph, np.ones(2)).shape == (2, 0)
+        assert scaled(series_path.graph, np.ones(4)).shape == (4, 0)
 
     def test_one_circuit_build_per_graph(self, monkeypatch, bridge):
         # Every route reads the cycle basis through the cached cycle_blocks,
-        # from which cycle_matrix is built, so the basis is built once per
-        # graph.
+        # from which scaled_cycles writes each QR input, so the basis is
+        # built once per graph.
         calls = []
         original = graph_module._cycle_basis
 
@@ -274,16 +289,19 @@ class TestBuild:
                       2.0 * bridge.resistances, 0, 3)
         assert calls == [bridge.graph]
 
-    def test_cycle_matrix_equals_the_circuit_oracle(self):
-        # Random multigraphs with parallel edges: the array-built basis
-        # equals the stacked sign vectors of the built circuits, byte for
-        # byte.
+    def test_scaled_cycles_equals_the_circuit_oracle(self):
+        # Random multigraphs with parallel edges, one block and two stacked
+        # blocks: the block-form product equals the scaled sign vectors of
+        # the built circuits, byte for byte.
         parallel = 0
         for i in range(300):
             g = random_network(instance_rng(83, i)).graph
-            expected = circuit_matrix(g, fundamental_circuits(g))
-            assert g.cycle_matrix.shape == expected.shape
-            assert g.cycle_matrix.tobytes() == expected.tobytes()
+            rng = np.random.default_rng(i)
+            for m in (1, 2):
+                s = np.exp(rng.uniform(-12.0, 12.0, m * g.n_edges))
+                out, expected = scaled(g, s), oracle_scaled(g, s)
+                assert out.shape == expected.shape
+                assert out.tobytes() == expected.tobytes()
             parallel += bool(g.parallel.any())
         assert parallel > 100
 
@@ -309,30 +327,43 @@ class TestBuild:
             assert sorted([*tree_ids, *chords]) == list(range(g.n_edges))
             assert block.shape == (g.cycle_rank, g.n_vertices - 1)
             assert set(np.unique(block)) <= {-1.0, 0.0, 1.0}
-            cycles = g.cycle_matrix
+            cycles = circuit_matrix(g, fundamental_circuits(g))
             assert np.array_equal(cycles[:, chords], np.eye(len(chords)))
             assert cycles[:, tree_ids].tobytes() == block.tobytes()
 
-    def test_cycle_matrix_keeps_its_dense_construction(self):
-        # The dense form built directly, chord rows e_e + P[tail] - P[head]:
-        # the block form's cycle_matrix is the same, byte for byte.
+    def test_scaled_cycles_keeps_the_dense_construction(self):
+        # The dense form built directly, chord rows e_e + P[tail] - P[head],
+        # then scaled: scaled_cycles writes the same, byte for byte, for one
+        # block and for m = 2 stacked blocks.
+        rng = np.random.default_rng(11)
         for g in self.block_form_networks():
             paths = g.tree_paths
             chords = np.flatnonzero(~paths.any(axis=0))
             dense = (paths[g.tails[chords]]
                      - paths[g.heads[chords]]).astype(float)
             dense[np.arange(len(chords)), chords] = 1.0
-            assert g.cycle_matrix.shape == dense.shape
-            assert g.cycle_matrix.tobytes() == dense.tobytes()
+            for m in (1, 2):
+                s = rng.uniform(0.1, 10.0, m * g.n_edges)
+                expected = (np.tile(dense, m) * s).T
+                assert scaled(g, s).tobytes() == expected.tobytes()
 
-    def test_cycle_matrix_needs_a_spanning_tree(self):
+    def test_scaled_cycles_needs_a_spanning_tree(self):
         g = Multigraph(("a", "b", "c"), [0], [1])
-        with pytest.raises(NotASpanningTreeError):
-            g.cycle_matrix
+        with pytest.raises(DisconnectedError):
+            scaled_cycles(g, np.ones(1), np.zeros((1, 0), order="F"))
         with pytest.raises(NotASpanningTreeError):
             g.cycle_blocks
         with pytest.raises(NotASpanningTreeError):
             g.tree_paths
+
+    @pytest.mark.parametrize("size, shape", [(4, (4, 1)), (3, (3, 2)),
+                                             (6, (3, 1))])
+    def test_scaled_cycles_shape_mismatch_raises(self, triangle, size,
+                                                 shape):
+        # s must be whole 3-edge blocks, and out (len(s), k) with k = 1.
+        with pytest.raises(DimensionMismatchError, match="3 edges"):
+            scaled_cycles(triangle.graph, np.ones(size),
+                          np.zeros(shape, order="F"))
 
 
 class TestSpanningTree:

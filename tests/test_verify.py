@@ -34,7 +34,9 @@ from gffresist.errors import (
     SingularSystemError,
     ValidationError,
 )
-from gffresist.graph import build_multigraph
+from gffresist.gaussian import conditioned_variance
+from gffresist.gff import build_free_field
+from gffresist.graph import build_multigraph, tree_walk_vector
 from gffresist.verify import (
     DEFAULT_TOL,
     Inequality,
@@ -45,7 +47,8 @@ from gffresist.verify import (
     random_network,
     random_pair,
 )
-from test_electric import grid_network
+from test_electric import dense_circuit_caches, grid_network
+from test_gaussian import block_diagonal, cycle_rows, diagonal
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -282,6 +285,51 @@ class TestEntropyChain:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * (2 * g.n_edges * g.cycle_rank * 8)
+
+    def test_cold_cache_peak_memory(self):
+        # The same chain on a fresh graph, its caches built inside the
+        # trace: no k x E circuit matrix is cached beside the fields.
+        # Caching one read 2.12 units.
+        rng = np.random.default_rng(24)
+        net = grid_network(24, rng)
+        g, r = net.graph, net.resistances
+        r_bar = grid_network(24, rng).resistances
+        tracemalloc.start()
+        try:
+            entropy_chain(g, r, r_bar, 0, 575)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * (2 * g.n_edges * g.cycle_rank * 8)
+        assert not dense_circuit_caches(g)
+
+    @pytest.mark.parametrize("side", [12, 16, 24])
+    def test_bit_identical_to_circuit_rows(self, side):
+        # Every variance of the chain, and the free field's factor, as the
+        # dense circuit rows of the walk API give them, bit for bit.
+        rng = np.random.default_rng(side)
+        net = grid_network(side, rng)
+        g, r = net.graph, net.resistances
+        r_bar = grid_network(side, rng).resistances
+        a, b = 0, g.n_vertices - 1
+        phi = cycle_rows(g)
+        free = [diagonal(x, phi) for x in (r + r_bar, r_bar, r)]
+        for got, expected in zip(build_free_field(net).factor, free[2]):
+            assert np.array_equal(got, expected)
+        walk = tree_walk_vector(g, a, b)
+        doubled = np.concatenate([walk, walk])
+        var_hat, var_bar, var = (conditioned_variance(f, walk) for f in free)
+        expected = {
+            "var_hat": var_hat,
+            "var_joint_hat": conditioned_variance(diagonal(
+                np.concatenate([r, r_bar]), np.hstack([phi, phi])), doubled),
+            "var_joint_split": conditioned_variance(
+                block_diagonal(free[2], r_bar, phi), doubled),
+            "var_sum": var + var_bar,
+        }
+        report = entropy_chain(g, r, r_bar, a, b)
+        for name, value in expected.items():
+            assert report.quantity(name) == value, name
 
     def test_random_instances(self):
         for i in range(25):
