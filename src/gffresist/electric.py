@@ -7,8 +7,9 @@ edges that keep both ends, so the vertex order sets the cost, O(V kd^2),
 not the value. ``stacked_voltages`` solves a check's networks, one
 resistance row each, as one stack, each row bit for bit its solve alone.
 The Thomson flow follows by Ohm's law; an independent minimum-energy route
-re-derives it by ``dposv`` on the dense cycle Gram, sharing no arithmetic
-with the Laplacian's ``dpbsv``. Both raise the same errors (``_check_solve``)
+re-derives it by ``dposv`` on the dense cycle Gram, formed as one
+symmetric product ``W W^T`` and sharing no arithmetic with the Laplacian's
+``dpbsv``. Both raise the same errors (``_check_solve``)
 and warn (``LinAlgWarning``) when the reciprocal 1-norm condition number,
 exact for the Laplacian (an M-matrix) and ``dpocon``'s estimate for the
 Gram, falls below machine epsilon. Each graph keeps its last
@@ -38,8 +39,6 @@ EPS = np.finfo(float).eps
 # Solves stacked_voltages keeps per graph: one suite instance or
 # grid-electric op solves at most 16 distinct networks.
 VOLTAGE_MEMO_SIZE = 16
-# Gram rows mirrored at once: bounds temporaries; larger squares copy slower.
-MIRROR_ROWS = 64
 # Band bytes stacked_voltages assembles at once, at least one row: a
 # grid-electric stack (at most 12 rows of 35 KB) is one slice, a 100x100
 # grid's 8 MB bands go two at a time.
@@ -320,20 +319,15 @@ def thomson_flow(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
 
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple:
-    """Solve ``gram @ t = rhs``, the cycle Gram's upper triangle read, in
-    place; returns ``(t, rcond)``. Mirrored onto the lower triangle, the
-    Gram is ``gram.T`` in Fortran order, which ``dposv``, ``dlange`` (its
-    1-norm) and ``dpocon`` (its rcond; Hager 1984, Higham 1988) take
-    without a copy. A non-finite Gram or right-hand side raises before the
-    solve. A 0x0 system (a tree has no cycles) has the empty solution.
+    """Solve ``gram @ t = rhs`` in place for a bitwise-symmetric Gram;
+    returns ``(t, rcond)``. Being symmetric, the Gram is ``gram.T`` in
+    Fortran order, which ``dposv``, ``dlange`` (its 1-norm) and ``dpocon``
+    (its rcond; Hager 1984, Higham 1988) take without a copy. A non-finite
+    Gram or right-hand side raises before the solve. A 0x0 system (a tree
+    has no cycles) has the empty solution.
     """
     if not len(rhs):
         return rhs, 1.0
-    for start in range(0, len(gram), MIRROR_ROWS):
-        rows = gram[start:start + MIRROR_ROWS]
-        square = rows[:, start:start + len(rows)]
-        rows[:, :start] = gram[:start, start:start + len(rows)].T
-        np.copyto(square, square.T, where=np.tri(len(rows), k=-1, dtype=bool))
     norm = dlange("1", gram.T)
     _check_solve(0, "", norm, rhs)
     factor, t, info = dposv(gram.T, rhs, overwrite_a=1)
@@ -350,10 +344,12 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     circuit sign vectors; the power quadratic is minimized by solving its
     normal equations in cycle coordinates. The circuit matrix is ``[I_k |
     D]`` up to a column permutation (``Multigraph.cycle_blocks``), so with
-    the tree-path flow ``base`` (zero on the chords) the Gram is ``(D
-    r_tree) D^T + diag(r_chords)``, the right-hand side ``-(D r_tree)
-    base_tree``, and the flow ``base`` plus ``D^T t`` on the tree edges and
-    ``t`` on the chords: the dense k x E circuit matrix is never formed.
+    the tree-path flow ``base`` (zero on the chords) the Gram is ``W W^T +
+    diag(r_chords)`` with ``W = D sqrt(r_tree)``, the right-hand side ``-(D
+    r_tree) base_tree``, and the flow ``base`` plus ``D^T t`` on the tree
+    edges and ``t`` on the chords: the dense k x E circuit matrix is never
+    formed. numpy forms ``W @ W.T`` by SYRK and fills both triangles from
+    one, so the Gram is bitwise symmetric, as ``_gram_solve`` requires.
     """
     g = n.graph
     flow = tree_walk_vector(g, a, b)
@@ -363,7 +359,8 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     # reaches the Gram's norm or the right-hand side, and _gram_solve
     # raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = (block * r[tree_ids]) @ block.T
+        scaled = block * np.sqrt(r[tree_ids])
+        gram = scaled @ scaled.T
         gram[np.diag_indices(len(chords))] += r[chords]
         rhs = -(block @ (r[tree_ids] * flow[tree_ids]))
     t, _ = _gram_solve(gram, rhs)

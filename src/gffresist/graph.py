@@ -31,6 +31,19 @@ from .errors import (
 DEFAULT_CIRCUIT_LIMIT = 1_000_000
 
 
+def check_index(value, what: str):
+    """Raise ValidationError naming ``what`` unless ``value`` is an integer
+    index: numpy integers are, a bool is not, though Python counts True
+    as 1."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise ValidationError(
+            f"{what} {value!r} is not an integer index") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Multigraph:
     """Connected undirected multigraph without self-loops. ``vertices``
@@ -164,13 +177,7 @@ class Multigraph:
         NotASpanningTreeError for one outside 0 <= v < n_vertices: a negative
         index never wraps."""
         for v in vertices:
-            try:
-                if isinstance(v, (bool, np.bool_)):
-                    raise TypeError
-                operator.index(v)
-            except TypeError:
-                raise ValidationError(
-                    f"vertex {v!r} is not an integer index") from None
+            check_index(v, "vertex")
         for i, v in enumerate(vertices):
             if v in vertices[:i]:
                 name = self.vertices[v] if 0 <= v < self.n_vertices else int(v)

@@ -47,6 +47,7 @@ from .gff import (
 from .graph import (
     Multigraph,
     build_multigraph,
+    check_index,
     scaled_cycles,
     tree_walk_vector,
 )
@@ -344,10 +345,12 @@ def check_scaling(graph: Multigraph, r, t: float, a: int, b: int,
 def check_monotonicity(graph: Multigraph, r, edge: int, delta: float,
                        a: int, b: int,
                        tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Raising one edge resistance never lowers the effective resistance."""
+    """Raising one edge resistance never lowers the effective resistance.
+    ``edge`` is an integer index (``check_index``) below the edge count."""
     if delta <= 0:
         raise ValidationError("resistance bump must be positive")
     r = np.asarray(r, dtype=float)
+    check_index(edge, "edge id")
     if not 0 <= edge < graph.n_edges:
         raise ValidationError(f"edge id {edge} out of range")
     net = ResistiveNetwork(graph, r)
@@ -386,15 +389,16 @@ class AppendixInstance:
         cov_w_bar = np.asarray(self.cov_w_bar, dtype=float)
         functional = np.asarray(self.functional, dtype=float)
         conditioning = np.atleast_2d(np.asarray(self.conditioning, dtype=float))
-        n = cov_w.shape[0]
+        n = len(cov_w) if cov_w.ndim == 2 else -1
         if cov_w.shape != (n, n) or cov_w_bar.shape != (n, n):
             raise DimensionMismatchError("covariance blocks must be square and equal-size")
         if functional.shape != (2 * n,):
             raise DimensionMismatchError(
                 f"functional must have length {2 * n}, got {functional.shape}")
-        if conditioning.shape[1] != n:
+        if conditioning.ndim != 2 or conditioning.shape[1] != n:
             raise DimensionMismatchError(
-                f"conditioning rows must have {n} columns")
+                f"conditioning rows must have {n} columns, got shape "
+                f"{conditioning.shape}")
         object.__setattr__(self, "cov_w", cov_w)
         object.__setattr__(self, "cov_w_bar", cov_w_bar)
         object.__setattr__(self, "functional", functional)
@@ -421,14 +425,8 @@ def random_appendix_instance(dim: int, seed: int) -> AppendixInstance:
 
 def appendix_check(instance: AppendixInstance,
                    tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Conditioning on the sum leaves at least the variance of conditioning
-    on the parts, and the conditional variance ignores the pinned value.
-
-    The second relation holds by construction: condition_on_value's
-    covariance never reads ``values``, so var_given_hat_alt equals
-    var_given_hat exactly. The witness can fail only by raising
-    InconsistentConstraintError, were the second value unreachable.
-    """
+    """Conditioning on the sum leaves at least the variance, and the
+    entropy, of conditioning on the parts."""
     joint = GaussianVector(
         np.zeros(2 * instance.dim),
         scipy.linalg.block_diag(instance.cov_w, instance.cov_w_bar))
@@ -444,24 +442,15 @@ def appendix_check(instance: AppendixInstance,
     h_hat = entropy_scalar(var_hat, VARIANCE_CLAMP * prior)
     h_split = entropy_scalar(var_split, VARIANCE_CLAMP * prior)
 
-    # The conditional covariance formula has no dependence on the pinned
-    # value; witness it at a second, reachable value.
-    gram = hat_rows @ joint.covariance @ hat_rows.T
-    alt_value = gram @ np.ones(len(hat_rows))
-    cond_alt = condition_on_value(joint, hat_rows, alt_value)
-    var_hat_alt = linear_functional_variance(cond_alt, instance.functional)
-
     quantities = (
         ("var_given_hat", var_hat),
         ("var_given_split", var_split),
         ("h_given_hat", h_hat),
         ("h_given_split", h_split),
-        ("var_given_hat_alt", var_hat_alt),
     )
     return _judged("appendix_lemma", quantities, [
         ("var_given_hat", ">=", "var_given_split", prior),
         ("h_given_hat", ">=", "h_given_split", 1.0),
-        ("var_given_hat", "==", "var_given_hat_alt", prior),
     ], tol)
 
 

@@ -189,16 +189,17 @@ def scipy_voltages(net: ResistiveNetwork, a: int, b: int) -> np.ndarray:
 def block_gram(net: ResistiveNetwork) -> tuple:
     """Reference: the cycle Gram in the documented block form, read off
     the walk API's circuit matrix: its tree-edge columns D and the identity
-    on the chords, so the Gram is ``(D r_tree) D^T + diag(r_chords)``.
-    Returns ``(gram, D r_tree, tree_ids, chords, D)``."""
+    on the chords, so the Gram is ``W W^T + diag(r_chords)`` with ``W = D
+    sqrt(r_tree)``. Returns ``(gram, D r_tree, tree_ids, chords, D)``."""
     g, r = net.graph, net.resistances
     tree_ids = np.array(sorted(spanning_tree(g)), dtype=int)
     chords = np.setdiff1d(np.arange(g.n_edges), tree_ids)
     block = np.ascontiguousarray(
         circuit_matrix(g, fundamental_circuits(g))[:, tree_ids])
-    weighted = block * r[tree_ids]
-    gram = weighted @ block.T
+    scaled = block * np.sqrt(r[tree_ids])
+    gram = scaled @ scaled.T
     gram[np.diag_indices(len(chords))] += r[chords]
+    weighted = block * r[tree_ids]
     return gram, weighted, tree_ids, chords, block
 
 
@@ -309,14 +310,24 @@ class TestSpdSolve:
         assert x.shape == (0,)
         assert rcond == 1.0
 
-    def test_reads_the_upper_triangle(self):
-        # dposv, like the cho_factor reference, factors the upper triangle:
-        # a Gram formed by GEMM need not be bitwise symmetric.
-        matrix = np.array([[4.0, 1.0], [-7.0, 3.0]])
-        symmetric = np.array([[4.0, 1.0], [1.0, 3.0]])
-        rhs = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(_gram_solve(matrix, rhs)[0],
-                                      _gram_solve(symmetric, rhs)[0])
+    def test_the_oracles_gram_is_bitwise_symmetric(self, monkeypatch):
+        # _gram_solve hands gram.T to LAPACK as the same matrix; numpy's
+        # W @ W.T is SYRK, which fills both triangles from one.
+        grams = []
+
+        def recorded(gram, rhs):
+            grams.append(gram.copy())
+            return _gram_solve(gram, rhs)
+        monkeypatch.setattr(electric, "_gram_solve", recorded)
+        rng = np.random.default_rng(25)
+        networks = [grid_network(side, rng) for side in (4, 8, 16, 24)]
+        networks += [random_network(instance_rng(97, i), max_vertices=40,
+                                    max_edges=120) for i in range(200)]
+        for net in networks:
+            min_energy_flow_oracle(net, 0, net.graph.n_vertices - 1)
+        assert len(grams) == len(networks)
+        for gram in grams:
+            assert np.array_equal(gram, gram.T)
 
     @pytest.mark.parametrize("size", [0, 1, 2, 5, 40])
     def test_matches_cho_solve(self, size):
