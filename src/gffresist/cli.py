@@ -10,7 +10,8 @@ Exit codes: 0 all checks pass, 1 a verified inequality failed beyond
 tolerance, 2 usage error (an option the command does not read included) or
 malformed input (a file that is not UTF-8 or not JSON included), 3
 semantically invalid input (self-loop, a resistance that is not finite or
-is below MIN_RESISTANCE, disconnected graph).
+is below MIN_RESISTANCE, disconnected graph). A reader that closes stdout
+early (``| head``) changes neither the exit code nor stderr (``_print``).
 """
 
 import argparse
@@ -226,13 +227,23 @@ def render_report(report: VerificationReport) -> str:
     return "\n".join(lines)
 
 
+def _print(text: str) -> None:
+    """Print and flush ``text``, the one write of every command. Once the
+    reader has closed stdout, its descriptor points at os.devnull: the rest
+    and the final flush are dropped quietly, the exit status unchanged."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit_report(report: VerificationReport, args) -> int:
     if getattr(args, "bits", False):
         report = to_bits(report)
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(render_report(report))
+    _print(json.dumps(report.to_dict(), indent=2) if args.format == "json"
+           else render_report(report))
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
@@ -274,7 +285,7 @@ def _cmd_reff(args, parser) -> int:
     if args.format == "json":
         return _emit_report(_simple_report("effective_resistance",
                                            [("reff", reff)]), args)
-    print(fmt(reff))
+    _print(fmt(reff))
     return EXIT_PASS
 
 
@@ -287,8 +298,7 @@ def _cmd_gff(args, parser) -> int:
         return _emit_report(_simple_report("gff_variance",
                                            [("var_u", var), ("reff", reff)]),
                             args)
-    print(f"var_u = {fmt(var)}")
-    print(f"reff  = {fmt(reff)}")
+    _print(f"var_u = {fmt(var)}\nreff  = {fmt(reff)}")
     return EXIT_PASS
 
 
@@ -307,12 +317,13 @@ def _cmd_thomson(args, parser) -> int:
     if args.format == "json":
         return _emit_report(_simple_report("thomson_flow", quantities), args)
     names = g.vertices
-    print(f"thomson flow, unit current {names[a]} -> {names[b]}")
-    for e, (tail, head, parallel) in enumerate(g.edges):
-        print(f"  edge {e}  {names[tail]} -> {names[head]}"
-              f"  (parallel {parallel})  I = {fmt(flow.currents[e])}")
-    for label, value in quantities[g.n_edges:]:
-        print(f"  {label} = {fmt(value)}")
+    lines = [f"thomson flow, unit current {names[a]} -> {names[b]}"]
+    lines += [f"  edge {e}  {names[tail]} -> {names[head]}"
+              f"  (parallel {parallel})  I = {fmt(flow.currents[e])}"
+              for e, (tail, head, parallel) in enumerate(g.edges)]
+    lines += [f"  {label} = {fmt(value)}"
+              for label, value in quantities[g.n_edges:]]
+    _print("\n".join(lines))
     return EXIT_PASS
 
 
@@ -342,15 +353,17 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_suite(args, parser) -> int:
     summary = verify.run_suite(args.seed, args.instances, args.tol)
     if args.format == "json":
-        print(json.dumps(summary, indent=2))
+        _print(json.dumps(summary, indent=2))
     else:
-        print(f"suite seed={args.seed} instances={args.instances} "
-              f"tol={fmt(args.tol)}")
+        lines = [f"suite seed={args.seed} instances={args.instances} "
+                 f"tol={fmt(args.tol)}"]
         for name, entry in summary["checks"].items():
             status = "pass" if entry["failures"] == 0 else \
                 f"FAIL ({entry['failures']} instances)"
-            print(f"  {name}: {status}  worst_margin={fmt(entry['worst_margin'])}")
-        print(f"  overall: {'pass' if summary['pass'] else 'FAIL'}")
+            lines.append(f"  {name}: {status}  "
+                         f"worst_margin={fmt(entry['worst_margin'])}")
+        lines.append(f"  overall: {'pass' if summary['pass'] else 'FAIL'}")
+        _print("\n".join(lines))
     return EXIT_PASS if summary["pass"] else EXIT_CHECK_FAILED
 
 

@@ -11,8 +11,9 @@ re-derives it by ``dposv`` on the dense cycle Gram, formed as one
 symmetric product ``W W^T`` and sharing no arithmetic with the Laplacian's
 ``dpbsv``. Both raise the same errors (``_check_solve``)
 and warn (``LinAlgWarning``) when the reciprocal 1-norm condition number,
-exact for the Laplacian (an M-matrix) and ``dpocon``'s estimate for the
-Gram, falls below machine epsilon. Each graph keeps its last
+exact for the Laplacian (an M-matrix, its 1-norm read from its own band's
+row sums) and ``dpocon``'s estimate for the Gram, falls below machine
+epsilon. Each graph keeps its last
 VOLTAGE_MEMO_SIZE voltage solves, and builds once what depends on it alone:
 the band plan for the last ground and the cycle basis in block form.
 """
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning
+from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dlange, dpbsv, dpocon, dposv
 
 from .errors import (
@@ -141,17 +143,13 @@ def _check_solve(info: int, message: str, *values):
 class _BandPlan:
     """The graph-only part of ``laplacian(n, ground)``: per band entry kept,
     in edge order, its ``np.bincount`` slot, its edge and its sign, -1.0 for
-    an off-diagonal entry; the band's ``kd`` and ``size``; and for
-    the ground norm, the ground's edges and the reduced index of each one's
-    other end (both empty without a ground)."""
+    an off-diagonal entry; and the band's ``kd`` and ``size``."""
 
     slots: np.ndarray
     edge_ids: np.ndarray
     signs: np.ndarray
     kd: int
     size: int
-    ground_edges: np.ndarray
-    ground_ends: np.ndarray
 
 
 def _band_plan(g: Multigraph, ground) -> _BandPlan:
@@ -168,7 +166,6 @@ def _band_plan(g: Multigraph, ground) -> _BandPlan:
     edge_ids = np.repeat(np.arange(g.n_edges), 3)
     signs = np.tile([-1.0, 1.0, 1.0], g.n_edges)
     size = g.n_vertices
-    ground_edges = ground_ends = np.zeros(0, dtype=int)
     if ground is not None:
         kept = (rows != ground) & (cols != ground)
         rows, cols = rows[kept], cols[kept]
@@ -176,15 +173,9 @@ def _band_plan(g: Multigraph, ground) -> _BandPlan:
         rows = rows - (rows > ground)
         cols = cols - (cols > ground)
         size -= 1
-        # Each edge at the ground joins it to its other end, t + h - ground.
-        at_ground = (t == ground) | (h == ground)
-        ground_edges = np.flatnonzero(at_ground)
-        ground_ends = (t + h - ground)[at_ground]
-        ground_ends = ground_ends - (ground_ends > ground)
     kd = int(np.max(cols - rows, initial=0))
     # Column-major, slot (kd + i - j, j) lies at offset kd * (j + 1) + i.
-    plan = _BandPlan(kd * (cols + 1) + rows, edge_ids, signs, kd, size,
-                     ground_edges, ground_ends)
+    plan = _BandPlan(kd * (cols + 1) + rows, edge_ids, signs, kd, size)
     g.band_plans.clear()
     g.band_plans[ground] = plan
     return plan
@@ -228,8 +219,8 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
     ``dpbsv`` call each (one for all would leave cache), with
     a second right-hand side for the exact rcond of the M-matrix A: the
     ones vector times the power of two c in ``(||A||_1 / 2, ||A||_1]``, so
-    ``||A^-1||_1 = max(y) / c``, where ``||A||_1 = max_j(2 d_j - g_j)``,
-    less each vertex's conductance to ground. A positive 1x1 system is one
+    ``||A^-1||_1 = max(y) / c`` (A^-1 >= 0), with ``||A||_1`` read from the
+    band's own row sums (``_solved_slice``). A positive 1x1 system is one
     division. An error is never kept. Threads sharing a graph must not call
     this at once: the memo takes no lock.
     """
@@ -252,7 +243,7 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
         rows = max(1, STACK_BYTES // (8 * (plan.kd + 1) * plan.size))
         for i in range(0, len(r), rows):
             found.update(zip(missing[i:i + rows], _solved_slice(
-                graph, plan, r[i:i + rows], a, b)))
+                graph, r[i:i + rows], a, b)))
     for key, entry in found.items():
         memo.pop(key, None)
         if len(memo) >= VOLTAGE_MEMO_SIZE:
@@ -264,16 +255,17 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
         len(keys), graph.n_vertices)
 
 
-def _solved_slice(graph: Multigraph, plan: _BandPlan, r: np.ndarray,
-                  a: int, b: int) -> list:
+def _solved_slice(graph: Multigraph, r: np.ndarray, a: int, b: int) -> list:
     """(potentials, rcond) of each row of ``r`` by stacked_voltages' solve,
-    its bands assembled by one ``laplacian`` call."""
+    its bands assembled by one ``laplacian`` call. Off-diagonals are <= 0,
+    so ``||A||_1 = max_j(2 A_jj - (A 1)_j)``; one ``dsbmv`` forms every
+    ``A 1`` before ``dpbsv`` overwrites the bands, which side by side are
+    the band of blockdiag(A, ...): the slots above each A are 0."""
     bands = laplacian(_Stack(graph, r), ground=b)
-    rows, size = np.arange(len(r))[:, None], plan.size
-    to_ground = np.bincount((plan.ground_ends + rows * size).ravel(),
-                            (1.0 / r[:, plan.ground_edges]).ravel(),
-                            minlength=len(r) * size).reshape(len(r), size)
-    norms = (2.0 * bands[:, -1] - to_ground).max(axis=1)
+    kd, size = bands.shape[1] - 1, bands.shape[2]
+    sums = dsbmv(kd, 1.0, bands.swapaxes(1, 2).reshape(-1, kd + 1).T,
+                 np.ones(len(r) * size)).reshape(len(r), size)
+    norms = (2.0 * bands[:, -1] - sums).max(axis=1)
     scales = np.ldexp(0.5, np.frexp(norms)[1])
     rhs = np.zeros((len(r), 2, size))
     rhs[:, 0, a - (a > b)] = 1.0

@@ -14,10 +14,9 @@ rows are. It takes M only as ``fill(s, out)``, which writes B' = diag(s)
 M' into the zeroed array that QR then overwrites (graph.scaled_cycles
 for circuit rows), so no M is held beside it. A factor is (s, h1, tau1,
 h2, tau2, ...): s and a sequence of reflector blocks, each acting from
-the row where the blocks before it end. condition_diagonal returns one
-block; condition_block_diagonal appends an independent block with its
-own rows, QR-factoring only the new block, so its reflectors are never
-assembled into one matrix.
+the row where the blocks before it end. condition_block_diagonal, the
+one constructor, appends an independent block with its own rows and
+QR-factors only it; condition_diagonal appends one to the empty factor.
 """
 
 import math
@@ -170,9 +169,8 @@ def condition_diagonal(variances, k: int, fill) -> tuple:
     """Factor (s, h, tau) of the independent Gaussian with these variances
     given M x = 0 for k rows M: s = sqrt(variances) and (h, tau), LAPACK
     dgeqrf's compact Householder QR of B = diag(s) M', whose k reflectors Q
-    span col(B). ``fill(s, out)`` writes B into a zeroed Fortran E x k
-    ``out``, which dgeqrf then overwrites: ``graph.scaled_cycles`` for
-    circuit rows. O(E k^2); Q itself is never formed.
+    span col(B), in O(E k^2) without forming Q: condition_block_diagonal
+    on the empty factor, the one path that builds a reflector block.
 
     The k rows must be linearly independent, as every circuit-row stack is:
     each row of C, [C, C] or blockdiag(C, C) owns a chord column with entry
@@ -184,10 +182,7 @@ def condition_diagonal(variances, k: int, fill) -> tuple:
     free-field route would then share its arithmetic with the flow route it
     cross-checks.
     """
-    s = np.sqrt(np.asarray(variances, dtype=float))
-    b = np.zeros((s.size, k), order="F")
-    fill(s, b)
-    return _independent((s, *_compact_qr(b)), k)
+    return condition_block_diagonal((np.zeros(0),), variances, k, fill)
 
 
 def condition_block_diagonal(factor: tuple, variances, k: int,
@@ -196,8 +191,9 @@ def condition_block_diagonal(factor: tuple, variances, k: int,
     rows M . y = 0, for y independent of x with these variances:
     ``factor`` with the reflector block (h2, tau2) of one QR of the new
     block appended, the same reflectors as condition_diagonal's for
-    blockdiag(rows of x, M), never assembled into one matrix. ``fill``
-    writes D = diag(s) M' as for condition_diagonal.
+    blockdiag(rows of x, M), never assembled into one matrix. ``fill(s,
+    out)`` writes D = diag(s) M' into a zeroed Fortran ``out``, which
+    dgeqrf then overwrites: ``graph.scaled_cycles`` for circuit rows.
 
     Householder QR follows the zero blocks of blockdiag(B, D) (Golub & Van
     Loan, Matrix Computations, 4th ed., 5.1-5.2). The k1 reflectors of B

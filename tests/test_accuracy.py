@@ -1,4 +1,5 @@
-"""Accuracy of the routes against a 50-digit mpmath Laplacian solve.
+"""Accuracy of the routes, and of the Laplacian route's exact rcond, against
+a 50-digit mpmath Laplacian solve.
 
 The inputs are the 150 networks ``random_network(instance_rng(99, i))``
 with resistances log-uniform on [1, span] (``exp(U(0, ln span))``), the
@@ -26,6 +27,8 @@ from gffresist.verify import (
     random_resistances,
 )
 
+from test_electric import laplacian_rcond
+
 DIGITS = 50
 N_NETWORKS = 150
 # The worst relative error measured on these inputs (numpy 2.4.6, scipy
@@ -42,25 +45,49 @@ BOUNDS = {
            "free_field": 7e-11,                 # 1.78e-11
            "fine_side": 1e-11},                 # 2.31e-12
 }
+# The Laplacian route's exact M-matrix rcond on the networks with at least
+# 3 vertices (136 of the 150; a 1x1 system's rcond is 1): the worst
+# relative error measured and the bound at about four times it.
+RCOND_BOUNDS = {1e8: 1.5e-8,                     # 3.42e-9
+                1e12: 6e-5}                      # 1.46e-5
+
+
+def mp_grounded_laplacian(graph, r, b: int) -> tuple:
+    """The Laplacian grounded at b, in mpmath at the working precision, and
+    the index of each other vertex in it."""
+    index = {v: i for i, v in
+             enumerate(v for v in range(graph.n_vertices) if v != b)}
+    lap = mpmath.zeros(len(index))
+    for u, v, x in zip(graph.tails, graph.heads, r):
+        g = 1 / mpmath.mpf(float(x))
+        for p, q in ((u, v), (v, u)):
+            if p in index:
+                lap[index[p], index[p]] += g
+                if q in index:
+                    lap[index[p], index[q]] -= g
+    return lap, index
 
 
 def mp_reff(graph, r, a: int, b: int):
     """Effective resistance between a and b at DIGITS digits: the Laplacian
     grounded at b, solved by mpmath's LU."""
     with mpmath.workdps(DIGITS):
-        index = {v: i for i, v in
-                 enumerate(v for v in range(graph.n_vertices) if v != b)}
-        lap = mpmath.zeros(len(index))
-        for u, v, x in zip(graph.tails, graph.heads, r):
-            g = 1 / mpmath.mpf(float(x))
-            for p, q in ((u, v), (v, u)):
-                if p in index:
-                    lap[index[p], index[p]] += g
-                    if q in index:
-                        lap[index[p], index[q]] -= g
+        lap, index = mp_grounded_laplacian(graph, r, b)
         rhs = mpmath.zeros(len(index), 1)
         rhs[index[a]] = 1
         return mpmath.lu_solve(lap, rhs)[index[a]]
+
+
+def mp_rcond(graph, r, b: int):
+    """1 / (||A||_1 ||A^-1||_1) of the Laplacian A grounded at b, at DIGITS
+    digits. A^-1 >= 0 for this M-matrix, so ||A^-1||_1 = max(A^-1 1): one
+    solve."""
+    with mpmath.workdps(DIGITS):
+        lap, index = mp_grounded_laplacian(graph, r, b)
+        n = len(index)
+        norm = max(sum(abs(lap[i, j]) for i in range(n)) for j in range(n))
+        y = mpmath.lu_solve(lap, mpmath.ones(n, 1))
+        return 1 / (norm * max(y[i] for i in range(n)))
 
 
 def worst_errors(span: float) -> dict:
@@ -101,3 +128,24 @@ def test_route_error_within_its_bound(wide_span, route):
     span, worst = wide_span
     assert worst[route] <= BOUNDS[span][route], (
         f"span {span:g}: {route} worst relative error {worst[route]:.3e}")
+
+
+@pytest.mark.parametrize("span", sorted(RCOND_BOUNDS), ids="{:g}".format)
+def test_laplacian_rcond_within_its_bound(span):
+    worst, count = 0.0, 0
+    for i in range(N_NETWORKS):
+        rng = instance_rng(99, i)
+        graph = random_network(rng).graph
+        r = random_resistances(rng, graph.n_edges, 1.0, span)
+        a, b = random_pair(rng, graph.n_vertices)
+        if graph.n_vertices < 3:
+            continue
+        count += 1
+        rcond = laplacian_rcond(ResistiveNetwork(graph, r), a, b)
+        exact = mp_rcond(graph, r, b)
+        with mpmath.workdps(DIGITS):
+            error = float(abs((mpmath.mpf(rcond) - exact) / exact))
+        worst = max(worst, error)
+    assert count == 136
+    assert worst <= RCOND_BOUNDS[span], (
+        f"span {span:g}: rcond worst relative error {worst:.3e}")

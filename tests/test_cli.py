@@ -1,7 +1,9 @@
 """File ingestion, command dispatch, exit codes, and report schemas."""
 
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -382,6 +384,43 @@ class TestCommands:
         assert "seed=99" in capsys.readouterr().out
 
 
+class TestSuiteFailures:
+    def test_a_zero_tolerance_counts_each_failing_instance_once(self, capsys):
+        # Scaling's three reports per instance fail at tolerance 0.
+        code = run_command(["suite", "--instances", "20", "--tol", "0",
+                            "--format", "json"])
+        assert code == EXIT_CHECK_FAILED
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] is False
+        failures = {name: entry["failures"]
+                    for name, entry in doc["checks"].items()}
+        assert 0 < failures["scaling"] <= 20
+        assert all(0 <= count <= 20 for count in failures.values()), failures
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head``) changes neither the
+    exit status nor stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["thomson", "--network", str(DATA / "grid4.json"), "--pair", "v0,v15"],
+        ["verify", "appendix", "--dim", "3", "--seed", "1"],
+    ], ids=["thomson", "verify-appendix"])
+    def test_status_as_with_an_open_stdout(self, argv, capsys, monkeypatch):
+        expected = run_command(argv)
+        assert capsys.readouterr().out
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as closed:
+            with pytest.raises(BrokenPipeError):
+                print("x", file=closed, flush=True)
+            monkeypatch.setattr(sys, "stdout", closed)
+            code = run_command(argv)
+            monkeypatch.undo()
+        assert code == expected
+        assert capsys.readouterr().err == ""
+
+
 class TestJsonOutput:
     def validate(self, out):
         doc = json.loads(out)
@@ -419,6 +458,16 @@ class TestJsonOutput:
         assert doc["pass"] is True
         assert doc["quantities"]["h_given_split"] is None
         assert doc["inequalities"][1]["margin"] is None
+
+    def test_gff_json(self, capsys):
+        code = run_command(["gff", "--network",
+                            str(DATA / "parallel_pair.json"), "--pair", "a,b",
+                            "--format", "json"])
+        assert code == EXIT_PASS
+        doc = self.validate(capsys.readouterr().out)
+        assert doc["name"] == "gff_variance"
+        assert doc["quantities"]["var_u"] == pytest.approx(2 / 3, rel=1e-12)
+        assert doc["quantities"]["reff"] == pytest.approx(2 / 3, rel=1e-12)
 
     def test_suite_json(self, capsys):
         run_command(["suite", "--seed", "5", "--instances", "1",

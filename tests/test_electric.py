@@ -27,6 +27,7 @@ from gffresist import (
 from gffresist import electric
 from gffresist.electric import (
     VOLTAGE_MEMO_SIZE,
+    VoltageVector,
     _gram_solve,
 )
 from gffresist.cli import parse_network
@@ -1049,3 +1050,13 @@ class TestProperties:
             bumped[edge] += float(rng.uniform(0.1, 5.0))
             assert effective_resistance(ResistiveNetwork(net.graph, bumped),
                                         a, b) >= reff - 1e-10
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: FlowVector([1.0, np.nan]), "currents must be finite"),
+    (lambda: FlowVector([np.inf]), "currents must be finite"),
+    (lambda: VoltageVector([1.0, 0.5], ground=1), "ground potential"),
+], ids=["flow-nan", "flow-inf", "nonzero-ground"])
+def test_malformed_flow_and_voltage_vectors_raise(make, match):
+    with pytest.raises(ValidationError, match=match):
+        make()

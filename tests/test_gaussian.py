@@ -673,3 +673,14 @@ class TestLinearFunctionalVariance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             linear_functional_variance(independent_gaussian([1.0]), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: GaussianVector(np.zeros(2), np.eye(3)), "do not describe one"),
+    (lambda: condition_on_value(independent_gaussian([1.0, 2.0]),
+                                np.eye(2), [1.0, 2.0, 3.0]),
+     "expected 2 conditioning values"),
+], ids=["mean-and-covariance", "conditioning-values"])
+def test_mismatched_shapes_raise(make, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        make()

@@ -40,7 +40,13 @@ from gffresist.errors import (
     ValidationError,
 )
 from gffresist.gff import build_free_field, eta_field, potential_difference_variance
-from gffresist.graph import make_circuit, scaled_cycles
+from gffresist.graph import (
+    Circuit,
+    Walk,
+    make_circuit,
+    make_walk,
+    scaled_cycles,
+)
 from gffresist.verify import (
     entropy_chain,
     instance_rng,
@@ -716,3 +722,25 @@ def test_disconnected_bypass_is_caught_later():
     # construction-time validation can be bypassed by building records directly
     g = Multigraph(("a", "b", "c"), [0], [1])
     assert g.cycle_rank == -1
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda g: Walk((0,), ()), ValidationError, "at least one edge"),
+    (lambda g: Walk((0, 1, 2), (0,)), ValidationError, "inconsistent lengths"),
+    (lambda g: Circuit((0, 0), (0,)), ValidationError, "at least two edges"),
+    (lambda g: Circuit((0, 1, 2), (0, 1)), ValidationError,
+     "end where it starts"),
+    (lambda g: Circuit((0, 1, 0, 1, 0), (0, 1, 2, 3)), ValidationError,
+     "revisit a vertex"),
+    (lambda g: Circuit((0, 1, 0), (0, 0)), ValidationError, "reuse an edge"),
+    (lambda g: make_walk(g, (0, 1), (g.n_edges,)), EdgeNotInGraphError,
+     "out of range"),
+    (lambda g: build_multigraph(["a"], []), ValidationError,
+     "at least 2 vertices"),
+], ids=["walk-no-edge", "walk-lengths", "circuit-one-edge",
+        "circuit-open", "circuit-revisit", "circuit-reused-edge",
+        "step-edge-id", "one-vertex"])
+def test_malformed_walks_and_graphs_raise(make, error, match):
+    g = build_multigraph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    with pytest.raises(error, match=match):
+        make(g)

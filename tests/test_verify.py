@@ -491,12 +491,26 @@ class TestAppendixLemma:
         {"functional": [[1.0, 1.0]]},
         {"conditioning": [[[1.0]]]},
         {"conditioning": [[1.0, 1.0]]},
+        {"cov_w": np.zeros((0, 0)), "cov_w_bar": np.zeros((0, 0)),
+         "functional": [], "conditioning": []},
     ])
     def test_malformed_shapes_raise(self, fields):
         valid = {"cov_w": [[1.0]], "cov_w_bar": [[2.0]],
                  "functional": [1.0, 1.0], "conditioning": [[1.0]]}
         with pytest.raises(DimensionMismatchError):
             AppendixInstance(**(valid | fields))
+
+    @pytest.mark.parametrize("field, value", [
+        ("cov_w", [[np.nan]]),
+        ("cov_w_bar", [[np.inf]]),
+        ("functional", [np.inf, 1.0]),
+        ("conditioning", [[np.nan]]),
+    ])
+    def test_non_finite_values_raise(self, field, value):
+        valid = {"cov_w": [[1.0]], "cov_w_bar": [[2.0]],
+                 "functional": [1.0, 1.0], "conditioning": [[1.0]]}
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            AppendixInstance(**(valid | {field: value}))
 
     def test_fully_determined_functional_degenerates(self):
         # the functional IS the conditioned statistic; both sides collapse
