@@ -10,18 +10,21 @@ rows. condition_diagonal keeps only the factor, for an independent Gaussian
 whose square root is diagonal: P = Q Q' for the Householder QR of B',
 kept in LAPACK's compact form (the reflectors, never Q itself) and applied
 through them; the rows of M must be linearly independent, as circuit
-rows are. It takes M only as ``fill(s, out)``, which writes B' = diag(s)
-M' into the zeroed array that QR then overwrites (graph.scaled_cycles
-for circuit rows), so no M is held beside it. A factor is (s, h1, tau1,
-h2, tau2, ...): s and a sequence of reflector blocks, each acting from
-the row where the blocks before it end. condition_block_diagonal, the
-one constructor, appends an independent block with its own rows and
-QR-factors only it; condition_diagonal appends one to the empty factor.
+rows are. It takes M as a graph.RowMergePlan of M's nonzeros
+(graph.cycle_plan for circuit rows), which scatters B' = diag(s) M' panel
+by panel into the zeroed stacks QR then overwrites, so no M and no E x k
+matrix is held. A factor is (s, blocks): s and a sequence of Blocks, one
+per panel, each the reflectors of one stack, acting on the coordinates
+its ``rows`` name, with its ``kept`` leading rows final rows of R. Q' w
+keeps its part in col(B) at those kept coordinates and the residual at
+the free ones. condition_block_diagonal, the one constructor, appends the
+panels of an independent block with its own coordinates and QR-factors
+only them; condition_diagonal appends them to the empty factor.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr
@@ -64,6 +67,9 @@ class GaussianVector:
             raise DimensionMismatchError(
                 f"mean shape {mean.shape} and covariance shape {cov.shape} "
                 "do not describe one Gaussian vector")
+        for name, part in (("mean", mean), ("covariance", cov)):
+            if not np.all(np.isfinite(part)):
+                raise ValidationError(f"{name} has a non-finite entry")
         # Both tolerances scale with the covariance itself, so a Gaussian is
         # accepted or rejected whatever its units.
         scale = float(np.max(np.abs(cov), initial=0.0))
@@ -88,6 +94,8 @@ class GaussianVector:
 def independent_gaussian(variances) -> GaussianVector:
     """Mean-zero Gaussian with independent coordinates of the given variances."""
     v = np.asarray(variances, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("variances have a non-finite entry")
     if np.any(v <= 0):
         raise NonpositiveVarianceError(
             "independent coordinates need strictly positive variances; "
@@ -165,74 +173,111 @@ def linear_functional_variance(g: GaussianVector, c) -> float:
     return var
 
 
-def condition_diagonal(variances, k: int, fill) -> tuple:
-    """Factor (s, h, tau) of the independent Gaussian with these variances
-    given M x = 0 for k rows M: s = sqrt(variances) and (h, tau), LAPACK
-    dgeqrf's compact Householder QR of B = diag(s) M', whose k reflectors Q
-    span col(B), in O(E k^2) without forming Q: condition_block_diagonal
-    on the empty factor, the one path that builds a reflector block.
+class Block(NamedTuple):
+    """One panel of a factor: the compact QR (h, tau) of the stack whose
+    rows stand for the coordinates ``rows``. The first ``kept`` of them
+    hold final rows of R: Q' w holds its part in col(B) there."""
+
+    rows: np.ndarray
+    kept: int
+    h: np.ndarray
+    tau: np.ndarray
+
+
+def condition_diagonal(variances, plan) -> tuple:
+    """Factor (s, blocks) of the independent Gaussian with these variances
+    given M x = 0 for the k rows M of ``plan`` (graph.cycle_plan for
+    circuit rows): s = sqrt(variances) and one Block per panel of the
+    row-merge Householder QR of B = diag(s) M', whose reflectors Q span
+    col(B), never formed: condition_block_diagonal on the empty factor,
+    the one path that builds reflector blocks. A one-panel plan is one
+    dgeqrf of B, in O(E k^2); PANEL-column panels over a band of width w
+    cost O(E w^2).
 
     The k rows must be linearly independent, as every circuit-row stack is:
     each row of C, [C, C] or blockdiag(C, C) owns a chord column with entry
-    1. More rows than coordinates, or a diagonal entry of R at or below
-    RANK_CUTOFF times the largest, marks a dependent row and raises
+    1. More rows than coordinates, or a final diagonal entry of R at or
+    below RANK_CUTOFF times the largest, marks a dependent row and raises
     ValidationError: unpivoted QR does not drop it, so Q would gain a
     spurious direction. Not the normal equations c'Dc - y'(C D C')^-1 y:
     that is the cycle-Gram solve of min_energy_flow_oracle, and the
     free-field route would then share its arithmetic with the flow route it
     cross-checks.
     """
-    return condition_block_diagonal((np.zeros(0),), variances, k, fill)
+    return condition_block_diagonal((np.zeros(0), ()), variances, plan)
 
 
-def condition_block_diagonal(factor: tuple, variances, k: int,
-                             fill) -> tuple:
-    """Factor of the pair (x, y) given the rows of ``factor`` on x and k
-    rows M . y = 0, for y independent of x with these variances:
-    ``factor`` with the reflector block (h2, tau2) of one QR of the new
-    block appended, the same reflectors as condition_diagonal's for
-    blockdiag(rows of x, M), never assembled into one matrix. ``fill(s,
-    out)`` writes D = diag(s) M' into a zeroed Fortran ``out``, which
-    dgeqrf then overwrites: ``graph.scaled_cycles`` for circuit rows.
+def condition_block_diagonal(factor: tuple, variances, plan) -> tuple:
+    """Factor of the pair (x, y) given the rows of ``factor`` on x and the
+    k rows M . y = 0 of ``plan``, for y independent of x with these
+    variances: ``factor`` with the panels of one QR of the new block
+    appended, the same projector as condition_diagonal's for
+    blockdiag(rows of x, M), never assembled into one matrix.
 
-    Householder QR follows the zero blocks of blockdiag(B, D) (Golub & Van
-    Loan, Matrix Computations, 4th ed., 5.1-5.2). The k1 reflectors of B
-    never reach the rows of y, so they are ``factor``'s own. The last k
-    are the QR of P = [0; D], D padded above by the E1 - k1 zero rows where
-    B's residual lives, and act from row k1 on: P's pivots fall in those
-    rows first, and in D's own rows once k > E1 - k1. At E1 = E2 = E and k1
-    = k that is 2k^2 (2E - 4k/3) flops, not the 8k^2 (2E - 2k/3) of the
-    whole 2E x 2k matrix. The rank rule judges the combined |diag R| of
-    both blocks against its largest entry, as for that matrix.
+    Each panel is one dgeqrf of its stack: the rows of R the panel before
+    it carried, then the rows entering, whose entries the plan scatters
+    scaled by s. It finalizes ``kept`` rows of R and carries the rest, so
+    a band of width w costs O(E w^2), not the O(E k^2) of the dense QR
+    (George & Heath, Linear Algebra Appl. 34, 1980). Householder QR
+    follows the zero blocks of blockdiag(B, D) (Golub & Van Loan, Matrix
+    Computations, 4th ed., 5.1-5.2): the reflectors of B never reach the
+    rows of y, so they are ``factor``'s own, and the new ones are the QR
+    of P = [0; D], D below zero slot rows at the free positions of x,
+    where B's residual lives. Slot j enters at column j, so the pivots
+    mix the two fields; a one-panel plan makes the stack P itself, one
+    dgeqrf. The rank rule judges the final |diag R| of both factors
+    together against its largest entry, as for the whole matrix.
     """
-    s1, s2 = factor[0], np.sqrt(np.asarray(variances, dtype=float))
-    k1 = _reflector_count(factor)
-    p = np.zeros((s1.size + s2.size - k1, k), order="F")
-    fill(s2, p[s1.size - k1:])
-    return _independent(
-        (np.concatenate([s1, s2]), *factor[1:], *_compact_qr(p)), k1 + k)
+    s1, blocks = factor
+    s2 = np.sqrt(np.asarray(variances, dtype=float))
+    if s2.shape != (plan.size,):
+        raise DimensionMismatchError(
+            f"{s2.size} variances for rows on {plan.size} coordinates")
+    free = _free(factor)
+    positions = np.concatenate([free, np.arange(s1.size, s1.size + s2.size)])
+    carried = np.zeros((0, 0))
+    for panel in plan.panels(free.size):
+        stack = np.zeros((panel.rows.size, panel.columns), order="F")
+        stack[:len(carried), :carried.shape[1]] = carried
+        stack.reshape(-1, order="F")[panel.flat] = (s2[panel.source]
+                                                    * panel.value)
+        h, tau = _compact_qr(stack)
+        blocks += (Block(positions[panel.rows], panel.kept, h, tau),)
+        carried = np.triu(h[panel.kept:tau.size, panel.kept:])
+    return _independent((np.concatenate([s1, s2]), blocks),
+                        s1.size - free.size + plan.k)
 
 
 def _compact_qr(b: np.ndarray) -> tuple:
     """(h, tau) of dgeqrf on b, in place when b is Fortran-ordered, with the
     workspace its lwork=-1 query asks for (the default 3n words is 4x
-    slower at E x k = 1984 x 961). An E x 0 matrix gives no reflectors."""
+    slower at E x k = 1984 x 961)."""
     lwork = int(dgeqrf(b, lwork=-1, overwrite_a=True)[2][0])
     h, tau, _, _ = dgeqrf(b, lwork=lwork, overwrite_a=True)
     return h, tau
 
 
-def _reflector_count(factor: tuple) -> int:
-    """k, the number of reflectors of every block together."""
-    return sum(tau.size for tau in factor[2::2])
+def _kept(factor: tuple) -> np.ndarray:
+    """The positions of every final row of R: Q' w's part in col(B)."""
+    return np.concatenate([block.rows[:block.kept] for block in factor[1]]
+                          or [np.zeros(0, dtype=int)])
+
+
+def _free(factor: tuple) -> np.ndarray:
+    """The other positions, increasing: Q' w's residual part."""
+    free = np.ones(factor[0].size, dtype=bool)
+    free[_kept(factor)] = False
+    return np.flatnonzero(free)
 
 
 def _independent(factor: tuple, k: int) -> tuple:
-    """``factor`` once its k rows pass the rank rule on the |diag R| of all
-    its blocks. dgeqrf keeps min(E, k) reflectors, so only their count
-    shows k > E."""
-    diag = np.abs(np.concatenate([np.diagonal(h) for h in factor[1::2]]))
-    if _reflector_count(factor) < k or np.any(
+    """``factor`` once its k rows pass the rank rule on the final |diag R|
+    of all its blocks. dgeqrf keeps min(m, n) reflectors of an m x n stack,
+    so a panel with fewer than ``kept`` shows more rows than coordinates."""
+    blocks = factor[1]
+    diag = np.abs(np.concatenate(
+        [np.diagonal(block.h)[:block.kept] for block in blocks] or [[]]))
+    if any(block.tau.size < block.kept for block in blocks) or np.any(
             diag <= RANK_CUTOFF * diag.max(initial=0.0)):
         raise ValidationError(
             f"the {k} conditioning rows are linearly dependent")
@@ -240,21 +285,15 @@ def _independent(factor: tuple, k: int) -> tuple:
 
 
 def _reflected(factor: tuple, w: np.ndarray, trans: str) -> np.ndarray:
-    """Q' w (trans "T") or Q w (trans "N") for the columns of w, in place
-    when w is a Fortran-ordered float array: Q' applies the blocks in order,
-    Q in reverse, each by one dormqr on its own rows of w, the same dlarf
-    sequence as on the blocks assembled into one matrix. The minimum
-    workspace, one word per column, keeps dormqr unblocked."""
-    taus = factor[2::2]
-    blocks = list(zip(accumulate((tau.size for tau in taus), initial=0),
-                      factor[1::2], taus))
-    for start, h, tau in blocks if trans == "T" else blocks[::-1]:
-        if not tau.size:  # no rows: the block is the identity
-            continue
-        rows = w[start:start + len(h)]
-        out = dormqr("L", trans, h, tau, rows, w.shape[1], overwrite_c=True)[0]
-        if out is not rows:  # f2py copied a strided multi-column slice
-            rows[...] = out
+    """Q' w (trans "T") or Q w (trans "N") for the columns of w, in place:
+    Q' applies the blocks in order, Q in reverse, each by one dormqr on its
+    own rows of w, gathered and written back. The minimum workspace, one
+    word per column, keeps dormqr unblocked."""
+    blocks = factor[1]
+    for block in blocks if trans == "T" else blocks[::-1]:
+        w[block.rows] = dormqr("L", trans, block.h[:, :block.tau.size],
+                               block.tau, w[block.rows], w.shape[1],
+                               overwrite_c=True)[0]
     return w
 
 
@@ -271,17 +310,17 @@ def _scaled_columns(factor: tuple, c) -> np.ndarray:
 def functional_root(factor: tuple, c) -> np.ndarray:
     """u = w - Q Q' w, w = s c: under condition_diagonal, c . x = u . z; a
     stack of rows c gets one root per row, and u u' is their covariance.
-    Q Q' w is Q applied to the leading k coordinates of Q' w, so u is Q
+    Q Q' w is Q applied to the kept coordinates of Q' w, so u is Q
     applied to Q' w with those coordinates zeroed."""
     w = _reflected(factor, _scaled_columns(factor, c), "T")
-    w[:_reflector_count(factor)] = 0.0
+    w[_kept(factor)] = 0.0
     w = _reflected(factor, w, "N")
     return w[:, 0] if np.ndim(c) == 1 else w.T
 
 
 def conditioned_variance(factor: tuple, c) -> float:
     """Variance |u|^2 of c . x under condition_diagonal, read as the squared
-    norm of the trailing E - k coordinates of Q' w (Q is orthogonal): the
+    norm of the E - k free coordinates of Q' w (Q is orthogonal): the
     least-squares residual, with rounding error about eps |w| |u|, where
     w . u would lose eps |w|^2 on a wide span. One functional only; a
     variance past the double range raises SingularSystemError."""
@@ -289,7 +328,7 @@ def conditioned_variance(factor: tuple, c) -> float:
         raise DimensionMismatchError(
             f"one functional expected, got shape {np.shape(c)}")
     tail = _reflected(factor, _scaled_columns(factor, c), "T")[
-        _reflector_count(factor):, 0]
+        _free(factor), 0]
     with np.errstate(over="ignore"):
         variance = float(tail @ tail)
     if not math.isfinite(variance):

@@ -19,8 +19,8 @@ from .gaussian import (
     functional_root,
 )
 from .graph import (
+    cycle_plan,
     enumerate_simple_walks,
-    scaled_cycles,
     tree_walk_vector,
     walk_sign_vector,
 )
@@ -28,11 +28,11 @@ from .graph import (
 
 @dataclass(frozen=True)
 class FreeField:
-    """Conditioned edge field of a network; ``factor`` is the (s, h, tau) of
-    gaussian.condition_diagonal on the graph's fundamental circuits, written
-    by graph.scaled_cycles: s the edge standard deviations, (h, tau) the one
-    block of Householder reflectors Q, to which
-    gaussian.condition_block_diagonal can append another."""
+    """Conditioned edge field of a network; ``factor`` is the (s, blocks) of
+    gaussian.condition_diagonal on the graph's fundamental circuits, laid
+    out by graph.cycle_plan: s the edge standard deviations, blocks the
+    Householder reflectors Q, one Block per panel of the row-merge QR, to
+    which gaussian.condition_block_diagonal can append another field's."""
 
     network: ResistiveNetwork
     factor: tuple
@@ -48,9 +48,7 @@ class FreeField:
 
 def build_free_field(n: ResistiveNetwork) -> FreeField:
     """Condition the independent edge Gaussian on the fundamental cycle basis."""
-    g = n.graph
-    return FreeField(n, condition_diagonal(
-        n.resistances, g.cycle_rank, functools.partial(scaled_cycles, g)))
+    return FreeField(n, condition_diagonal(n.resistances, cycle_plan(n.graph)))
 
 
 def potential_difference_functional(f: FreeField, a: int, b: int) -> np.ndarray:

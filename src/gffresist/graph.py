@@ -12,11 +12,11 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     DisconnectedError,
     DuplicateVertexNameError,
     EdgeNotInGraphError,
@@ -29,6 +29,8 @@ from .errors import (
 )
 
 DEFAULT_CIRCUIT_LIMIT = 1_000_000
+# Columns of R each panel of a row-merge QR finalizes.
+PANEL = 32
 
 
 def check_index(value, what: str):
@@ -151,6 +153,11 @@ class Multigraph:
     def band_plans(self) -> dict:
         """electric.laplacian's band plan for the last ground it assembled,
         keyed by that ground; laplacian keys it and keeps one entry."""
+        return {}
+
+    @cached_property
+    def row_merge_plans(self) -> dict:
+        """cycle_plan's plans of the circuit rows, keyed by copies."""
         return {}
 
     @property
@@ -330,22 +337,181 @@ def _cycle_basis(g: Multigraph) -> tuple:
     return tree_ids, chords, block
 
 
-def scaled_cycles(g: Multigraph, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """diag(s) C' into ``out``, for C the fundamental circuit rows repeated
-    once per E-long block of s and ``out`` a zeroed (m E) x k float array:
-    ``(C * s).T`` bit for bit, with no k x E matrix. Each block's tree
-    edges' rows get D' and each chord a 1 in its own column, from
-    ``cycle_blocks``, before one in-place product by s."""
-    tree_ids, chords, block = g.cycle_blocks
-    if s.size % g.n_edges or out.shape != (s.size, len(chords)):
-        raise DimensionMismatchError(
-            f"{s.size} deviations and a {out.shape} array do not fit "
-            f"circuits of {g.n_edges} edges")
-    for start in range(0, s.size, g.n_edges):
-        out[start + tree_ids] = block.T
-        out[start + chords, np.arange(len(chords))] = 1.0
-    out *= s[:, None]
-    return out
+class Panel(NamedTuple):
+    """One dgeqrf of a row-merge plan. Its stack is ``rows``, indices into
+    the block's row list (the carried rows of R, then the rows entering
+    here in position order), over ``columns`` active columns; the first
+    ``kept`` rows of its R are final. The entering rows' entries are
+    written into the zeroed Fortran stack as ``stack.reshape(-1,
+    order="F")[flat] = s[source] * value``."""
+
+    rows: np.ndarray
+    columns: int
+    kept: int
+    flat: np.ndarray
+    source: np.ndarray
+    value: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class RowMergePlan:
+    """k conditioning rows M on ``size`` coordinates, laid out for
+    the row-merge Householder QR of M' (George & Heath, Linear Algebra
+    Appl. 34, 1980). The nonzeros of M' are the triples (``coordinate``,
+    ``column``, ``value``), kept in the order of the panels they enter. A
+    coordinate's row enters the panel of PANEL columns that holds its
+    ``lead``ing column (the last column for an empty row) and reaches up
+    to column ``reach`` - 1. Read-only arrays; ``panels`` lays them out.
+    """
+
+    k: int
+    size: int
+    coordinate: np.ndarray
+    column: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self):
+        coordinate, column = np.asarray(self.coordinate), np.asarray(
+            self.column)
+        lead = np.full(self.size, self.k - 1)
+        np.minimum.at(lead, coordinate, column)
+        reach = np.zeros(self.size, dtype=int)
+        np.maximum.at(reach, coordinate, column + 1)
+        by_panel = np.argsort(lead[coordinate] // PANEL, kind="stable")
+        for name, part in (("coordinate", coordinate[by_panel]),
+                           ("column", column[by_panel]),
+                           ("value", np.asarray(self.value)[by_panel]),
+                           ("lead", lead), ("reach", reach)):
+            part.setflags(write=False)
+            object.__setattr__(self, name, part)
+
+    @cached_property
+    def layouts(self) -> dict:
+        """``panels``' layouts, keyed by their slot count."""
+        return {}
+
+    def panels(self, slots: int = 0) -> tuple:
+        """The Panels of the plan's QR below ``slots`` zero rows, row list
+        indices 0 to slots - 1 (the coordinates are slots onward): slot j
+        enters at column min(j, k - 1). Panel p finalizes columns p PANEL
+        to (p + 1) PANEL - 1; its stack is the rows of R the panel before
+        it did not finalize, then the rows entering, and it spans every
+        column those reach. Computed once per slot count."""
+        layout = self.layouts.get(slots)
+        if layout is None:
+            layout = self.layouts[slots] = _panel_layout(self, slots)
+        return layout
+
+
+def _panel_layout(plan: RowMergePlan, slots: int) -> tuple:
+    """RowMergePlan.panels, computed."""
+    k = plan.k
+    if k == 0:
+        return ()
+    count = -(-k // PANEL)
+    panel_of = np.concatenate([np.minimum(np.arange(slots), k - 1),
+                               plan.lead]) // PANEL
+    starts = np.arange(count) * PANEL
+    kept = np.minimum(starts + PANEL, k) - starts
+    far = starts + kept
+    np.maximum.at(far, panel_of[slots:], plan.reach)
+    columns = np.maximum.accumulate(far) - starts
+    entering = np.argsort(panel_of, kind="stable")
+    bounds = np.searchsorted(panel_of[entering], np.arange(count + 1))
+    at = np.empty(panel_of.size, dtype=int)  # a row's index in its stack
+    stacks, carried = [], entering[:0]
+    for p in range(count):
+        enter = entering[bounds[p]:bounds[p + 1]]
+        at[enter] = np.arange(carried.size, carried.size + enter.size)
+        stacks.append(np.concatenate([carried, enter]))
+        carried = stacks[-1][kept[p]:min(stacks[-1].size, columns[p])]
+    heights = np.array([rows.size for rows in stacks])
+    row = slots + plan.coordinate
+    panel = panel_of[row]  # nondecreasing: the entries are in panel order
+    flat = at[row] + (plan.column - starts[panel]) * heights[panel]
+    cuts = np.searchsorted(panel, np.arange(count + 1)).tolist()
+    return tuple(
+        Panel(rows, int(columns[p]), int(kept[p]),
+              *(part[cuts[p]:cuts[p + 1]]
+                for part in (flat, plan.coordinate, plan.value)))
+        for p, rows in enumerate(stacks))
+
+
+def cycle_plan(g: Multigraph, copies: int = 1) -> RowMergePlan:
+    """The plan of the fundamental circuit rows of ``tree``, repeated on
+    ``copies`` E-long blocks of coordinates ([C, C] for two), in panels of
+    PANEL columns; cached in ``g.row_merge_plans``. A chord's circuit runs
+    tail to head along it, then back along the tree, so it holds 1 at the
+    chord and +-1 on the tree walk. Up to PANEL circuits keep chord order:
+    one panel, the dense QR of diag(s) C'. More are in apex order,
+    by the queue position of the circuit's apex (the lowest common
+    ancestor of the chord's ends), ties by its later end's, which keeps
+    each row's columns in a band: a bandwidth-reducing order in the
+    spirit of Cuthill & McKee (1969) with no search."""
+    plan = g.row_merge_plans.get(copies)
+    if plan is not None:
+        return plan
+    if copies > 1:
+        one = cycle_plan(g)
+        shifts = np.repeat(np.arange(copies) * g.n_edges, one.coordinate.size)
+        plan = RowMergePlan(one.k, copies * g.n_edges,
+                            np.tile(one.coordinate, copies) + shifts,
+                            np.tile(one.column, copies),
+                            np.tile(one.value, copies))
+    else:
+        chords, apex, later, circuit, edge, sign = _circuit_walks(g)
+        k = chords.size
+        order = np.lexsort((later, apex)) if k > PANEL else np.arange(k)
+        column = np.empty(k, dtype=int)
+        column[order] = np.arange(k)
+        plan = RowMergePlan(k, g.n_edges,
+                            np.concatenate([chords, edge]),
+                            column[np.concatenate([np.arange(k), circuit])],
+                            np.concatenate([np.ones(k), sign]))
+    g.row_merge_plans[copies] = plan
+    return plan
+
+
+def _circuit_walks(g: Multigraph) -> tuple:
+    """The fundamental circuits of ``tree`` from its parent arrays, in
+    O(total circuit length): ``(chords, apex, later, circuit, edge,
+    sign)``. The chords are increasing ids; per chord, ``apex`` is the
+    queue position of its ends' lowest common ancestor and ``later`` the
+    larger of its ends' queue positions. Each tree edge of circuit i
+    gives an entry (i, edge, sign), its coefficient in ``P[tail] -
+    P[head]``, ``P = tree_paths``. The ends are walked as queue positions:
+    each step moves the later end of every unfinished circuit to its
+    parent (it is never the other end's ancestor) until the ends meet."""
+    parent, parent_edge, order = g.tree
+    queue = np.empty(g.n_vertices, dtype=int)
+    queue[order] = np.arange(g.n_vertices)
+    up = queue[parent[order]]  # the parent's queue position; -1 at the root
+    up[0] = -1
+    on_tree = np.zeros(g.n_edges, dtype=bool)
+    on_tree[parent_edge[1:]] = True
+    chords = np.flatnonzero(~on_tree)
+    at_tail, at_head = queue[g.tails[chords]], queue[g.heads[chords]]
+    later, lower = np.maximum(at_tail, at_head), np.minimum(at_tail, at_head)
+    # +1 while the later end climbs from the tail, -1 from the head.
+    side = np.where(at_tail > at_head, 1.0, -1.0)
+    apex = np.empty(chords.size, dtype=int)
+    live, position, steps = np.arange(chords.size), later, []
+    while live.size:
+        steps.append((live, position, side))
+        position = up[position]
+        met, swap = position == lower, position < lower
+        apex[live[met]] = lower[met]
+        position, lower = (np.maximum(position, lower),
+                           np.minimum(position, lower))
+        side = np.where(swap, -side, side)
+        live, position, lower, side = (
+            part[~met] for part in (live, position, lower, side))
+    circuit, walked, sides = map(np.concatenate, zip(
+        *steps or [(np.zeros(0, dtype=int),) * 3]))
+    v = order[walked]
+    # The coefficient of v's parent edge in P[v]: +1 when it ascends to v.
+    sign = sides * np.where(v > parent[v], 1.0, -1.0)
+    return chords, apex, later, circuit, parent_edge[v], sign
 
 
 def tree_walk_vector(g: Multigraph, a: int, b: int) -> np.ndarray:

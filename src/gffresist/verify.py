@@ -8,7 +8,6 @@ one record per verified equality or inequality, with a signed margin so that
 near-equality cases are visibly tight rather than silently passing.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +47,7 @@ from .graph import (
     Multigraph,
     build_multigraph,
     check_index,
-    scaled_cycles,
+    cycle_plan,
     tree_walk_vector,
 )
 
@@ -274,15 +273,16 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     on its own circuit constraints. Coarser conditioning leaves at least as
     much entropy in the a-to-b potential difference.
 
-    The coarse side factors [S C'; S_bar C'] whole, written scaled by
-    graph.scaled_cycles into one 2E x k Fortran array. The fine side's
-    factor is that of blockdiag(C, C), built by condition_block_diagonal
-    from the free field of r, whose reflectors are its first k: one QR of
-    the (2E - k) x k padded second block, not of the 2E x 2k matrix. That
-    is one doubled factorization still, not the two separate ones of var +
-    var_bar. Each free field and the coarse factor is dropped once its
-    variance is read, so at most one doubled matrix and one free field are
-    held at a time.
+    The coarse side factors [S C'; S_bar C'] whole, its 2E rows entering
+    the row-merge panels of graph.cycle_plan(graph, 2) by leading column.
+    The fine side's factor is that of blockdiag(C, C), built by
+    condition_block_diagonal from the free field of r, whose reflectors
+    are its own: one QR of the padded second block, the free positions of
+    r's field as zero slot rows above S_bar C', not of the 2E x 2k matrix.
+    That is one doubled factorization still, not the two separate ones of
+    var + var_bar. Each free field and the coarse factor is dropped once
+    its variance is read, so at most one doubled factor and one free field
+    are held at a time.
     """
     graph.check_vertices(a, b)  # before the factorizations
     r = np.asarray(r, dtype=float)
@@ -297,15 +297,16 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     # The appendix lemma, applied to the fundamental cycle basis. The fine
     # side stays one doubled projection, so that h_joint_split == h_sum
     # compares it with the two separate free fields.
-    fill, k = functools.partial(scaled_cycles, graph), graph.cycle_rank
     walk_vec = tree_walk_vector(graph, a, b)
     doubled_walk = np.concatenate([walk_vec, walk_vec])
     var_joint_hat = conditioned_variance(
-        condition_diagonal(np.concatenate([r, r_bar]), k, fill), doubled_walk)
+        condition_diagonal(np.concatenate([r, r_bar]), cycle_plan(graph, 2)),
+        doubled_walk)
     field = build_free_field(net)
     var = potential_difference_variance(field, a, b)
     var_joint_split = conditioned_variance(
-        condition_block_diagonal(field.factor, r_bar, k, fill), doubled_walk)
+        condition_block_diagonal(field.factor, r_bar, cycle_plan(graph)),
+        doubled_walk)
 
     variances = {"hat": var_hat, "joint_hat": var_joint_hat,
                  "joint_split": var_joint_split, "sum": var + var_bar}

@@ -311,6 +311,6 @@ def test_criterion_11_circuit_rows_keep_full_rank(instances):
                 (net.resistances, phi, k),
                 (doubled, np.hstack([phi, phi]), k),
                 (doubled, scipy.linalg.block_diag(phi, phi), 2 * k)):
-            _, _, tau = diagonal(variances, rows)
-            assert tau.size == kept
+            _, blocks = diagonal(variances, rows)
+            assert sum(block.tau.size for block in blocks) == kept
     report_line(11, "circuit rows keep full rank")

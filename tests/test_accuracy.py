@@ -3,10 +3,13 @@ a 50-digit mpmath Laplacian solve.
 
 The inputs are the 150 networks ``random_network(instance_rng(99, i))``
 with resistances log-uniform on [1, span] (``exp(U(0, ln span))``), the
-pair and a second resistance vector drawn from the same generator. Each
-bound is the worst relative error measured on these inputs, with the
-headroom stated next to it, so a change that loses digits fails here.
+pair and a second resistance vector drawn from the same generator, and
+for the free field's panels 40 such draws on an 8 x 8 grid. Each bound
+is the worst relative error measured on these inputs, with the headroom
+stated next to it, so a change that loses digits fails here.
 """
+
+import itertools
 
 import mpmath
 import pytest
@@ -14,6 +17,7 @@ import pytest
 from gffresist import (
     ResistiveNetwork,
     build_free_field,
+    build_multigraph,
     dissipated_power,
     effective_resistance,
     entropy_chain,
@@ -44,6 +48,23 @@ BOUNDS = {
            "flow_oracle": 1e-11,                # 2.43e-12
            "free_field": 7e-11,                 # 1.78e-11
            "fine_side": 1e-11},                 # 2.31e-12
+}
+# The same for the free field and the entropy chain's fine side on the 8 x 8
+# grid: k = 49 circuits, two panels of the row-merge QR, where every network
+# above is one panel. The draws are instance_rng(seed, i), i < 20, for seed
+# 99 (the networks' seed) and 88, where the panels measured furthest from
+# one dense QR, which measured 2.03e-14 and 2.60e-14 at span 1e8, 4.79e-14
+# and 2.66e-13 at 1e12 on the same draws. Over the 400 draws of seeds 80 to
+# 99 the worst was 5.20e-14, 2.39e-14, 1.25e-12 and 3.36e-13 (one dense QR
+# 9.10e-14, 2.83e-14, 3.38e-12 and 2.80e-12), inside every bound; the
+# median draw's error is 1.0 to 1.6 times the dense QR's.
+GRID_SIDE, GRID_SEEDS, N_GRIDS = 8, (88, 99), 20
+GRID_BOUNDS = {
+    # span: {route: bound}                      measured worst
+    1e8: {"free_field": 8e-14,                  # 1.92e-14
+          "fine_side": 4e-14},                  # 1.05e-14
+    1e12: {"free_field": 2.4e-12,               # 6.02e-13
+           "fine_side": 1.1e-12},               # 2.82e-13
 }
 # The Laplacian route's exact M-matrix rcond on the networks with at least
 # 3 vertices (136 of the 150; a 1x1 system's rcond is 1): the worst
@@ -76,6 +97,29 @@ def mp_reff(graph, r, a: int, b: int):
         rhs = mpmath.zeros(len(index), 1)
         rhs[index[a]] = 1
         return mpmath.lu_solve(lap, rhs)[index[a]]
+
+
+def mp_band_reff(graph, r, a: int, b: int, width: int):
+    """mp_reff by Gaussian elimination inside the grounded Laplacian's band
+    of half-width ``width``, where the elimination fills nothing in: no
+    pivoting, as the matrix is symmetric positive definite."""
+    with mpmath.workdps(DIGITS):
+        lap, index = mp_grounded_laplacian(graph, r, b)
+        n = len(index)
+        x = [mpmath.mpf(0)] * n
+        x[index[a]] = mpmath.mpf(1)
+        for p in range(n):
+            for i in range(p + 1, min(n, p + width + 1)):
+                f = lap[i, p] / lap[p, p]
+                if f:
+                    for j in range(p, min(n, p + width + 1)):
+                        lap[i, j] -= f * lap[p, j]
+                    x[i] -= f * x[p]
+        for p in reversed(range(n)):
+            x[p] = (x[p] - sum((lap[p, j] * x[j] for j in
+                                range(p + 1, min(n, p + width + 1))),
+                               mpmath.mpf(0))) / lap[p, p]
+        return x[index[a]]
 
 
 def mp_rcond(graph, r, b: int):
@@ -128,6 +172,44 @@ def test_route_error_within_its_bound(wide_span, route):
     span, worst = wide_span
     assert worst[route] <= BOUNDS[span][route], (
         f"span {span:g}: {route} worst relative error {worst[route]:.3e}")
+
+
+def grid_worst_errors(span: float) -> dict:
+    """Worst relative error of the free field and the fine side over the
+    N_GRIDS draws of each of GRID_SEEDS on the GRID_SIDE x GRID_SIDE grid."""
+    side = GRID_SIDE
+    graph = build_multigraph(
+        list(range(side * side)),
+        [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+        + [(v, v + side) for v in range(side * (side - 1))])
+    worst = dict.fromkeys(GRID_BOUNDS[span], 0.0)
+    for seed, i in itertools.product(GRID_SEEDS, range(N_GRIDS)):
+        rng = instance_rng(seed, i)
+        r = random_resistances(rng, graph.n_edges, 1.0, span)
+        a, b = random_pair(rng, graph.n_vertices)
+        r_bar = random_resistances(rng, graph.n_edges, 1.0, span)
+        reff = mp_band_reff(graph, r, a, b, side)
+        reff_sum = mpmath.fadd(reff, mp_band_reff(graph, r_bar, a, b, side),
+                               dps=DIGITS)
+        for route, value, exact in (
+                ("free_field", potential_difference_variance(
+                    build_free_field(ResistiveNetwork(graph, r)), a, b),
+                 reff),
+                ("fine_side", entropy_chain(graph, r, r_bar, a, b).quantity(
+                    "var_joint_split"), reff_sum)):
+            with mpmath.workdps(DIGITS):
+                error = float(abs((mpmath.mpf(value) - exact) / exact))
+            worst[route] = max(worst[route], error)
+    return worst
+
+
+@pytest.mark.parametrize("span", sorted(GRID_BOUNDS), ids="{:g}".format)
+def test_panel_error_within_its_bound(span):
+    worst = grid_worst_errors(span)
+    for route, bound in GRID_BOUNDS[span].items():
+        assert worst[route] <= bound, (
+            f"span {span:g}: {route} on the {GRID_SIDE}x{GRID_SIDE} grid "
+            f"worst relative error {worst[route]:.3e}")
 
 
 @pytest.mark.parametrize("span", sorted(RCOND_BOUNDS), ids="{:g}".format)

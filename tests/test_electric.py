@@ -1,5 +1,6 @@
 """Laplacian solves, Thomson flows, and the minimum-energy cross-check."""
 
+import dataclasses
 import warnings
 from itertools import permutations
 from pathlib import Path
@@ -205,12 +206,15 @@ def block_gram(net: ResistiveNetwork) -> tuple:
 
 
 def dense_circuit_caches(g: Multigraph) -> list:
-    """Names of the graph's caches holding, at any depth of tuples, lists
-    and dict values, a float array of E k entries: the size of the dense
-    circuit matrix. For a graph with circuits (k > 0)."""
+    """Names of the graph's caches holding, at any depth of tuples, lists,
+    dict values and dataclass fields (RowMergePlan's arrays and its cached
+    Panels), a float array of E k entries: the size of the dense circuit
+    matrix. For a graph with circuits (k > 0)."""
     size = g.n_edges * g.cycle_rank
 
     def holds(value):
+        if dataclasses.is_dataclass(value):
+            value = vars(value)
         if isinstance(value, dict):
             value = list(value.values())
         if isinstance(value, (tuple, list)):

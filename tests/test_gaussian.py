@@ -2,7 +2,6 @@
 
 import math
 import operator
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ from gffresist.errors import (
 )
 
 from gffresist.cli import parse_network
+from gffresist.electric import ResistiveNetwork
 from gffresist.gaussian import (
     condition_block_diagonal,
     condition_diagonal,
@@ -39,42 +39,58 @@ from gffresist.gaussian import (
     functional_draws,
     functional_root,
 )
-from gffresist.graph import scaled_cycles
-from gffresist.verify import instance_rng, random_network, random_resistances
+from gffresist.graph import (
+    PANEL,
+    RowMergePlan,
+    build_multigraph,
+    cycle_plan,
+    tree_walk_vector,
+)
+from gffresist.gff import build_free_field, eta_field
+from gffresist.verify import (
+    entropy_chain,
+    instance_rng,
+    random_network,
+    random_resistances,
+)
 from test_electric import grid_network
+from test_graph import chord_order
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 DATA = Path(__file__).parent / "data"
 EPS = np.finfo(float).eps
 
 
-def row_fill(rows):
-    """A conditioning fill for dense rows: diag(s) rows' into ``out``."""
+def row_plan(rows):
+    """The RowMergePlan of dense rows M (k x size), from their nonzeros: up
+    to PANEL rows make one panel, whose stack is diag(s) M' whole."""
     rows = np.asarray(rows, dtype=float)
-    return lambda s, out: np.multiply(rows.T, s[:, None], out=out)
+    column, coordinate = np.nonzero(rows)
+    return RowMergePlan(*rows.shape, coordinate, column,
+                        rows[column, coordinate])
 
 
 def diagonal(variances, rows):
     """condition_diagonal on the dense rows ``rows``."""
-    return condition_diagonal(variances, len(rows), row_fill(rows))
+    return condition_diagonal(variances, row_plan(rows))
 
 
 def block_diagonal(factor, variances, rows):
     """condition_block_diagonal on the dense rows ``rows``."""
-    return condition_block_diagonal(factor, variances, len(rows),
-                                    row_fill(rows))
+    return condition_block_diagonal(factor, variances, row_plan(rows))
 
 
 def fine_factor(graph, r, r_bar):
     """The factor of blockdiag(C, C) as entropy_chain builds it."""
-    fill, k = partial(scaled_cycles, graph), graph.cycle_rank
-    return condition_block_diagonal(condition_diagonal(r, k, fill), r_bar,
-                                    k, fill)
+    plan = cycle_plan(graph)
+    return condition_block_diagonal(condition_diagonal(r, plan), r_bar, plan)
 
 
 def cycle_rows(graph):
-    """The fundamental circuit rows, from the walk API's circuits."""
-    return circuit_matrix(graph, fundamental_circuits(graph))
+    """The fundamental circuit rows, from the walk API's circuits, in
+    cycle_plan's column order (chord order up to PANEL circuits)."""
+    return circuit_matrix(graph, fundamental_circuits(graph))[
+        chord_order(graph)]
 
 
 def schur_condition_single_row(cov: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -104,6 +120,22 @@ class TestConstruction:
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(ValidationError):
             GaussianVector(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("mean, cov, name", [
+        ([0.0], [[math.nan]], "covariance"),
+        ([math.nan], [[1.0]], "mean"),
+        ([0.0], [[math.inf]], "covariance"),
+        ([-math.inf], [[1.0]], "mean"),
+    ])
+    def test_non_finite_input_rejected(self, mean, cov, name):
+        with pytest.raises(ValidationError, match=f"^{name} has a non-finite"):
+            GaussianVector(mean, cov)
+
+    @pytest.mark.parametrize("variances", [[math.nan], [1.0, math.inf]])
+    def test_non_finite_variances_rejected(self, variances):
+        # A NaN compares false with 0, so the positivity test passes it.
+        with pytest.raises(ValidationError, match="^variances have"):
+            independent_gaussian(variances)
 
     def test_point_mass_is_legal(self):
         g = GaussianVector(np.array([1.0, -1.0]), np.zeros((2, 2)))
@@ -366,7 +398,7 @@ class TestDiagonalConditioning:
     def test_basis_is_orthonormal_and_spans_the_scaled_rows(self):
         rng = np.random.default_rng(21)
         rows = rng.standard_normal((4, 9))
-        s, h, tau = diagonal(rng.uniform(0.1, 10.0, 9), rows)
+        s, ((_, _, h, tau),) = diagonal(rng.uniform(0.1, 10.0, 9), rows)
         # Q is the reflectors applied to the first 4 columns of the identity.
         q, _, info = scipy.linalg.lapack.dormqr(
             "L", "N", h, tau, np.eye(9)[:, :4], 4 * 64)
@@ -408,64 +440,82 @@ class TestBlockDiagonalConditioning:
 
     @staticmethod
     def fine_and_dense(graph, r, r_bar):
-        """The fine factor as entropy_chain builds it, and the dense QR of
-        blockdiag(C, C) with C from the walk API's circuits."""
-        phi = cycle_rows(graph)
-        dense = diagonal(np.concatenate([r, r_bar]),
-                         scipy.linalg.block_diag(phi, phi))
+        """The fine factor as entropy_chain builds it, and one plain dgeqrf
+        of blockdiag(C, C) with C from the walk API's circuits."""
+        phi, s = cycle_rows(graph), np.sqrt(np.concatenate([r, r_bar]))
+        dense = dense_factor(s, (scipy.linalg.block_diag(phi, phi) * s).T)
         return fine_factor(graph, r, r_bar), dense
 
-    def assert_same_factor(self, graph, r, r_bar, c, ulps):
-        fine, (s, h, tau) = self.fine_and_dense(graph, r, r_bar)
-        assert len(fine) == 5
-        assert np.array_equal(fine[0], s)
+    def assert_same_factor(self, graph, r, r_bar, c, ulps, variance_ulps=None):
+        """The fine factor's variance of c on both fields within
+        ``variance_ulps`` (default ``ulps``) of the dense QR's, and its
+        reflectors within ``ulps`` of the dense QR's, column by column; past
+        PANEL circuits, where the panels hold other reflectors, its final
+        rows of R."""
+        fine, dense = self.fine_and_dense(graph, r, r_bar)
+        assert np.array_equal(fine[0], dense[0])
+        c = np.concatenate([c, c])
+        expected = conditioned_variance(dense, c)
+        assert (abs(conditioned_variance(fine, c) - expected)
+                <= (variance_ulps or ulps) * EPS * expected)
+        if not graph.cycle_rank:  # a tree: no reflectors on either side
+            assert fine[1] == dense[1] == ()
+            return
+        if graph.cycle_rank > PANEL:
+            # R is unique up to the signs of its rows, which the pivots fix.
+            got, r_dense = final_r(fine), final_r(dense)
+            scale = np.max(np.abs(r_dense), axis=0)
+            assert np.all(np.abs(got - r_dense) <= ulps * EPS * scale)
+            return
+        ((_, _, h, tau),) = dense[1]
+        assert len(fine[1]) == 2
         e, k = len(r), graph.cycle_rank
         # The dense reflectors follow blockdiag's zeros: off the first
         # block's top-left E x k and the padded block from row and column k
         # on, h holds only zeros.
         assert not h[e:, :k].any() and not h[:k, k:].any()
-        for block, block_tau, expected, expected_tau in (
-                (fine[1], fine[2], h[:e, :k], tau[:k]),
-                (fine[3], fine[4], h[k:, k:], tau[k:])):
-            assert block.shape == expected.shape
-            assert block.flags.f_contiguous
+        for block, rows, expected, expected_tau in (
+                (fine[1][0], np.arange(e), h[:e, :k], tau[:k]),
+                (fine[1][1], np.arange(k, 2 * e), h[k:, k:], tau[k:])):
+            assert np.array_equal(block.rows, rows) and block.kept == k
+            assert block.h.shape == expected.shape
+            assert block.h.flags.f_contiguous
             # Column by column: R's entries carry the scale of sqrt(r), the
             # reflectors' entries do not.
             scale = np.max(np.abs(expected), axis=0, initial=0.0)
-            assert np.all(np.abs(block - expected) <= ulps * EPS * scale)
-            assert np.all(np.abs(block_tau - expected_tau) <= ulps * EPS)
-        c = np.concatenate([c, c])
-        expected = conditioned_variance((s, h, tau), c)
-        assert (abs(conditioned_variance(fine, c) - expected)
-                <= ulps * EPS * expected)
+            assert np.all(np.abs(block.h - expected) <= ulps * EPS * scale)
+            assert np.all(np.abs(block.tau - expected_tau) <= ulps * EPS)
 
     def test_suite_instances_match_the_dense_factor(self):
-        # run_suite's 200 instances, drawn as it draws them.
+        # run_suite's 200 instances, drawn as it draws them: every one has
+        # at most PANEL circuits, so its plan is one panel.
         for i in range(200):
             rng = instance_rng(12345, i)
             net = random_network(rng)
+            assert net.graph.cycle_rank <= PANEL
             r_bar = random_resistances(rng, net.graph.n_edges)
             c = rng.standard_normal(net.graph.n_edges)
             self.assert_same_factor(net.graph, net.resistances, r_bar, c, 4)
 
     @pytest.mark.parametrize("side", [12, 16])
     def test_grids_match_the_dense_factor(self, side):
-        # Here dgeqrf blocks the two matrices differently, so they agree
-        # to rounding, not bit for bit.
+        # Past PANEL circuits the panels merge the rows in another order
+        # than the dense QR, so R and the variance agree to rounding:
+        # measured at most 7.9 and 2.7 ulps.
         for seed in range(3):
             rng = np.random.default_rng((side, seed))
             net = grid_network(side, rng)
+            assert net.graph.cycle_rank > PANEL
             r_bar = grid_network(side, rng).resistances
             c = rng.standard_normal(net.graph.n_edges)
-            self.assert_same_factor(net.graph, net.resistances, r_bar, c, 8)
+            self.assert_same_factor(net.graph, net.resistances, r_bar, c, 32,
+                                    12)
 
     def test_tree_has_no_reflectors(self, series_path):
         # k = 0: every coordinate is free, so the variance is |s c|^2.
         graph = series_path.graph
         r, r_bar = np.array([1.0, 4.0]), np.array([0.25, 9.0])
-        fine, _ = self.fine_and_dense(graph, r, r_bar)
-        assert [h.shape for h in fine[1::2]] == [(2, 0), (4, 0)]
-        assert [tau.size for tau in fine[2::2]] == [0, 0]
+        fine, dense = self.fine_and_dense(graph, r, r_bar)
         assert conditioned_variance(fine, np.ones(4)) == 14.25
         self.assert_same_factor(graph, r, r_bar, np.ones(2), 0)
 
@@ -477,7 +527,7 @@ class TestBlockDiagonalConditioning:
         assert 2 * k > net.graph.n_edges
         r_bar = net.resistances[::-1].copy()
         fine, _ = self.fine_and_dense(net.graph, net.resistances, r_bar)
-        assert [tau.size for tau in fine[2::2]] == [k] * 2
+        assert [block.tau.size for block in fine[1]] == [k] * 2
         self.assert_same_factor(net.graph, net.resistances, r_bar,
                                 np.linspace(-1.0, 1.0, net.graph.n_edges), 4)
 
@@ -511,46 +561,299 @@ class TestBlockDiagonalConditioning:
 
 
 def assembled(factor):
-    """The composed fine factor (s, h1, tau1, h2, tau2) as one (s, h, tau):
-    h holds h1 top-left and h2 from row and column k1 on, zeros elsewhere."""
-    s, h1, tau1, h2, tau2 = factor
-    (e1, k1), k = h1.shape, tau1.size + tau2.size
+    """The composed one-panel fine factor (s, (x block, y block)) as one
+    block: h holds the x block's h top-left and the y block's from row and
+    column k1 on, zeros elsewhere."""
+    s, (first, second) = factor
+    (e1, k1), k = first.h.shape, first.kept + second.kept
     h = np.zeros((s.size, k), order="F")
-    h[:e1, :k1] = h1
-    h[k1:, k1:] = h2
-    return s, h, np.concatenate([tau1, tau2])
+    h[:e1, :k1] = first.h
+    h[k1:, k1:] = second.h
+    return s, (gaussian.Block(np.arange(s.size), k, h,
+                              np.concatenate([first.tau, second.tau])),)
 
 
 class TestComposedFactor:
-    """The fine factor's blocks, each applied on its own rows, give every
-    variance and root bit for bit as the blocks assembled into one matrix."""
-
-    @staticmethod
-    def assert_bit_identical(graph, r, r_bar, rng):
-        fine = fine_factor(graph, r, r_bar)
-        reference = assembled(fine)
-        c = rng.standard_normal((3, 2 * graph.n_edges))
-        assert np.array_equal(functional_root(fine, c),
-                              functional_root(reference, c))
-        assert np.array_equal(functional_root(fine, c[0]),
-                              functional_root(reference, c[0]))
-        assert (conditioned_variance(fine, c[1])
-                == conditioned_variance(reference, c[1]))
+    """The fine factor's blocks, each applied on its own rows: one panel
+    each gives every variance and root bit for bit as the blocks
+    assembled into one matrix; more give them within rounding of the dense
+    QR of blockdiag(C, C)."""
 
     def test_suite_instances(self):
         for i in range(200):
             rng = instance_rng(12345, i)
             net = random_network(rng)
             r_bar = random_resistances(rng, net.graph.n_edges)
-            self.assert_bit_identical(net.graph, net.resistances, r_bar, rng)
+            fine = fine_factor(net.graph, net.resistances, r_bar)
+            if not fine[1]:  # a tree: no blocks to compose
+                continue
+            reference = assembled(fine)
+            c = rng.standard_normal((3, 2 * net.graph.n_edges))
+            assert np.array_equal(functional_root(fine, c),
+                                  functional_root(reference, c))
+            assert np.array_equal(functional_root(fine, c[0]),
+                                  functional_root(reference, c[0]))
+            assert (conditioned_variance(fine, c[1])
+                    == conditioned_variance(reference, c[1]))
 
     @pytest.mark.parametrize("side", [12, 16, 24])
     def test_grids(self, side):
-        # At 24x24, k = 529 runs dgeqrf's blocked path.
+        # At 24x24 the dense QR's 2k = 1058 columns run dgeqrf's blocked
+        # path. Each root within 32 ulps of its |s c| (measured 8.5), the
+        # variance within 4 ulps (measured 0.9).
         rng = np.random.default_rng(side)
         net = grid_network(side, rng)
-        self.assert_bit_identical(net.graph, net.resistances,
-                                  grid_network(side, rng).resistances, rng)
+        g = net.graph
+        assert g.cycle_rank > PANEL
+        fine, dense = TestBlockDiagonalConditioning.fine_and_dense(
+            g, net.resistances, grid_network(side, rng).resistances)
+        c = rng.standard_normal((3, 2 * g.n_edges))
+        scale = np.max(np.abs(fine[0] * c), axis=1)
+        for got, expected, row_scale in (
+                (functional_root(fine, c), functional_root(dense, c),
+                 scale[:, None]),
+                (functional_root(fine, c[0]), functional_root(dense, c[0]),
+                 scale[0])):
+            assert np.all(np.abs(got - expected) <= 32 * EPS * row_scale)
+        expected = conditioned_variance(dense, c[1])
+        assert (abs(conditioned_variance(fine, c[1]) - expected)
+                <= 4 * EPS * expected)
+
+
+def plain_qr(b):
+    """(h, tau) of one plain dgeqrf of a Fortran copy of b, with the
+    workspace its query asks for."""
+    b = np.array(b, dtype=float, order="F")
+    lwork = int(scipy.linalg.lapack.dgeqrf(b, lwork=-1)[2][0])
+    h, tau, _, info = scipy.linalg.lapack.dgeqrf(b, lwork=lwork)
+    assert info == 0
+    return h, tau
+
+
+def plain_variance(s, blocks, c):
+    """|w[k:]|^2 for w = Q' s c, k the reflectors of every (h, tau) in
+    ``blocks``, each applied by dormqr from the row where the reflectors
+    before it end; inf where it overflows."""
+    w, start = (s * c)[:, None].copy(order="F"), 0
+    for h, tau in blocks:
+        if tau.size:
+            w[start:start + len(h)] = scipy.linalg.lapack.dormqr(
+                "L", "T", h, tau, w[start:start + len(h)], 1)[0]
+        start += tau.size
+    with np.errstate(over="ignore"):
+        return float(w[start:, 0] @ w[start:, 0])
+
+
+def dense_factor(s, b):
+    """A factor of one plain dgeqrf of b = diag(s) M', in the factor
+    format: one block on every coordinate, none for no rows."""
+    h, tau = plain_qr(b)
+    if not tau.size:
+        return s, ()
+    return s, (gaussian.Block(np.arange(s.size), tau.size, h, tau),)
+
+
+def final_r(factor):
+    """The k x k R of a factor, from the final rows of its blocks in order,
+    each row signed to a positive pivot. A block's h spans the columns from
+    its first final row's on."""
+    k = sum(block.kept for block in factor[1])
+    r, start = np.zeros((k, k)), 0
+    for block in factor[1]:
+        columns = block.h.shape[1]
+        r[start:start + block.kept, start:start + columns] = np.triu(
+            block.h[:block.kept])
+        start += block.kept
+    return r * np.sign(np.diagonal(r))[:, None]
+
+
+def one_panel_inputs():
+    """Every network file and the first 50 suite instances (seed 12345),
+    each with a second resistance vector: (label, network, r_bar)."""
+    for path in sorted(DATA.glob("*.json")):
+        net = parse_network(str(path))
+        yield path.name, net, net.resistances[::-1].copy()
+    for i in range(50):
+        rng = instance_rng(12345, i)
+        net = random_network(rng)
+        yield f"suite {i}", net, random_resistances(rng, net.graph.n_edges)
+
+
+class TestOnePanel:
+    """Up to PANEL circuit rows make one panel, which keeps the arithmetic
+    of one plain dgeqrf of the dense matrix, bit for bit: the free field's
+    diag(sqrt(R)) C', the coarse side's 2E x k stack and the fine side's
+    padded [0; D]."""
+
+    @staticmethod
+    def assert_blocks(factor, expected):
+        """The factor's blocks are these (rows, (h, tau)), bit for bit; a
+        tree (k = 0) has none."""
+        expected = [(rows, qr) for rows, qr in expected if qr[1].size]
+        assert len(factor[1]) == len(expected)
+        for block, (rows, (h, tau)) in zip(factor[1], expected):
+            assert np.array_equal(block.rows, rows)
+            assert block.kept == tau.size
+            assert block.h.shape == h.shape
+            assert block.h.tobytes() == h.tobytes()
+            assert block.tau.tobytes() == tau.tobytes()
+
+    def test_matches_plain_dgeqrf(self):
+        for label, net, r_bar in one_panel_inputs():
+            g, r = net.graph, net.resistances
+            e, k = g.n_edges, g.cycle_rank
+            assert k <= PANEL, label
+            phi, s, s_bar = cycle_rows(g), np.sqrt(r), np.sqrt(r_bar)
+            doubled = np.concatenate([s, s_bar])
+            padded = np.zeros((2 * e - k, k))
+            padded[e - k:] = (phi * s_bar).T
+            free = plain_qr((phi * s).T)
+            rng = np.random.default_rng(k)
+            walk = tree_walk_vector(g, 0, 1)
+            one = [walk, rng.uniform(-1.0, 1.0, e)]
+            two = [np.concatenate([walk, walk]), rng.uniform(-1.0, 1.0, 2 * e)]
+            field = build_free_field(net)
+            for factor, expected, functionals in (
+                    (field.factor, [(np.arange(e), free)], one),
+                    (condition_diagonal(np.concatenate([r, r_bar]),
+                                        cycle_plan(g, 2)),
+                     [(np.arange(2 * e), plain_qr(
+                         (np.hstack([phi, phi]) * doubled).T))], two),
+                    (condition_block_diagonal(field.factor, r_bar,
+                                              cycle_plan(g)),
+                     [(np.arange(e), free),
+                      (np.arange(k, 2 * e), plain_qr(padded))], two)):
+                self.assert_blocks(factor, expected)
+                for c in functionals:
+                    variance = plain_variance(
+                        factor[0], [qr for _, qr in expected], c)
+                    if math.isfinite(variance):
+                        assert conditioned_variance(factor, c) == variance
+                    else:  # overflow_path.json's 1e308 ohms
+                        with pytest.raises(gaussian.SingularSystemError):
+                            conditioned_variance(factor, c)
+
+
+class TestMultiPanel:
+    """More than PANEL circuit rows: the panels agree to rounding with one
+    plain dgeqrf of the same dense matrix, its columns in the plan's
+    order."""
+
+    # Each agreement in ulps of its scale: the bound at about four times
+    # the worst measured on the three grids and the 33-circuit graph.
+    ULPS = {
+        # name: bound                 measured worst
+        "variance": 16,               # 4.0
+        "root": 28,                   # 6.9
+        "draws": 100,                 # 24.9
+        "eta": 32,                    # 8.1
+        "var_hat": 13,                # 3.2
+        "var_joint_hat": 13,          # 3.1
+        "var_joint_split": 15,        # 3.6
+        "var_sum": 12,                # 3.0
+    }
+
+    @staticmethod
+    def references(g, r, r_bar):
+        """Dense-QR factors of the free field of r, of [C, C] on (r, r_bar)
+        and of r + r_bar, and the padded fine block's (h, tau)."""
+        phi, e, k = cycle_rows(g), g.n_edges, g.cycle_rank
+        s, s_bar = np.sqrt(r), np.sqrt(r_bar)
+        doubled = np.concatenate([s, s_bar])
+        padded = np.zeros((2 * e - k, k))
+        padded[e - k:] = (phi * s_bar).T
+        return (dense_factor(s, (phi * s).T),
+                dense_factor(doubled, (np.hstack([phi, phi]) * doubled).T),
+                dense_factor(np.sqrt(r + r_bar), (phi * np.sqrt(r + r_bar)).T),
+                plain_qr(padded))
+
+    def assert_agrees(self, name, got, expected, scale):
+        error = np.max(np.abs(got - expected), initial=0.0)
+        assert error <= self.ULPS[name] * EPS * scale, (name, error / scale)
+
+    def check(self, net, r_bar, rng):
+        g, r = net.graph, net.resistances
+        e, k = g.n_edges, g.cycle_rank
+        field = build_free_field(net)
+        free, coarse, hat, (h2, tau2) = self.references(g, r, r_bar)
+        s = free[0]
+        walk = tree_walk_vector(g, 0, g.n_vertices - 1)
+        c = rng.standard_normal((4, e))
+        for row in (walk, *c):
+            expected = conditioned_variance(free, row)
+            self.assert_agrees("variance", conditioned_variance(
+                field.factor, row), expected, expected)
+        self.assert_agrees("root", functional_root(field.factor, c),
+                           functional_root(free, c), np.max(np.abs(s * c)))
+        draws = [np.concatenate(list(functional_draws(f, walk, 200, 7)))
+                 for f in (field.factor, free)]
+        self.assert_agrees("draws", draws[0], draws[1],
+                           np.max(np.abs(draws[1])))
+        eta = eta_field(field, 0).covariance
+        paths = g.tree_paths - g.tree_paths[0]
+        root = functional_root(free, paths)
+        self.assert_agrees("eta", eta, root @ root.T, np.max(np.abs(eta)))
+        doubled = np.concatenate([walk, walk])
+        fine = plain_variance(np.concatenate([s, np.sqrt(r_bar)]),
+                              [plain_qr((cycle_rows(g) * s).T), (h2, tau2)],
+                              doubled)
+        expected = {
+            "var_hat": conditioned_variance(hat, walk),
+            "var_joint_hat": conditioned_variance(coarse, doubled),
+            "var_joint_split": fine,
+            "var_sum": (conditioned_variance(free, walk)
+                        + conditioned_variance(dense_factor(
+                            np.sqrt(r_bar), (cycle_rows(g) * np.sqrt(r_bar)).T),
+                            walk)),
+        }
+        report = entropy_chain(g, r, r_bar, 0, g.n_vertices - 1)
+        for name, value in expected.items():
+            self.assert_agrees(name, report.quantity(name), value, value)
+
+    @pytest.mark.parametrize("side", [12, 16, 24])
+    def test_grids_agree_with_the_dense_factor(self, side):
+        for seed in range(3):
+            rng = np.random.default_rng((side, seed))
+            net = grid_network(side, rng)
+            assert len(cycle_plan(net.graph).panels()) > 1
+            self.check(net, grid_network(side, rng).resistances, rng)
+
+    def test_thirty_three_circuits(self):
+        # A 5 x 9 grid has 32 circuits; a parallel edge makes 33, one
+        # panel of 32 and one of 1.
+        specs = [(i * 9 + j, i * 9 + j + 1) for i in range(5) for j in range(8)]
+        specs += [(i * 9 + j, (i + 1) * 9 + j) for i in range(4)
+                  for j in range(9)]
+        g = build_multigraph(list(range(45)), specs + [(20, 21)])
+        assert g.cycle_rank == PANEL + 1
+        assert [p.kept for p in cycle_plan(g).panels()] == [PANEL, 1]
+        rng = np.random.default_rng(33)
+        r, r_bar = (np.exp(rng.uniform(np.log(0.1), np.log(10.0), g.n_edges))
+                    for _ in range(2))
+        self.check(ResistiveNetwork(g, r), r_bar, rng)
+
+    def test_tree(self, series_path):
+        plan = cycle_plan(series_path.graph)
+        assert plan.k == 0 and plan.panels() == () and plan.panels(2) == ()
+        self.check(series_path, np.array([0.25, 9.0]),
+                   np.random.default_rng(0))
+
+    def test_row_duplicated_across_panels_raises(self):
+        # Circuit 0's row again, as a last column: it enters panel 0 and
+        # its duplicate is final in the last panel.
+        net = grid_network(12, np.random.default_rng(1))
+        plan = cycle_plan(net.graph)
+        first = plan.column == 0
+        duplicated = RowMergePlan(
+            plan.k + 1, plan.size,
+            np.concatenate([plan.coordinate, plan.coordinate[first]]),
+            np.concatenate([plan.column,
+                            np.full(first.sum(), plan.k)]),
+            np.concatenate([plan.value, plan.value[first]]))
+        assert len(duplicated.panels()) > 1
+        condition_diagonal(net.resistances, plan)
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            condition_diagonal(net.resistances, duplicated)
 
 
 class TestReflectorKernel:

@@ -40,12 +40,14 @@ from gffresist.errors import (
     ValidationError,
 )
 from gffresist.gff import build_free_field, eta_field, potential_difference_variance
+from gffresist.gaussian import condition_diagonal
 from gffresist.graph import (
+    PANEL,
     Circuit,
     Walk,
+    cycle_plan,
     make_circuit,
     make_walk,
-    scaled_cycles,
 )
 from gffresist.verify import (
     entropy_chain,
@@ -57,18 +59,45 @@ from gffresist.verify import (
 from test_electric import grid_network
 
 
-def scaled(g, s):
-    """scaled_cycles into a fresh zeroed Fortran array, returned."""
-    out = np.zeros((len(s), g.cycle_rank), order="F")
-    assert scaled_cycles(g, s, out) is out
+def planned(g, copies):
+    """M' of cycle_plan(g, copies), assembled from its entries."""
+    plan = cycle_plan(g, copies)
+    dense = np.zeros((plan.size, plan.k))
+    dense[plan.coordinate, plan.column] = plan.value
+    return dense
+
+
+def written(g, s):
+    """The stacks cycle_plan writes for the deviations s (one E-long block
+    of coordinates per copy), assembled as diag(s) M' in column order."""
+    plan = cycle_plan(g, len(s) // g.n_edges)
+    out = np.zeros((len(s), plan.k), order="F")
+    for p, panel in enumerate(plan.panels()):
+        stack = np.zeros((panel.rows.size, panel.columns), order="F")
+        stack.reshape(-1, order="F")[panel.flat] = (s[panel.source]
+                                                    * panel.value)
+        # Each row enters one panel; the carried rows' stack rows are 0.
+        out[panel.rows, p * PANEL:p * PANEL + panel.columns] += stack
     return out
+
+
+def chord_order(g):
+    """The circuits in cycle_plan's column order, as indices into the
+    increasing chords: a chord's coordinate is nonzero in its own
+    circuit's row only."""
+    plan, chords = cycle_plan(g), g.cycle_blocks[1]
+    at_chord = np.isin(plan.coordinate, chords)
+    order = np.full(plan.k, -1)
+    order[plan.column[at_chord]] = np.searchsorted(
+        chords, plan.coordinate[at_chord])
+    return order
 
 
 def oracle_scaled(g, s):
     """diag(s) C' from the walk API's circuits, one copy of C per E-long
-    block of s."""
+    block of s, columns in cycle_plan's order."""
     cycles = circuit_matrix(g, fundamental_circuits(g))
-    return (np.tile(cycles, len(s) // g.n_edges) * s).T
+    return (np.tile(cycles[chord_order(g)], len(s) // g.n_edges) * s).T
 
 DATA = Path(__file__).parent / "data"
 
@@ -264,50 +293,56 @@ class TestBuild:
         assert fresh != Multigraph(g.vertices, [0, 1, 1], [1, 2, 2])
 
     @pytest.mark.parametrize("name", ["triangle.json", "grid4.json"])
-    def test_scaled_cycles_on_network_files(self, name):
+    def test_cycle_plan_on_network_files(self, name):
         g = parse_network(str(DATA / name)).graph
         s = np.random.default_rng(7).uniform(0.1, 10.0, g.n_edges)
-        out, expected = scaled(g, s), oracle_scaled(g, s)
-        assert out.flags.f_contiguous
+        out, expected = written(g, s), oracle_scaled(g, s)
         assert out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
 
-    def test_scaled_cycles_of_a_tree_is_empty(self, series_path):
-        assert scaled(series_path.graph, np.ones(2)).shape == (2, 0)
-        assert scaled(series_path.graph, np.ones(4)).shape == (4, 0)
+    def test_cycle_plan_of_a_tree_is_empty(self, series_path):
+        for copies in (1, 2):
+            plan = cycle_plan(series_path.graph, copies)
+            assert (plan.k, plan.size) == (0, 2 * copies)
+            assert plan.coordinate.size == 0 and plan.panels() == ()
 
     def test_one_circuit_build_per_graph(self, monkeypatch, bridge):
-        # Every route reads the cycle basis through the cached cycle_blocks,
-        # from which scaled_cycles writes each QR input, so the basis is
-        # built once per graph.
+        # The oracle reads the cycle basis through the cached cycle_blocks,
+        # the free field and the entropy chain through the cached
+        # cycle_plan, so each is built once per graph.
         calls = []
-        original = graph_module._cycle_basis
+        for name in ("_cycle_basis", "_circuit_walks"):
+            original = getattr(graph_module, name)
 
-        def counting(g):
-            calls.append(g)
-            return original(g)
+            def counting(g, name=name, original=original):
+                calls.append((name, g))
+                return original(g)
 
-        monkeypatch.setattr(graph_module, "_cycle_basis", counting)
+            monkeypatch.setattr(graph_module, name, counting)
         flow = min_energy_flow_oracle(bridge, 0, 3)
         kvl_residual(bridge, flow)
         build_free_field(bridge)
         entropy_chain(bridge.graph, bridge.resistances,
                       2.0 * bridge.resistances, 0, 3)
-        assert calls == [bridge.graph]
+        assert calls == [("_cycle_basis", bridge.graph),
+                         ("_circuit_walks", bridge.graph)]
 
-    def test_scaled_cycles_equals_the_circuit_oracle(self):
+    def test_cycle_plan_equals_the_circuit_oracle(self):
         # Random multigraphs with parallel edges, one block and two stacked
-        # blocks: the block-form product equals the scaled sign vectors of
-        # the built circuits, byte for byte.
+        # blocks: the plan's entries are the sign vectors of the built
+        # circuits, and the stacks it writes their scaled copies, byte for
+        # byte.
         parallel = 0
         for i in range(300):
             g = random_network(instance_rng(83, i)).graph
             rng = np.random.default_rng(i)
             for m in (1, 2):
                 s = np.exp(rng.uniform(-12.0, 12.0, m * g.n_edges))
-                out, expected = scaled(g, s), oracle_scaled(g, s)
+                out, expected = written(g, s), oracle_scaled(g, s)
                 assert out.shape == expected.shape
                 assert out.tobytes() == expected.tobytes()
+                assert planned(g, m).tobytes() == oracle_scaled(
+                    g, np.ones(m * g.n_edges)).tobytes()
             parallel += bool(g.parallel.any())
         assert parallel > 100
 
@@ -337,10 +372,10 @@ class TestBuild:
             assert np.array_equal(cycles[:, chords], np.eye(len(chords)))
             assert cycles[:, tree_ids].tobytes() == block.tobytes()
 
-    def test_scaled_cycles_keeps_the_dense_construction(self):
-        # The dense form built directly, chord rows e_e + P[tail] - P[head],
-        # then scaled: scaled_cycles writes the same, byte for byte, for one
-        # block and for m = 2 stacked blocks.
+    def test_cycle_plan_keeps_the_dense_construction(self):
+        # The dense form built directly, chord rows e_e + P[tail] - P[head]:
+        # the plan holds it in its column order, for one block and for
+        # m = 2 stacked blocks, and its stacks write it scaled.
         rng = np.random.default_rng(11)
         for g in self.block_form_networks():
             paths = g.tree_paths
@@ -348,28 +383,95 @@ class TestBuild:
             dense = (paths[g.tails[chords]]
                      - paths[g.heads[chords]]).astype(float)
             dense[np.arange(len(chords)), chords] = 1.0
+            dense = dense[chord_order(g)]
             for m in (1, 2):
+                assert planned(g, m).tobytes() == np.tile(dense, m).T.tobytes()
                 s = rng.uniform(0.1, 10.0, m * g.n_edges)
                 expected = (np.tile(dense, m) * s).T
-                assert scaled(g, s).tobytes() == expected.tobytes()
+                assert written(g, s).tobytes() == expected.tobytes()
 
-    def test_scaled_cycles_needs_a_spanning_tree(self):
+    def test_cycle_plan_order(self):
+        # Up to PANEL circuits keep chord order; more are sorted by their
+        # apex's queue position, then their later end's.
+        for g in self.block_form_networks():
+            plan, order = cycle_plan(g), chord_order(g)
+            assert cycle_plan(g) is plan and plan.k == g.cycle_rank
+            assert sorted(order) == list(range(plan.k))
+            if plan.k <= PANEL:
+                assert order.tolist() == list(range(plan.k))
+                continue
+            queue = np.argsort(g.tree[2])
+            parent = g.tree[0]
+            keys = []
+            for chord in g.cycle_blocks[1][order]:
+                ends = [int(g.tails[chord]), int(g.heads[chord])]
+                ancestors = set()
+                v = ends[0]
+                while v >= 0:
+                    ancestors.add(v)
+                    v = parent[v]
+                apex = ends[1]
+                while apex not in ancestors:
+                    apex = parent[apex]
+                keys.append((queue[apex], max(queue[ends])))
+            assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("slots", [0, 1, 40, 500])
+    def test_panel_layout(self, slots):
+        # Every row enters one panel, after the rows of R the panel before
+        # carried: slot j at column min(j, k - 1), a coordinate's row at its
+        # first nonzero column (an empty row at the last), in row order.
+        # Every panel finalizes its columns and scatters each entry of the
+        # rows entering it once, inside its stack.
+        for g in self.block_form_networks():
+            plan = cycle_plan(g, 2)
+            if not plan.k:  # a tree has no panel
+                assert plan.panels(slots) == ()
+                continue
+            dense = planned(g, 2)
+            lead = np.where(dense.any(axis=1), np.argmax(dense != 0, axis=1),
+                            plan.k - 1)
+            assert np.array_equal(plan.lead, lead)
+            lead = np.concatenate([np.minimum(np.arange(slots), plan.k - 1),
+                                   lead])
+            panels = plan.panels(slots)
+            assert plan.panels(slots) is panels
+            assert sum(panel.kept for panel in panels) == plan.k
+            entered, carried, start = [], np.zeros(0, dtype=int), 0
+            for panel in panels:
+                assert panel.kept == min(PANEL, plan.k - start)
+                assert panel.columns >= panel.kept
+                assert np.array_equal(panel.rows[:carried.size], carried)
+                enter = panel.rows[carried.size:]
+                assert np.array_equal(
+                    enter, np.flatnonzero(lead // PANEL == start // PANEL))
+                entered.extend(enter.tolist())
+                height = panel.rows.size
+                assert np.unique(panel.flat).size == panel.flat.size
+                row, column = panel.flat % height, panel.flat // height
+                assert np.all(row >= carried.size)
+                assert np.all(column < panel.columns)
+                assert np.array_equal(panel.rows[row] - slots, panel.source)
+                carried = panel.rows[panel.kept:min(height, panel.columns)]
+                start += panel.kept
+            assert sorted(entered) == list(range(slots + plan.size))
+
+    def test_cycle_plan_needs_a_spanning_tree(self):
         g = Multigraph(("a", "b", "c"), [0], [1])
         with pytest.raises(DisconnectedError):
-            scaled_cycles(g, np.ones(1), np.zeros((1, 0), order="F"))
+            cycle_plan(g)
         with pytest.raises(NotASpanningTreeError):
             g.cycle_blocks
         with pytest.raises(NotASpanningTreeError):
             g.tree_paths
 
-    @pytest.mark.parametrize("size, shape", [(4, (4, 1)), (3, (3, 2)),
-                                             (6, (3, 1))])
-    def test_scaled_cycles_shape_mismatch_raises(self, triangle, size,
-                                                 shape):
-        # s must be whole 3-edge blocks, and out (len(s), k) with k = 1.
-        with pytest.raises(DimensionMismatchError, match="3 edges"):
-            scaled_cycles(triangle.graph, np.ones(size),
-                          np.zeros(shape, order="F"))
+    @pytest.mark.parametrize("size, copies", [(4, 1), (3, 2), (6, 1)])
+    def test_plan_size_mismatch_raises(self, triangle, size, copies):
+        # The variances must cover the plan's coordinates: 3 per copy.
+        with pytest.raises(DimensionMismatchError,
+                           match=f"on {3 * copies} coordinates"):
+            condition_diagonal(np.ones(size),
+                               cycle_plan(triangle.graph, copies))
 
 
 class TestSpanningTree:

@@ -307,7 +307,8 @@ class TestEntropyChain:
     @pytest.mark.parametrize("side", [12, 16, 24])
     def test_bit_identical_to_circuit_rows(self, side):
         # Every variance of the chain, and the free field's factor, as the
-        # dense circuit rows of the walk API give them, bit for bit.
+        # dense circuit rows of the walk API give them, bit for bit: their
+        # nonzeros, in the plan's column order, make the same panels.
         rng = np.random.default_rng(side)
         net = grid_network(side, rng)
         g, r = net.graph, net.resistances
@@ -315,8 +316,10 @@ class TestEntropyChain:
         a, b = 0, g.n_vertices - 1
         phi = cycle_rows(g)
         free = [diagonal(x, phi) for x in (r + r_bar, r_bar, r)]
-        for got, expected in zip(build_free_field(net).factor, free[2]):
-            assert np.array_equal(got, expected)
+        got, expected = build_free_field(net).factor, free[2]
+        assert np.array_equal(got[0], expected[0])
+        for block, dense in zip(got[1], expected[1], strict=True):
+            assert all(np.array_equal(*parts) for parts in zip(block, dense))
         walk = tree_walk_vector(g, a, b)
         doubled = np.concatenate([walk, walk])
         var_hat, var_bar, var = (conditioned_variance(f, walk) for f in free)
