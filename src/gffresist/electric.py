@@ -14,8 +14,8 @@ and warn (``LinAlgWarning``) when the reciprocal 1-norm condition number,
 exact for the Laplacian (an M-matrix, its 1-norm read from its own band's
 row sums) and ``dpocon``'s estimate for the Gram, falls below machine
 epsilon. Each graph keeps its last
-VOLTAGE_MEMO_SIZE voltage solves, and builds once what depends on it alone:
-the band plan for the last ground and the cycle basis in block form.
+VOLTAGE_MEMO_SIZE voltage solves and the band plan for the last ground;
+the oracle walks the fundamental circuits on each call and keeps nothing.
 """
 
 import math
@@ -34,7 +34,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .graph import Multigraph, tree_walk_vector
+from .graph import Multigraph, _circuit_walks, tree_walk_vector
 
 MIN_RESISTANCE = 1e-12
 EPS = np.finfo(float).eps
@@ -335,26 +335,33 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     Feasible flows are the tree-path flow plus the span of the fundamental
     circuit sign vectors; the power quadratic is minimized by solving its
     normal equations in cycle coordinates. The circuit matrix is ``[I_k |
-    D]`` up to a column permutation (``Multigraph.cycle_blocks``), so with
-    the tree-path flow ``base`` (zero on the chords) the Gram is ``W W^T +
-    diag(r_chords)`` with ``W = D sqrt(r_tree)``, the right-hand side ``-(D
-    r_tree) base_tree``, and the flow ``base`` plus ``D^T t`` on the tree
-    edges and ``t`` on the chords: the dense k x E circuit matrix is never
-    formed. numpy forms ``W @ W.T`` by SYRK and fills both triangles from
-    one, so the Gram is bitwise symmetric, as ``_gram_solve`` requires.
+    D]`` up to a column permutation, so with the tree-path flow ``base``
+    (zero on the chords) the Gram is ``W W^T + diag(r_chords)`` with ``W =
+    D sqrt(r_tree)``, the right-hand side ``-(D r_tree) base_tree``, and
+    the flow ``base`` plus ``D^T t`` on the tree edges and ``t`` on the
+    chords: the dense k x E circuit matrix is never formed. D, rows in
+    chord order and columns in tree-edge order, is scattered from
+    ``_circuit_walks`` on each call and kept on no graph; it is scaled to
+    W in place and read back as D by its signs, as sqrt(r) > 0. numpy
+    forms ``W @ W.T`` by SYRK and fills both triangles from one, so the
+    Gram is bitwise symmetric, as ``_gram_solve`` requires.
     """
     g = n.graph
     flow = tree_walk_vector(g, a, b)
-    tree_ids, chords, block = g.cycle_blocks
+    chords, _, _, circuit, edge, sign = _circuit_walks(g)
+    tree_ids = np.sort(g.tree[1][1:])
+    block = np.zeros((chords.size, tree_ids.size))
+    block[circuit, np.searchsorted(tree_ids, edge)] = sign
     r = n.resistances
     # Resistances near the double's limit overflow here; the inf or NaN
     # reaches the Gram's norm or the right-hand side, and _gram_solve
     # raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = block * np.sqrt(r[tree_ids])
-        gram = scaled @ scaled.T
-        gram[np.diag_indices(len(chords))] += r[chords]
         rhs = -(block @ (r[tree_ids] * flow[tree_ids]))
+        block *= np.sqrt(r[tree_ids])
+        gram = block @ block.T
+        gram[np.diag_indices(len(chords))] += r[chords]
+    np.sign(block, out=block)
     t, _ = _gram_solve(gram, rhs)
     flow[tree_ids] += block.T @ t
     flow[chords] = t

@@ -70,11 +70,16 @@ def eta_field(f: FreeField, v_star: int = 0) -> GaussianVector:
     """Vertex potential field, grounded at the reference vertex ``v_star``.
 
     Coordinate v applies the tree-path functional from v_star to v; the
-    v_star coordinate is identically zero.
+    v_star coordinate is identically zero. The V x E tree walks are built
+    for the call and not kept.
     """
-    f.network.graph.check_vertices(v_star)
-    paths = f.network.graph.tree_paths
-    b = functional_root(f.factor, paths - paths[v_star])
+    g = f.network.graph
+    g.check_vertices(v_star)
+    walks = np.zeros((g.n_vertices, g.n_edges))
+    for v in range(g.n_vertices):
+        if v != v_star:
+            walks[v] = tree_walk_vector(g, v_star, v)
+    b = functional_root(f.factor, walks)
     return GaussianVector(np.zeros(len(b)), b @ b.T)
 
 

@@ -125,25 +125,6 @@ class Multigraph:
         return tuple(map(_frozen_ints, (parent, parent_edge, order)))
 
     @cached_property
-    def tree_paths(self) -> np.ndarray:
-        """Read-only int8 sign vectors of the tree walks from vertex 0, one
-        row per vertex, each its parent's row plus its tree edge."""
-        parent, parent_edge, order = (part.tolist() for part in self.tree)
-        paths = np.zeros((self.n_vertices, self.n_edges), dtype=np.int8)
-        for v in order[1:]:
-            p = parent[v]
-            paths[v] = paths[p]
-            paths[v, parent_edge[v]] = 1 if v > p else -1
-        paths.setflags(write=False)
-        return paths
-
-    @cached_property
-    def cycle_blocks(self) -> tuple:
-        """The fundamental circuits of ``tree`` in chord/tree block form:
-        ``(tree_ids, chords, block)``, see ``_cycle_basis``; read-only."""
-        return _cycle_basis(self)
-
-    @cached_property
     def voltage_memo(self) -> dict:
         """electric.node_voltages' recent solves on this graph, oldest
         first; node_voltages keys and bounds it."""
@@ -194,14 +175,6 @@ class Multigraph:
             if not 0 <= v < self.n_vertices:
                 raise NotASpanningTreeError(
                     f"vertex {v} out of range for {self.n_vertices} vertices")
-
-    def incidence_matrix(self) -> np.ndarray:
-        """Signed vertex-edge incidence: +1 at the tail, -1 at the head."""
-        b = np.zeros((self.n_vertices, self.n_edges))
-        ids = np.arange(self.n_edges)
-        b[self.tails, ids] = 1.0
-        b[self.heads, ids] = -1.0
-        return b
 
 
 def _frozen_ints(values) -> np.ndarray:
@@ -313,28 +286,6 @@ def build_multigraph(vertex_names, edge_specs) -> Multigraph:
 def spanning_tree(g: Multigraph) -> frozenset:
     """Deterministic BFS spanning tree from vertex 0, edge-id tie-break."""
     return frozenset(g.tree[1][1:].tolist())
-
-
-def _cycle_basis(g: Multigraph) -> tuple:
-    """Fundamental circuits of the BFS tree in chord/tree block form.
-
-    Returns ``(tree_ids, chords, block)``: the tree edges' ids and the
-    chords' ids, each increasing, and the k x (V - 1) float tree block D,
-    all read-only. The chords are the edges no vertex was reached through.
-    The circuit of chord e runs tail to head along e, then back along the
-    tree, so it owns its chord and its tree part is ``P[tail] - P[head]``,
-    ``P = g.tree_paths``: the root paths' shared part cancels, and D, the
-    tree block of ``[I_k | D]``, holds only -1, 0 and 1.
-    """
-    on_tree = np.zeros(g.n_edges, dtype=bool)
-    on_tree[g.tree[1][1:]] = True
-    tree_ids, chords = np.flatnonzero(on_tree), np.flatnonzero(~on_tree)
-    tree_part = g.tree_paths[:, tree_ids]
-    block = (tree_part[g.tails[chords]]
-             - tree_part[g.heads[chords]]).astype(float)
-    for part in (tree_ids, chords, block):
-        part.setflags(write=False)
-    return tree_ids, chords, block
 
 
 class Panel(NamedTuple):
@@ -478,10 +429,13 @@ def _circuit_walks(g: Multigraph) -> tuple:
     sign)``. The chords are increasing ids; per chord, ``apex`` is the
     queue position of its ends' lowest common ancestor and ``later`` the
     larger of its ends' queue positions. Each tree edge of circuit i
-    gives an entry (i, edge, sign), its coefficient in ``P[tail] -
-    P[head]``, ``P = tree_paths``. The ends are walked as queue positions:
-    each step moves the later end of every unfinished circuit to its
-    parent (it is never the other end's ancestor) until the ends meet."""
+    gives an entry (i, edge, sign), its coefficient in
+    ``tree_walk_vector(g, head, tail)``. Nothing is cached here:
+    cycle_plan keeps its plan, and min_energy_flow_oracle scatters the
+    entries into its tree block on each call. The ends are walked as
+    queue positions: each step moves the later end of every unfinished
+    circuit to its parent (it is never the other end's ancestor) until
+    the ends meet."""
     parent, parent_edge, order = g.tree
     queue = np.empty(g.n_vertices, dtype=int)
     queue[order] = np.arange(g.n_vertices)
@@ -515,11 +469,14 @@ def _circuit_walks(g: Multigraph) -> tuple:
 
 
 def tree_walk_vector(g: Multigraph, a: int, b: int) -> np.ndarray:
-    """Sign vector ``P[b] - P[a]``, ``P = g.tree_paths``, of the tree walk
-    from a to b: ``walk_sign_vector(g, walk_between(g, a, b))`` without the
-    walk."""
+    """Sign vector of the tree walk from a to b, read off ``_tree_path``:
+    ``walk_sign_vector(g, walk_between(g, a, b))`` without the walk."""
     g.check_vertices(a, b)
-    return (g.tree_paths[b] - g.tree_paths[a]).astype(float)
+    parent, parent_edge, _ = (part.tolist() for part in g.tree)
+    vertices, edges = _tree_path(parent, parent_edge, a, b)
+    vec = np.zeros(g.n_edges)
+    vec[edges] = np.where(np.diff(vertices) > 0, 1.0, -1.0)
+    return vec
 
 
 def _tree_path(parent, parent_edge, a: int, b: int):

@@ -208,9 +208,12 @@ def block_gram(net: ResistiveNetwork) -> tuple:
 def dense_circuit_caches(g: Multigraph) -> list:
     """Names of the graph's caches holding, at any depth of tuples, lists,
     dict values and dataclass fields (RowMergePlan's arrays and its cached
-    Panels), a float array of E k entries: the size of the dense circuit
-    matrix. For a graph with circuits (k > 0)."""
-    size = g.n_edges * g.cycle_rank
+    Panels), an array of any dtype the size of a dense walk or circuit
+    form: E k entries (the circuit matrix), V E (every vertex's tree walk)
+    or k (V - 1) (the circuits' tree block). For a graph with circuits
+    (k > 0)."""
+    sizes = {g.n_edges * g.cycle_rank, g.n_vertices * g.n_edges,
+             g.cycle_rank * (g.n_vertices - 1)}
 
     def holds(value):
         if dataclasses.is_dataclass(value):
@@ -219,8 +222,7 @@ def dense_circuit_caches(g: Multigraph) -> list:
             value = list(value.values())
         if isinstance(value, (tuple, list)):
             return any(map(holds, value))
-        return (isinstance(value, np.ndarray) and value.dtype.kind == "f"
-                and value.size == size)
+        return isinstance(value, np.ndarray) and value.size in sizes
     return [name for name, value in vars(g).items() if holds(value)]
 
 
@@ -955,9 +957,12 @@ class TestPowerAndResiduals:
             thomson = thomson_flow(net, a, b)
             arbitrary = FlowVector(rng.standard_normal(g.n_edges))
             cycles = circuit_matrix(g, fundamental_circuits(g))
+            # The tree walks from vertex 0, phi's coefficients.
+            paths = np.stack([walk_sign_vector(g, walk_between(g, 0, v))
+                              for v in range(1, g.n_vertices)])
             for flow in (thomson, arbitrary):
                 drops = flow.currents * net.resistances
-                phi = np.max(np.abs(g.tree_paths @ drops))
+                phi = np.max(np.abs(paths @ drops))
                 dense = np.max(np.abs(cycles @ drops), initial=0.0)
                 error = abs(kvl_residual(net, flow) - dense)
                 if flow is thomson:
@@ -968,7 +973,7 @@ class TestPowerAndResiduals:
     def test_kvl_needs_neither_circuits_nor_tree_paths(self):
         net = grid_network(8, np.random.default_rng(9))
         kvl_residual(net, thomson_flow(net, 0, 63))
-        assert not {"cycle_blocks", "tree_paths"} & set(vars(net.graph))
+        assert "row_merge_plans" not in vars(net.graph)
         assert not dense_circuit_caches(net.graph)
 
     def test_kcl_same_vertex(self, triangle):

@@ -45,6 +45,8 @@ from gffresist.graph import (
     build_multigraph,
     cycle_plan,
     tree_walk_vector,
+    walk_between,
+    walk_sign_vector,
 )
 from gffresist.gff import build_free_field, eta_field
 from gffresist.verify import (
@@ -790,7 +792,9 @@ class TestMultiPanel:
         self.assert_agrees("draws", draws[0], draws[1],
                            np.max(np.abs(draws[1])))
         eta = eta_field(field, 0).covariance
-        paths = g.tree_paths - g.tree_paths[0]
+        paths = np.zeros((g.n_vertices, e))
+        for v in range(1, g.n_vertices):
+            paths[v] = walk_sign_vector(g, walk_between(g, 0, v))
         root = functional_root(free, paths)
         self.assert_agrees("eta", eta, root @ root.T, np.max(np.abs(eta)))
         doubled = np.concatenate([walk, walk])

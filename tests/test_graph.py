@@ -56,7 +56,7 @@ from gffresist.verify import (
     random_network,
 )
 
-from test_electric import grid_network
+from test_electric import dense_circuit_caches, grid_network
 
 
 def planned(g, copies):
@@ -85,12 +85,17 @@ def chord_order(g):
     """The circuits in cycle_plan's column order, as indices into the
     increasing chords: a chord's coordinate is nonzero in its own
     circuit's row only."""
-    plan, chords = cycle_plan(g), g.cycle_blocks[1]
+    plan, chords = cycle_plan(g), tree_chords(g)
     at_chord = np.isin(plan.coordinate, chords)
     order = np.full(plan.k, -1)
     order[plan.column[at_chord]] = np.searchsorted(
         chords, plan.coordinate[at_chord])
     return order
+
+
+def tree_chords(g):
+    """The increasing ids of the edges off the walk API's spanning tree."""
+    return np.setdiff1d(np.arange(g.n_edges), list(spanning_tree(g)))
 
 
 def oracle_scaled(g, s):
@@ -307,25 +312,26 @@ class TestBuild:
             assert plan.coordinate.size == 0 and plan.panels() == ()
 
     def test_one_circuit_build_per_graph(self, monkeypatch, bridge):
-        # The oracle reads the cycle basis through the cached cycle_blocks,
-        # the free field and the entropy chain through the cached
-        # cycle_plan, so each is built once per graph.
-        calls = []
-        for name in ("_cycle_basis", "_circuit_walks"):
-            original = getattr(graph_module, name)
+        # The free field and the entropy chain read the circuits through
+        # the cached cycle_plan, built once per graph; the oracle walks
+        # them on each call and keeps nothing on the graph.
+        g, calls = bridge.graph, []
+        original = graph_module._circuit_walks
 
-            def counting(g, name=name, original=original):
-                calls.append((name, g))
-                return original(g)
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
 
-            monkeypatch.setattr(graph_module, name, counting)
-        flow = min_energy_flow_oracle(bridge, 0, 3)
+        for module in (graph_module, electric):
+            monkeypatch.setattr(module, "_circuit_walks", counting)
+        cached = set(vars(g))
+        for _ in range(2):
+            flow = min_energy_flow_oracle(bridge, 0, 3)
+        assert calls == [g, g] and set(vars(g)) == cached
         kvl_residual(bridge, flow)
         build_free_field(bridge)
-        entropy_chain(bridge.graph, bridge.resistances,
-                      2.0 * bridge.resistances, 0, 3)
-        assert calls == [("_cycle_basis", bridge.graph),
-                         ("_circuit_walks", bridge.graph)]
+        entropy_chain(g, bridge.resistances, 2.0 * bridge.resistances, 0, 3)
+        assert calls == [g, g, g]
 
     def test_cycle_plan_equals_the_circuit_oracle(self):
         # Random multigraphs with parallel edges, one block and two stacked
@@ -358,30 +364,18 @@ class TestBuild:
         yield build_multigraph(["a", "b"], [("a", "b"), ("b", "a")])
         yield parse_network(str(DATA / "wide_span.json")).graph
 
-    def test_cycle_blocks_are_the_circuit_matrix_in_block_form(self):
-        for g in self.block_form_networks():
-            tree_ids, chords, block = g.cycle_blocks
-            assert g.cycle_blocks is g.cycle_blocks
-            assert all(not part.flags.writeable
-                       for part in (tree_ids, chords, block))
-            assert tree_ids.tolist() == sorted(spanning_tree(g))
-            assert sorted([*tree_ids, *chords]) == list(range(g.n_edges))
-            assert block.shape == (g.cycle_rank, g.n_vertices - 1)
-            assert set(np.unique(block)) <= {-1.0, 0.0, 1.0}
-            cycles = circuit_matrix(g, fundamental_circuits(g))
-            assert np.array_equal(cycles[:, chords], np.eye(len(chords)))
-            assert cycles[:, tree_ids].tobytes() == block.tobytes()
-
     def test_cycle_plan_keeps_the_dense_construction(self):
-        # The dense form built directly, chord rows e_e + P[tail] - P[head]:
-        # the plan holds it in its column order, for one block and for
-        # m = 2 stacked blocks, and its stacks write it scaled.
+        # The dense form built directly, chord row e_e plus the sign
+        # vector of the tree walk from its head to its tail: the plan holds
+        # it in its column order, for one block and for m = 2 stacked
+        # blocks, and its stacks write it scaled.
         rng = np.random.default_rng(11)
         for g in self.block_form_networks():
-            paths = g.tree_paths
-            chords = np.flatnonzero(~paths.any(axis=0))
-            dense = (paths[g.tails[chords]]
-                     - paths[g.heads[chords]]).astype(float)
+            chords = tree_chords(g)
+            dense = np.zeros((len(chords), g.n_edges))
+            for row, chord in zip(dense, chords):
+                row += walk_sign_vector(g, walk_between(
+                    g, g.heads[chord], g.tails[chord]))
             dense[np.arange(len(chords)), chords] = 1.0
             dense = dense[chord_order(g)]
             for m in (1, 2):
@@ -403,7 +397,7 @@ class TestBuild:
             queue = np.argsort(g.tree[2])
             parent = g.tree[0]
             keys = []
-            for chord in g.cycle_blocks[1][order]:
+            for chord in tree_chords(g)[order]:
                 ends = [int(g.tails[chord]), int(g.heads[chord])]
                 ancestors = set()
                 v = ends[0]
@@ -461,9 +455,9 @@ class TestBuild:
         with pytest.raises(DisconnectedError):
             cycle_plan(g)
         with pytest.raises(NotASpanningTreeError):
-            g.cycle_blocks
+            fundamental_circuits(g)
         with pytest.raises(NotASpanningTreeError):
-            g.tree_paths
+            tree_walk_vector(g, 0, 1)
 
     @pytest.mark.parametrize("size, copies", [(4, 1), (3, 2), (6, 1)])
     def test_plan_size_mismatch_raises(self, triangle, size, copies):
@@ -622,7 +616,10 @@ class TestSignVectors:
             rows = circuit_matrix(g, fundamental_circuits(g))
             if rows.shape[0] == 0:
                 continue
-            product = g.incidence_matrix() @ rows.T
+            incidence = np.zeros((g.n_vertices, g.n_edges))
+            incidence[g.tails, np.arange(g.n_edges)] = 1.0
+            incidence[g.heads, np.arange(g.n_edges)] = -1.0
+            product = incidence @ rows.T
             assert np.max(np.abs(product)) == 0.0
 
 
@@ -655,14 +652,6 @@ class TestWalkBetween:
 
 
 class TestTreePaths:
-    def test_view(self, triangle):
-        g = triangle.graph
-        paths = g.tree_paths
-        assert paths is g.tree_paths
-        assert paths.dtype == np.int8 and not paths.flags.writeable
-        # tree edges 0 (0-1) and 2 (0-2); chord 1 is on no root path
-        assert paths.tolist() == [[0, 0, 0], [1, 0, 0], [0, 0, 1]]
-
     def test_same_vertex_rejected(self, triangle):
         with pytest.raises(SameVertexError):
             tree_walk_vector(triangle.graph, 2, 2)
@@ -676,7 +665,7 @@ class TestTreePaths:
 
     def test_equals_the_walk_oracle(self):
         # Every ordered pair on random multigraphs with parallel edges: the
-        # row difference is the built walk's sign vector, byte for byte.
+        # tree walk's vector is the built walk's sign vector, byte for byte.
         parallel = 0
         for i in range(300):
             g = random_network(instance_rng(99, i)).graph
@@ -706,6 +695,19 @@ class TestTreePaths:
         eta_field(field)
         entropy_chain(g, r, 2.0 * r, 0, 15)
         monte_carlo_variance_check(g, r, 0, 15, 1000, seed=1)
+
+
+def test_no_dense_walk_or_circuit_cache_on_the_graph():
+    # Every route on an 8x8 grid, then no graph cache holds the tree walks
+    # of all vertices, the circuits' tree block or the circuit matrix.
+    net = grid_network(8, np.random.default_rng(28))
+    g, r = net.graph, net.resistances
+    min_energy_flow_oracle(net, 0, 63)
+    electric.thomson_flow(net, 0, 63)
+    potential_difference_variance(build_free_field(net), 0, 63)
+    entropy_chain(g, r, 2.0 * r, 0, 63)
+    monte_carlo_variance_check(g, r, 0, 63, 1000, seed=1)
+    assert not dense_circuit_caches(g)
 
 
 # Every public function that takes a vertex pair, called as f(network, a, b).
