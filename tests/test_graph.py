@@ -364,6 +364,25 @@ class TestBuild:
         yield build_multigraph(["a", "b"], [("a", "b"), ("b", "a")])
         yield parse_network(str(DATA / "wide_span.json")).graph
 
+    def test_cycle_blocks_are_the_circuit_matrix_in_block_form(self):
+        # _circuit_walks' entries, scattered into a k x (V - 1) tree block
+        # as the oracle does on each call, are the circuit matrix's tree
+        # columns, byte for byte; its chord columns are the identity.
+        for g in self.block_form_networks():
+            chords, _, _, circuit, edge, sign = graph_module._circuit_walks(g)
+            tree_ids = np.sort(g.tree[1][1:])
+            assert tree_ids.tolist() == sorted(spanning_tree(g))
+            assert chords.tolist() == tree_chords(g).tolist()
+            assert sorted([*tree_ids, *chords]) == list(range(g.n_edges))
+            assert set(np.unique(sign)) <= {-1.0, 1.0}
+            block = np.zeros((chords.size, tree_ids.size))
+            block[circuit, np.searchsorted(tree_ids, edge)] = sign
+            # Each (circuit, edge) entry is written once.
+            assert np.count_nonzero(block) == circuit.size
+            cycles = circuit_matrix(g, fundamental_circuits(g))
+            assert np.array_equal(cycles[:, chords], np.eye(len(chords)))
+            assert cycles[:, tree_ids].tobytes() == block.tobytes()
+
     def test_cycle_plan_keeps_the_dense_construction(self):
         # The dense form built directly, chord row e_e plus the sign
         # vector of the tree walk from its head to its tail: the plan holds
@@ -652,6 +671,22 @@ class TestWalkBetween:
 
 
 class TestTreePaths:
+    def test_view(self, triangle):
+        # Tree edges 0 (0-1) and 2 (0-2); chord 1 is on no tree walk. Each
+        # call returns a fresh float vector and caches nothing on the graph.
+        g = triangle.graph
+        cached = set(vars(g))
+        walks = {(a, b): tree_walk_vector(g, a, b)
+                 for a, b in permutations(range(3), 2)}
+        assert walks[0, 1].tolist() == [1.0, 0.0, 0.0]
+        assert walks[0, 2].tolist() == [0.0, 0.0, 1.0]
+        assert walks[1, 2].tolist() == [-1.0, 0.0, 1.0]
+        for (a, b), vec in walks.items():
+            assert vec.dtype == float and vec.flags.writeable
+            assert vec.tolist() == (-walks[b, a]).tolist()
+        assert tree_walk_vector(g, 0, 1) is not walks[0, 1]
+        assert set(vars(g)) - cached <= {"tree"}
+
     def test_same_vertex_rejected(self, triangle):
         with pytest.raises(SameVertexError):
             tree_walk_vector(triangle.graph, 2, 2)
