@@ -60,10 +60,6 @@ class NegativeVarianceError(GffResistError):
     """A variance is negative beyond numerical tolerance."""
 
 
-class InconsistentConstraintError(GffResistError):
-    """Conditioning on a constraint that holds with probability zero."""
-
-
 # --- file ingestion ---
 
 class ParseError(GffResistError):

@@ -1,7 +1,9 @@
-"""Multivariate Gaussian calculus with first-class singular covariances.
+"""Centred multivariate Gaussians with first-class singular covariances.
 
-Conditioning on linear statistics is done through the square root of the
-covariance: with S = cov^(1/2) and B = M S, the conditional covariance is
+Every Gaussian here has mean zero and is conditioned on M x = 0, as the
+free field is; the conditional covariance would be the same for any
+reachable value of M x. Conditioning is done through the square root of
+the covariance: with S = cov^(1/2) and B = M S, the conditional covariance is
 S (I - P) S where P projects onto the row space of B. This equals the
 textbook pseudo-inverse form cov - cov M' (M cov M')^+ M cov but stays
 symmetric PSD by construction; condition_on_value takes P from a thin SVD
@@ -31,7 +33,6 @@ from scipy.linalg.lapack import dgeqrf, dormqr
 
 from .errors import (
     DimensionMismatchError,
-    InconsistentConstraintError,
     NegativeVarianceError,
     NonpositiveVarianceError,
     SingularSystemError,
@@ -49,27 +50,23 @@ PSD_TOL = 1e-10
 # length)), 2e-6 on the 150 test networks at resistance span 1e12.
 RANK_CUTOFF = 1e-10
 VARIANCE_CLAMP = 1e-12
-INCONSISTENCY_TOL = 1e-8
 DRAW_BLOCK = 1 << 19  # normals functional_draws draws at once (4 MB)
 
 
 @dataclass(frozen=True)
 class GaussianVector:
-    """Mean vector plus symmetric PSD covariance; rank deficiency is legal."""
+    """Centred Gaussian: a symmetric PSD covariance, rank deficiency legal."""
 
-    mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).copy()
         cov = np.asarray(self.covariance, dtype=float).copy()
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise DimensionMismatchError(
-                f"mean shape {mean.shape} and covariance shape {cov.shape} "
-                "do not describe one Gaussian vector")
-        for name, part in (("mean", mean), ("covariance", cov)):
-            if not np.all(np.isfinite(part)):
-                raise ValidationError(f"{name} has a non-finite entry")
+                f"covariance rows and columns of shape {cov.shape} do not "
+                "describe one Gaussian vector")
+        if not np.all(np.isfinite(cov)):
+            raise ValidationError("covariance has a non-finite entry")
         # Both tolerances scale with the covariance itself, so a Gaussian is
         # accepted or rejected whatever its units.
         scale = float(np.max(np.abs(cov), initial=0.0))
@@ -81,18 +78,16 @@ class GaussianVector:
             if eigs[0] < -PSD_TOL * max(-eigs[0], eigs[-1]):
                 raise ValidationError(
                     f"covariance has eigenvalue {eigs[0]:.3e}, not PSD")
-        mean.setflags(write=False)
         cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.covariance.shape[0]
 
 
 def independent_gaussian(variances) -> GaussianVector:
-    """Mean-zero Gaussian with independent coordinates of the given variances."""
+    """Centred Gaussian with independent coordinates of the given variances."""
     v = np.asarray(variances, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValidationError("variances have a non-finite entry")
@@ -100,18 +95,13 @@ def independent_gaussian(variances) -> GaussianVector:
         raise NonpositiveVarianceError(
             "independent coordinates need strictly positive variances; "
             "degeneracy only arises through conditioning")
-    return GaussianVector(np.zeros(v.size), np.diag(v))
+    return GaussianVector(np.diag(v))
 
 
-def condition_on_value(g: GaussianVector, rows, values) -> GaussianVector:
-    """Gaussian conditional law given the linear statistics M x = values,
-    M the 2-D float array of ``rows`` (one row may be given flat).
-
-    The conditional covariance does not depend on ``values``; the mean
-    shifts by cov M' (M cov M')^+ (values - M mean). Raises
-    InconsistentConstraintError when the requested values lie outside the
-    support of M x (a probability-zero conditioning event).
-    """
+def condition_on_value(g: GaussianVector, rows) -> GaussianVector:
+    """Gaussian conditional law given the linear statistics M x = 0, M the
+    2-D float array of ``rows`` (one row may be given flat). The law stays
+    centred; its covariance would be the same for any reachable value."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[0] == 0:
         return g
@@ -119,17 +109,11 @@ def condition_on_value(g: GaussianVector, rows, values) -> GaussianVector:
         raise DimensionMismatchError(
             f"constraint rows have {rows.shape[1]} columns, Gaussian has "
             f"dimension {g.dim}")
-    try:
-        values = np.broadcast_to(np.asarray(values, dtype=float),
-                                 (rows.shape[0],))
-    except ValueError:
-        raise DimensionMismatchError(
-            f"expected {rows.shape[0]} conditioning values") from None
 
     eigs, q = np.linalg.eigh(g.covariance)
     eigs = np.clip(eigs, 0.0, None)
     sqrt_cov = (q * np.sqrt(eigs)) @ q.T
-    u, s, vt = np.linalg.svd(rows @ sqrt_cov, full_matrices=False)
+    _, s, vt = np.linalg.svd(rows @ sqrt_cov, full_matrices=False)
     # Constraint directions whose variance is negligible relative to the
     # ambient covariance count as already satisfied; anchoring the cutoff
     # to the ambient scale (not just to max(s)) makes re-conditioning on
@@ -137,26 +121,11 @@ def condition_on_value(g: GaussianVector, rows, values) -> GaussianVector:
     spread = math.sqrt(eigs.max(initial=0.0)) * float(
         np.max(np.linalg.norm(rows, axis=1), initial=0.0))
     cutoff = RANK_CUTOFF * max(s[0] if s.size else 0.0, spread)
-    kept = int(np.sum(s > cutoff))
-    u_r, s_r, vt_r = u[:, :kept], s[:kept], vt[:kept]
-
-    offset = values - rows @ g.mean
-    residual = offset - u_r @ (u_r.T @ offset)
-    # Relative to the constraint's own spread, so the verdict has no units.
-    tol = INCONSISTENCY_TOL * max(spread, float(np.max(np.abs(values))),
-                                  float(np.max(np.abs(rows @ g.mean))))
-    if np.max(np.abs(residual), initial=0.0) > tol:
-        raise InconsistentConstraintError(
-            "conditioning values are unreachable: a constraint has zero "
-            "variance but a nonzero offset under this Gaussian")
-
-    mean = g.mean
-    if s_r.size:
-        mean = mean + sqrt_cov @ (vt_r.T @ ((u_r.T @ offset) / s_r))
+    vt_r = vt[:int(np.sum(s > cutoff))]
     # The Gram form keeps c' cov c within rounding of trace(cov) |c|^2 of a
     # nonnegative value, the scale linear_functional_variance clamps at.
     projected = sqrt_cov - (sqrt_cov @ vt_r.T) @ vt_r
-    return GaussianVector(mean, projected @ projected.T)
+    return GaussianVector(projected @ projected.T)
 
 
 def linear_functional_variance(g: GaussianVector, c) -> float:
@@ -369,7 +338,7 @@ def entropy_scalar(variance: float, tol: float = 0.0) -> float:
 def sample(g: GaussianVector, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` rows from g, reproducibly for a fixed (g, count, seed).
 
-    Draws mean + Q sqrt(L) z through the covariance eigendecomposition, so
+    Draws Q sqrt(L) z through the covariance eigendecomposition, so
     singular covariances sample on their support. The generator is numpy's
     PCG64 (``numpy.random.default_rng``); identical inputs give bit-identical
     output on one build, cross-build bit-identity is not promised.
@@ -379,4 +348,4 @@ def sample(g: GaussianVector, count: int, seed: int) -> np.ndarray:
     eigs, q = np.linalg.eigh(g.covariance)
     root = q * np.sqrt(np.clip(eigs, 0.0, None))
     z = np.random.default_rng(seed).standard_normal((count, g.dim))
-    return g.mean + z @ root.T
+    return z @ root.T

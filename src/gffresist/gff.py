@@ -43,7 +43,7 @@ class FreeField:
         M M' of the identity rows' roots M = diag(s) (I - Q Q'); diag(R) -
         (s Q)(s Q)' can come out indefinite on wide resistance spans."""
         m = functional_root(self.factor, np.eye(self.network.graph.n_edges))
-        return GaussianVector(np.zeros(m.shape[0]), m @ m.T)
+        return GaussianVector(m @ m.T)
 
 
 def build_free_field(n: ResistiveNetwork) -> FreeField:
@@ -71,16 +71,20 @@ def eta_field(f: FreeField, v_star: int = 0) -> GaussianVector:
 
     Coordinate v applies the tree-path functional from v_star to v; the
     v_star coordinate is identically zero. The V x E tree walks are built
-    for the call and not kept.
+    for the call and not kept: the root's walk to each vertex in one pass
+    down the BFS order, its parent's plus one +-1 entry, less the root's
+    walk to v_star, as tree_walk_vector(g, v_star, v) computes them.
     """
     g = f.network.graph
     g.check_vertices(v_star)
+    parent, parent_edge, order = g.tree
     walks = np.zeros((g.n_vertices, g.n_edges))
-    for v in range(g.n_vertices):
-        if v != v_star:
-            walks[v] = tree_walk_vector(g, v_star, v)
+    for v in order[1:]:
+        walks[v] = walks[parent[v]]
+        walks[v, parent_edge[v]] = 1.0 if v > parent[v] else -1.0
+    walks -= walks[v_star].copy()
     b = functional_root(f.factor, walks)
-    return GaussianVector(np.zeros(len(b)), b @ b.T)
+    return GaussianVector(b @ b.T)
 
 
 def path_independence_check(f: FreeField, a: int, b: int) -> float:

@@ -393,12 +393,11 @@ def cycle_plan(g: Multigraph, copies: int = 1) -> RowMergePlan:
     ``copies`` E-long blocks of coordinates ([C, C] for two), in panels of
     PANEL columns; cached in ``g.row_merge_plans``. A chord's circuit runs
     tail to head along it, then back along the tree, so it holds 1 at the
-    chord and +-1 on the tree walk. Up to PANEL circuits keep chord order:
-    one panel, the dense QR of diag(s) C'. More are in apex order,
-    by the queue position of the circuit's apex (the lowest common
-    ancestor of the chord's ends), ties by its later end's, which keeps
-    each row's columns in a band: a bandwidth-reducing order in the
-    spirit of Cuthill & McKee (1969) with no search."""
+    chord and +-1 on the tree walk. The circuits are in apex order, by
+    the queue position of the circuit's apex (the lowest common ancestor
+    of the chord's ends), ties by its later end's, which keeps each row's
+    columns in a band: a bandwidth-reducing order in the spirit of
+    Cuthill & McKee (1969) with no search."""
     plan = g.row_merge_plans.get(copies)
     if plan is not None:
         return plan
@@ -412,7 +411,7 @@ def cycle_plan(g: Multigraph, copies: int = 1) -> RowMergePlan:
     else:
         chords, apex, later, circuit, edge, sign = _circuit_walks(g)
         k = chords.size
-        order = np.lexsort((later, apex)) if k > PANEL else np.arange(k)
+        order = np.lexsort((later, apex))
         column = np.empty(k, dtype=int)
         column[order] = np.arange(k)
         plan = RowMergePlan(k, g.n_edges,
@@ -469,13 +468,19 @@ def _circuit_walks(g: Multigraph) -> tuple:
 
 
 def tree_walk_vector(g: Multigraph, a: int, b: int) -> np.ndarray:
-    """Sign vector of the tree walk from a to b, read off ``_tree_path``:
-    ``walk_sign_vector(g, walk_between(g, a, b))`` without the walk."""
+    """Sign vector of the tree walk from a to b: the root's walk to b minus
+    its walk to a, each climbed up ``tree``'s parent arrays. Their shared
+    part above the lowest common ancestor cancels to an exact 0.0, so this
+    is ``walk_sign_vector(g, walk_between(g, a, b))`` byte for byte."""
     g.check_vertices(a, b)
-    parent, parent_edge, _ = (part.tolist() for part in g.tree)
-    vertices, edges = _tree_path(parent, parent_edge, a, b)
+    parent, parent_edge, _ = g.tree
     vec = np.zeros(g.n_edges)
-    vec[edges] = np.where(np.diff(vertices) > 0, 1.0, -1.0)
+    for v, sign in ((b, 1.0), (a, -1.0)):
+        while v:  # the root is vertex 0
+            up = parent[v]
+            # The root's walk runs down v's parent edge, +1 when it ascends.
+            vec[parent_edge[v]] += sign if v > up else -sign
+            v = up
     return vec
 
 

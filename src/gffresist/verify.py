@@ -434,11 +434,10 @@ def appendix_check(instance: AppendixInstance,
     """Conditioning on the sum leaves at least the variance, and the
     entropy, of conditioning on the parts."""
     joint = GaussianVector(
-        np.zeros(2 * instance.dim),
         scipy.linalg.block_diag(instance.cov_w, instance.cov_w_bar))
     hat_rows, split_rows = _coarse_and_fine_rows(instance.conditioning)
     var_hat, var_split = (
-        linear_functional_variance(condition_on_value(joint, rows, 0.0),
+        linear_functional_variance(condition_on_value(joint, rows),
                                    instance.functional)
         for rows in (hat_rows, split_rows))
     # Conditioned variances are judged against the unconditioned c' cov c:

@@ -176,7 +176,7 @@ def test_criterion_6_circuit_basis_equivalence(instances):
         field = build_free_field(net)
         all_rows = circuit_matrix(g, circuits)
         conditioned = condition_on_value(
-            independent_gaussian(net.resistances), all_rows, 0.0)
+            independent_gaussian(net.resistances), all_rows)
         diff = np.max(np.abs(conditioned.covariance
                              - field.edge_field.covariance))
         assert diff <= 1e-9
@@ -293,7 +293,7 @@ def test_criterion_10_projection_matches_general_conditioning(instances):
         for variances, rows, functional in cases:
             fast = conditioned_variance(diagonal(variances, rows), functional)
             reference = linear_functional_variance(
-                condition_on_value(independent_gaussian(variances), rows, 0.0),
+                condition_on_value(independent_gaussian(variances), rows),
                 functional)
             worst = max(worst, abs(fast - reference) / reference)
     assert worst <= 1e-12, f"worst relative gap {worst:.3e}"

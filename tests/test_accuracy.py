@@ -42,11 +42,11 @@ BOUNDS = {
     # span: {route: bound}                      measured worst
     1e8: {"laplacian": 1.5e-8,                  # 3.42e-9
           "flow_oracle": 2e-15,                 # 3.64e-16
-          "free_field": 2e-12,                  # 5.21e-13
-          "fine_side": 2.5e-13},                # 6.19e-14
+          "free_field": 2e-12,                  # 5.08e-13
+          "fine_side": 2.5e-13},                # 9.47e-14
     1e12: {"laplacian": 6e-5,                   # 1.46e-5
            "flow_oracle": 1e-11,                # 2.43e-12
-           "free_field": 7e-11,                 # 1.78e-11
+           "free_field": 7e-11,                 # 1.86e-11
            "fine_side": 1e-11},                 # 2.31e-12
 }
 # The same for the free field and the entropy chain's fine side on the 8 x 8

@@ -4,7 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from gffresist import electric
+from gffresist import electric, verify
 from gffresist.cli import parse_network
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -41,3 +41,19 @@ def test_tracer_sees_the_laplacian_under_node_voltages():
     parents = [names[span[3]] for span in recorder.spans
                if span[0] == "electric.laplacian"]
     assert parents == ["electric.node_voltages"]
+
+
+def test_tracer_counts_the_general_gaussian_path():
+    # No benchmark workload conditions a general Gaussian, so this pins the
+    # tracer's counter on condition_on_value's first argument: the appendix
+    # check conditions its 8-dimensional joint twice, 2 x 8^2 x 8 B.
+    recorder = load_tracer().SpanRecorder()
+    recorder.install()
+    try:
+        verify.appendix_check(verify.random_appendix_instance(4, 0))
+    finally:
+        recorder.uninstall()
+    names = [span[0] for span in recorder.spans]
+    assert names.count("gaussian.condition_on_value") == 2
+    assert names.count("gaussian.linear_functional_variance") == 3
+    assert recorder.cov_bytes == 1024

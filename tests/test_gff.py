@@ -136,7 +136,6 @@ class TestEtaField:
     def test_reference_coordinate_is_dead(self, triangle):
         eta = eta_field(build_free_field(triangle), 0)
         assert eta.covariance[0, 0] == 0.0
-        np.testing.assert_allclose(eta.mean, 0.0)
 
     def test_single_edge_variance(self, single_edge):
         eta = eta_field(build_free_field(single_edge), 0)
@@ -196,7 +195,7 @@ class TestBasisIndependence:
             field = build_free_field(net)
             all_rows = circuit_matrix(net.graph, enumerate_circuits(net.graph))
             conditioned = condition_on_value(
-                independent_gaussian(net.resistances), all_rows, 0.0)
+                independent_gaussian(net.resistances), all_rows)
             diff = np.max(np.abs(conditioned.covariance
                                  - field.edge_field.covariance))
             assert diff <= 1e-9
@@ -312,7 +311,7 @@ class TestProjectionForm:
             power = dissipated_power(net, min_energy_flow_oracle(net, a, b))
             general = condition_on_value(
                 independent_gaussian(net.resistances),
-                circuit_matrix(graph, fundamental_circuits(graph)), 0.0)
+                circuit_matrix(graph, fundamental_circuits(graph)))
             for variance in (
                     potential_difference_variance(field, a, b),
                     linear_functional_variance(

@@ -404,15 +404,12 @@ class TestBuild:
                 assert written(g, s).tobytes() == expected.tobytes()
 
     def test_cycle_plan_order(self):
-        # Up to PANEL circuits keep chord order; more are sorted by their
-        # apex's queue position, then their later end's.
+        # Every plan sorts the circuits by their apex's queue position, then
+        # their later end's.
         for g in self.block_form_networks():
             plan, order = cycle_plan(g), chord_order(g)
             assert cycle_plan(g) is plan and plan.k == g.cycle_rank
             assert sorted(order) == list(range(plan.k))
-            if plan.k <= PANEL:
-                assert order.tolist() == list(range(plan.k))
-                continue
             queue = np.argsort(g.tree[2])
             parent = g.tree[0]
             keys = []
@@ -730,6 +727,23 @@ class TestTreePaths:
         eta_field(field)
         entropy_chain(g, r, 2.0 * r, 0, 15)
         monte_carlo_variance_check(g, r, 0, 15, 1000, seed=1)
+
+    def test_route_walks_share_no_code_with_the_walk_api(self, monkeypatch):
+        # The routes climb the parent arrays themselves, so the walk oracle
+        # above checks one algorithm against another.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a route walked the tree with _tree_path")
+
+        monkeypatch.setattr(graph_module, "_tree_path", forbidden)
+        net = parse_network(str(DATA / "grid4.json"))
+        g, r = net.graph, net.resistances
+        for a, b in permutations(range(g.n_vertices), 2):
+            tree_walk_vector(g, a, b)
+        field = build_free_field(net)
+        eta_field(field)
+        min_energy_flow_oracle(net, 0, 15)
+        potential_difference_variance(field, 0, 15)
+        entropy_chain(g, r, 2.0 * r, 0, 15)
 
 
 def test_no_dense_walk_or_circuit_cache_on_the_graph():
