@@ -122,7 +122,10 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             GaussianVector(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    @pytest.mark.parametrize("cov", [[[math.nan]], [[math.inf]]])
+    @pytest.mark.parametrize("cov", [
+        [[math.nan]], [[math.inf]], [[-math.inf]],
+        [[1.0, math.nan], [math.nan, 1.0]],
+    ])
     def test_non_finite_input_rejected(self, cov):
         with pytest.raises(ValidationError,
                            match="^covariance has a non-finite"):
@@ -173,6 +176,20 @@ class TestUnitFreeTolerances:
             linear_functional_variance(wrong, [0.0, 1.0])
         rounding = GaussianVector(t * np.diag([1.0, -1e-14]))
         assert linear_functional_variance(rounding, [0.0, 1.0]) == 0.0
+
+    @pytest.mark.parametrize("t", [10.0 ** k for k in range(-12, 13, 3)])
+    def test_rank_cutoff_verdict_does_not_depend_on_scale(self, t):
+        # x2 = 0 with x2's standard deviation 1e-12 of x1's is below
+        # RANK_CUTOFF of the ambient spread: already satisfied, x2 keeps its
+        # variance. At 1e-8 of it the constraint is live and x2 dies.
+        satisfied = condition_on_value(
+            GaussianVector(t * np.diag([1.0, 1e-24])), [[0.0, 1.0]])
+        np.testing.assert_allclose(np.diag(satisfied.covariance),
+                                   t * np.array([1.0, 1e-24]), rtol=1e-12)
+        live = condition_on_value(
+            GaussianVector(t * np.diag([1.0, 1e-16])), [[0.0, 1.0]])
+        np.testing.assert_allclose(np.diag(live.covariance), [t, 0.0],
+                                   rtol=1e-12, atol=1e-30 * t)
 
 
 class TestConditioning:
@@ -955,6 +972,8 @@ class TestLinearFunctionalVariance:
             linear_functional_variance(independent_gaussian([1.0]), [1.0, 0.0])
 
 
-def test_mismatched_shapes_raise():
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)],
+                         ids=["not-square", "vector", "three-axes"])
+def test_mismatched_shapes_raise(shape):
     with pytest.raises(DimensionMismatchError, match="do not describe one"):
-        GaussianVector(np.ones((2, 3)))
+        GaussianVector(np.ones(shape))
