@@ -220,9 +220,9 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
     a second right-hand side for the exact rcond of the M-matrix A: the
     ones vector times the power of two c in ``(||A||_1 / 2, ||A||_1]``, so
     ``||A^-1||_1 = max(y) / c`` (A^-1 >= 0), with ``||A||_1`` read from the
-    band's own row sums (``_solved_slice``). A positive 1x1 system is one
-    division. An error is never kept. Threads sharing a graph must not call
-    this at once: the memo takes no lock.
+    band's own row sums (``_solved_slice``), a 1x1 system included. An error
+    is never kept. Threads sharing a graph must not call this at once: the
+    memo takes no lock.
     """
     graph.check_vertices(a, b)
     r = np.asarray(resistances, dtype=float)
@@ -272,16 +272,10 @@ def _solved_slice(graph: Multigraph, r: np.ndarray, a: int, b: int) -> list:
     rhs[:, 1] = scales[:, None]
     # Each row's pair of right-hand sides is solved in place.
     for band, source in zip(bands, rhs):
-        info = 0
-        if size == 1 and band[-1, 0] > 0.0:
-            with np.errstate(over="ignore"):
-                np.divide(source, band[-1, 0], out=source)
-        else:
-            info = dpbsv(band, source.T, overwrite_ab=1, overwrite_b=1)[2]
+        info = dpbsv(band, source.T, overwrite_ab=1, overwrite_b=1)[2]
         _check_solve(info, "reduced Laplacian is singular; is the "
                      "network connected?", source)
-    rconds = np.ones(len(r)) if size == 1 else (
-        1.0 / rhs[:, 1].max(axis=1) / (norms / scales))
+    rconds = 1.0 / rhs[:, 1].max(axis=1) / (norms / scales)
     potentials = np.zeros((len(r), graph.n_vertices))
     potentials[:, :b] = rhs[:, 0, :b]
     potentials[:, b + 1:] = rhs[:, 0, b:]

@@ -55,7 +55,8 @@ DRAW_BLOCK = 1 << 19  # normals functional_draws draws at once (4 MB)
 
 @dataclass(frozen=True)
 class GaussianVector:
-    """Centred Gaussian: a symmetric PSD covariance, rank deficiency legal."""
+    """Centred Gaussian: a symmetric PSD covariance, rank deficiency legal,
+    stored as its upper triangle mirrored: no entry overflows in the sum."""
 
     covariance: np.ndarray
 
@@ -72,7 +73,7 @@ class GaussianVector:
         scale = float(np.max(np.abs(cov), initial=0.0))
         if np.max(np.abs(cov - cov.T), initial=0.0) > SYMMETRY_TOL * scale:
             raise ValidationError("covariance is not symmetric")
-        cov = 0.5 * (cov + cov.T)
+        cov = np.triu(cov) + np.triu(cov, 1).T
         if cov.size:
             eigs = np.linalg.eigvalsh(cov)
             if eigs[0] < -PSD_TOL * max(-eigs[0], eigs[-1]):
@@ -129,12 +130,17 @@ def condition_on_value(g: GaussianVector, rows) -> GaussianVector:
 
 
 def linear_functional_variance(g: GaussianVector, c) -> float:
-    """Variance c' cov c of a linear functional; tiny negatives clamp to 0."""
+    """Variance c' cov c of a linear functional; tiny negatives clamp to 0,
+    and a variance past the double range raises SingularSystemError."""
     c = np.asarray(c, dtype=float)
     if c.shape != (g.dim,):
         raise DimensionMismatchError(
             f"functional has shape {c.shape}, Gaussian has dimension {g.dim}")
-    var = float(c @ g.covariance @ c)
+    with np.errstate(over="ignore"):
+        var = float(c @ g.covariance @ c)
+    if not math.isfinite(var):
+        raise SingularSystemError(
+            "functional variance is not finite: past the double range")
     if var < 0:
         if var < -VARIANCE_CLAMP * float(np.trace(g.covariance) * (c @ c)):
             raise NegativeVarianceError(f"functional variance {var:.3e} < 0")
@@ -323,16 +329,17 @@ def functional_draws(factor: tuple, c, count: int, seed: int):
 def entropy_scalar(variance: float, tol: float = 0.0) -> float:
     """Differential entropy (nats) of a scalar Gaussian with this variance.
 
-    Returns 0.5 * ln(2*pi*e*variance) for variance > tol, and -inf, the
-    entropy of a point mass, at or below tol. The default threshold 0.0
-    makes only a zero variance a point mass, in any units; a caller whose
-    variances carry rounding error passes a threshold on their scale.
+    Returns 0.5 * (ln(2*pi*e) + ln(variance)), a sum that cannot overflow,
+    for variance > tol, and -inf, the entropy of a point mass, at or below
+    tol. The default threshold 0.0 makes only a zero variance a point mass,
+    in any units; a caller whose variances carry rounding error passes a
+    threshold on their scale.
     """
     if variance < 0:
         raise NegativeVarianceError(f"variance {variance:.3e} is negative")
     if variance <= tol:
         return -math.inf
-    return 0.5 * math.log(2.0 * math.pi * math.e * variance)
+    return 0.5 * (math.log(2.0 * math.pi * math.e) + math.log(variance))
 
 
 def sample(g: GaussianVector, count: int, seed: int) -> np.ndarray:

@@ -156,13 +156,17 @@ def _derived_network(graph: Multigraph, label: str,
         raise ValidationError(f"{label}: {exc}") from exc
 
 
+def _summed_networks(graph: Multigraph, r, r_bar) -> tuple:
+    """Networks of r, r_bar and r + r_bar, checked in that order."""
+    net, net_bar = ResistiveNetwork(graph, r), ResistiveNetwork(graph, r_bar)
+    return net, net_bar, _derived_network(
+        graph, "r + r_bar", lambda: net.resistances + net_bar.resistances)
+
+
 def check_superadditivity(graph: Multigraph, r, r_bar, a: int, b: int,
                           tol: float = DEFAULT_TOL) -> VerificationReport:
     """Effective resistance of the edgewise sum dominates the sum of parts."""
-    r = np.asarray(r, dtype=float)
-    r_bar = np.asarray(r_bar, dtype=float)
-    nets = (ResistiveNetwork(graph, r), ResistiveNetwork(graph, r_bar),
-            _derived_network(graph, "r + r_bar", lambda: r + r_bar))
+    nets = _summed_networks(graph, r, r_bar)
     reff, reff_bar, reff_hat = stacked_voltages(
         graph, [net.resistances for net in nets], a, b)[:, a].tolist()
     quantities = (
@@ -222,11 +226,7 @@ def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     resistance; splitting that dissipation across the two resistance
     assignments and re-optimizing each part separately can only lower it.
     """
-    r = np.asarray(r, dtype=float)
-    r_bar = np.asarray(r_bar, dtype=float)
-    net = ResistiveNetwork(graph, r)
-    net_bar = ResistiveNetwork(graph, r_bar)
-    net_hat = _derived_network(graph, "r + r_bar", lambda: r + r_bar)
+    net, net_bar, net_hat = _summed_networks(graph, r, r_bar)
 
     # One stacked solve gives each network its Thomson flow and its Reff.
     potentials = stacked_voltages(
@@ -285,11 +285,8 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     are held at a time.
     """
     graph.check_vertices(a, b)  # before the factorizations
-    r = np.asarray(r, dtype=float)
-    r_bar = np.asarray(r_bar, dtype=float)
-    net, net_bar, net_hat = (
-        ResistiveNetwork(graph, r), ResistiveNetwork(graph, r_bar),
-        _derived_network(graph, "r + r_bar", lambda: r + r_bar))
+    net, net_bar, net_hat = _summed_networks(graph, r, r_bar)
+    r, r_bar = net.resistances, net_bar.resistances
     var_hat, var_bar = (
         potential_difference_variance(build_free_field(n), a, b)
         for n in (net_hat, net_bar))
@@ -409,10 +406,6 @@ class AppendixInstance:
             if not np.isfinite(value).all():
                 raise ValidationError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-
-    @property
-    def dim(self) -> int:
-        return self.cov_w.shape[0]
 
 
 def random_appendix_instance(dim: int, seed: int) -> AppendixInstance:

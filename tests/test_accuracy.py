@@ -41,11 +41,11 @@ N_NETWORKS = 150
 BOUNDS = {
     # span: {route: bound}                      measured worst
     1e8: {"laplacian": 1.5e-8,                  # 3.42e-9
-          "flow_oracle": 2e-15,                 # 3.64e-16
+          "flow_oracle": 2e-15,                 # 4.26e-16
           "free_field": 2e-12,                  # 5.08e-13
           "fine_side": 2.5e-13},                # 9.47e-14
     1e12: {"laplacian": 6e-5,                   # 1.46e-5
-           "flow_oracle": 1e-11,                # 2.43e-12
+           "flow_oracle": 1e-11,                # 1.18e-12
            "free_field": 7e-11,                 # 1.86e-11
            "fine_side": 1e-11},                 # 2.31e-12
 }
@@ -66,9 +66,9 @@ GRID_BOUNDS = {
     1e12: {"free_field": 2.4e-12,               # 6.02e-13
            "fine_side": 1.1e-12},               # 2.82e-13
 }
-# The Laplacian route's exact M-matrix rcond on the networks with at least
-# 3 vertices (136 of the 150; a 1x1 system's rcond is 1): the worst
-# relative error measured and the bound at about four times it.
+# The Laplacian route's exact M-matrix rcond on all 150 networks (the 14
+# two-vertex ones measure 2.2e-16 at both spans): the worst relative error
+# measured and the bound at about four times it.
 RCOND_BOUNDS = {1e8: 1.5e-8,                     # 3.42e-9
                 1e12: 6e-5}                      # 1.46e-5
 
@@ -220,14 +220,12 @@ def test_laplacian_rcond_within_its_bound(span):
         graph = random_network(rng).graph
         r = random_resistances(rng, graph.n_edges, 1.0, span)
         a, b = random_pair(rng, graph.n_vertices)
-        if graph.n_vertices < 3:
-            continue
         count += 1
         rcond = laplacian_rcond(ResistiveNetwork(graph, r), a, b)
         exact = mp_rcond(graph, r, b)
         with mpmath.workdps(DIGITS):
             error = float(abs((mpmath.mpf(rcond) - exact) / exact))
         worst = max(worst, error)
-    assert count == 136
+    assert count == 150
     assert worst <= RCOND_BOUNDS[span], (
         f"span {span:g}: rcond worst relative error {worst:.3e}")

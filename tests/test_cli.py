@@ -10,6 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from gffresist import verify
 from gffresist.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID_NETWORK,
@@ -293,6 +294,18 @@ class TestCommands:
         assert "h_hat = 1.510099312" in out
         assert "h_sum = 1.496013873" in out
 
+    def test_verify_entropy_near_the_double_limit(self, capsys, tmp_path):
+        # Every variance is 1e308: 2 pi e times it would overflow to inf,
+        # which would print as a point mass.
+        net = write_single_edge(tmp_path, "5e307")
+        code = run_command(["verify", "entropy", "--network", net,
+                            "--bar-network", net, "--pair", "a,b"])
+        assert code == EXIT_PASS
+        out = capsys.readouterr().out
+        assert "degenerate" not in out
+        assert "h_hat = 356.0170429" in out
+        assert "h_sum = 356.0170429" in out
+
     def test_verify_entropy_bits_flag(self, capsys):
         base = ["verify", "entropy",
                 "--network", str(DATA / "parallel_pair_base.json"),
@@ -385,6 +398,19 @@ class TestCommands:
 
 
 class TestSuiteFailures:
+    def test_a_failing_check_prints_its_instance_count(self, capsys,
+                                                       monkeypatch):
+        def failing(*args, **kwargs):
+            return verify._judged("monotonicity", (("x", 0.0), ("y", 1.0)),
+                                  [("x", ">=", "y")], 0.0)
+
+        monkeypatch.setattr(verify, "check_monotonicity", failing)
+        code = run_command(["suite", "--instances", "3"])
+        assert code == EXIT_CHECK_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert "  monotonicity: FAIL (3 instances)  worst_margin=-1" in lines
+        assert lines[-1] == "  overall: FAIL"
+
     def test_a_zero_tolerance_counts_each_failing_instance_once(self, capsys):
         # Scaling's three reports per instance fail at tolerance 0.
         code = run_command(["suite", "--instances", "20", "--tol", "0",

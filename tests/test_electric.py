@@ -166,11 +166,10 @@ def grid_network(side: int, rng) -> ResistiveNetwork:
 def scipy_banded_solve(matrix: np.ndarray, kd: int,
                        rhs: np.ndarray) -> np.ndarray:
     """Reference: pack the upper triangle at half-bandwidth kd, then scipy's
-    cholesky_banded and cho_solve_banded (LAPACK dpbtrf, dpbtrs); as in
-    scipy.linalg.solve, a 1x1 system is one division and a 0x0 system has
-    the empty solution."""
-    if len(matrix) <= 1:
-        return rhs / matrix.ravel()
+    cholesky_banded and cho_solve_banded (LAPACK dpbtrf, dpbtrs), a 1x1
+    system included; a 0x0 system has the empty solution."""
+    if not len(matrix):
+        return rhs
     factor = scipy.linalg.cholesky_banded(pack(matrix, kd))
     return scipy.linalg.cho_solve_banded((factor, False), rhs)
 
@@ -401,8 +400,9 @@ class TestConditionEstimate:
 
     @staticmethod
     def grounded_laplacians():
-        """The first 50 (network, ground) pairs with at least 3 vertices: a
-        1x1 system has no estimate."""
+        """The first 50 (network, ground) pairs with at least 3 vertices, so
+        every system is at least 2x2; tests/test_accuracy.py checks the
+        two-vertex networks' rcond."""
         nets = (random_network(instance_rng(89, i)) for i in range(1000))
         big = (n for n in nets if n.graph.n_vertices >= 3)
         return [(net, i % net.graph.n_vertices)

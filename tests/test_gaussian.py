@@ -26,6 +26,7 @@ from gffresist.errors import (
     DimensionMismatchError,
     NegativeVarianceError,
     NonpositiveVarianceError,
+    SingularSystemError,
     ValidationError,
 )
 
@@ -140,6 +141,18 @@ class TestConstruction:
     def test_point_mass_is_legal(self):
         g = GaussianVector(np.zeros((2, 2)))
         assert g.dim == 2
+
+    def test_variance_near_the_double_limit_is_stored_as_given(self):
+        # Symmetrizing as (cov + cov') / 2 would overflow 2e308 to inf.
+        g = independent_gaussian([1e308, 1.0])
+        assert np.array_equal(g.covariance, np.diag([1e308, 1.0]))
+        assert np.isfinite(sample(g, 4, 0)).all()
+
+    def test_functional_variance_past_the_double_range_raises(self):
+        # c' cov c = 2e309, as conditioned_variance raises on its own.
+        g = GaussianVector(np.diag([1e307, 1e307]))
+        with pytest.raises(SingularSystemError, match="double range"):
+            linear_functional_variance(g, [10.0, 10.0])
 
 
 # Covariances with the verdict GaussianVector must reach at every scale:

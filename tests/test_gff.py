@@ -146,6 +146,16 @@ class TestEtaField:
         assert eta.covariance[1, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert eta.covariance[2, 2] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
+    def test_edge_variance_near_the_double_limit(self):
+        # Path a-b-c, a tree: the edge field is diag(r) stored as given,
+        # and each vertex's potential variance is its tree walk's.
+        g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        field = build_free_field(ResistiveNetwork(g, [1.5e308, 1.0]))
+        assert np.array_equal(field.edge_field.covariance,
+                              np.diag([1.5e308, 1.0]))
+        eta = eta_field(field, 0)
+        assert np.diag(eta.covariance).tolist() == [0.0, 1.5e308, 1.5e308]
+
     @pytest.mark.parametrize("v_star", [-1, 3])
     def test_reference_out_of_range(self, triangle, v_star):
         with pytest.raises(NotASpanningTreeError):

@@ -280,6 +280,10 @@ class TestBuild:
         g = build_multigraph(["a", "b"], [("a", "b", 2.5)])
         assert g.n_edges == 1
 
+    def test_a_graph_never_equals_a_non_graph(self, triangle):
+        assert (triangle.graph == "x") is False
+        assert triangle.graph != "x"
+
     def test_derived_views(self, triangle):
         g = triangle.graph
         assert g.tails.tolist() == [0, 1, 0]

@@ -549,6 +549,44 @@ class TestAppendixLemma:
             pytest.approx(0.125, abs=1e-12)
         assert report.passed
 
+    def test_variances_near_the_double_limit(self):
+        # w1 + w1_bar = 0 leaves w1 half its variance; w1 = 0 pins it.
+        inst = AppendixInstance(cov_w=np.diag([1e308, 1e308]),
+                                cov_w_bar=np.diag([1e308, 1e308]),
+                                functional=[1.0, 0.0, 0.0, 0.0],
+                                conditioning=[[1.0, 0.0]])
+        report = appendix_check(inst)
+        assert report.quantity("var_given_hat") == pytest.approx(
+            5e307, rel=1e-12)
+        assert report.quantity("var_given_split") == 0.0
+        assert report.passed
+
+    def test_a_row_null_under_a_singular_covariance(self):
+        # w2 and w2_bar are point masses, so the row pins nothing and both
+        # sides keep the prior variance: the general path accepts this row.
+        inst = AppendixInstance(cov_w=np.diag([1.0, 0.0]),
+                                cov_w_bar=np.diag([1.0, 0.0]),
+                                functional=[1.0, 0.0, 1.0, 0.0],
+                                conditioning=[[0.0, 1.0]])
+        report = appendix_check(inst)
+        assert report.quantity("var_given_hat") == pytest.approx(
+            2.0, abs=1e-12)
+        assert report.quantity("var_given_split") == pytest.approx(
+            2.0, abs=1e-12)
+        assert report.passed
+
+    def test_a_duplicated_row(self):
+        # Coarse: w1 + w1_bar = 0 leaves 1 - 1 / 2.5 = 0.6 of w1's variance;
+        # fine: w1 = 0 makes it a point mass. The repeat changes neither.
+        inst = AppendixInstance(cov_w=np.eye(2), cov_w_bar=1.5 * np.eye(2),
+                                functional=[1.0, 0.0, 0.0, 0.0],
+                                conditioning=[[1.0, 0.0], [1.0, 0.0]])
+        report = appendix_check(inst)
+        assert report.quantity("var_given_hat") == pytest.approx(
+            0.6, abs=1e-12)
+        assert report.quantity("h_given_split") == -math.inf
+        assert report.passed
+
     def test_random_instances(self):
         for i in range(60):
             rng = instance_rng(431, i)
