@@ -28,8 +28,6 @@ from .gff import (
     FreeField,
     build_free_field,
     eta_field,
-    path_independence_check,
-    potential_difference_functional,
     potential_difference_variance,
 )
 from .graph import (
@@ -38,8 +36,6 @@ from .graph import (
     Walk,
     build_multigraph,
     circuit_matrix,
-    enumerate_circuits,
-    enumerate_simple_walks,
     fundamental_circuits,
     spanning_tree,
     tree_walk_vector,

@@ -10,7 +10,8 @@ Exit codes: 0 all checks pass, 1 a verified inequality failed beyond
 tolerance, 2 usage error (an option the command does not read included) or
 malformed input (a file that is not UTF-8 or not JSON included), 3
 semantically invalid input (self-loop, a resistance that is not finite or
-is below MIN_RESISTANCE, disconnected graph). A reader that closes stdout
+is below MIN_RESISTANCE, disconnected graph) or a size past a documented
+limit (``--dim`` above verify.MAX_APPENDIX_DIM). A reader that closes stdout
 early (``| head``) changes neither the exit code nor stderr (``_print``).
 """
 
@@ -37,6 +38,7 @@ from .errors import (
     ParseError,
     SameVertexError,
     SingularSystemError,
+    SizeLimitExceededError,
     ValidationError,
 )
 from .gff import build_free_field, potential_difference_variance
@@ -442,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale": dict(dest="t", type=positive, default=2.0),
         "--edge": dict(type=_at_least(int, 0), default=0),
         "--delta": dict(type=positive, default=1.0),
-        "--dim": dict(type=_at_least(int, 1), default=4),
+        "--dim": dict(type=_at_least(int, 1), default=4,
+                      help="dimension of the random instance, at most "
+                           f"MAX_APPENDIX_DIM = {verify.MAX_APPENDIX_DIM}"),
         "--bits": dict(action="store_true",
                        help="report entropies in bits instead of nats"),
     }
@@ -484,7 +488,8 @@ def run_command(argv) -> int:
         return args.handler(args, args.parser)
     except SystemExit as exc:  # parser.error inside a handler
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (ValidationError, SingularSystemError) as exc:
+    except (ValidationError, SingularSystemError,
+            SizeLimitExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_NETWORK
     except GffResistError as exc:  # ParseError and other usage errors

@@ -38,7 +38,8 @@ class SameVertexError(GffResistError):
 
 
 class SizeLimitExceededError(GffResistError):
-    """An enumeration would exceed its configured count limit."""
+    """A dense computation was asked for a size past its documented limit,
+    such as verify.MAX_APPENDIX_DIM."""
 
 
 # --- linear algebra and Gaussians ---

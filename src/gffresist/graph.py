@@ -23,12 +23,10 @@ from .errors import (
     NotASpanningTreeError,
     SameVertexError,
     SelfLoopError,
-    SizeLimitExceededError,
     UnknownEndpointError,
     ValidationError,
 )
 
-DEFAULT_CIRCUIT_LIMIT = 1_000_000
 # Columns of R each panel of a row-merge QR finalizes.
 PANEL = 32
 
@@ -523,57 +521,6 @@ def fundamental_circuits(g: Multigraph) -> list:
     return circuits
 
 
-def _simple_paths(g: Multigraph, start: int, stop: int, floor: int):
-    """Every path from start to stop, by depth-first search without recursion.
-
-    Interior vertices are distinct, differ from both ends and exceed floor;
-    start == stop gives closed paths. Incident edges are scanned in
-    increasing id, so paths come in the order a recursive search finds
-    them. Yields fresh (vertex list, edge list) pairs.
-    """
-    starts, incident = g.adjacency
-    path_vs, path_es = [start], []
-    on_path = {start}
-    frames = [iter(incident[starts[start]:starts[start + 1]])]
-    while frames:
-        for e, w in frames[-1]:
-            # The only path edge incident to the tip is the one that entered it.
-            if path_es and e == path_es[-1]:
-                continue
-            if w == stop:
-                yield path_vs + [w], path_es + [e]
-            elif w > floor and w not in on_path:
-                path_vs.append(w)
-                path_es.append(e)
-                on_path.add(w)
-                frames.append(iter(incident[starts[w]:starts[w + 1]]))
-                break
-        else:
-            frames.pop()
-            if path_es:
-                path_es.pop()
-                on_path.discard(path_vs.pop())
-
-
-def enumerate_circuits(g: Multigraph, limit: int = DEFAULT_CIRCUIT_LIMIT) -> list:
-    """Every circuit of g, once up to starting point and direction.
-
-    Each circuit is found from its smallest vertex in both directions and
-    kept as first found; its edge set, which determines it, is the key.
-    Intended for desk-scale graphs; raises SizeLimitExceededError once more
-    than ``limit`` distinct circuits are found.
-    """
-    found = {}
-    for s in range(g.n_vertices):
-        for path_vs, path_es in _simple_paths(g, s, s, s):
-            key = frozenset(path_es)
-            if key not in found:
-                found[key] = make_circuit(g, path_vs, path_es)
-                if len(found) > limit:
-                    raise SizeLimitExceededError(f"more than {limit} circuits")
-    return list(found.values())
-
-
 def walk_sign_vector(g: Multigraph, w: Walk) -> np.ndarray:
     """Signed edge-incidence vector of a walk (repeat traversals add up)."""
     _check_steps(g, w.vertices, w.edges)
@@ -589,15 +536,3 @@ def circuit_matrix(g: Multigraph, circuits) -> np.ndarray:
         return np.zeros((0, g.n_edges))
     return np.stack([walk_sign_vector(g, c) for c in circuits])
 
-
-def enumerate_simple_walks(g: Multigraph, a: int, b: int,
-                           limit: int = 10_000) -> list:
-    """All walks from a to b visiting no vertex twice, parallel edges distinct."""
-    g.check_vertices(a, b)
-    walks = []
-    for path_vs, path_es in _simple_paths(g, a, b, -1):
-        walks.append(make_walk(g, path_vs, path_es))
-        if len(walks) > limit:
-            raise SizeLimitExceededError(
-                f"more than {limit} simple walks from {a} to {b}")
-    return walks

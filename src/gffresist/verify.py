@@ -25,6 +25,7 @@ from .electric import (
 from .errors import (
     DimensionMismatchError,
     SingularSystemError,
+    SizeLimitExceededError,
     ValidationError,
 )
 from .gaussian import (
@@ -38,11 +39,7 @@ from .gaussian import (
     functional_draws,
     linear_functional_variance,
 )
-from .gff import (
-    build_free_field,
-    potential_difference_functional,
-    potential_difference_variance,
-)
+from .gff import build_free_field, potential_difference_variance
 from .graph import (
     Multigraph,
     build_multigraph,
@@ -408,8 +405,19 @@ class AppendixInstance:
             object.__setattr__(self, name, value)
 
 
+# Largest dimension random_appendix_instance draws: the lemma check is
+# dense, O(dim^2) memory and O(dim^3) time.
+MAX_APPENDIX_DIM = 1024
+
+
 def random_appendix_instance(dim: int, seed: int) -> AppendixInstance:
-    """Seeded random jointly-Gaussian instance for the lemma check."""
+    """Seeded random jointly-Gaussian instance for the lemma check; a
+    ``dim`` past MAX_APPENDIX_DIM raises SizeLimitExceededError before
+    anything is drawn."""
+    if dim > MAX_APPENDIX_DIM:
+        raise SizeLimitExceededError(
+            f"dimension {dim} is above the limit MAX_APPENDIX_DIM = "
+            f"{MAX_APPENDIX_DIM} of the dense appendix check")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     a_bar = rng.standard_normal((dim, dim))
@@ -458,7 +466,7 @@ def monte_carlo_variance_check(graph: Multigraph, r, a: int, b: int,
     reff is chi-square(count), exactly; test it at two-sided level MC_ALPHA."""
     net = ResistiveNetwork(graph, np.asarray(r, dtype=float))
     field = build_free_field(net)
-    functional = potential_difference_functional(field, a, b)
+    functional = tree_walk_vector(graph, a, b)
     # Block by block: memory does not grow with count.
     with np.errstate(over="ignore"):
         squares = sum(d @ d for d in functional_draws(

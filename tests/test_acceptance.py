@@ -28,15 +28,14 @@ from gffresist import (
     dissipated_power,
     effective_resistance,
     entropy_chain,
-    enumerate_circuits,
     independent_gaussian,
     melvin_chain,
     min_energy_flow_oracle,
     monte_carlo_variance_check,
-    potential_difference_functional,
     potential_difference_variance,
     random_appendix_instance,
     thomson_flow,
+    tree_walk_vector,
 )
 from gffresist.cli import run_command
 from gffresist.gaussian import conditioned_variance, linear_functional_variance
@@ -48,6 +47,7 @@ from gffresist.verify import (
     random_resistances,
 )
 
+from cycle_oracles import edge_field, enumerate_circuits
 from test_gaussian import cycle_rows, diagonal
 
 ACCEPTANCE_SEED = 20240
@@ -178,7 +178,7 @@ def test_criterion_6_circuit_basis_equivalence(instances):
         conditioned = condition_on_value(
             independent_gaussian(net.resistances), all_rows)
         diff = np.max(np.abs(conditioned.covariance
-                             - field.edge_field.covariance))
+                             - edge_field(field).covariance))
         assert diff <= 1e-9
         rank = g.cycle_rank
         if rank:
@@ -284,7 +284,7 @@ def test_criterion_10_projection_matches_general_conditioning(instances):
     worst = 0.0
     for net, r_bar, a, b in instances + draw_instances(SUITE_SEED):
         phi = cycle_rows(net.graph)
-        c = potential_difference_functional(build_free_field(net), a, b)
+        c = tree_walk_vector(net.graph, a, b)
         cases = [(x, phi, c) for x in
                  (net.resistances, r_bar, net.resistances + r_bar)]
         doubled = np.concatenate([net.resistances, r_bar])

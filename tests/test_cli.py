@@ -325,6 +325,27 @@ class TestCommands:
         assert code == EXIT_PASS
         assert "appendix_lemma" in capsys.readouterr().out
 
+    def test_verify_appendix_dim_past_the_limit_exits_three(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_APPENDIX_DIM", 4)
+        assert run_command(["verify", "appendix", "--help"]) == EXIT_PASS
+        assert "at most MAX_APPENDIX_DIM = 4" in " ".join(
+            capsys.readouterr().out.split())
+        assert run_command(["verify", "appendix", "--dim", "4"]) == EXIT_PASS
+        capsys.readouterr()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an instance was drawn past the limit")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        code = run_command(["verify", "appendix", "--dim", "5"])
+        assert code == EXIT_INVALID_NETWORK
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: dimension 5 is above the limit MAX_APPENDIX_DIM = 4 of "
+            "the dense appendix check\n")
+
     def test_verify_mc(self, capsys):
         code = run_command(["verify", "mc",
                             "--network", str(DATA / "triangle.json"),

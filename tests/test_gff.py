@@ -17,7 +17,6 @@ from gffresist import (
     dissipated_power,
     effective_resistance,
     entropy_chain,
-    enumerate_circuits,
     eta_field,
     fundamental_circuits,
     gaussian,
@@ -25,10 +24,9 @@ from gffresist import (
     independent_gaussian,
     linear_functional_variance,
     min_energy_flow_oracle,
-    path_independence_check,
-    potential_difference_functional,
     potential_difference_variance,
     sample,
+    tree_walk_vector,
     verify,
 )
 from gffresist.cli import parse_network
@@ -39,6 +37,8 @@ from gffresist.verify import (
     random_pair,
     random_resistances,
 )
+
+from cycle_oracles import edge_field, enumerate_circuits, path_independence_check
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,12 +52,12 @@ def pinv_conditioned_covariance(cov, rows):
 class TestBuildFreeField:
     def test_tree_is_unconditioned(self, series_path):
         field = build_free_field(series_path)
-        np.testing.assert_allclose(field.edge_field.covariance,
+        np.testing.assert_allclose(edge_field(field).covariance,
                                    np.diag(series_path.resistances))
 
     def test_parallel_pair_covariance(self, parallel_pair):
         field = build_free_field(parallel_pair)
-        np.testing.assert_allclose(field.edge_field.covariance,
+        np.testing.assert_allclose(edge_field(field).covariance,
                                    np.full((2, 2), 2.0 / 3.0), atol=1e-12)
 
     def test_triangle_against_pinv_oracle(self, triangle):
@@ -66,45 +66,40 @@ class TestBuildFreeField:
         oracle = pinv_conditioned_covariance(
             np.diag(triangle.resistances),
             circuit_matrix(g, fundamental_circuits(g)))
-        np.testing.assert_allclose(field.edge_field.covariance, oracle,
-                                   atol=1e-12)
-        np.testing.assert_allclose(np.diag(field.edge_field.covariance),
-                                   2.0 / 3.0, atol=1e-12)
-        assert np.linalg.matrix_rank(field.edge_field.covariance,
-                                     tol=1e-9) == 2
+        cov = edge_field(field).covariance
+        np.testing.assert_allclose(cov, oracle, atol=1e-12)
+        np.testing.assert_allclose(np.diag(cov), 2.0 / 3.0, atol=1e-12)
+        assert np.linalg.matrix_rank(cov, tol=1e-9) == 2
 
     def test_field_invariants_on_random_networks(self):
         for i in range(25):
             net = random_network(instance_rng(307, i))
-            field = build_free_field(net)
+            field = edge_field(build_free_field(net))
             for row in circuit_matrix(net.graph,
                                       fundamental_circuits(net.graph)):
-                assert linear_functional_variance(field.edge_field, row) <= 1e-10
-            rank = np.linalg.matrix_rank(field.edge_field.covariance, tol=1e-9)
+                assert linear_functional_variance(field, row) <= 1e-10
+            rank = np.linalg.matrix_rank(field.covariance, tol=1e-9)
             assert rank == net.graph.n_vertices - 1
 
 
 class TestPotentialDifferenceFunctional:
+    # The field's a-to-b potential difference is the tree walk functional.
     def test_single_edge_is_coordinate(self, single_edge):
-        field = build_free_field(single_edge)
         np.testing.assert_array_equal(
-            potential_difference_functional(field, 0, 1), [1.0])
+            tree_walk_vector(single_edge.graph, 0, 1), [1.0])
 
     def test_reversal_negates(self, triangle):
-        field = build_free_field(triangle)
-        fwd = potential_difference_functional(field, 0, 1)
+        fwd = tree_walk_vector(triangle.graph, 0, 1)
         np.testing.assert_array_equal(
-            potential_difference_functional(field, 1, 0), -fwd)
+            tree_walk_vector(triangle.graph, 1, 0), -fwd)
 
     def test_triangle_tree_path(self, triangle):
-        field = build_free_field(triangle)
         np.testing.assert_array_equal(
-            potential_difference_functional(field, 1, 2), [-1.0, 0.0, 1.0])
+            tree_walk_vector(triangle.graph, 1, 2), [-1.0, 0.0, 1.0])
 
     def test_same_vertex(self, triangle):
-        field = build_free_field(triangle)
         with pytest.raises(SameVertexError):
-            potential_difference_functional(field, 2, 2)
+            tree_walk_vector(triangle.graph, 2, 2)
 
 
 class TestVarianceIsEffectiveResistance:
@@ -151,7 +146,7 @@ class TestEtaField:
         # and each vertex's potential variance is its tree walk's.
         g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
         field = build_free_field(ResistiveNetwork(g, [1.5e308, 1.0]))
-        assert np.array_equal(field.edge_field.covariance,
+        assert np.array_equal(edge_field(field).covariance,
                               np.diag([1.5e308, 1.0]))
         eta = eta_field(field, 0)
         assert np.diag(eta.covariance).tolist() == [0.0, 1.5e308, 1.5e308]
@@ -207,22 +202,23 @@ class TestBasisIndependence:
             conditioned = condition_on_value(
                 independent_gaussian(net.resistances), all_rows)
             diff = np.max(np.abs(conditioned.covariance
-                                 - field.edge_field.covariance))
+                                 - edge_field(field).covariance))
             assert diff <= 1e-9
 
 
 class TestMonteCarlo:
     def test_sampled_variance_matches(self, triangle):
         field = build_free_field(triangle)
-        functional = potential_difference_functional(field, 0, 1)
-        draws = sample(field.edge_field, 200_000, seed=11) @ functional
+        functional = tree_walk_vector(field.network.graph, 0, 1)
+        draws = sample(edge_field(field), 200_000, seed=11) @ functional
         reff = 2.0 / 3.0
         z = abs(float(np.var(draws)) - reff) / (reff * np.sqrt(2.0 / 200_000))
         assert z <= 4.0
 
     def test_check_draws_the_functional_in_blocks(self, monkeypatch):
-        # No E x E edge covariance, no eigendecomposition and no count x E
-        # normals: the block size changes the empirical variance by rounding.
+        # No Gaussian object (so no E x E edge covariance), no
+        # eigendecomposition and no count x E normals: the block size
+        # changes the empirical variance by rounding.
         net = parse_network(str(DATA / "grid4.json"))
 
         def run(block):
@@ -233,7 +229,8 @@ class TestMonteCarlo:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense sampling path used")
 
-        monkeypatch.setattr(gff.FreeField, "edge_field", property(forbidden))
+        for module in (gaussian, gff, verify):
+            monkeypatch.setattr(module, "GaussianVector", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         whole, blocked = run(24 * 20_000), run(24 * 7)
@@ -281,11 +278,6 @@ class TestProjectionForm:
         assert entropy_chain(net.graph, net.resistances,
                              2.0 * net.resistances, 0, 15).passed
 
-    def test_edge_field_is_lazy_and_cached(self, triangle):
-        field = build_free_field(triangle)
-        assert "edge_field" not in vars(field)
-        assert field.edge_field is field.edge_field
-
     def test_no_route_forms_an_explicit_basis(self, monkeypatch):
         # The conditioning works through the Householder reflectors alone.
         def formed(*args, **kwargs):
@@ -325,7 +317,7 @@ class TestProjectionForm:
             for variance in (
                     potential_difference_variance(field, a, b),
                     linear_functional_variance(
-                        general, potential_difference_functional(field, a, b))):
+                        general, tree_walk_vector(field.network.graph, a, b))):
                 worst = max(worst, abs(variance - power) / power)
         assert worst <= 1e-9, f"worst relative gap {worst:.3e}"
 
@@ -338,5 +330,5 @@ class TestProjectionForm:
             net = ResistiveNetwork(
                 graph, random_resistances(rng, graph.n_edges, 1e-6, 1e6))
             field = build_free_field(net)
-            assert field.edge_field.dim == graph.n_edges
+            assert edge_field(field).dim == graph.n_edges
             assert eta_field(field).dim == graph.n_vertices

@@ -14,15 +14,13 @@ from gffresist import (
     Multigraph,
     build_multigraph,
     circuit_matrix,
-    enumerate_circuits,
-    enumerate_simple_walks,
     fundamental_circuits,
     spanning_tree,
     tree_walk_vector,
     walk_between,
     walk_sign_vector,
 )
-from gffresist import electric, gff, verify
+from gffresist import electric, verify
 from gffresist import graph as graph_module
 from gffresist.cli import parse_network
 from gffresist.electric import kvl_residual, min_energy_flow_oracle
@@ -56,6 +54,12 @@ from gffresist.verify import (
     random_network,
 )
 
+from cycle_oracles import (
+    _simple_paths,
+    enumerate_circuits,
+    enumerate_simple_walks,
+    path_independence_check,
+)
 from test_electric import dense_circuit_caches, grid_network
 
 
@@ -579,7 +583,7 @@ class TestEnumerateCircuits:
         def by_sequence_key(g):
             found = {}
             for s in range(g.n_vertices):
-                for vs, es in graph_module._simple_paths(g, s, s, s):
+                for vs, es in _simple_paths(g, s, s, s):
                     key = min(tuple(seq[k:] + seq[:k])
                               for seq in (es, es[::-1]) for k in range(len(es)))
                     found.setdefault(key, make_circuit(g, vs, es))
@@ -763,7 +767,8 @@ def test_no_dense_walk_or_circuit_cache_on_the_graph():
     assert not dense_circuit_caches(g)
 
 
-# Every public function that takes a vertex pair, called as f(network, a, b).
+# Every public function that takes a vertex pair, and the walk oracles of
+# cycle_oracles, called as f(network, a, b).
 PAIR_ROUTES = {
     "tree_walk_vector": lambda n, a, b: tree_walk_vector(n.graph, a, b),
     "walk_between": lambda n, a, b: walk_between(n.graph, a, b),
@@ -774,12 +779,10 @@ PAIR_ROUTES = {
     "min_energy_flow_oracle": electric.min_energy_flow_oracle,
     "kcl_residual": lambda n, a, b: electric.kcl_residual(
         n, electric.FlowVector(np.zeros(n.graph.n_edges)), a, b),
-    "potential_difference_functional": lambda n, a, b:
-        gff.potential_difference_functional(build_free_field(n), a, b),
     "potential_difference_variance": lambda n, a, b:
         potential_difference_variance(build_free_field(n), a, b),
     "path_independence_check": lambda n, a, b:
-        gff.path_independence_check(build_free_field(n), a, b),
+        path_independence_check(build_free_field(n), a, b),
     "check_superadditivity": lambda n, a, b: verify.check_superadditivity(
         n.graph, n.resistances, 2.0 * n.resistances, a, b),
     "melvin_chain": lambda n, a, b: verify.melvin_chain(

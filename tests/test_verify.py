@@ -33,6 +33,7 @@ from gffresist.errors import (
     NotASpanningTreeError,
     SameVertexError,
     SingularSystemError,
+    SizeLimitExceededError,
     ValidationError,
 )
 from gffresist.gaussian import conditioned_variance
@@ -593,6 +594,18 @@ class TestAppendixLemma:
             dim = int(rng.integers(1, 7))
             inst = random_appendix_instance(dim, seed=int(rng.integers(0, 2**31)))
             assert appendix_check(inst).passed
+
+    def test_dimension_past_the_limit_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_APPENDIX_DIM", 4)
+        assert random_appendix_instance(4, seed=0).cov_w.shape == (4, 4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an instance was drawn past the limit")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        with pytest.raises(SizeLimitExceededError,
+                           match="dimension 5 .* MAX_APPENDIX_DIM = 4"):
+            random_appendix_instance(5, seed=0)
 
 
 class TestMonteCarlo:
