@@ -7,15 +7,18 @@ edges that keep both ends, so the vertex order sets the cost, O(V kd^2),
 not the value. ``stacked_voltages`` solves a check's networks, one
 resistance row each, as one stack, each row bit for bit its solve alone.
 The Thomson flow follows by Ohm's law; an independent minimum-energy route
-re-derives it by ``dposv`` on the dense cycle Gram, formed as one
-symmetric product ``W W^T`` and sharing no arithmetic with the Laplacian's
+re-derives it from the cycle Gram, its circuits in apex order and
+assembled straight into band storage a panel of PANEL columns at a time,
+one small GEMM each, then solved by ``dpbtrf`` and ``dpbtrs``: no dense
+Gram or circuit block, and no arithmetic shared with the Laplacian's
 ``dpbsv``. Both raise the same errors (``_check_solve``)
-and warn (``LinAlgWarning``) when the reciprocal 1-norm condition number,
-exact for the Laplacian (an M-matrix, its 1-norm read from its own band's
-row sums) and ``dpocon``'s estimate for the Gram, falls below machine
-epsilon. Each graph keeps its last
-VOLTAGE_MEMO_SIZE voltage solves and the band plan for the last ground;
-the oracle walks the fundamental circuits on each call and keeps nothing.
+and warn (``LinAlgWarning``) when the reciprocal 1-norm condition number
+falls below machine epsilon: exact for the Laplacian (an M-matrix, its
+1-norm read from its own band's row sums), and for the Gram the estimate
+``dpocon`` makes (Hager and Higham's), run on ``dpbtrs`` solves. Each
+graph keeps its last VOLTAGE_MEMO_SIZE voltage solves and the band plan
+for the last ground; the oracle walks the fundamental circuits on each
+call and keeps nothing.
 """
 
 import math
@@ -27,14 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dlange, dpbsv, dpocon, dposv
+from scipy.linalg.lapack import dpbsv, dpbtrf, dpbtrs
 
 from .errors import (
     DimensionMismatchError,
     SingularSystemError,
     ValidationError,
 )
-from .graph import Multigraph, _circuit_walks, tree_walk_vector
+from .graph import (
+    PANEL,
+    Multigraph,
+    _apex_columns,
+    _circuit_walks,
+    tree_walk_vector,
+)
 
 MIN_RESISTANCE = 1e-12
 EPS = np.finfo(float).eps
@@ -304,23 +313,98 @@ def thomson_flow(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
     return ohm_flow(n, node_voltages(n, a, b))
 
 
-def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple:
-    """Solve ``gram @ t = rhs`` in place for a bitwise-symmetric Gram;
-    returns ``(t, rcond)``. Being symmetric, the Gram is ``gram.T`` in
-    Fortran order, which ``dposv``, ``dlange`` (its 1-norm) and ``dpocon``
-    (its rcond; Hager 1984, Higham 1988) take without a copy. A non-finite
-    Gram or right-hand side raises before the solve. A 0x0 system (a tree
-    has no cycles) has the empty solution.
+def _inverse_norm_estimate(solve, size: int) -> float:
+    """A lower estimate of ``||A^-1||_1`` for a symmetric A, given ``solve(x)
+    = A^-1 x``: Hager's method (SIAM J. Sci. Stat. Comput. 5(2), 1984) as
+    Higham refined it (ACM TOMS 14(4), 1988), step for step LAPACK's
+    ``dlacn2``, which ``dpocon`` runs: at most five solves by sign vectors,
+    then the alternating vector's estimate when it is larger."""
+    x = solve(np.full(size, 1.0 / size))
+    if size == 1:
+        return abs(x[0])
+    estimate = np.abs(x).sum()
+    signs = np.where(x >= 0, 1.0, -1.0)
+    j = np.argmax(np.abs(solve(signs)))
+    for _ in range(4):
+        x = solve(np.eye(1, size, j)[0])
+        old, estimate = estimate, np.abs(x).sum()
+        new = np.where(x >= 0, 1.0, -1.0)
+        if np.array_equal(new, signs) or estimate <= old:
+            break
+        signs = new
+        x = solve(signs)
+        last, j = j, np.argmax(np.abs(x))
+        if x[last] == abs(x[j]):
+            break
+    alternating = np.resize([1.0, -1.0], size) * (
+        1.0 + np.arange(size) / (size - 1))
+    return max(estimate,
+               2.0 * (np.abs(solve(alternating)).sum() / (3 * size)))
+
+
+def _band_solve(band: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Solve ``A t = rhs`` for the symmetric positive definite A whose
+    upper band storage is ``band``, a Fortran-ordered array that ``dpbtrf``
+    factors in place; returns ``(t, rcond)``. ``dpbtrs`` solves, and the
+    rcond is ``1 / (||A||_1 est)``: ``||A||_1`` is the largest row sum of
+    ``|A|``, one ``dsbmv``, and est ``_inverse_norm_estimate``'s on
+    ``dpbtrs`` solves with the factor, the estimate ``dpocon`` makes
+    (``dpbcon`` is not exposed). A non-finite band or right-hand side
+    raises before the factorization. A 0x0 system (a tree has no cycles)
+    has the empty solution.
     """
     if not len(rhs):
         return rhs, 1.0
-    norm = dlange("1", gram.T)
+    size, kd = len(rhs), band.shape[0] - 1
+    norm = dsbmv(kd, 1.0, np.abs(band), np.ones(size)).max()
     _check_solve(0, "", norm, rhs)
-    factor, t, info = dposv(gram.T, rhs, overwrite_a=1)
-    _check_solve(info, "cycle Gram matrix is singular", t)
-    rcond = dpocon(factor, norm)[0]
+    factor, info = dpbtrf(band, overwrite_ab=1)
+    _check_solve(info, "cycle Gram matrix is singular")
+
+    def solve(x):
+        return dpbtrs(factor, x[:, None])[0][:, 0]
+    t = solve(rhs)
+    _check_solve(0, "", t)
+    rcond = 1.0 / _inverse_norm_estimate(solve, size) / norm
     _warn_if_ill_conditioned(rcond)
     return t, rcond
+
+
+def _cycle_gram_band(at: np.ndarray, edge: np.ndarray, value: np.ndarray,
+                     diagonal: np.ndarray) -> np.ndarray:
+    """The cycle Gram ``C diag(r) C^T`` in upper band storage, in apex
+    order: circuit column ``at`` holds ``value`` = sign sqrt(r) on tree
+    ``edge``, and ``diagonal`` adds each chord's r exactly. ``kd`` is the
+    widest apex-order spread of the circuits through one edge. Per panel
+    of PANEL columns [j0, j1), the edges whose last circuit is at or past
+    j0 give the rows of one dense block over the columns [j0 - kd, j0 +
+    PANEL), and the GEMM of its transpose with its panel columns holds
+    the panel's band columns on diagonals: O(PANEL (kd + PANEL)) scratch
+    per panel, never a k x k or k x (V - 1) array."""
+    k = diagonal.size
+    order = np.argsort(at, kind="stable")
+    at, edge, value = at[order], edge[order], value[order]
+    last = np.zeros(edge.max(initial=0) + 1, dtype=int)
+    np.maximum.at(last, edge, at)
+    kd = int(np.max(last[edge] - at, initial=0))
+    band = np.zeros((kd + 1, k), order="F")
+    starts = np.arange(0, k, PANEL)
+    bounds = zip(starts.tolist(), np.searchsorted(at, starts - kd).tolist(),
+                 np.searchsorted(at, starts + PANEL).tolist())
+    for j0, i0, i1 in bounds:
+        e, c, v = edge[i0:i1], at[i0:i1], value[i0:i1]
+        keep = last[e] >= j0
+        rows, row = np.unique(e[keep], return_inverse=True)
+        block = np.zeros((rows.size, kd + PANEL))
+        block[row, c[keep] - (j0 - kd)] = v[keep]
+        width = min(PANEL, k - j0)
+        product = block.T @ block[:, kd:kd + width]
+        # Band column j0 + c holds product[c:c + kd + 1, c].
+        step = product.strides[0]
+        band[:, j0:j0 + width] = np.lib.stride_tricks.as_strided(
+            product, (kd + 1, width), (step, step + product.strides[1]))
+    band[kd] += diagonal
+    return band
 
 
 def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
@@ -328,37 +412,32 @@ def min_energy_flow_oracle(n: ResistiveNetwork, a: int, b: int) -> FlowVector:
 
     Feasible flows are the tree-path flow plus the span of the fundamental
     circuit sign vectors; the power quadratic is minimized by solving its
-    normal equations in cycle coordinates. The circuit matrix is ``[I_k |
-    D]`` up to a column permutation, so with the tree-path flow ``base``
-    (zero on the chords) the Gram is ``W W^T + diag(r_chords)`` with ``W =
-    D sqrt(r_tree)``, the right-hand side ``-(D r_tree) base_tree``, and
-    the flow ``base`` plus ``D^T t`` on the tree edges and ``t`` on the
-    chords: the dense k x E circuit matrix is never formed. D, rows in
-    chord order and columns in tree-edge order, is scattered from
-    ``_circuit_walks`` on each call and kept on no graph; it is scaled to
-    W in place and read back as D by its signs, as sqrt(r) > 0. numpy
-    forms ``W @ W.T`` by SYRK and fills both triangles from one, so the
-    Gram is bitwise symmetric, as ``_gram_solve`` requires.
+    normal equations in cycle coordinates. With the tree-path flow
+    ``base`` (zero on the chords), the circuits from ``_circuit_walks`` in
+    cycle_plan's apex order and C their k x E matrix, the Gram ``C diag(r)
+    C^T`` is assembled straight into band storage by ``_cycle_gram_band``
+    and solved by ``_band_solve``; the right-hand side ``-C (r base)`` and
+    the flow ``base + C^T t`` are one ``np.bincount`` each over the
+    circuit entries. Neither C nor a dense Gram is ever formed, and
+    nothing is kept on the graph.
     """
     g = n.graph
     flow = tree_walk_vector(g, a, b)
-    chords, _, _, circuit, edge, sign = _circuit_walks(g)
-    tree_ids = np.sort(g.tree[1][1:])
-    block = np.zeros((chords.size, tree_ids.size))
-    block[circuit, np.searchsorted(tree_ids, edge)] = sign
+    chords, apex, later, circuit, edge, sign = _circuit_walks(g)
+    column = _apex_columns(apex, later)
+    at = column[circuit]
     r = n.resistances
     # Resistances near the double's limit overflow here; the inf or NaN
-    # reaches the Gram's norm or the right-hand side, and _gram_solve
+    # reaches the Gram's norm or the right-hand side, and _band_solve
     # raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = -(block @ (r[tree_ids] * flow[tree_ids]))
-        block *= np.sqrt(r[tree_ids])
-        gram = block @ block.T
-        gram[np.diag_indices(len(chords))] += r[chords]
-    np.sign(block, out=block)
-    t, _ = _gram_solve(gram, rhs)
-    flow[tree_ids] += block.T @ t
-    flow[chords] = t
+        rhs = -np.bincount(at, sign * r[edge] * flow[edge],
+                           minlength=chords.size)
+        band = _cycle_gram_band(at, edge, sign * np.sqrt(r[edge]),
+                                r[chords][np.argsort(column)])
+    t, _ = _band_solve(band, rhs)
+    flow += np.bincount(edge, sign * t[at], minlength=g.n_edges)
+    flow[chords] = t[column]
     return FlowVector(flow)
 
 

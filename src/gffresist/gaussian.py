@@ -50,7 +50,7 @@ PSD_TOL = 1e-10
 # length)), 2e-6 on the 150 test networks at resistance span 1e12.
 RANK_CUTOFF = 1e-10
 VARIANCE_CLAMP = 1e-12
-DRAW_BLOCK = 1 << 19  # normals functional_draws draws at once (4 MB)
+DRAW_BLOCK = 1 << 15  # normals functional_draws draws at once (256 KB)
 
 
 @dataclass(frozen=True)

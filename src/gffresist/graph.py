@@ -409,15 +409,21 @@ def cycle_plan(g: Multigraph, copies: int = 1) -> RowMergePlan:
     else:
         chords, apex, later, circuit, edge, sign = _circuit_walks(g)
         k = chords.size
-        order = np.lexsort((later, apex))
-        column = np.empty(k, dtype=int)
-        column[order] = np.arange(k)
+        column = _apex_columns(apex, later)
         plan = RowMergePlan(k, g.n_edges,
                             np.concatenate([chords, edge]),
                             column[np.concatenate([np.arange(k), circuit])],
                             np.concatenate([np.ones(k), sign]))
     g.row_merge_plans[copies] = plan
     return plan
+
+
+def _apex_columns(apex: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Each circuit's column in apex order (see cycle_plan): by its apex,
+    ties by its later end, both as ``_circuit_walks`` gives them."""
+    column = np.empty(apex.size, dtype=int)
+    column[np.lexsort((later, apex))] = np.arange(apex.size)
+    return column
 
 
 def _circuit_walks(g: Multigraph) -> tuple:
@@ -428,8 +434,8 @@ def _circuit_walks(g: Multigraph) -> tuple:
     larger of its ends' queue positions. Each tree edge of circuit i
     gives an entry (i, edge, sign), its coefficient in
     ``tree_walk_vector(g, head, tail)``. Nothing is cached here:
-    cycle_plan keeps its plan, and min_energy_flow_oracle scatters the
-    entries into its tree block on each call. The ends are walked as
+    cycle_plan keeps its plan, and min_energy_flow_oracle assembles its
+    band from the entries on each call. The ends are walked as
     queue positions: each step moves the later end of every unfinished
     circuit to its parent (it is never the other end's ancestor) until
     the ends meet."""

@@ -411,9 +411,13 @@ MAX_APPENDIX_DIM = 1024
 
 
 def random_appendix_instance(dim: int, seed: int) -> AppendixInstance:
-    """Seeded random jointly-Gaussian instance for the lemma check; a
-    ``dim`` past MAX_APPENDIX_DIM raises SizeLimitExceededError before
-    anything is drawn."""
+    """Seeded random jointly-Gaussian instance for the lemma check. Before
+    anything is drawn, a ``dim`` that is not an integer of at least 1
+    raises ValidationError, and one past MAX_APPENDIX_DIM
+    SizeLimitExceededError."""
+    check_index(dim, "dimension")
+    if dim < 1:
+        raise ValidationError(f"dimension {dim} is below 1")
     if dim > MAX_APPENDIX_DIM:
         raise SizeLimitExceededError(
             f"dimension {dim} is above the limit MAX_APPENDIX_DIM = "

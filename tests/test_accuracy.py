@@ -37,15 +37,17 @@ DIGITS = 50
 N_NETWORKS = 150
 # The worst relative error measured on these inputs (numpy 2.4.6, scipy
 # 1.17.1, OpenBLAS) and the bound pinned at about four times it; the flow
-# oracle's 1e8 error is under two ulps, and its bound is nine.
+# oracle's 1e8 error is about two ulps, and its bound is nine. The flow
+# oracle's errors are those of its apex-ordered band solve; its bounds
+# were pinned on the dense Gram solve, which measured 4.26e-16 and 1.18e-12.
 BOUNDS = {
     # span: {route: bound}                      measured worst
     1e8: {"laplacian": 1.5e-8,                  # 3.42e-9
-          "flow_oracle": 2e-15,                 # 4.26e-16
+          "flow_oracle": 2e-15,                 # 4.47e-16
           "free_field": 2e-12,                  # 5.08e-13
           "fine_side": 2.5e-13},                # 9.47e-14
     1e12: {"laplacian": 6e-5,                   # 1.46e-5
-           "flow_oracle": 1e-11,                # 1.18e-12
+           "flow_oracle": 1e-11,                # 3.12e-12
            "free_field": 7e-11,                 # 1.86e-11
            "fine_side": 1e-11},                 # 2.31e-12
 }

@@ -30,7 +30,7 @@ from gffresist import (
     verify,
 )
 from gffresist.cli import parse_network
-from gffresist.errors import NotASpanningTreeError, SameVertexError
+from gffresist.errors import NotASpanningTreeError
 from gffresist.verify import (
     instance_rng,
     random_network,
@@ -80,26 +80,6 @@ class TestBuildFreeField:
                 assert linear_functional_variance(field, row) <= 1e-10
             rank = np.linalg.matrix_rank(field.covariance, tol=1e-9)
             assert rank == net.graph.n_vertices - 1
-
-
-class TestPotentialDifferenceFunctional:
-    # The field's a-to-b potential difference is the tree walk functional.
-    def test_single_edge_is_coordinate(self, single_edge):
-        np.testing.assert_array_equal(
-            tree_walk_vector(single_edge.graph, 0, 1), [1.0])
-
-    def test_reversal_negates(self, triangle):
-        fwd = tree_walk_vector(triangle.graph, 0, 1)
-        np.testing.assert_array_equal(
-            tree_walk_vector(triangle.graph, 1, 0), -fwd)
-
-    def test_triangle_tree_path(self, triangle):
-        np.testing.assert_array_equal(
-            tree_walk_vector(triangle.graph, 1, 2), [-1.0, 0.0, 1.0])
-
-    def test_same_vertex(self, triangle):
-        with pytest.raises(SameVertexError):
-            tree_walk_vector(triangle.graph, 2, 2)
 
 
 class TestVarianceIsEffectiveResistance:

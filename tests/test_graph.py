@@ -696,6 +696,9 @@ class TestTreePaths:
         with pytest.raises(SameVertexError):
             tree_walk_vector(triangle.graph, 2, 2)
 
+    def test_single_edge_is_coordinate(self, single_edge):
+        assert tree_walk_vector(single_edge.graph, 0, 1).tolist() == [1.0]
+
     @pytest.mark.parametrize("a, b", [(-1, 1), (1, -1), (0, 3), (3, 0)])
     def test_vertex_out_of_range(self, triangle, a, b):
         # As the walk oracle: no row of another vertex stands in.

@@ -607,6 +607,18 @@ class TestAppendixLemma:
                            match="dimension 5 .* MAX_APPENDIX_DIM = 4"):
             random_appendix_instance(5, seed=0)
 
+    @pytest.mark.parametrize("dim, message", [
+        (0, "dimension 0 is below 1"), (-1, "dimension -1 is below 1"),
+        (2.5, "dimension 2.5 is not an integer index")])
+    def test_a_dimension_not_a_positive_integer_draws_nothing(
+            self, monkeypatch, dim, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            random_appendix_instance(dim, seed=0)
+
 
 class TestMonteCarlo:
     def test_single_edge(self):
