@@ -5,7 +5,7 @@ Laplacian under a unit current source, assembled in LAPACK upper band
 storage; its half-bandwidth ``kd`` is the largest ``head - tail`` over the
 edges that keep both ends, so the vertex order sets the cost, O(V kd^2),
 not the value. ``stacked_voltages`` solves a check's networks, one
-resistance row each, as one stack, each row bit for bit its solve alone.
+resistance row each, one band at a time (``_solved_row``).
 The Thomson flow follows by Ohm's law; an independent minimum-energy route
 re-derives it from the cycle Gram, its circuits in apex order and
 assembled straight into band storage a panel of PANEL columns at a time,
@@ -24,7 +24,6 @@ call and keeps nothing.
 import math
 import sys
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,17 +49,14 @@ EPS = np.finfo(float).eps
 # Solves stacked_voltages keeps per graph: one suite instance or
 # grid-electric op solves at most 16 distinct networks.
 VOLTAGE_MEMO_SIZE = 16
-# Band bytes stacked_voltages assembles at once, at least one row: a
-# grid-electric stack (at most 12 rows of 35 KB) is one slice, a 100x100
-# grid's 8 MB bands go two at a time.
-STACK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
 class ResistiveNetwork:
     """Multigraph plus a resistance per edge (ohms), finite and at least
-    MIN_RESISTANCE so that every conductance is finite: the rule
-    ``_check_resistances`` applies here and to stacked_voltages' rows."""
+    MIN_RESISTANCE so that every conductance is finite: the one resistance
+    rule, which stacked_voltages applies to each row it solves by building
+    the row's network."""
 
     graph: Multigraph
     resistances: np.ndarray
@@ -70,23 +66,14 @@ class ResistiveNetwork:
         if r.shape != (self.graph.n_edges,):
             raise DimensionMismatchError(
                 f"expected {self.graph.n_edges} resistances, got shape {r.shape}")
-        _check_resistances(r)
+        valid = (r >= MIN_RESISTANCE) & (r < np.inf)  # NaN fails both
+        if not valid.all():
+            e = int(np.argmin(valid))
+            raise ValidationError(
+                f"edges[{e}]: resistance must be finite and >= "
+                f"{MIN_RESISTANCE} ohms, got {float(r[e])}")
         r.setflags(write=False)
         object.__setattr__(self, "resistances", r)
-
-
-# Networks on one graph, a row of checked resistances each, for laplacian.
-_Stack = namedtuple("_Stack", "graph resistances")
-
-
-def _check_resistances(r: np.ndarray, where: str = ""):
-    """The one resistance rule: each finite and >= MIN_RESISTANCE."""
-    valid = (r >= MIN_RESISTANCE) & (r < np.inf)  # NaN fails both
-    if not valid.all():
-        e = int(np.argmin(valid))
-        raise ValidationError(
-            f"{where}edges[{e}]: resistance must be finite and >= "
-            f"{MIN_RESISTANCE} ohms, got {float(r[e])}")
 
 
 @dataclass(frozen=True)
@@ -194,24 +181,21 @@ def laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
     """Weighted Laplacian L with edge conductances 1/R_e, in LAPACK upper
     band storage: a Fortran-ordered array of shape ``(kd + 1, size)`` whose
     entry ``(kd + i - j, j)`` holds ``L[i, j]`` for ``j - kd <= i <= j``, so
-    row ``kd`` is the diagonal; the slots with ``i < 0`` are 0; a ``_Stack``
-    gets one per row. ``ground`` (a vertex, checked) leaves its row and
-    column out. ``kd`` is the largest ``head - tail`` over the edges that
-    keep both ends. The graph-only indexing is planned once per ground
-    (``_band_plan``): an assembly is a gather of the conductances, a
-    product with the signs and one ``np.bincount``, each row's slots
-    offset, which sums the entries in edge order, as an edge loop would.
+    row ``kd`` is the diagonal; the slots with ``i < 0`` are 0. ``ground``
+    (a vertex, checked) leaves its row and column out. ``kd`` is the
+    largest ``head - tail`` over the edges that keep both ends. The
+    graph-only indexing is planned once per ground (``_band_plan``): an
+    assembly is a gather of the conductances, a product with the signs and
+    one ``np.bincount``, which sums the entries in edge order, as an edge
+    loop would.
     """
     g = n.graph
     if ground is not None:
         g.check_vertices(ground)
     plan = _band_plan(g, ground)
-    values = (1.0 / n.resistances).take(plan.edge_ids, axis=-1) * plan.signs
-    rows, width = n.resistances.shape[:-1], (plan.kd + 1) * plan.size
-    offsets = width * np.arange(math.prod(rows)).reshape(*rows, 1)
-    flat = np.bincount((plan.slots + offsets).ravel(), values.ravel(),
-                       minlength=offsets.size * width)
-    return np.swapaxes(flat.reshape(*rows, plan.size, plan.kd + 1), -1, -2)
+    values = (1.0 / n.resistances)[plan.edge_ids] * plan.signs
+    flat = np.bincount(plan.slots, values, minlength=(plan.kd + 1) * plan.size)
+    return flat.reshape(plan.size, plan.kd + 1).T
 
 
 def stacked_voltages(graph: Multigraph, resistances, a: int,
@@ -222,16 +206,10 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
 
     ``voltage_memo`` keeps the last VOLTAGE_MEMO_SIZE rows solved with their
     rcond, keyed by bytes and pair: a row found there or repeated is not
-    solved again, and warns again if its solve did. The others are checked
-    as ResistiveNetwork checks them, assembled by ``laplacian`` in slices of
-    at most STACK_BYTES of band (at least one row) and solved by one
-    ``dpbsv`` call each (one for all would leave cache), with
-    a second right-hand side for the exact rcond of the M-matrix A: the
-    ones vector times the power of two c in ``(||A||_1 / 2, ||A||_1]``, so
-    ``||A^-1||_1 = max(y) / c`` (A^-1 >= 0), with ``||A||_1`` read from the
-    band's own row sums (``_solved_slice``), a 1x1 system included. An error
-    is never kept. Threads sharing a graph must not call this at once: the
-    memo takes no lock.
+    solved again, and warns again if its solve did. Every other row is
+    checked, by building its ResistiveNetwork, before the first is solved
+    by ``_solved_row``. An error is never kept. Threads sharing a graph
+    must not call this at once: the memo takes no lock.
     """
     graph.check_vertices(a, b)
     r = np.asarray(resistances, dtype=float)
@@ -241,18 +219,15 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
     memo = graph.voltage_memo
     keys = [(row.tobytes(), a, b) for row in r]
     found = {key: memo.get(key) for key in keys}
-    todo = {}  # each missing row once, where it first appears
+    todo = {}  # each missing row's network once, where it first appears
     for i, key in enumerate(keys):
         if found[key] is None and key not in todo:
-            _check_resistances(r[i], f"rows[{i}]: ")
-            todo[key] = i
-    if todo:
-        r, missing = r[list(todo.values())], list(todo)
-        plan = _band_plan(graph, b)
-        rows = max(1, STACK_BYTES // (8 * (plan.kd + 1) * plan.size))
-        for i in range(0, len(r), rows):
-            found.update(zip(missing[i:i + rows], _solved_slice(
-                graph, r[i:i + rows], a, b)))
+            try:
+                todo[key] = ResistiveNetwork(graph, r[i])
+            except ValidationError as exc:
+                raise ValidationError(f"rows[{i}]: {exc}") from None
+    for key, n in todo.items():
+        found[key] = _solved_row(n, a, b)
     for key, entry in found.items():
         memo.pop(key, None)
         if len(memo) >= VOLTAGE_MEMO_SIZE:
@@ -264,31 +239,25 @@ def stacked_voltages(graph: Multigraph, resistances, a: int,
         len(keys), graph.n_vertices)
 
 
-def _solved_slice(graph: Multigraph, r: np.ndarray, a: int, b: int) -> list:
-    """(potentials, rcond) of each row of ``r`` by stacked_voltages' solve,
-    its bands assembled by one ``laplacian`` call. Off-diagonals are <= 0,
-    so ``||A||_1 = max_j(2 A_jj - (A 1)_j)``; one ``dsbmv`` forms every
-    ``A 1`` before ``dpbsv`` overwrites the bands, which side by side are
-    the band of blockdiag(A, ...): the slots above each A are 0."""
-    bands = laplacian(_Stack(graph, r), ground=b)
-    kd, size = bands.shape[1] - 1, bands.shape[2]
-    sums = dsbmv(kd, 1.0, bands.swapaxes(1, 2).reshape(-1, kd + 1).T,
-                 np.ones(len(r) * size)).reshape(len(r), size)
-    norms = (2.0 * bands[:, -1] - sums).max(axis=1)
-    scales = np.ldexp(0.5, np.frexp(norms)[1])
-    rhs = np.zeros((len(r), 2, size))
-    rhs[:, 0, a - (a > b)] = 1.0
-    rhs[:, 1] = scales[:, None]
-    # Each row's pair of right-hand sides is solved in place.
-    for band, source in zip(bands, rhs):
-        info = dpbsv(band, source.T, overwrite_ab=1, overwrite_b=1)[2]
-        _check_solve(info, "reduced Laplacian is singular; is the "
-                     "network connected?", source)
-    rconds = 1.0 / rhs[:, 1].max(axis=1) / (norms / scales)
-    potentials = np.zeros((len(r), graph.n_vertices))
-    potentials[:, :b] = rhs[:, 0, :b]
-    potentials[:, b + 1:] = rhs[:, 0, b:]
-    return list(zip(potentials, rconds.tolist()))
+def _solved_row(n: ResistiveNetwork, a: int, b: int) -> tuple:
+    """(potentials, rcond) of n by one ``dpbsv`` call on its reduced
+    Laplacian A, 1x1 included. Its second right-hand side, ones times the
+    power of two c in ``(||A||_1 / 2, ||A||_1]``, gives the M-matrix's exact
+    rcond: ``||A^-1||_1 = max(y) / c`` (A^-1 >= 0). Off-diagonals are <= 0,
+    so ``||A||_1 = max_j(2 A_jj - (A 1)_j)``, ``A 1`` one ``dsbmv``."""
+    band = laplacian(n, ground=b)
+    kd, size = band.shape[0] - 1, band.shape[1]
+    norm = float((2.0 * band[kd] - dsbmv(kd, 1.0, band, np.ones(size))).max())
+    scale = math.ldexp(0.5, math.frexp(norm)[1])
+    rhs = np.zeros((size, 2), order="F")
+    rhs[a - (a > b), 0] = 1.0
+    rhs[:, 1] = scale
+    info = dpbsv(band, rhs, overwrite_ab=1, overwrite_b=1)[2]
+    _check_solve(info, "reduced Laplacian is singular; is the network "
+                 "connected?", rhs)
+    potentials = np.zeros(size + 1)
+    potentials[:b], potentials[b + 1:] = rhs[:b, 0], rhs[b:, 0]
+    return potentials, 1.0 / float(rhs[:, 1].max()) / (norm / scale)
 
 
 def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:
@@ -377,10 +346,11 @@ def _cycle_gram_band(at: np.ndarray, edge: np.ndarray, value: np.ndarray,
     ``edge``, and ``diagonal`` adds each chord's r exactly. ``kd`` is the
     widest apex-order spread of the circuits through one edge. Per panel
     of PANEL columns [j0, j1), the edges whose last circuit is at or past
-    j0 give the rows of one dense block over the columns [j0 - kd, j0 +
-    PANEL), and the GEMM of its transpose with its panel columns holds
-    the panel's band columns on diagonals: O(PANEL (kd + PANEL)) scratch
-    per panel, never a k x k or k x (V - 1) array."""
+    j0, in edge order, give the rows of one dense block over the columns
+    [j0 - kd, j0 + PANEL), and the GEMM of its transpose with its panel
+    columns holds the panel's band columns on diagonals: one O(E) array
+    numbers every panel's rows, with the block as scratch, never a k x k
+    or k x (V - 1) array."""
     k = diagonal.size
     order = np.argsort(at, kind="stable")
     at, edge, value = at[order], edge[order], value[order]
@@ -391,12 +361,16 @@ def _cycle_gram_band(at: np.ndarray, edge: np.ndarray, value: np.ndarray,
     starts = np.arange(0, k, PANEL)
     bounds = zip(starts.tolist(), np.searchsorted(at, starts - kd).tolist(),
                  np.searchsorted(at, starts + PANEL).tolist())
+    number = np.zeros_like(last)
     for j0, i0, i1 in bounds:
-        e, c, v = edge[i0:i1], at[i0:i1], value[i0:i1]
-        keep = last[e] >= j0
-        rows, row = np.unique(e[keep], return_inverse=True)
-        block = np.zeros((rows.size, kd + PANEL))
-        block[row, c[keep] - (j0 - kd)] = v[keep]
+        keep = last[edge[i0:i1]] >= j0
+        e, c, v = (part[i0:i1][keep] for part in (edge, at, value))
+        # Mark the panel's edges; the running count numbers them from 1.
+        number[:] = 0
+        number[e] = 1
+        np.cumsum(number, out=number)
+        block = np.zeros((number[-1], kd + PANEL))
+        block[number[e] - 1, c - (j0 - kd)] = v
         width = min(PANEL, k - j0)
         product = block.T @ block[:, kd:kd + width]
         # Band column j0 + c holds product[c:c + kd + 1, c].

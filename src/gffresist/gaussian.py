@@ -110,6 +110,8 @@ def condition_on_value(g: GaussianVector, rows) -> GaussianVector:
         raise DimensionMismatchError(
             f"constraint rows have {rows.shape[1]} columns, Gaussian has "
             f"dimension {g.dim}")
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("constraint rows have a non-finite entry")
 
     eigs, q = np.linalg.eigh(g.covariance)
     eigs = np.clip(eigs, 0.0, None)
@@ -136,6 +138,8 @@ def linear_functional_variance(g: GaussianVector, c) -> float:
     if c.shape != (g.dim,):
         raise DimensionMismatchError(
             f"functional has shape {c.shape}, Gaussian has dimension {g.dim}")
+    if not np.all(np.isfinite(c)):
+        raise ValidationError("functional has a non-finite entry")
     with np.errstate(over="ignore"):
         var = float(c @ g.covariance @ c)
     if not math.isfinite(var):
@@ -273,12 +277,15 @@ def _reflected(factor: tuple, w: np.ndarray, trans: str) -> np.ndarray:
 
 
 def _scaled_columns(factor: tuple, c) -> np.ndarray:
-    """w = s c, one column per functional: (s c').T is Fortran-ordered."""
+    """w = s c, one column per functional: (s c').T is Fortran-ordered. The
+    reflector kernel's one check of its functionals."""
     c = np.asarray(c, dtype=float)
     s = factor[0]
     if c.ndim not in (1, 2) or c.shape[-1] != s.size:
         raise DimensionMismatchError(
             f"functional has shape {c.shape}, Gaussian has dimension {s.size}")
+    if not np.all(np.isfinite(c)):
+        raise ValidationError("functional has a non-finite entry")
     return (s * np.atleast_2d(c)).T
 
 

@@ -123,6 +123,8 @@ def _judged(name: str, quantities, relations, tol: float) -> VerificationReport:
     the larger operand magnitude, which an entropy relation must override:
     a point-mass entropy is -inf.
     """
+    if not 0.0 <= tol < math.inf:  # NaN fails too, as for the CLI's --tol
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol}")
     values = dict(quantities)
     ineqs = []
     for lhs, rel, rhs, *scale in relations:
@@ -135,6 +137,14 @@ def _judged(name: str, quantities, relations, tol: float) -> VerificationReport:
         holds = abs(margin) <= bound if rel == "==" else margin >= -bound
         ineqs.append(Inequality(lhs, rel, rhs, margin, bool(holds)))
     return VerificationReport(name, tuple(quantities), tuple(ineqs), tol)
+
+
+def _check_at_least(value, what: str, low: int):
+    """Raise ValidationError unless ``value`` is an integer index
+    (``check_index``) of at least ``low``, as the CLI's options are."""
+    check_index(value, what)
+    if value < low:
+        raise ValidationError(f"{what} {value} is below {low}")
 
 
 def _derived_network(graph: Multigraph, label: str,
@@ -186,8 +196,7 @@ def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
     checks the midpoint inequality directly, in the same stacked solve: on
     most odd grids (not 99) lambda = 0.5 is the centre's row, solved once.
     """
-    if grid_points < 3:
-        raise ValidationError("concavity grid needs at least 3 points")
+    _check_at_least(grid_points, "concavity grid point count", 3)
     r0, r1 = (ResistiveNetwork(graph, r).resistances for r in (r0, r1))
     lams = np.append(np.linspace(0.0, 1.0, grid_points), 0.5)[:, None]
     # Rounding can carry a convex combination past its ends, such as below
@@ -412,12 +421,11 @@ MAX_APPENDIX_DIM = 1024
 
 def random_appendix_instance(dim: int, seed: int) -> AppendixInstance:
     """Seeded random jointly-Gaussian instance for the lemma check. Before
-    anything is drawn, a ``dim`` that is not an integer of at least 1
-    raises ValidationError, and one past MAX_APPENDIX_DIM
-    SizeLimitExceededError."""
-    check_index(dim, "dimension")
-    if dim < 1:
-        raise ValidationError(f"dimension {dim} is below 1")
+    anything is drawn, a ``dim`` that is not an integer of at least 1, or
+    a ``seed`` not one of at least 0, raises ValidationError, and a
+    ``dim`` past MAX_APPENDIX_DIM SizeLimitExceededError."""
+    _check_at_least(dim, "dimension", 1)
+    _check_at_least(seed, "seed", 0)
     if dim > MAX_APPENDIX_DIM:
         raise SizeLimitExceededError(
             f"dimension {dim} is above the limit MAX_APPENDIX_DIM = "
@@ -467,7 +475,10 @@ def appendix_check(instance: AppendixInstance,
 def monte_carlo_variance_check(graph: Multigraph, r, a: int, b: int,
                                count: int, seed: int) -> VerificationReport:
     """Statistical route: a potential difference d has mean 0, so sum(d^2) /
-    reff is chi-square(count), exactly; test it at two-sided level MC_ALPHA."""
+    reff is chi-square(count), exactly; test it at two-sided level MC_ALPHA.
+    ``count`` is an integer of at least 1 and ``seed`` one of at least 0."""
+    _check_at_least(count, "sample count", 1)
+    _check_at_least(seed, "seed", 0)
     net = ResistiveNetwork(graph, np.asarray(r, dtype=float))
     field = build_free_field(net)
     functional = tree_walk_vector(graph, a, b)
@@ -568,7 +579,10 @@ def run_suite(seed: int, instances: int, tol: float = DEFAULT_TOL) -> dict:
     runs them, to its failure count and the worst signed margin seen, plus
     an overall pass flag. The count is of instances: one fails a check when
     any of that check's reports on it fails (scaling has three).
+    ``seed`` is an integer of at least 0 and ``instances`` one of at least 1.
     """
+    _check_at_least(seed, "seed", 0)
+    _check_at_least(instances, "instance count", 1)
     summary = {}
     for i in range(instances):
         failed = set()

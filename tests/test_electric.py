@@ -511,32 +511,16 @@ class TestNodeVoltages:
 @pytest.fixture
 def solves(monkeypatch):
     """The ground of each row that stacked_voltages solves, memo hits and
-    repeats left out: it assembles them as one stack."""
+    repeats left out: it solves them one ``_solved_row`` call each."""
     calls = []
-    assemble = electric.laplacian
+    solve = electric._solved_row
 
-    def counted(n, ground=None):
-        if isinstance(n, electric._Stack):
-            calls.extend([ground] * len(n.resistances))
-        return assemble(n, ground)
+    def counted(n, a, b):
+        calls.append(b)
+        return solve(n, a, b)
 
-    monkeypatch.setattr(electric, "laplacian", counted)
+    monkeypatch.setattr(electric, "_solved_row", counted)
     return calls
-
-
-@pytest.fixture
-def stack_sizes(monkeypatch):
-    """The row count of each stack stacked_voltages assembles."""
-    sizes = []
-    assemble = electric.laplacian
-
-    def counted(n, ground=None):
-        if isinstance(n, electric._Stack):
-            sizes.append(len(n.resistances))
-        return assemble(n, ground)
-
-    monkeypatch.setattr(electric, "laplacian", counted)
-    return sizes
 
 
 class TestVoltageMemo:
@@ -631,33 +615,6 @@ class TestStackedVoltages:
         out = stacked_voltages(triangle.graph, np.zeros((0, 3)), 0, 1)
         assert out.shape == (0, 3)
         assert out.dtype == float
-
-    @pytest.mark.parametrize("budget, slices", [
-        (1, [1] * 5), (2, [2, 2, 1]), (4.5, [4, 1]), (5, [5])])
-    def test_slices_of_bounded_bands_keep_every_bit(self, monkeypatch,
-                                                    stack_sizes, budget,
-                                                    slices):
-        # budget counts bands: below one, each row is a slice of its own.
-        rng = np.random.default_rng(7)
-        net = grid_network(16, rng)
-        g, b = net.graph, net.graph.n_vertices - 1
-        rows = np.array([random_resistances(rng, g.n_edges)
-                         for _ in range(5)])
-        whole = stacked_voltages(g, rows, 0, b)
-        band = laplacian(net, b).nbytes
-        monkeypatch.setattr(electric, "STACK_BYTES", int(budget * band))
-        g.voltage_memo.clear()
-        stack_sizes.clear()
-        assert np.array_equal(stacked_voltages(g, rows, 0, b), whole)
-        assert stack_sizes == slices
-
-    def test_a_grid_electric_stack_is_one_slice(self, stack_sizes):
-        # 12 rows of the 16x16 grid's 35 KB band.
-        rng = np.random.default_rng(12)
-        g = grid_network(16, rng).graph
-        stacked_voltages(g, [random_resistances(rng, g.n_edges)
-                             for _ in range(12)], 0, 255)
-        assert stack_sizes == [12]
 
     def test_one_by_one_systems(self):
         rng = np.random.default_rng(1)

@@ -155,6 +155,49 @@ class TestConstruction:
             linear_functional_variance(g, [10.0, 10.0])
 
 
+class TestNonFiniteInputs:
+    """A NaN or infinite row or functional raises ValidationError naming
+    it before any arithmetic (under the suite's warnings-as-errors, a
+    RuntimeWarning would fail the test first)."""
+
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_condition_on_value_rows(self, bad):
+        # Used to end in numpy's LinAlgError: SVD did not converge.
+        with pytest.raises(ValidationError,
+                           match="^constraint rows have a non-finite"):
+            condition_on_value(independent_gaussian([1.0, 2.0]),
+                               [[1.0, 1.0], [bad, 0.0]])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_linear_functional_variance(self, bad):
+        # Used to raise SingularSystemError, "past the double range".
+        with pytest.raises(ValidationError,
+                           match="^functional has a non-finite"):
+            linear_functional_variance(independent_gaussian([1.0, 2.0]),
+                                       [1.0, bad])
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("kernel", [
+        conditioned_variance, functional_root,
+        lambda factor, c: next(functional_draws(factor, c, 10, 0))],
+        ids=["conditioned_variance", "functional_root", "functional_draws"])
+    def test_reflector_kernel_functionals(self, kernel, bad):
+        # conditioned_variance used to raise SingularSystemError and
+        # functional_draws to yield NaN draws.
+        factor = diagonal([1.0, 2.0, 3.0], [[1.0, -1.0, 1.0]])
+        with pytest.raises(ValidationError,
+                           match="^functional has a non-finite"):
+            kernel(factor, [1.0, bad, 0.0])
+
+    def test_a_functional_row_of_a_stack(self):
+        factor = diagonal([1.0, 2.0, 3.0], [[1.0, -1.0, 1.0]])
+        with pytest.raises(ValidationError,
+                           match="^functional has a non-finite"):
+            functional_root(factor, [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0]])
+
+
 # Covariances with the verdict GaussianVector must reach at every scale:
 # (name, matrix, accepted).
 SCALED_COVARIANCES = [

@@ -145,6 +145,17 @@ class TestConcavity:
             check_concavity_segment(series_path.graph, [1.0, 1.0],
                                     [2.0, 2.0], 2, 0, 2)
 
+    @pytest.mark.parametrize("grid, message", [
+        (3.5, "3.5 is not an integer index"),
+        (True, "True is not an integer index"), (2, "2 is below 3")])
+    def test_grid_must_be_an_integer_of_at_least_3(self, triangle, grid,
+                                                   message):
+        # 3.5 used to end in np.linspace's TypeError.
+        with pytest.raises(ValidationError,
+                           match=f"^concavity grid point count {message}$"):
+            check_concavity_segment(triangle.graph, triangle.resistances,
+                                    triangle.resistances, grid, 0, 1)
+
     def test_bridge_strict_negativity(self, bridge):
         report = check_concavity_segment(
             bridge.graph, np.ones(5), [5.0, 3.0, 1.0, 2.0, 4.0], 21, 0, 3)
@@ -158,27 +169,25 @@ class TestConcavity:
         # grid 99 has 0.49999999999999994 at its centre, so it solves again.
         # The whole segment is one stacked call.
         stacks, solved = [], []
-        assemble = electric.laplacian
+        solve = electric._solved_row
 
         def counting(graph, resistances, a, b):
             stacks.append(len(resistances))
             return stacked_voltages(graph, resistances, a, b)
 
-        def counted(n, ground=None):
-            if isinstance(n, electric._Stack):
-                solved.append(len(n.resistances))
-            return assemble(n, ground)
+        def counted(n, a, b):
+            solved.append(n)
+            return solve(n, a, b)
 
         monkeypatch.setattr(verify, "stacked_voltages", counting)
-        monkeypatch.setattr(electric, "laplacian", counted)
+        monkeypatch.setattr(electric, "_solved_row", counted)
         reused = np.linspace(0.0, 1.0, grid)[grid // 2] == 0.5
         assert reused == (grid in (3, 11, 21))
         for i in range(30):
             graph, r0, r1, a, b, _, _ = _suite_instance(99, i)
             report = check_concavity_segment(graph, r0, r1, grid, a, b)
             # Off the grid, the midpoint's row can round to the centre's.
-            assert len(solved) == 1
-            assert grid <= solved[0] <= grid + (not reused)
+            assert grid <= len(solved) <= grid + (not reused)
             assert report.quantity("reff_midpoint") == effective_resistance(
                 ResistiveNetwork(graph, 0.5 * (r0 + r1)), a, b)
             solved.clear()
@@ -619,8 +628,38 @@ class TestAppendixLemma:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             random_appendix_instance(dim, seed=0)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed -1 is below 0"), (0.5, "seed 0.5 is not an integer index"),
+        (False, "seed False is not an integer index")])
+    def test_a_seed_not_a_nonnegative_integer_draws_nothing(
+            self, monkeypatch, seed, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            random_appendix_instance(2, seed=seed)
+
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("count, seed, message", [
+        (True, 0, "sample count True is not an integer index"),
+        (2.5, 0, "sample count 2.5 is not an integer index"),
+        (0, 0, "sample count 0 is below 1"),
+        (10, -1, "seed -1 is below 0"),
+        (10, 1.5, "seed 1.5 is not an integer index")])
+    def test_count_and_seed_are_checked_before_the_field(
+            self, monkeypatch, triangle, count, seed, message):
+        # count=True used to run one sample, 2.5 to raise TypeError and
+        # seed=-1 numpy's ValueError.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a free field was built")
+
+        monkeypatch.setattr(verify, "build_free_field", forbidden)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            monte_carlo_variance_check(triangle.graph, triangle.resistances,
+                                       0, 1, count, seed)
+
     def test_single_edge(self):
         g = build_multigraph(["a", "b"], [("a", "b")])
         report = monte_carlo_variance_check(g, [1.0], 0, 1, 100_000, seed=5)
@@ -753,7 +792,58 @@ class TestSuite:
         for entry in summary["checks"].values():
             assert entry["failures"] == 0
 
+    @pytest.mark.parametrize("seed, instances, message", [
+        (0, 2.5, "instance count 2.5 is not an integer index"),
+        (0, True, "instance count True is not an integer index"),
+        (0, 0, "instance count 0 is below 1"),
+        (-1, 1, "seed -1 is below 0"),
+        (1.0, 1, "seed 1.0 is not an integer index")])
+    def test_seed_and_instances_are_checked_first(self, seed, instances,
+                                                  message):
+        # instances=2.5 used to end in range's TypeError.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            run_suite(seed, instances)
+
     def test_deterministic_for_a_seed(self):
         first = run_suite(seed=31, instances=3)
         second = run_suite(seed=31, instances=3)
         assert first == second
+
+
+# Each public check that judges its relations, called on the triangle with
+# tolerance tol: a valid network that passes at DEFAULT_TOL.
+TOLERANT_CHECKS = {
+    "superadditivity": lambda n, tol: check_superadditivity(
+        n.graph, n.resistances, 2.0 * n.resistances, 0, 1, tol),
+    "melvin_chain": lambda n, tol: melvin_chain(
+        n.graph, n.resistances, 2.0 * n.resistances, 0, 1, tol),
+    "entropy_chain": lambda n, tol: entropy_chain(
+        n.graph, n.resistances, 2.0 * n.resistances, 0, 1, tol),
+    "concavity": lambda n, tol: check_concavity_segment(
+        n.graph, n.resistances, [1.0, 2.0, 3.0], 5, 0, 1, tol),
+    "scaling": lambda n, tol: check_scaling(
+        n.graph, n.resistances, 3.0, 0, 1, tol),
+    "monotonicity": lambda n, tol: check_monotonicity(
+        n.graph, n.resistances, 1, 0.5, 0, 1, tol),
+    "appendix": lambda n, tol: appendix_check(
+        random_appendix_instance(3, 0), tol),
+    "suite": lambda n, tol: run_suite(0, 1, tol),
+}
+
+
+class TestToleranceIsChecked:
+    """A tolerance that is not finite and >= 0, the CLI's --tol rule,
+    raises ValidationError: a NaN or negative one used to report a valid
+    network as failed."""
+
+    @pytest.mark.parametrize("name", TOLERANT_CHECKS)
+    def test_a_valid_network_passes(self, triangle, name):
+        result = TOLERANT_CHECKS[name](triangle, DEFAULT_TOL)
+        assert result["pass"] if name == "suite" else result.passed
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+    @pytest.mark.parametrize("name", TOLERANT_CHECKS)
+    def test_a_bad_tolerance_raises(self, triangle, name, tol):
+        with pytest.raises(ValidationError,
+                           match=r"^tolerance must be finite and >= 0, got "):
+            TOLERANT_CHECKS[name](triangle, tol)
