@@ -38,6 +38,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
+from .graph import check_at_least
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -323,9 +324,11 @@ def conditioned_variance(factor: tuple, c) -> float:
 def functional_draws(factor: tuple, c, count: int, seed: int):
     """Yield ``count`` draws u . z of c . x under condition_diagonal in
     blocks of at most DRAW_BLOCK normals z: one ``default_rng(seed)`` stream
-    whatever the blocks, in O(DRAW_BLOCK) memory."""
-    if count < 1:
-        raise ValidationError("need at least one sample")
+    whatever the blocks, in O(DRAW_BLOCK) memory. ``count`` is an integer
+    of at least 1 and ``seed`` one of at least 0 (``check_at_least``),
+    checked before the first draw."""
+    check_at_least(count, "sample count", 1)
+    check_at_least(seed, "seed", 0)
     u = functional_root(factor, c)
     rng = np.random.default_rng(seed)
     block = max(1, DRAW_BLOCK // u.size)  # rows of z
@@ -356,9 +359,11 @@ def sample(g: GaussianVector, count: int, seed: int) -> np.ndarray:
     singular covariances sample on their support. The generator is numpy's
     PCG64 (``numpy.random.default_rng``); identical inputs give bit-identical
     output on one build, cross-build bit-identity is not promised.
+    ``count`` is an integer of at least 1 and ``seed`` one of at least 0
+    (``check_at_least``), checked before anything is computed.
     """
-    if count < 1:
-        raise ValidationError("need at least one sample")
+    check_at_least(count, "sample count", 1)
+    check_at_least(seed, "seed", 0)
     eigs, q = np.linalg.eigh(g.covariance)
     root = q * np.sqrt(np.clip(eigs, 0.0, None))
     z = np.random.default_rng(seed).standard_normal((count, g.dim))

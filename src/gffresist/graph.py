@@ -44,6 +44,14 @@ def check_index(value, what: str):
             f"{what} {value!r} is not an integer index") from None
 
 
+def check_at_least(value, what: str, low: int):
+    """Raise ValidationError unless ``value`` is an integer index
+    (``check_index``) of at least ``low``, as the CLI's options are."""
+    check_index(value, what)
+    if value < low:
+        raise ValidationError(f"{what} {value} is below {low}")
+
+
 @dataclass(frozen=True, eq=False)
 class Multigraph:
     """Connected undirected multigraph without self-loops. ``vertices``

@@ -43,6 +43,7 @@ from .gff import build_free_field, potential_difference_variance
 from .graph import (
     Multigraph,
     build_multigraph,
+    check_at_least,
     check_index,
     cycle_plan,
     tree_walk_vector,
@@ -51,6 +52,7 @@ from .graph import (
 DEFAULT_TOL = 1e-8
 # Two-sided tail of the Monte Carlo check: that of a normal 4-sigma test.
 MC_ALPHA = math.erfc(4.0 / math.sqrt(2.0))
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,6 @@ def _judged(name: str, quantities, relations, tol: float) -> VerificationReport:
     the larger operand magnitude, which an entropy relation must override:
     a point-mass entropy is -inf.
     """
-    if not 0.0 <= tol < math.inf:  # NaN fails too, as for the CLI's --tol
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tol}")
     values = dict(quantities)
     ineqs = []
     for lhs, rel, rhs, *scale in relations:
@@ -139,12 +139,11 @@ def _judged(name: str, quantities, relations, tol: float) -> VerificationReport:
     return VerificationReport(name, tuple(quantities), tuple(ineqs), tol)
 
 
-def _check_at_least(value, what: str, low: int):
-    """Raise ValidationError unless ``value`` is an integer index
-    (``check_index``) of at least ``low``, as the CLI's options are."""
-    check_index(value, what)
-    if value < low:
-        raise ValidationError(f"{what} {value} is below {low}")
+def _check_tolerance(tol: float):
+    """Raise ValidationError unless ``tol`` is finite and >= 0, the CLI's
+    --tol rule; every check taking one calls this before any arithmetic."""
+    if not 0.0 <= tol < math.inf:  # NaN fails too
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol}")
 
 
 def _derived_network(graph: Multigraph, label: str,
@@ -173,6 +172,7 @@ def _summed_networks(graph: Multigraph, r, r_bar) -> tuple:
 def check_superadditivity(graph: Multigraph, r, r_bar, a: int, b: int,
                           tol: float = DEFAULT_TOL) -> VerificationReport:
     """Effective resistance of the edgewise sum dominates the sum of parts."""
+    _check_tolerance(tol)
     nets = _summed_networks(graph, r, r_bar)
     reff, reff_bar, reff_hat = stacked_voltages(
         graph, [net.resistances for net in nets], a, b)[:, a].tolist()
@@ -196,7 +196,8 @@ def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
     checks the midpoint inequality directly, in the same stacked solve: on
     most odd grids (not 99) lambda = 0.5 is the centre's row, solved once.
     """
-    _check_at_least(grid_points, "concavity grid point count", 3)
+    _check_tolerance(tol)
+    check_at_least(grid_points, "concavity grid point count", 3)
     r0, r1 = (ResistiveNetwork(graph, r).resistances for r in (r0, r1))
     lams = np.append(np.linspace(0.0, 1.0, grid_points), 0.5)[:, None]
     # Rounding can carry a convex combination past its ends, such as below
@@ -232,6 +233,7 @@ def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     resistance; splitting that dissipation across the two resistance
     assignments and re-optimizing each part separately can only lower it.
     """
+    _check_tolerance(tol)
     net, net_bar, net_hat = _summed_networks(graph, r, r_bar)
 
     # One stacked solve gives each network its Thomson flow and its Reff.
@@ -290,6 +292,7 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     its variance is read, so at most one doubled factor and one free field
     are held at a time.
     """
+    _check_tolerance(tol)
     graph.check_vertices(a, b)  # before the factorizations
     net, net_bar, net_hat = _summed_networks(graph, r, r_bar)
     r, r_bar = net.resistances, net_bar.resistances
@@ -329,6 +332,7 @@ def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
 def check_scaling(graph: Multigraph, r, t: float, a: int, b: int,
                   tol: float = DEFAULT_TOL) -> VerificationReport:
     """Scaling every resistance by t scales the effective resistance by t."""
+    _check_tolerance(tol)
     if t <= 0:
         raise ValidationError("scale factor must be positive")
     r = np.asarray(r, dtype=float)
@@ -351,6 +355,7 @@ def check_monotonicity(graph: Multigraph, r, edge: int, delta: float,
                        tol: float = DEFAULT_TOL) -> VerificationReport:
     """Raising one edge resistance never lowers the effective resistance.
     ``edge`` is an integer index (``check_index``) below the edge count."""
+    _check_tolerance(tol)
     if delta <= 0:
         raise ValidationError("resistance bump must be positive")
     r = np.asarray(r, dtype=float)
@@ -424,8 +429,8 @@ def random_appendix_instance(dim: int, seed: int) -> AppendixInstance:
     anything is drawn, a ``dim`` that is not an integer of at least 1, or
     a ``seed`` not one of at least 0, raises ValidationError, and a
     ``dim`` past MAX_APPENDIX_DIM SizeLimitExceededError."""
-    _check_at_least(dim, "dimension", 1)
-    _check_at_least(seed, "seed", 0)
+    check_at_least(dim, "dimension", 1)
+    check_at_least(seed, "seed", 0)
     if dim > MAX_APPENDIX_DIM:
         raise SizeLimitExceededError(
             f"dimension {dim} is above the limit MAX_APPENDIX_DIM = "
@@ -446,6 +451,7 @@ def appendix_check(instance: AppendixInstance,
                    tol: float = DEFAULT_TOL) -> VerificationReport:
     """Conditioning on the sum leaves at least the variance, and the
     entropy, of conditioning on the parts."""
+    _check_tolerance(tol)
     joint = GaussianVector(
         scipy.linalg.block_diag(instance.cov_w, instance.cov_w_bar))
     hat_rows, split_rows = _coarse_and_fine_rows(instance.conditioning)
@@ -472,13 +478,75 @@ def appendix_check(instance: AppendixInstance,
     ], tol)
 
 
+def _log_gamma_tail(a: float, t: float, upper: bool) -> tuple:
+    """(log Q(a, t) if upper else log P(a, t), log t^a e^-t / Gamma(a)):
+    the series for P below t = a + 1, Lentz's continued fraction for Q
+    from there (DiDonato & Morris, ACM TOMS 12(4), 1986). From a = 20 the
+    prefactor is Stirling's: a log t - t - lgamma(a) would cancel."""
+    if a < 20.0:
+        log_front = a * math.log(t) - t - math.lgamma(a)
+    else:
+        u, inv = (t - a) / a, 1.0 / (a * a)
+        stirlerr = (1 / 12 - inv * (1 / 360 - inv * (
+            1 / 1260 - inv * (1 / 1680 - inv / 1188)))) / a
+        log_front = (0.5 * math.log(a / (2.0 * math.pi)) - stirlerr
+                     + a * (math.log1p(u) - u))
+    series = t < a + 1.0
+    if series:
+        n, term = a, 1.0 / a
+        total = term
+        while term > total * _EPS:
+            n += 1.0
+            term *= t / n
+            total += term
+    else:
+        b, c, i, ratio = t + 1.0 - a, math.inf, 0, 0.0
+        total = d = 1.0 / b
+        while abs(ratio - 1.0) > _EPS:
+            i += 1
+            b += 2.0
+            d = 1.0 / (b - i * (i - a) * d)
+            c = b - i * (i - a) / c
+            ratio = d * c
+            total *= ratio
+    log_tail = log_front + math.log(total)
+    if upper == series:  # the other tail
+        log_tail = math.log(-math.expm1(log_tail))
+    return log_tail, log_front
+
+
+def _chi2_tail_quantile(count: int, upper: bool) -> float:
+    """The chi-square(count) point with MC_ALPHA / 2 of the mass above it
+    (upper) or below it, as scipy.special.chdtri(count, MC_ALPHA / 2) and
+    chdtri(count, 1 - MC_ALPHA / 2) give it. Newton steps on the log tail
+    in log t, where it is concave, from the Wilson-Hilferty point (PNAS
+    17, 1931) at z = +-4, the normal quantiles of MC_ALPHA / 2: at most 5
+    tail evaluations at counts 1 to 10^9."""
+    a = 0.5 * count
+    # The lower tail as chdtri sees it: 1 minus the rounded 1 - MC_ALPHA / 2.
+    tail = MC_ALPHA / 2 if upper else 1.0 - (1.0 - MC_ALPHA / 2)
+    w = 2.0 / (9.0 * count)
+    root = 1.0 - w + (4.0 if upper else -4.0) * math.sqrt(w)
+    # Below 4 degrees of freedom the lower point is negative; P(a, t) <=
+    # t^a / Gamma(a + 1) gives a start below the quantile instead.
+    t = (a * root ** 3 if root > 0.0
+         else math.exp((math.log(tail) + math.lgamma(a + 1.0)) / a))
+    for _ in range(32):  # a cap, should rounding hold a step above 4 ulp
+        log_tail, log_front = _log_gamma_tail(a, t, upper)
+        step = (log_tail - math.log(tail)) * math.exp(log_tail - log_front)
+        t *= math.exp(step if upper else -step)
+        if abs(step) <= 4 * _EPS:
+            break
+    return 2.0 * t
+
+
 def monte_carlo_variance_check(graph: Multigraph, r, a: int, b: int,
                                count: int, seed: int) -> VerificationReport:
     """Statistical route: a potential difference d has mean 0, so sum(d^2) /
     reff is chi-square(count), exactly; test it at two-sided level MC_ALPHA.
     ``count`` is an integer of at least 1 and ``seed`` one of at least 0."""
-    _check_at_least(count, "sample count", 1)
-    _check_at_least(seed, "seed", 0)
+    check_at_least(count, "sample count", 1)
+    check_at_least(seed, "seed", 0)
     net = ResistiveNetwork(graph, np.asarray(r, dtype=float))
     field = build_free_field(net)
     functional = tree_walk_vector(graph, a, b)
@@ -490,14 +558,12 @@ def monte_carlo_variance_check(graph: Multigraph, r, a: int, b: int,
         raise SingularSystemError(
             "sample variance is not finite: the network's resistances "
             "exceed the double range")
-    # Late: at import it slows CLI start, before the draws it adds peak RSS.
-    from scipy.special import chdtri
     reff = effective_resistance(net, a, b)
     quantities = (
         ("reff", reff),
         ("empirical_variance", float(squares / count)),
-        ("variance_low", float(reff * chdtri(count, 1 - MC_ALPHA / 2) / count)),
-        ("variance_high", float(reff * chdtri(count, MC_ALPHA / 2) / count)),
+        ("variance_low", reff * _chi2_tail_quantile(count, False) / count),
+        ("variance_high", reff * _chi2_tail_quantile(count, True) / count),
         ("sample_count", float(count)),
     )
     return _judged("monte_carlo_variance", quantities, [
@@ -581,8 +647,9 @@ def run_suite(seed: int, instances: int, tol: float = DEFAULT_TOL) -> dict:
     any of that check's reports on it fails (scaling has three).
     ``seed`` is an integer of at least 0 and ``instances`` one of at least 1.
     """
-    _check_at_least(seed, "seed", 0)
-    _check_at_least(instances, "instance count", 1)
+    _check_tolerance(tol)
+    check_at_least(seed, "seed", 0)
+    check_at_least(instances, "instance count", 1)
     summary = {}
     for i in range(instances):
         failed = set()

@@ -1033,3 +1033,48 @@ class TestLinearFunctionalVariance:
 def test_mismatched_shapes_raise(shape):
     with pytest.raises(DimensionMismatchError, match="do not describe one"):
         GaussianVector(np.ones(shape))
+
+
+class TestCountAndSeedAreChecked:
+    """sample and functional_draws take the rule verify's checks and the
+    CLI's options use (graph.check_at_least): a count is an integer of at
+    least 1 and a seed one of at least 0, a bool is neither. count=True
+    used to draw once through functional_draws, and True or 2.5 to end in
+    numpy's or range's TypeError."""
+
+    BAD = [
+        (True, 0, "sample count True is not an integer index"),
+        (2.5, 0, "sample count 2.5 is not an integer index"),
+        (0, 0, "sample count 0 is below 1"),
+        (np.int64(0), 0, "sample count 0 is below 1"),
+        (3, -1, "seed -1 is below 0"),
+        (3, 1.5, "seed 1.5 is not an integer index"),
+        (3, False, "seed False is not an integer index"),
+    ]
+
+    @pytest.fixture
+    def no_arithmetic(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computed before count and seed were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(gaussian, "functional_root", forbidden)
+
+    @pytest.mark.parametrize("count, seed, message", BAD)
+    def test_sample(self, no_arithmetic, count, seed, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            sample(independent_gaussian([1.0, 2.0]), count, seed)
+
+    @pytest.mark.parametrize("count, seed, message", BAD)
+    def test_functional_draws(self, no_arithmetic, count, seed, message):
+        factor = diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
+        draws = functional_draws(factor, [1.0, -1.0, 0.0], count, seed)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            next(draws)
+
+    @pytest.mark.parametrize("count", [1, np.int64(3)])
+    def test_integer_counts_draw(self, count):
+        assert sample(independent_gaussian([1.0]), count, 0).shape == (count, 1)
+        factor = diagonal([1.0, 2.0], np.array([[1.0, 1.0]]))
+        assert all_draws(factor, [1.0, 0.0], count, 0).shape == (count,)

@@ -1,7 +1,11 @@
 """Theorem-harness checks: worked instances, equality cases, randomization."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -833,8 +837,8 @@ TOLERANT_CHECKS = {
 
 class TestToleranceIsChecked:
     """A tolerance that is not finite and >= 0, the CLI's --tol rule,
-    raises ValidationError: a NaN or negative one used to report a valid
-    network as failed."""
+    raises ValidationError before any network is solved: a NaN or negative
+    one used to report a valid network as failed."""
 
     @pytest.mark.parametrize("name", TOLERANT_CHECKS)
     def test_a_valid_network_passes(self, triangle, name):
@@ -843,7 +847,50 @@ class TestToleranceIsChecked:
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
     @pytest.mark.parametrize("name", TOLERANT_CHECKS)
-    def test_a_bad_tolerance_raises(self, triangle, name, tol):
+    def test_a_bad_tolerance_raises(self, monkeypatch, triangle, name, tol):
+        # entropy_chain used to build three free fields and two doubled
+        # factorizations, and the concavity check to solve every row,
+        # before rejecting tol.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computed before the tolerance was checked")
+
+        for name_in_verify in ("build_free_field", "stacked_voltages",
+                               "GaussianVector", "_suite_instance"):
+            monkeypatch.setattr(verify, name_in_verify, forbidden)
         with pytest.raises(ValidationError,
                            match=r"^tolerance must be finite and >= 0, got "):
             TOLERANT_CHECKS[name](triangle, tol)
+
+
+class TestChiSquareQuantiles:
+    """verify mc's bounds come from its own inverse of the chi-square tails,
+    not from scipy.special, whose import cost 3 MB of the command's RSS."""
+
+    # 4 is the first count whose lower Wilson-Hilferty point is positive;
+    # from count 40 the tails take Stirling's prefactor.
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 10, 20, 39, 40, 41, 50,
+                                       100, *(10 ** k for k in range(3, 10))])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_matches_chdtri(self, count, upper):
+        from scipy.special import chdtri
+
+        y = verify.MC_ALPHA / 2 if upper else 1 - verify.MC_ALPHA / 2
+        assert verify._chi2_tail_quantile(count, upper) == pytest.approx(
+            float(chdtri(count, y)), rel=1e-13, abs=0.0)
+
+    def test_verify_mc_loads_no_scipy_special(self):
+        root = Path(__file__).resolve().parents[1]
+        child = (
+            "import sys\n"
+            "from gffresist.cli import run_command\n"
+            "code = run_command(['verify', 'mc', '--network', sys.argv[1],\n"
+            "                    '--pair', 'v0,v15', '--samples', '1000'])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.special' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(root / "tests/data/grid4.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "result: pass" in proc.stdout
