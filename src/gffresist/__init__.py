@@ -13,7 +13,6 @@ from .electric import (
     min_energy_flow_oracle,
     node_voltages,
     ohm_flow,
-    stacked_voltages,
     thomson_flow,
 )
 from .gaussian import (

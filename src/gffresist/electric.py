@@ -4,8 +4,8 @@ Node voltages come from a band Cholesky solve of the ground-reduced
 Laplacian under a unit current source, assembled in LAPACK upper band
 storage; its half-bandwidth ``kd`` is the largest ``head - tail`` over the
 edges that keep both ends, so the vertex order sets the cost, O(V kd^2),
-not the value. ``stacked_voltages`` solves a check's networks, one
-resistance row each, one band at a time (``_solved_row``).
+not the value. ``node_voltages`` solves one network, one band
+(``_solved_row``), unless the graph's memo holds it.
 The Thomson flow follows by Ohm's law; an independent minimum-energy route
 re-derives it from the cycle Gram, its circuits in apex order and
 assembled straight into band storage a panel of PANEL columns at a time,
@@ -46,7 +46,7 @@ from .graph import (
 
 MIN_RESISTANCE = 1e-12
 EPS = np.finfo(float).eps
-# Solves stacked_voltages keeps per graph: one suite instance or
+# Solves node_voltages keeps per graph: one suite instance or
 # grid-electric op solves at most 16 distinct networks.
 VOLTAGE_MEMO_SIZE = 16
 
@@ -55,8 +55,8 @@ VOLTAGE_MEMO_SIZE = 16
 class ResistiveNetwork:
     """Multigraph plus a resistance per edge (ohms), finite and at least
     MIN_RESISTANCE so that every conductance is finite: the one resistance
-    rule, which stacked_voltages applies to each row it solves by building
-    the row's network."""
+    rule. Every solve takes a network, so every row solved was checked when
+    its network was built."""
 
     graph: Multigraph
     resistances: np.ndarray
@@ -198,47 +198,6 @@ def laplacian(n: ResistiveNetwork, ground=None) -> np.ndarray:
     return flat.reshape(plan.size, plan.kd + 1).T
 
 
-def stacked_voltages(graph: Multigraph, resistances, a: int,
-                     b: int) -> np.ndarray:
-    """Vertex potentials for a unit current injected at a and extracted at
-    grounded b (0 there), one row per row of ``resistances``: bit for bit
-    the solve of that network on ``graph`` alone.
-
-    ``voltage_memo`` keeps the last VOLTAGE_MEMO_SIZE rows solved with their
-    rcond, keyed by bytes and pair: a row found there or repeated is not
-    solved again, and warns again if its solve did. Every other row is
-    checked, by building its ResistiveNetwork, before the first is solved
-    by ``_solved_row``. An error is never kept. Threads sharing a graph
-    must not call this at once: the memo takes no lock.
-    """
-    graph.check_vertices(a, b)
-    r = np.asarray(resistances, dtype=float)
-    if r.ndim != 2 or r.shape[1] != graph.n_edges:
-        raise DimensionMismatchError(
-            f"expected rows of {graph.n_edges} resistances, got {r.shape}")
-    memo = graph.voltage_memo
-    keys = [(row.tobytes(), a, b) for row in r]
-    found = {key: memo.get(key) for key in keys}
-    todo = {}  # each missing row's network once, where it first appears
-    for i, key in enumerate(keys):
-        if found[key] is None and key not in todo:
-            try:
-                todo[key] = ResistiveNetwork(graph, r[i])
-            except ValidationError as exc:
-                raise ValidationError(f"rows[{i}]: {exc}") from None
-    for key, n in todo.items():
-        found[key] = _solved_row(n, a, b)
-    for key, entry in found.items():
-        memo.pop(key, None)
-        if len(memo) >= VOLTAGE_MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = entry
-    for key in keys:
-        _warn_if_ill_conditioned(found[key][1])
-    return np.array([found[key][0] for key in keys]).reshape(
-        len(keys), graph.n_vertices)
-
-
 def _solved_row(n: ResistiveNetwork, a: int, b: int) -> tuple:
     """(potentials, rcond) of n by one ``dpbsv`` call on its reduced
     Laplacian A, 1x1 included. Its second right-hand side, ones times the
@@ -261,9 +220,23 @@ def _solved_row(n: ResistiveNetwork, a: int, b: int) -> tuple:
 
 
 def node_voltages(n: ResistiveNetwork, a: int, b: int) -> VoltageVector:
-    """``stacked_voltages`` of the one network n, memo included."""
-    return VoltageVector(
-        stacked_voltages(n.graph, n.resistances[None], a, b)[0], ground=b)
+    """Vertex potentials for a unit current injected at a and extracted at
+    grounded b (0 there). The graph's ``voltage_memo`` keeps the last
+    VOLTAGE_MEMO_SIZE solves and their rcond, keyed by resistance bytes and
+    pair: a hit is not solved again, and warns again if its solve did; an
+    error is never kept. The memo takes no lock: threads sharing a graph
+    must not call this at once."""
+    n.graph.check_vertices(a, b)
+    memo = n.graph.voltage_memo
+    key = (n.resistances.tobytes(), a, b)
+    entry = memo.pop(key, None)
+    if entry is None:
+        entry = _solved_row(n, a, b)
+    if len(memo) >= VOLTAGE_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = entry
+    _warn_if_ill_conditioned(entry[1])
+    return VoltageVector(entry[0], ground=b)
 
 
 def effective_resistance(n: ResistiveNetwork, a: int, b: int) -> float:

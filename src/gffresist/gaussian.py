@@ -322,18 +322,18 @@ def conditioned_variance(factor: tuple, c) -> float:
 
 
 def functional_draws(factor: tuple, c, count: int, seed: int):
-    """Yield ``count`` draws u . z of c . x under condition_diagonal in
-    blocks of at most DRAW_BLOCK normals z: one ``default_rng(seed)`` stream
-    whatever the blocks, in O(DRAW_BLOCK) memory. ``count`` is an integer
-    of at least 1 and ``seed`` one of at least 0 (``check_at_least``),
-    checked before the first draw."""
+    """An iterator of ``count`` draws u . z of c . x under condition_diagonal
+    in blocks of at most DRAW_BLOCK normals z: one ``default_rng(seed)``
+    stream whatever the blocks, in O(DRAW_BLOCK) memory. ``count`` is an
+    integer of at least 1 and ``seed`` one of at least 0 (``check_at_least``),
+    and they and the functional are checked when this is called."""
     check_at_least(count, "sample count", 1)
     check_at_least(seed, "seed", 0)
     u = functional_root(factor, c)
     rng = np.random.default_rng(seed)
     block = max(1, DRAW_BLOCK // u.size)  # rows of z
-    for start in range(0, count, block):
-        yield rng.standard_normal((min(block, count - start), u.size)) @ u
+    return (rng.standard_normal((min(block, count - start), u.size)) @ u
+            for start in range(0, count, block))
 
 
 def entropy_scalar(variance: float, tol: float = 0.0) -> float:

@@ -16,11 +16,10 @@ import scipy.linalg
 
 from .electric import (
     ResistiveNetwork,
-    VoltageVector,
     dissipated_power,
     effective_resistance,
+    node_voltages,
     ohm_flow,
-    stacked_voltages,
 )
 from .errors import (
     DimensionMismatchError,
@@ -173,9 +172,8 @@ def check_superadditivity(graph: Multigraph, r, r_bar, a: int, b: int,
                           tol: float = DEFAULT_TOL) -> VerificationReport:
     """Effective resistance of the edgewise sum dominates the sum of parts."""
     _check_tolerance(tol)
-    nets = _summed_networks(graph, r, r_bar)
-    reff, reff_bar, reff_hat = stacked_voltages(
-        graph, [net.resistances for net in nets], a, b)[:, a].tolist()
+    reff, reff_bar, reff_hat = (effective_resistance(net, a, b)
+                                for net in _summed_networks(graph, r, r_bar))
     quantities = (
         ("reff_hat", reff_hat),
         ("reff", reff),
@@ -193,8 +191,10 @@ def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
 
     Evaluates lambda -> Reff((1-lambda) r0 + lambda r1) on a uniform grid
     and requires every second difference to be at most tol * max|f|; also
-    checks the midpoint inequality directly, in the same stacked solve: on
-    most odd grids (not 99) lambda = 0.5 is the centre's row, solved once.
+    checks the midpoint inequality directly. Every row's network is built
+    before the first is solved; they are solved in order, lambda = 0.5
+    last. On odd grids up to 31 that is the centre's row, which the voltage
+    memo still holds; from 33 on it is solved again, to the same bits.
     """
     _check_tolerance(tol)
     check_at_least(grid_points, "concavity grid point count", 3)
@@ -205,7 +205,8 @@ def check_concavity_segment(graph: Multigraph, r0, r1, grid_points: int,
     # between two valid rows, so it is valid too.
     segment = np.clip((1.0 - lams) * r0 + lams * r1, np.minimum(r0, r1),
                       np.maximum(r0, r1))
-    *f, mid = stacked_voltages(graph, segment, a, b)[:, a].tolist()
+    nets = [ResistiveNetwork(graph, row) for row in segment]
+    *f, mid = (effective_resistance(net, a, b) for net in nets)
     f = np.array(f)
     second = f[:-2] - 2.0 * f[1:-1] + f[2:]
     endpoint_mean = 0.5 * (f[0] + f[-1])
@@ -236,10 +237,9 @@ def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     _check_tolerance(tol)
     net, net_bar, net_hat = _summed_networks(graph, r, r_bar)
 
-    # One stacked solve gives each network its Thomson flow and its Reff.
-    potentials = stacked_voltages(
-        graph, [m.resistances for m in (net_hat, net, net_bar)], a, b)
-    volts_hat, volts, volts_bar = (VoltageVector(v, b) for v in potentials)
+    # One solve gives each network its Thomson flow and its Reff.
+    volts_hat, volts, volts_bar = (node_voltages(m, a, b)
+                                   for m in (net_hat, net, net_bar))
     flow_hat = ohm_flow(net_hat, volts_hat)
 
     reff_hat = float(volts_hat.potentials[a])
@@ -338,8 +338,8 @@ def check_scaling(graph: Multigraph, r, t: float, a: int, b: int,
     r = np.asarray(r, dtype=float)
     net = ResistiveNetwork(graph, r)
     net_scaled = _derived_network(graph, "t * r", lambda: t * r)
-    reff, reff_scaled = stacked_voltages(
-        graph, [net.resistances, net_scaled.resistances], a, b)[:, a].tolist()
+    reff, reff_scaled = (effective_resistance(m, a, b)
+                         for m in (net, net_scaled))
     quantities = (
         ("reff", reff),
         ("scale_factor", float(t)),
@@ -366,8 +366,8 @@ def check_monotonicity(graph: Multigraph, r, edge: int, delta: float,
     net_bumped = _derived_network(
         graph, "r + delta",
         lambda: np.where(np.arange(graph.n_edges) == edge, r + delta, r))
-    reff, reff_bumped = stacked_voltages(
-        graph, [net.resistances, net_bumped.resistances], a, b)[:, a].tolist()
+    reff, reff_bumped = (effective_resistance(m, a, b)
+                         for m in (net, net_bumped))
     quantities = (
         ("reff", reff),
         ("reff_bumped", reff_bumped),
@@ -547,6 +547,7 @@ def monte_carlo_variance_check(graph: Multigraph, r, a: int, b: int,
     ``count`` is an integer of at least 1 and ``seed`` one of at least 0."""
     check_at_least(count, "sample count", 1)
     check_at_least(seed, "seed", 0)
+    graph.check_vertices(a, b)  # before the factorization
     net = ResistiveNetwork(graph, np.asarray(r, dtype=float))
     field = build_free_field(net)
     functional = tree_walk_vector(graph, a, b)

@@ -23,7 +23,6 @@ from gffresist import (
     laplacian,
     min_energy_flow_oracle,
     node_voltages,
-    stacked_voltages,
     thomson_flow,
 )
 from gffresist import electric
@@ -51,6 +50,7 @@ from gffresist.graph import (
 from gffresist.verify import (
     _suite_instance,
     check_concavity_segment,
+    check_superadditivity,
     instance_rng,
     random_network,
     random_pair,
@@ -391,7 +391,7 @@ def random_spd_band(rng, kind: str) -> np.ndarray:
 def laplacian_rcond(net: ResistiveNetwork, a: int, b: int) -> float:
     """The exact M-matrix rcond of the Laplacian solve, grounded at b, as
     the voltage memo keeps it."""
-    stacked_voltages(net.graph, [net.resistances], a, b)
+    node_voltages(net, a, b)
     return net.graph.voltage_memo[net.resistances.tobytes(), a, b][1]
 
 
@@ -499,19 +499,19 @@ class TestNodeVoltages:
         # A 1x1 reduced Laplacian [[0]] is not positive definite.
         g = Multigraph(("a", "b"), [], [])
         with pytest.raises(SingularSystemError, match="is the network connected"):
-            stacked_voltages(g, np.zeros((2, 0)), 0, 1)
+            node_voltages(ResistiveNetwork(g, np.zeros(0)), 0, 1)
 
     def test_singular_system_detected(self):
         # a disconnected graph that slipped past construction validation
         g = Multigraph(("a", "b", "c"), [0], [1])
         with pytest.raises(SingularSystemError):
-            stacked_voltages(g, [[1.0], [2.0]], 0, 2)
+            node_voltages(ResistiveNetwork(g, [1.0]), 0, 2)
 
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The ground of each row that stacked_voltages solves, memo hits and
-    repeats left out: it solves them one ``_solved_row`` call each."""
+    """The ground of each network that node_voltages solves, memo hits
+    left out: it solves each one ``_solved_row`` call."""
     calls = []
     solve = electric._solved_row
 
@@ -523,34 +523,62 @@ def solves(monkeypatch):
     return calls
 
 
+def series_network(r0: float, r1: float) -> ResistiveNetwork:
+    """The path a - b - c with these two resistances."""
+    g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    return ResistiveNetwork(g, np.array([r0, r1]))
+
+
 class TestVoltageMemo:
-    """stacked_voltages' per-graph memo of recent solves, which
-    node_voltages shares."""
+    """node_voltages' per-graph memo of recent solves, which
+    effective_resistance, thomson_flow and the verify checks share."""
 
     def test_repeat_returns_bit_identical_potentials_without_a_solve(
             self, solves):
         net = grid_network(6, np.random.default_rng(6))
-        first = stacked_voltages(net.graph, [net.resistances], 0, 35)
-        again = stacked_voltages(net.graph, [net.resistances.copy()], 0, 35)
-        assert np.array_equal(again, first)
+        first = node_voltages(net, 0, 35).potentials
+        again = node_voltages(
+            ResistiveNetwork(net.graph, net.resistances.copy()), 0, 35)
+        assert np.array_equal(again.potentials, first)
         assert solves == [35]
-        # node_voltages shares the memo.
-        assert np.array_equal(node_voltages(net, 0, 35).potentials, first[0])
+        # effective_resistance shares the memo.
+        assert effective_resistance(net, 0, 35) == first[0]
         assert solves == [35]
         # A new graph has its own memo and solves to the same bits.
         fresh = grid_network(6, np.random.default_rng(6))
-        assert np.array_equal(
-            stacked_voltages(fresh.graph, [fresh.resistances], 0, 35), first)
+        assert np.array_equal(node_voltages(fresh, 0, 35).potentials, first)
         assert solves == [35, 35]
+
+    def test_a_repeated_network_is_solved_once(self, solves):
+        net = grid_network(4, np.random.default_rng(4))
+        other = ResistiveNetwork(net.graph, 2.0 * net.resistances)
+        volts = [node_voltages(m, 0, 15).potentials
+                 for m in (net, other, net, net)]
+        assert solves == [15, 15]
+        assert all(np.array_equal(volts[0], v) for v in volts[2:])
+        assert len(net.graph.voltage_memo) == 2
 
     def test_repeat_on_an_ill_conditioned_network_warns_again(self, solves):
         # Conductances 1 and 2^-51 in series, grounded past the small one:
         # rcond about 2^-53, below eps.
-        g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        net = series_network(1.0, 2.0 ** 51)
         for _ in range(2):
             with pytest.warns(LinAlgWarning, match="ill-conditioned"):
-                stacked_voltages(g, [[1.0, 2.0 ** 51]], 0, 2)
+                node_voltages(net, 0, 2)
         assert solves == [2]
+
+    def test_a_hit_warns_for_its_own_network_only(self, solves):
+        ill = series_network(1.0, 2.0 ** 51)
+        fine = ResistiveNetwork(ill.graph, np.array([1.0, 2.0]))
+        with pytest.warns(LinAlgWarning, match="ill-conditioned"):
+            node_voltages(ill, 0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            node_voltages(fine, 0, 2)
+        with pytest.warns(LinAlgWarning, match="ill-conditioned") as record:
+            node_voltages(ill, 0, 2)
+        assert len(record) == 1
+        assert solves == [2, 2]
 
     def test_misses_on_another_pair_and_a_one_ulp_change(self, solves):
         net = grid_network(6, np.random.default_rng(7))
@@ -559,113 +587,93 @@ class TestVoltageMemo:
         for r, a, b in [(net.resistances, 0, 35), (net.resistances, 35, 0),
                         (net.resistances, 0, 1), (bumped, 0, 35),
                         (net.resistances, 0, 35)]:
-            stacked_voltages(net.graph, [r], a, b)
+            node_voltages(ResistiveNetwork(net.graph, r), a, b)
         assert solves == [35, 0, 1, 35]
 
     def test_never_stores_an_error(self, solves):
-        g = Multigraph(("a", "b", "c"), [0], [1])
-        for _ in range(2):
-            with pytest.raises(SingularSystemError):
-                stacked_voltages(g, [[1.0]], 0, 2)
-        assert solves == [2, 2]
-        assert g.voltage_memo == {}
+        # A disconnected graph that slipped past construction validation,
+        # and a Reff of 2e308, past the double range.
+        singular = ResistiveNetwork(Multigraph(("a", "b", "c"), [0], [1]),
+                                    np.array([1.0]))
+        overflow = series_network(1e308, 1e308)
+        for net, match in [(singular, "is the network connected"),
+                           (overflow, "resistances exceed the double range")]:
+            for _ in range(2):
+                with pytest.raises(SingularSystemError, match=match):
+                    node_voltages(net, 0, 2)
+            assert net.graph.voltage_memo == {}
+        assert solves == [2] * 4
+
+    def test_a_check_that_raises_keeps_its_earlier_solves(self, solves):
+        # r and r_bar solve; r + r_bar, 9e307 and 1.1e308 in series, has a
+        # Reff past the double range and is not stored.
+        r, r_bar = [5e307, 5e307], [4e307, 6e307]
+        g = series_network(*r).graph
+        with pytest.raises(SingularSystemError,
+                           match="resistances exceed the double range"):
+            check_superadditivity(g, r, r_bar, 0, 2)
+        assert solves == [2] * 3
+        assert list(g.voltage_memo) == [
+            (np.array(row).tobytes(), 0, 2) for row in (r, r_bar)]
 
     def test_holds_at_most_its_constant_number_of_entries(self, solves):
         net = grid_network(4, np.random.default_rng(4))
-        rows = [net.resistances * (1 + k) for k in range(VOLTAGE_MEMO_SIZE + 5)]
-        for r in rows:
-            stacked_voltages(net.graph, [r], 0, 15)
+        nets = [ResistiveNetwork(net.graph, net.resistances * (1 + k))
+                for k in range(VOLTAGE_MEMO_SIZE + 5)]
+        for m in nets:
+            node_voltages(m, 0, 15)
         assert len(net.graph.voltage_memo) == VOLTAGE_MEMO_SIZE
         # The oldest entries went first; a hit makes an entry the newest.
         for k in (5, 4, 5):
-            stacked_voltages(net.graph, [rows[k]], 0, 15)
-        assert len(solves) == len(rows) + 1
+            node_voltages(nets[k], 0, 15)
+        assert len(solves) == len(nets) + 1
         assert len(net.graph.voltage_memo) == VOLTAGE_MEMO_SIZE
-        # A stack longer than the memo keeps its last rows.
-        stacked_voltages(net.graph, rows, 0, 15)
+        assert list(net.graph.voltage_memo)[-2:] == [
+            (nets[k].resistances.tobytes(), 0, 15) for k in (4, 5)]
+        # More networks than the memo holds leave the last of them.
+        for m in nets:
+            node_voltages(m, 0, 15)
         assert list(net.graph.voltage_memo) == [
-            (r.tobytes(), 0, 15) for r in rows[-VOLTAGE_MEMO_SIZE:]]
+            (m.resistances.tobytes(), 0, 15)
+            for m in nets[-VOLTAGE_MEMO_SIZE:]]
 
 
-class TestStackedVoltages:
-    """Each row of one stacked call is its own network's solve, bit for bit."""
+class TestSolvesAreIndependent:
+    """Each network's potentials are its own solve, bit for bit, whatever
+    the memo and band plan hold from the solves before it."""
+
+    @staticmethod
+    def check_networks(nets, a, b):
+        g = nets[0].graph
+        g.voltage_memo.clear()
+        in_turn = [node_voltages(n, a, b).potentials for n in nets]
+        rconds = [g.voltage_memo[n.resistances.tobytes(), a, b][1]
+                  for n in nets]
+        for n, v, rcond in zip(nets, in_turn, rconds):
+            g.voltage_memo.clear()
+            assert np.array_equal(node_voltages(n, a, b).potentials, v)
+            assert g.voltage_memo[n.resistances.tobytes(), a, b][1] == rcond
+            assert np.array_equal(scipy_voltages(n, a, b), v)
 
     @pytest.mark.parametrize("side", [4, 16, 33])
-    def test_rows_equal_one_at_a_time_solves(self, side):
+    def test_grids(self, side):
         # At 33x33 the half-bandwidth reaches 32, where dpbtrf is blocked.
         rng = np.random.default_rng(side)
         net = grid_network(side, rng)
         g, n_v = net.graph, net.graph.n_vertices
-        rows = np.array([net.resistances] + [random_resistances(
-            rng, g.n_edges) for _ in range(4)])
+        nets = [net] + [ResistiveNetwork(g, random_resistances(
+            rng, g.n_edges)) for _ in range(4)]
         for a, b in [(0, n_v - 1), (n_v - 1, side), random_pair(rng, n_v)]:
             assert laplacian(net, b).shape[0] - 1 == side
-            g.voltage_memo.clear()
-            stacked = stacked_voltages(g, rows, a, b)
-            rconds = [g.voltage_memo[row.tobytes(), a, b][1] for row in rows]
-            for row, v, rcond in zip(rows, stacked, rconds):
-                g.voltage_memo.clear()
-                assert np.array_equal(stacked_voltages(g, [row], a, b)[0], v)
-                assert g.voltage_memo[row.tobytes(), a, b][1] == rcond
-                assert np.array_equal(
-                    scipy_voltages(ResistiveNetwork(g, row), a, b), v)
-
-    def test_no_rows_give_no_potentials(self, triangle):
-        # One row of V potentials per row of resistances, none for none.
-        out = stacked_voltages(triangle.graph, np.zeros((0, 3)), 0, 1)
-        assert out.shape == (0, 3)
-        assert out.dtype == float
+            self.check_networks(nets, a, b)
 
     def test_one_by_one_systems(self):
         rng = np.random.default_rng(1)
         g = build_multigraph(["a", "b"], [("a", "b")] * 3)
-        rows = np.array([random_resistances(rng, 3) for _ in range(5)])
+        nets = [ResistiveNetwork(g, random_resistances(rng, 3))
+                for _ in range(5)]
         for a, b in [(0, 1), (1, 0)]:
-            g.voltage_memo.clear()
-            stacked = stacked_voltages(g, rows, a, b)
-            for row, v in zip(rows, stacked):
-                g.voltage_memo.clear()
-                assert np.array_equal(stacked_voltages(g, [row], a, b)[0], v)
-                assert np.array_equal(
-                    scipy_voltages(ResistiveNetwork(g, row), a, b), v)
-
-    def test_a_memo_hit_in_a_stack_warns_again_without_a_solve(self, solves):
-        g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        ill, fine = [1.0, 2.0 ** 51], [1.0, 2.0]
-        with pytest.warns(LinAlgWarning, match="ill-conditioned"):
-            stacked_voltages(g, [ill], 0, 2)
-        with pytest.warns(LinAlgWarning, match="ill-conditioned") as record:
-            stacked_voltages(g, [fine, ill], 0, 2)
-        assert len(record) == 1
-        assert solves == [2, 2]
-
-    def test_an_error_in_a_stack_is_never_stored(self, solves):
-        # The second row's Reff is 2e308, past the double range.
-        g = build_multigraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        for _ in range(2):
-            with pytest.raises(SingularSystemError,
-                               match="resistances exceed the double range"):
-                stacked_voltages(g, [[1.0, 1.0], [1e308, 1e308]], 0, 2)
-        assert g.voltage_memo == {}
-        assert solves == [2] * 4
-
-    def test_a_repeated_row_is_solved_once(self, solves):
-        net = grid_network(4, np.random.default_rng(4))
-        r, other = net.resistances, 2.0 * net.resistances
-        stacked = stacked_voltages(net.graph, [r, other, r, r], 0, 15)
-        assert solves == [15, 15]
-        assert np.array_equal(stacked[[0, 0, 0]], stacked[[0, 2, 3]])
-        assert len(net.graph.voltage_memo) == 2
-
-    def test_message_names_the_row_and_the_edge(self, triangle):
-        with pytest.raises(ValidationError, match=r"^rows\[1\]: edges\[2\]: "):
-            stacked_voltages(triangle.graph, [[1.0] * 3, [1.0, 1.0, 0.0]],
-                             0, 1)
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 1, 3)])
-    def test_rejects_a_wrong_shape(self, triangle, shape):
-        with pytest.raises(DimensionMismatchError):
-            stacked_voltages(triangle.graph, np.ones(shape), 0, 1)
+            self.check_networks(nets, a, b)
 
 
 class TestWarningLocation:
@@ -678,7 +686,7 @@ class TestWarningLocation:
         calls = {
             "a fresh solve": lambda: effective_resistance(net, 0, 2),
             "a memo hit": lambda: effective_resistance(net, 0, 2),
-            "a stacked check": lambda: check_concavity_segment(
+            "a check": lambda: check_concavity_segment(
                 g, net.resistances, 2.0 * net.resistances, 3, 0, 2),
             "the cycle-space oracle": lambda: min_energy_flow_oracle(
                 ResistiveNetwork(triple, np.array([1e4, 1e-12, 1e-12])), 0, 1),

@@ -1069,9 +1069,8 @@ class TestCountAndSeedAreChecked:
     @pytest.mark.parametrize("count, seed, message", BAD)
     def test_functional_draws(self, no_arithmetic, count, seed, message):
         factor = diagonal([1.0, 2.0, 3.0], np.array([[1.0, 1.0, 1.0]]))
-        draws = functional_draws(factor, [1.0, -1.0, 0.0], count, seed)
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            next(draws)
+            functional_draws(factor, [1.0, -1.0, 0.0], count, seed)
 
     @pytest.mark.parametrize("count", [1, np.int64(3)])
     def test_integer_counts_draw(self, count):

@@ -777,8 +777,6 @@ PAIR_ROUTES = {
     "walk_between": lambda n, a, b: walk_between(n.graph, a, b),
     "enumerate_simple_walks": lambda n, a, b: enumerate_simple_walks(n.graph, a, b),
     "node_voltages": electric.node_voltages,
-    "stacked_voltages": lambda n, a, b: electric.stacked_voltages(
-        n.graph, [n.resistances], a, b),
     "effective_resistance": electric.effective_resistance,
     "thomson_flow": electric.thomson_flow,
     "min_energy_flow_oracle": electric.min_energy_flow_oracle,

@@ -28,9 +28,9 @@ from gffresist import (
 )
 from gffresist import electric, verify
 from gffresist.electric import (
+    VOLTAGE_MEMO_SIZE,
     ResistiveNetwork,
     effective_resistance,
-    stacked_voltages,
 )
 from gffresist.errors import (
     DimensionMismatchError,
@@ -166,36 +166,32 @@ class TestConcavity:
         assert report.passed
         assert report.quantity("second_diff_max") < -1e-6
 
-    @pytest.mark.parametrize("grid", [3, 4, 11, 12, 21, 99])
+    @pytest.mark.parametrize("grid", [3, 4, 11, 12, 21, 31, 33, 99])
     def test_midpoint_is_solved_once(self, monkeypatch, grid):
-        # A grid that holds lambda = 0.5 reuses that solve; the midpoint keeps
-        # the bits of a separate solve at 0.5 (r0 + r1) either way. The odd
-        # grid 99 has 0.49999999999999994 at its centre, so it solves again.
-        # The whole segment is one stacked call.
-        stacks, solved = [], []
+        # A grid that holds lambda = 0.5 reuses that solve while the memo
+        # holds it: the midpoint comes last, VOLTAGE_MEMO_SIZE rows after
+        # the centre's on grid 31. The midpoint keeps the bits of a
+        # separate solve at 0.5 (r0 + r1) either way. The odd grid 99 has
+        # 0.49999999999999994 at its centre.
+        solved = []
         solve = electric._solved_row
-
-        def counting(graph, resistances, a, b):
-            stacks.append(len(resistances))
-            return stacked_voltages(graph, resistances, a, b)
 
         def counted(n, a, b):
             solved.append(n)
             return solve(n, a, b)
 
-        monkeypatch.setattr(verify, "stacked_voltages", counting)
         monkeypatch.setattr(electric, "_solved_row", counted)
-        reused = np.linspace(0.0, 1.0, grid)[grid // 2] == 0.5
-        assert reused == (grid in (3, 11, 21))
+        centred = np.linspace(0.0, 1.0, grid)[grid // 2] == 0.5
+        assert centred == (grid in (3, 11, 21, 31, 33))
+        reused = centred and grid // 2 + VOLTAGE_MEMO_SIZE >= grid
+        assert reused == (grid in (3, 11, 21, 31))
         for i in range(30):
             graph, r0, r1, a, b, _, _ = _suite_instance(99, i)
             report = check_concavity_segment(graph, r0, r1, grid, a, b)
-            # Off the grid, the midpoint's row can round to the centre's.
-            assert grid <= len(solved) <= grid + (not reused)
+            assert len(solved) == grid + (not reused)
             assert report.quantity("reff_midpoint") == effective_resistance(
                 ResistiveNetwork(graph, 0.5 * (r0 + r1)), a, b)
             solved.clear()
-        assert stacks == [grid + 1] * 30
 
 
 class TestMelvinChain:
@@ -646,23 +642,32 @@ class TestAppendixLemma:
 
 
 class TestMonteCarlo:
-    @pytest.mark.parametrize("count, seed, message", [
-        (True, 0, "sample count True is not an integer index"),
-        (2.5, 0, "sample count 2.5 is not an integer index"),
-        (0, 0, "sample count 0 is below 1"),
-        (10, -1, "seed -1 is below 0"),
-        (10, 1.5, "seed 1.5 is not an integer index")])
+    @pytest.mark.parametrize("count, seed, pair, error, message", [
+        (True, 0, (0, 1), ValidationError,
+         "sample count True is not an integer index"),
+        (2.5, 0, (0, 1), ValidationError,
+         "sample count 2.5 is not an integer index"),
+        (0, 0, (0, 1), ValidationError, "sample count 0 is below 1"),
+        (10, -1, (0, 1), ValidationError, "seed -1 is below 0"),
+        (10, 1.5, (0, 1), ValidationError, "seed 1.5 is not an integer index"),
+        (10, 0, (2, 2), SameVertexError,
+         "vertex 'c' named twice: vertices must differ"),
+        (10, 0, (0, 3), NotASpanningTreeError,
+         "vertex 3 out of range for 3 vertices"),
+        (10, 0, (0.5, 1), ValidationError,
+         "vertex 0.5 is not an integer index")])
     def test_count_and_seed_are_checked_before_the_field(
-            self, monkeypatch, triangle, count, seed, message):
+            self, monkeypatch, triangle, count, seed, pair, error, message):
         # count=True used to run one sample, 2.5 to raise TypeError and
-        # seed=-1 numpy's ValueError.
+        # seed=-1 numpy's ValueError; a bad pair used to raise only after
+        # the free field's factorization.
         def forbidden(*args, **kwargs):
             raise AssertionError("a free field was built")
 
         monkeypatch.setattr(verify, "build_free_field", forbidden)
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{message}$"):
             monte_carlo_variance_check(triangle.graph, triangle.resistances,
-                                       0, 1, count, seed)
+                                       *pair, count, seed)
 
     def test_single_edge(self):
         g = build_multigraph(["a", "b"], [("a", "b")])
@@ -854,8 +859,9 @@ class TestToleranceIsChecked:
         def forbidden(*args, **kwargs):
             raise AssertionError("computed before the tolerance was checked")
 
-        for name_in_verify in ("build_free_field", "stacked_voltages",
-                               "GaussianVector", "_suite_instance"):
+        for name_in_verify in ("build_free_field", "node_voltages",
+                               "effective_resistance", "GaussianVector",
+                               "_suite_instance"):
             monkeypatch.setattr(verify, name_in_verify, forbidden)
         with pytest.raises(ValidationError,
                            match=r"^tolerance must be finite and >= 0, got "):
