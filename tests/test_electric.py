@@ -50,8 +50,11 @@ from gffresist.graph import (
 from gffresist.verify import (
     _suite_instance,
     check_concavity_segment,
+    check_monotonicity,
+    check_scaling,
     check_superadditivity,
     instance_rng,
+    melvin_chain,
     random_network,
     random_pair,
     random_resistances,
@@ -529,6 +532,25 @@ def series_network(r0: float, r1: float) -> ResistiveNetwork:
     return ResistiveNetwork(g, np.array([r0, r1]))
 
 
+# Checks on the path a - b - c, pair (0, 2), whose last network, and no
+# earlier one, has a Reff past the double range; with the rows they solve
+# before it. melvin_chain solves r + r_bar first, so it has no such case.
+RAISING_CHECKS = {
+    # r + r_bar is 9e307 and 1.1e308 in series.
+    "check_superadditivity": (lambda g: check_superadditivity(
+        g, [5e307, 5e307], [4e307, 6e307], 0, 2),
+        [[5e307, 5e307], [4e307, 6e307]]),
+    "check_scaling": (lambda g: check_scaling(g, [5e307, 5e307], 2.0, 0, 2),
+                      [[5e307, 5e307]]),
+    "check_monotonicity": (lambda g: check_monotonicity(
+        g, [5e307, 5e307], 0, 1.2e308, 0, 2), [[5e307, 5e307]]),
+    # lambda = 0, 0.5 and 1; the midpoint would come after the last.
+    "check_concavity_segment": (lambda g: check_concavity_segment(
+        g, [1.0, 1.0], [1e308, 1e308], 3, 0, 2),
+        [[1.0, 1.0], [5e307, 5e307]]),
+}
+
+
 class TestVoltageMemo:
     """node_voltages' per-graph memo of recent solves, which
     effective_resistance, thomson_flow and the verify checks share."""
@@ -604,17 +626,18 @@ class TestVoltageMemo:
             assert net.graph.voltage_memo == {}
         assert solves == [2] * 4
 
-    def test_a_check_that_raises_keeps_its_earlier_solves(self, solves):
-        # r and r_bar solve; r + r_bar, 9e307 and 1.1e308 in series, has a
-        # Reff past the double range and is not stored.
-        r, r_bar = [5e307, 5e307], [4e307, 6e307]
-        g = series_network(*r).graph
+    @pytest.mark.parametrize("check", sorted(RAISING_CHECKS))
+    def test_a_check_that_raises_keeps_its_earlier_solves(self, solves, check):
+        # The last network's Reff is past the double range; it is not
+        # stored, and the rows solved before it stay.
+        call, solved = RAISING_CHECKS[check]
+        g = series_network(1.0, 1.0).graph
         with pytest.raises(SingularSystemError,
                            match="resistances exceed the double range"):
-            check_superadditivity(g, r, r_bar, 0, 2)
-        assert solves == [2] * 3
+            call(g)
+        assert solves == [2] * (len(solved) + 1)
         assert list(g.voltage_memo) == [
-            (np.array(row).tobytes(), 0, 2) for row in (r, r_bar)]
+            (np.array(row).tobytes(), 0, 2) for row in solved]
 
     def test_holds_at_most_its_constant_number_of_entries(self, solves):
         net = grid_network(4, np.random.default_rng(4))
@@ -655,9 +678,10 @@ class TestSolvesAreIndependent:
             assert g.voltage_memo[n.resistances.tobytes(), a, b][1] == rcond
             assert np.array_equal(scipy_voltages(n, a, b), v)
 
-    @pytest.mark.parametrize("side", [4, 16, 33])
+    @pytest.mark.parametrize("side", [4, 16, 32, 33])
     def test_grids(self, side):
-        # At 33x33 the half-bandwidth reaches 32, where dpbtrf is blocked.
+        # At 33x33 the half-bandwidth reaches 32, where dpbtrf is blocked;
+        # 32x32 has the widest band it factors unblocked.
         rng = np.random.default_rng(side)
         net = grid_network(side, rng)
         g, n_v = net.graph, net.graph.n_vertices
@@ -674,6 +698,73 @@ class TestSolvesAreIndependent:
                 for _ in range(5)]
         for a, b in [(0, 1), (1, 0)]:
             self.check_networks(nets, a, b)
+
+
+# Each verify check that solves Laplacians, on (graph, r, a, b): the
+# networks it builds, and the distinct ones among them that it solves.
+SOLVING_CHECKS = {
+    "check_superadditivity": (lambda g, r, a, b: check_superadditivity(
+        g, r, 2.0 * r, a, b), 3, 3),
+    "melvin_chain": (lambda g, r, a, b: melvin_chain(g, r, 2.0 * r, a, b),
+                     3, 3),
+    "check_scaling": (lambda g, r, a, b: check_scaling(g, r, 2.0, a, b), 2, 2),
+    "check_monotonicity": (lambda g, r, a, b: check_monotonicity(
+        g, r, 0, 1.0, a, b), 2, 2),
+    # r0, r1 and six rows, lambda = 0.5 twice.
+    "check_concavity_segment": (lambda g, r, a, b: check_concavity_segment(
+        g, r, 2.0 * r, 5, a, b), 8, 5),
+}
+
+
+class TestChecksSolveTheirNetworks:
+    """A check solves the networks it built, one node_voltages call each,
+    through the memo that the public routes share."""
+
+    @pytest.mark.parametrize("check", sorted(SOLVING_CHECKS))
+    def test_each_network_is_built_once_and_solved_once(
+            self, monkeypatch, check):
+        call, n_built, n_solved = SOLVING_CHECKS[check]
+        net = grid_network(4, np.random.default_rng(4))
+        built, solved = [], []
+        check_network = ResistiveNetwork.__post_init__
+        solve = electric._solved_row
+
+        def counted_build(n):
+            built.append(n)
+            check_network(n)
+
+        def counted_solve(n, a, b):
+            solved.append(n)
+            return solve(n, a, b)
+
+        monkeypatch.setattr(ResistiveNetwork, "__post_init__", counted_build)
+        monkeypatch.setattr(electric, "_solved_row", counted_solve)
+        first = call(net.graph, net.resistances, 0, 15)
+        assert len(built) == n_built
+        assert len(solved) == n_solved
+        assert all(any(n is m for m in built) for n in solved)
+        # Run again, the check builds its networks and solves none of them.
+        built.clear()
+        again = call(net.graph, net.resistances, 0, 15)
+        assert len(built) == n_built
+        assert len(solved) == n_solved
+        assert again.quantities == first.quantities
+
+    @pytest.mark.parametrize("route, values", [
+        (node_voltages, lambda v: v.potentials),
+        (effective_resistance, lambda reff: reff),
+        (thomson_flow, lambda flow: flow.currents)])
+    def test_a_checked_network_is_a_hit_for_the_routes(
+            self, solves, route, values):
+        net = grid_network(4, np.random.default_rng(5))
+        melvin_chain(net.graph, net.resistances, 2.0 * net.resistances, 0, 15)
+        assert solves == [15] * 3
+        same = ResistiveNetwork(net.graph, net.resistances.copy())
+        hit = values(route(same, 0, 15))
+        assert solves == [15] * 3
+        net.graph.voltage_memo.clear()
+        assert np.array_equal(values(route(same, 0, 15)), hit)
+        assert solves == [15] * 4
 
 
 class TestWarningLocation:

@@ -643,19 +643,22 @@ class TestAppendixLemma:
 
 class TestMonteCarlo:
     @pytest.mark.parametrize("count, seed, pair, error, message", [
-        (True, 0, (0, 1), ValidationError,
-         "sample count True is not an integer index"),
-        (2.5, 0, (0, 1), ValidationError,
-         "sample count 2.5 is not an integer index"),
-        (0, 0, (0, 1), ValidationError, "sample count 0 is below 1"),
-        (10, -1, (0, 1), ValidationError, "seed -1 is below 0"),
-        (10, 1.5, (0, 1), ValidationError, "seed 1.5 is not an integer index"),
-        (10, 0, (2, 2), SameVertexError,
-         "vertex 'c' named twice: vertices must differ"),
-        (10, 0, (0, 3), NotASpanningTreeError,
-         "vertex 3 out of range for 3 vertices"),
-        (10, 0, (0.5, 1), ValidationError,
-         "vertex 0.5 is not an integer index")])
+        pytest.param(count, seed, (0, 1), ValidationError, message,
+                     id=f"{count}-{seed}-{message}")
+        for count, seed, message in [
+            (True, 0, "sample count True is not an integer index"),
+            (2.5, 0, "sample count 2.5 is not an integer index"),
+            (0, 0, "sample count 0 is below 1"),
+            (10, -1, "seed -1 is below 0"),
+            (10, 1.5, "seed 1.5 is not an integer index")]] + [
+        pytest.param(10, 0, pair, error, message, id=f"pair{pair}-{message}")
+        for pair, error, message in [
+            ((2, 2), SameVertexError,
+             "vertex 'c' named twice: vertices must differ"),
+            ((0, 3), NotASpanningTreeError,
+             "vertex 3 out of range for 3 vertices"),
+            ((0.5, 1), ValidationError,
+             "vertex 0.5 is not an integer index")]])
     def test_count_and_seed_are_checked_before_the_field(
             self, monkeypatch, triangle, count, seed, pair, error, message):
         # count=True used to run one sample, 2.5 to raise TypeError and
