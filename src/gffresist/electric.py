@@ -18,7 +18,9 @@ falls below machine epsilon: exact for the Laplacian (an M-matrix, its
 ``dpocon`` makes (Hager and Higham's), run on ``dpbtrs`` solves. Each
 graph keeps its last VOLTAGE_MEMO_SIZE voltage solves and the band plan
 for the last ground; the oracle walks the fundamental circuits on each
-call and keeps nothing.
+call and keeps nothing. The LAPACK and BLAS routines are scipy's own
+wrappers, loaded by ``_lapack`` without the ``scipy.linalg`` package,
+which the warning alone imports.
 """
 
 import math
@@ -27,10 +29,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbsv, dpbtrf, dpbtrs
 
+from ._lapack import dpbsv, dpbtrf, dpbtrs, dsbmv
 from .errors import (
     DimensionMismatchError,
     SingularSystemError,
@@ -115,6 +115,8 @@ def _check_flow(n: ResistiveNetwork, f: FlowVector):
 def _warn_if_ill_conditioned(rcond: float):
     """Warn below machine epsilon, at the first caller outside the package."""
     if not rcond >= EPS:
+        from scipy.linalg import LinAlgWarning
+
         frame, level = sys._getframe(1), 2
         while frame.f_back and frame.f_globals.get("__name__", "").startswith(
                 f"{__package__}."):

@@ -21,7 +21,8 @@ its ``rows`` name, with its ``kept`` leading rows final rows of R. Q' w
 keeps its part in col(B) at those kept coordinates and the residual at
 the free ones. condition_block_diagonal, the one constructor, appends the
 panels of an independent block with its own coordinates and QR-factors
-only them; condition_diagonal appends them to the empty factor.
+only them; condition_diagonal appends them to the empty factor. dgeqrf
+and dormqr are scipy's own wrappers, loaded by ``_lapack``.
 """
 
 import math
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dormqr
 
+from ._lapack import dgeqrf, dormqr
 from .errors import (
     DimensionMismatchError,
     NegativeVarianceError,

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .electric import (
     ResistiveNetwork,
@@ -262,13 +261,23 @@ def melvin_chain(graph: Multigraph, r, r_bar, a: int, b: int,
     ], tol)
 
 
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 2-D block-diagonal [[a, 0], [0, b]], as scipy.linalg.block_diag
+    forms it."""
+    (m, n), (p, q) = a.shape, b.shape
+    out = np.zeros((m + p, n + q), dtype=np.result_type(a, b))
+    out[:m, :n] = a
+    out[m:, n:] = b
+    return out
+
+
 def _coarse_and_fine_rows(phi: np.ndarray) -> tuple:
     """Conditioning rows on the pair (w, w_bar), coarse then fine.
 
     Coarse: each row of phi pins phi . (w + w_bar) to 0. Fine: it pins
     phi . w and phi . w_bar to 0 separately.
     """
-    return np.hstack([phi, phi]), scipy.linalg.block_diag(phi, phi)
+    return np.hstack([phi, phi]), _block_diag(phi, phi)
 
 
 def entropy_chain(graph: Multigraph, r, r_bar, a: int, b: int,
@@ -452,8 +461,7 @@ def appendix_check(instance: AppendixInstance,
     """Conditioning on the sum leaves at least the variance, and the
     entropy, of conditioning on the parts."""
     _check_tolerance(tol)
-    joint = GaussianVector(
-        scipy.linalg.block_diag(instance.cov_w, instance.cov_w_bar))
+    joint = GaussianVector(_block_diag(instance.cov_w, instance.cov_w_bar))
     hat_rows, split_rows = _coarse_and_fine_rows(instance.conditioning)
     var_hat, var_split = (
         linear_functional_variance(condition_on_value(joint, rows),
